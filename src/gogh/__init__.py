@@ -16,7 +16,7 @@ from .balance import (
 )
 from .certify import BSWitness, DistortionCertificate, almost_bs_witness, distortion_certificate
 from .conjgraph import ConjugacyGraph, EdgeClass, build_conjugacy_graph, edge_classes
-from .dihedral import Cyclic, DihedralElement, DihedralType, dmul, dpow, subgroup_index
+from .dihedral import DihedralElement, dmul, dpow
 from .freewords import (
     RootData,
     commensurability_data,
@@ -56,4 +56,52 @@ from .words import (
     to_path_form,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "Balanced",
+    "Unbalanced",
+    "brute_force_balance_oracle",
+    "build_groupoid",
+    "edge_balanced",
+    "group_balanced",
+    "BSWitness",
+    "DistortionCertificate",
+    "almost_bs_witness",
+    "distortion_certificate",
+    "ConjugacyGraph",
+    "EdgeClass",
+    "build_conjugacy_graph",
+    "edge_classes",
+    "DihedralElement",
+    "dmul",
+    "dpow",
+    "RootData",
+    "commensurability_data",
+    "cyclic_conjugacy",
+    "cyclic_reduce",
+    "free_reduce",
+    "primitive_root",
+    "DihedralInfinite",
+    "EdgeRecord",
+    "Free",
+    "GoghError",
+    "GraphOfGroups",
+    "ValidationError",
+    "VertexWord",
+    "make_graph",
+    "spanning_tree",
+    "subgraph",
+    "validate",
+    "HHG",
+    "LinearParametrization",
+    "NotHHG",
+    "hhg_verdict",
+    "parametrize",
+    "verify_parametrization",
+    "PathWord",
+    "are_equal",
+    "bounded_conjugator_search",
+    "britton_reduce",
+    "is_trivial",
+    "pinch_membership",
+    "to_path_form",
+]

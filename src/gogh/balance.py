@@ -5,8 +5,13 @@ canonical root inside its vertex group.  Nodes are (vertex, canonical root)
 pairs; an edge arc carries the ratio of the two root exponents, and each
 dihedral node carries a sign-flip arc of weight -1 (conjugation by the
 reflection).  A cycle of weight with absolute value != 1 pumps conjugation
-ratios without bound, which is exactly the unbalanced phenomenon; balance
-is therefore decided with spanning-tree potentials on this groupoid.
+ratios without bound, which is exactly the unbalanced phenomenon.
+
+This module owns the groupoid and everything read off it in one pass:
+spanning-forest potentials, the connected components (which are the
+edge-image equivalence classes), and per component either its first
+unbalanced cycle in arc order or balance.  Graph, edge and class verdicts
+are all lookups into that pass.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from fractions import Fraction
 
 from . import dihedral as dih
 from . import freewords as fw
-from .model import DIHEDRAL_R, DihedralInfinite, GraphOfGroups, VertexWord
+from .model import DIHEDRAL_R, DihedralInfinite, GoghError, GraphOfGroups, VertexWord
 from .words import (
     _conjugation_gens,
     _search_states,
@@ -29,6 +34,8 @@ from .words import (
 )
 
 SIDES = ("source", "target")
+
+Occurrence = tuple[str, str]  # (edge id, "source"|"target")
 
 
 @dataclass(frozen=True)
@@ -62,7 +69,8 @@ def invert_arc(arc: GroupoidArc) -> GroupoidArc:
     if arc.kind == "flip":
         return arc
     exit_exp = arc.entry_exp * arc.weight
-    assert exit_exp.denominator == 1
+    if exit_exp.denominator != 1:
+        raise GoghError(f"internal: arc {arc.label} carries a non-integral exit exponent")
     return GroupoidArc(
         src=arc.dst,
         dst=arc.src,
@@ -75,13 +83,6 @@ def invert_arc(arc: GroupoidArc) -> GroupoidArc:
     )
 
 
-@dataclass(eq=False)
-class RatioGroupoid:
-    nodes: tuple[GroupoidNode, ...]
-    arcs: tuple[GroupoidArc, ...]  # both orientations of every connection
-    occurrences: dict  # (edge, side) -> (node, exponent, conjugator VertexWord)
-
-
 @dataclass(frozen=True)
 class Balanced:
     pass
@@ -92,8 +93,41 @@ class Unbalanced:
     cycle: tuple[GroupoidArc, ...]
     modulus: Fraction
 
+    @property
+    def edge(self) -> str:
+        """The offending edge reported for this cycle: its least edge id."""
+        return min(arc.label for arc in self.cycle if arc.kind == "edge")
+
 
 BalanceVerdict = Balanced | Unbalanced
+
+
+@dataclass(frozen=True)
+class EdgeClass:
+    """One groupoid component, as the attachment occurrences landing in it."""
+
+    index: int
+    members: tuple[Occurrence, ...]
+
+    def edge_ids(self) -> tuple[str, ...]:
+        return tuple(sorted({e for e, _ in self.members}))
+
+
+@dataclass(eq=False)
+class RatioGroupoid:
+    nodes: tuple[GroupoidNode, ...]
+    arcs: tuple[GroupoidArc, ...]  # both orientations of every connection
+    occurrences: dict  # (edge, side) -> (node, exponent, conjugator VertexWord)
+    component: dict  # node -> index of its component in classes
+    classes: tuple[EdgeClass, ...]  # components, ordered by least member
+    verdicts: tuple[BalanceVerdict, ...]  # per component, aligned with classes
+    verdict: BalanceVerdict  # the whole graph: first unbalanced cycle in arc order
+
+    def class_of(self, edge: str) -> EdgeClass:
+        return self.classes[self.component[self.occurrences[(edge, "target")][0]]]
+
+    def edge_verdict(self, edge: str) -> BalanceVerdict:
+        return self.verdicts[self.class_of(edge).index]
 
 
 def attachment_data(graph: GraphOfGroups, edge: str, side: str):
@@ -110,19 +144,15 @@ def attachment_data(graph: GraphOfGroups, edge: str, side: str):
 
 
 def build_groupoid(graph: GraphOfGroups) -> RatioGroupoid:
-    occurrences = {}
-    nodes: set[GroupoidNode] = set()
-    for e in graph.edges:
-        for side in SIDES:
-            node, n, conj = attachment_data(graph, e.name, side)
-            occurrences[(e.name, side)] = (node, n, conj)
-            nodes.add(node)
+    """The ratio groupoid of the graph, split into components and decided."""
+    occurrences = {
+        (e.name, side): attachment_data(graph, e.name, side) for e in graph.edges for side in SIDES
+    }
+    nodes = sorted({node for node, _, _ in occurrences.values()}, key=GroupoidNode.sort_key)
     arcs: list[GroupoidArc] = []
     for e in graph.edges:
         node_t, n_t, g_t = occurrences[(e.name, "target")]
         node_s, n_s, g_s = occurrences[(e.name, "source")]
-        kind_t = graph.kind(node_t.vertex)
-        kind_s = graph.kind(node_s.vertex)
         conj_fwd = (
             tuple(invert_tokens(tokens_of_vertex_word(g_s)))
             + (("t", e.name, 1),)
@@ -154,42 +184,27 @@ def build_groupoid(graph: GraphOfGroups) -> RatioGroupoid:
                     conj=(("g", node.vertex, "s", 1),),
                 )
             )
-    return RatioGroupoid(
-        nodes=tuple(sorted(nodes, key=GroupoidNode.sort_key)),
-        arcs=tuple(sorted(arcs, key=GroupoidArc.sort_key)),
-        occurrences=occurrences,
-    )
+    arcs.sort(key=GroupoidArc.sort_key)
+    return _decide(tuple(nodes), tuple(arcs), occurrences)
 
 
-def _adjacency(groupoid: RatioGroupoid):
-    adj: dict[GroupoidNode, list[GroupoidArc]] = {n: [] for n in groupoid.nodes}
-    for arc in groupoid.arcs:
+def _decide(nodes, arcs, occurrences) -> RatioGroupoid:
+    """One pass: a BFS forest with potentials (each component rooted at its
+    least node), then one scan of the arcs in order.  A non-tree arc whose
+    weight disagrees in absolute value with the potentials closes the
+    component's first unbalanced cycle; the first of those overall decides
+    the graph."""
+    adj: dict[GroupoidNode, list[GroupoidArc]] = {n: [] for n in nodes}
+    for arc in arcs:
         adj[arc.src].append(arc)
-    return adj
-
-
-def component_of(groupoid: RatioGroupoid, node: GroupoidNode) -> frozenset[GroupoidNode]:
-    adj = _adjacency(groupoid)
-    seen = {node}
-    queue = deque([node])
-    while queue:
-        u = queue.popleft()
-        for arc in adj[u]:
-            if arc.dst not in seen:
-                seen.add(arc.dst)
-                queue.append(arc.dst)
-    return frozenset(seen)
-
-
-def _find_bad_cycle(groupoid: RatioGroupoid, restrict=None) -> Unbalanced | None:
-    adj = _adjacency(groupoid)
-    nodes = [n for n in groupoid.nodes if restrict is None or n in restrict]
     potential: dict[GroupoidNode, Fraction] = {}
     tree_arc: dict[GroupoidNode, GroupoidArc] = {}
+    root_of: dict[GroupoidNode, GroupoidNode] = {}
     for start in nodes:
         if start in potential:
             continue
         potential[start] = Fraction(1)
+        root_of[start] = start
         queue = deque([start])
         while queue:
             u = queue.popleft()
@@ -197,6 +212,7 @@ def _find_bad_cycle(groupoid: RatioGroupoid, restrict=None) -> Unbalanced | None
                 if arc.dst not in potential:
                     potential[arc.dst] = potential[u] * arc.weight
                     tree_arc[arc.dst] = arc
+                    root_of[arc.dst] = start
                     queue.append(arc.dst)
 
     def path_from_root(node: GroupoidNode) -> list[GroupoidArc]:
@@ -207,10 +223,11 @@ def _find_bad_cycle(groupoid: RatioGroupoid, restrict=None) -> Unbalanced | None
         chain.reverse()
         return chain
 
-    for arc in groupoid.arcs:
-        if restrict is not None and arc.src not in restrict:
-            continue
-        if tree_arc.get(arc.dst) is arc:
+    first_bad: dict[GroupoidNode, Unbalanced] = {}
+    verdict: BalanceVerdict = Balanced()
+    for arc in arcs:
+        root = root_of[arc.src]
+        if root in first_bad or tree_arc.get(arc.dst) is arc:
             continue
         if abs(potential[arc.src] * arc.weight) == abs(potential[arc.dst]):
             continue
@@ -222,15 +239,31 @@ def _find_bad_cycle(groupoid: RatioGroupoid, restrict=None) -> Unbalanced | None
         modulus = Fraction(1)
         for a in cycle:
             modulus *= a.weight
-        assert abs(modulus) != 1
-        return Unbalanced(tuple(cycle), modulus)
-    return None
+        if abs(modulus) == 1:
+            raise GoghError(f"internal: cycle through arc {arc.label} is balanced")
+        first_bad[root] = Unbalanced(tuple(cycle), modulus)
+        if isinstance(verdict, Balanced):
+            verdict = first_bad[root]
+
+    members: dict[GroupoidNode, list[Occurrence]] = {}
+    for occ, (node, _, _) in occurrences.items():
+        members.setdefault(root_of[node], []).append(occ)
+    roots = sorted(members, key=lambda r: min(members[r]))
+    position = {root: i for i, root in enumerate(roots)}
+    return RatioGroupoid(
+        nodes=nodes,
+        arcs=arcs,
+        occurrences=occurrences,
+        component={node: position[root_of[node]] for node in nodes},
+        classes=tuple(EdgeClass(i, tuple(sorted(members[r]))) for i, r in enumerate(roots)),
+        verdicts=tuple(first_bad.get(r, Balanced()) for r in roots),
+        verdict=verdict,
+    )
 
 
 def group_balanced(graph: GraphOfGroups) -> BalanceVerdict:
     """Balanced iff every groupoid cycle has weight of absolute value one."""
-    bad = _find_bad_cycle(build_groupoid(graph))
-    return Balanced() if bad is None else bad
+    return build_groupoid(graph).verdict
 
 
 def edge_balanced(graph: GraphOfGroups, edge: str) -> BalanceVerdict:
@@ -242,10 +275,7 @@ def edge_balanced(graph: GraphOfGroups, edge: str) -> BalanceVerdict:
     a cycle of absolute weight != 1.  This matches the balance of the
     conjugacy graph of the edge's equivalence class.
     """
-    groupoid = build_groupoid(graph)
-    node = groupoid.occurrences[(graph.edge(edge).name, "target")][0]
-    bad = _find_bad_cycle(groupoid, restrict=component_of(groupoid, node))
-    return Balanced() if bad is None else bad
+    return build_groupoid(graph).edge_verdict(graph.edge(edge).name)
 
 
 # -- brute-force oracle --------------------------------------------------------

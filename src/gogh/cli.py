@@ -26,7 +26,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .balance import Balanced, Unbalanced, edge_balanced, group_balanced
+from .balance import Balanced, Unbalanced, build_groupoid, group_balanced
 from .certify import NoWitness, almost_bs_witness, distortion_certificate
 from .conjgraph import build_conjugacy_graph, class_of_edge
 from .model import (
@@ -42,7 +42,7 @@ from .model import (
     make_graph,
     validate,
 )
-from .parametrize import HHG, hhg_verdict, parametrize, verify_parametrization
+from .parametrize import HHG, hhg_verdict, parametrize
 from .words import britton_reduce, display_tokens, to_path_form, tokens_of_path, vw_normalize
 
 
@@ -271,10 +271,11 @@ def _cmd_reduce(graph: GraphOfGroups, args) -> dict:
 
 
 def _cmd_balance(graph: GraphOfGroups, args) -> dict:
-    names = [args.edge] if args.edge else list(graph.edge_ids())
+    names = [graph.edge(args.edge).name] if args.edge else list(graph.edge_ids())
+    groupoid = build_groupoid(graph)
     edges = []
     for name in names:
-        verdict = edge_balanced(graph, name)
+        verdict = groupoid.edge_verdict(name)
         if isinstance(verdict, Balanced):
             edges.append({"id": name, "verdict": "Balanced"})
         else:
@@ -345,8 +346,6 @@ def _cmd_parametrize(graph: GraphOfGroups, args) -> dict:
             "witness": _witness_json(graph, witness),
             "verified": True,
         }
-    ok, report = verify_parametrization(graph, result)
-    assert ok, report
     return {
         "status": "HHG",
         "certificates": [{"class": 0, "phi": _phi_json(graph, result)}],
@@ -360,7 +359,7 @@ def _cmd_witness(graph: GraphOfGroups, args) -> dict:
         return {"status": "Balanced"}
     witness = almost_bs_witness(graph, verdict)
     out = _witness_json(graph, witness)
-    out["edge"] = min(arc.label for arc in verdict.cycle if arc.kind == "edge")
+    out["edge"] = verdict.edge
     return out
 
 

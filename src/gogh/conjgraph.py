@@ -3,19 +3,21 @@
 Two attachment occurrences are equivalent when they are the two sides of
 one edge, or commensurable inside one vertex group (same canonical root in
 a free vertex; always, between infinite-order elements of a dihedral
-vertex).  Each class yields a derived graph of 2-ended groups: one vertex
-per commensurability class of roots inside each original vertex, carrying
-the maximal 2-ended subgroup around the representative root, and one edge
-per original edge of the class with integer attachment exponents over the
-representative roots.  Conjugators recording how each derived attachment
-sits inside the original group are kept as provenance.
+vertex).  The classes are the connected components of the ratio groupoid,
+taken from its single pass in ``balance``.  Each class yields a derived
+graph of 2-ended groups: one vertex per commensurability class of roots
+inside each original vertex, carrying the maximal 2-ended subgroup around
+the representative root, and one edge per original edge of the class with
+integer attachment exponents over the representative roots.  Conjugators
+recording how each derived attachment sits inside the original group are
+kept as provenance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .balance import SIDES, GroupoidNode, attachment_data
+from .balance import EdgeClass, GroupoidNode, attachment_data, build_groupoid
 from .model import (
     DIHEDRAL_R,
     DihedralInfinite,
@@ -28,56 +30,14 @@ from .model import (
 )
 from .words import vw_inv, vw_mul, vw_pow
 
-Occurrence = tuple[str, str]  # (edge id, "source"|"target")
-
-
-@dataclass(frozen=True)
-class EdgeClass:
-    index: int
-    members: tuple[Occurrence, ...]
-
-    def edge_ids(self) -> tuple[str, ...]:
-        return tuple(sorted({e for e, _ in self.members}))
-
 
 def edge_classes(graph: GraphOfGroups) -> list[EdgeClass]:
     """Partition of the attachment occurrences into equivalence classes."""
-    occurrences = [(e.name, side) for e in graph.edges for side in SIDES]
-    parent = {o: o for o in occurrences}
-
-    def find(o):
-        while parent[o] != o:
-            parent[o] = parent[parent[o]]
-            o = parent[o]
-        return o
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    by_node: dict[GroupoidNode, Occurrence] = {}
-    for occ in occurrences:
-        union((occ[0], "source"), (occ[0], "target"))
-        node, _, _ = attachment_data(graph, *occ)
-        if node in by_node:
-            union(by_node[node], occ)
-        else:
-            by_node[node] = occ
-    groups: dict[Occurrence, list[Occurrence]] = {}
-    for occ in occurrences:
-        groups.setdefault(find(occ), []).append(occ)
-    classes = []
-    for i, rep in enumerate(sorted(groups)):
-        classes.append(EdgeClass(index=i, members=tuple(sorted(groups[rep]))))
-    return classes
+    return list(build_groupoid(graph).classes)
 
 
 def class_of_edge(graph: GraphOfGroups, edge: str) -> EdgeClass:
-    for cls in edge_classes(graph):
-        if (graph.edge(edge).name, "target") in cls.members:
-            return cls
-    raise AssertionError("every edge belongs to a class")
+    return build_groupoid(graph).class_of(graph.edge(edge).name)
 
 
 @dataclass(eq=False)

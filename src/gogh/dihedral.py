@@ -53,37 +53,6 @@ def dpow(x: DihedralElement, n: int) -> DihedralElement:
     return DihedralElement(0, x.k * n)
 
 
-@dataclass(frozen=True)
-class Cyclic:
-    """The subgroup <r^k>."""
-
-    k: int
-
-
-@dataclass(frozen=True)
-class DihedralType:
-    """The subgroup <r^k, s r^l>, itself infinite dihedral."""
-
-    k: int
-    l: int
-
-
-DihedralSubgroup = Cyclic | DihedralType
-
-
-def subgroup_index(sub: DihedralSubgroup) -> int:
-    """Index of the subgroup in the full infinite dihedral group.
-
-    <r^k> misses all reflections and keeps one k-th of the rotations;
-    <r^k, s r^l> keeps one k-th of each.
-    """
-    if isinstance(sub, Cyclic):
-        assert sub.k != 0
-        return 2 * abs(sub.k)
-    assert sub.k != 0
-    return abs(sub.k)
-
-
 # -- conversions between VertexWord letters and normal forms -----------------
 
 

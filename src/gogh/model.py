@@ -5,12 +5,18 @@ group; every edge group is infinite cyclic, described by the images of its
 generator in the two endpoint groups.  Edges are stored once per
 {e, reverse(e)} pair, in the orientation given at construction time; the
 reversed orientation is addressed with sign -1.
+
+Each graph carries an index, built on first use and kept for the life of
+the (immutable) graph: vertex-kind and edge maps and the canonical BFS
+spanning tree with parents and depths.  Lookups, the spanning tree and
+tree paths are read from it instead of being recomputed.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class GoghError(Exception):
@@ -84,17 +90,21 @@ class GraphOfGroups:
     vertices: tuple[tuple[str, VertexGroupKind], ...]  # sorted by id
     edges: tuple[EdgeRecord, ...]  # sorted by id
 
+    @cached_property
+    def index(self) -> GraphIndex:
+        return GraphIndex(self)
+
     def kind(self, vertex: str) -> VertexGroupKind:
-        for name, kind in self.vertices:
-            if name == vertex:
-                return kind
-        raise ValidationError("UnknownVertex", f"no vertex named {vertex!r}")
+        try:
+            return self.index.kinds[vertex]
+        except KeyError:
+            raise ValidationError("UnknownVertex", f"no vertex named {vertex!r}") from None
 
     def edge(self, name: str) -> EdgeRecord:
-        for e in self.edges:
-            if e.name == name:
-                return e
-        raise ValidationError("UnknownEdge", f"no edge named {name!r}")
+        try:
+            return self.index.edges[name]
+        except KeyError:
+            raise ValidationError("UnknownEdge", f"no edge named {name!r}") from None
 
     def vertex_ids(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.vertices)
@@ -214,106 +224,63 @@ def validate(graph: GraphOfGroups) -> None:
                     "FiniteOrderAttachment",
                     f"edge {e.name} {side} attachment has finite order",
                 )
-    if len(_reachable(graph, names[0])) != len(names):
+    if len(graph.index.depth) != len(names):
         raise ValidationError("DisconnectedGraph", "underlying graph is not connected")
 
 
-def _neighbours(graph: GraphOfGroups) -> dict[str, list[tuple[str, SignedEdge]]]:
-    adj: dict[str, list[tuple[str, SignedEdge]]] = {v: [] for v, _ in graph.vertices}
-    for e in graph.edges:
-        adj[e.source].append((e.target, (e.name, 1)))
-        adj[e.target].append((e.source, (e.name, -1)))
-    for v in adj:
-        adj[v].sort(key=lambda p: (p[1][0], -p[1][1]))
-    return adj
+class GraphIndex:
+    """Lookup maps and the canonical BFS spanning tree of one graph.
 
+    The tree is rooted at the lexicographically least vertex and explores
+    incident edges in lexicographic id order, stored orientation first, so
+    it is a pure function of the graph content.  ``parents`` maps each
+    non-root vertex reached to (parent vertex, signed edge parent->vertex)
+    in BFS order; ``depth`` covers the root too.
+    """
 
-def _reachable(graph: GraphOfGroups, start: str) -> set[str]:
-    seen = {start}
-    queue = deque([start])
-    adj = _adjacency_cache(graph)
-    while queue:
-        v = queue.popleft()
-        for w, _step in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen
-
-
-_ADJ_CACHE: dict[int, tuple[GraphOfGroups, dict]] = {}
-
-
-def _adjacency_cache(graph: GraphOfGroups):
-    key = id(graph)
-    hit = _ADJ_CACHE.get(key)
-    if hit is not None and hit[0] is graph:
-        return hit[1]
-    adj = _neighbours(graph)
-    _ADJ_CACHE[key] = (graph, adj)
-    if len(_ADJ_CACHE) > 256:
-        _ADJ_CACHE.pop(next(iter(_ADJ_CACHE)))
-    return adj
+    def __init__(self, graph: GraphOfGroups):
+        self.kinds = dict(graph.vertices)
+        self.edges = {e.name: e for e in graph.edges}
+        adj: dict[str, list[tuple[str, SignedEdge]]] = {v: [] for v in self.kinds}
+        for e in graph.edges:
+            adj.setdefault(e.source, []).append((e.target, (e.name, 1)))
+            adj.setdefault(e.target, []).append((e.source, (e.name, -1)))
+        for steps in adj.values():
+            steps.sort(key=lambda p: (p[1][0], -p[1][1]))
+        self.parents: dict[str, tuple[str, SignedEdge]] = {}
+        self.depth: dict[str, int] = {}
+        if self.kinds:
+            root = min(self.kinds)
+            self.depth[root] = 0
+            queue = deque([root])
+            while queue:
+                v = queue.popleft()
+                for w, step in adj[v]:
+                    if w not in self.depth:
+                        self.depth[w] = self.depth[v] + 1
+                        self.parents[w] = (v, step)
+                        queue.append(w)
+        self.tree = frozenset(step[0] for _, step in self.parents.values())
 
 
 def spanning_tree(graph: GraphOfGroups) -> frozenset[str]:
-    """Deterministic BFS spanning tree.
-
-    Rooted at the lexicographically least vertex, exploring incident edges
-    in lexicographic id order; a pure function of the graph content.
-    """
-    return frozenset(step[0] for _, step in _tree_parents(graph).values())
-
-
-def _tree_parents(graph: GraphOfGroups) -> dict[str, tuple[str, SignedEdge]]:
-    """vertex -> (parent vertex, signed edge parent->vertex) for non-root vertices."""
-    ids = graph.vertex_ids()
-    if not ids:
-        return {}
-    root = min(ids)
-    adj = _adjacency_cache(graph)
-    parents: dict[str, tuple[str, SignedEdge]] = {}
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for w, step in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                parents[w] = (v, step)
-                queue.append(w)
-    return parents
+    """Edge ids of the canonical BFS spanning tree (see GraphIndex)."""
+    return graph.index.tree
 
 
 def tree_steps(graph: GraphOfGroups, start: str, end: str) -> tuple[SignedEdge, ...]:
     """Signed edges of the spanning-tree path from start to end."""
-    parents = _tree_parents(graph)
-
-    def chain(v: str) -> list[str]:
-        out = [v]
-        while out[-1] in parents:
-            out.append(parents[out[-1]][0])
-        return out
-
-    up_start = chain(start)
-    up_end = chain(end)
-    common = None
-    end_set = {v: i for i, v in enumerate(up_end)}
-    for v in up_start:
-        if v in end_set:
-            common = v
-            break
-    assert common is not None, "tree path within one component"
-    steps: list[SignedEdge] = []
-    for v in up_start:
-        if v == common:
-            break
-        steps.append(reverse_step(parents[v][1]))
+    parents, depth = graph.index.parents, graph.index.depth
+    up: list[SignedEdge] = []
     down: list[SignedEdge] = []
-    for v in up_end[: end_set[common]]:
-        down.append(parents[v][1])
-    steps.extend(reversed(down))
-    return tuple(steps)
+    while start != end:
+        if depth[start] >= depth[end]:
+            start, step = parents[start]
+            up.append(reverse_step(step))
+        else:
+            end, step = parents[end]
+            down.append(step)
+    return tuple(up + down[::-1])
 
 
 def subgraph(graph: GraphOfGroups, vertex_subset, edge_subset) -> GraphOfGroups:

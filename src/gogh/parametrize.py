@@ -2,23 +2,26 @@
 
 A graph of 2-ended groups maps to the infinite dihedral group by sending
 each vertex generator to a rotation r^E and each stable letter to the
-identity or the bare reflection.  The rotation exponents are spanning-tree
-potentials of the ratio groupoid with denominators cleared; the result is
-never trusted but re-verified relation by relation.  The global verdict
-assembles one verified parametrization per edge-image equivalence class,
-or an unbalanced edge plus an explicit almost Baumslag-Solitar witness.
+identity or the bare reflection.  The rotation exponents are potentials
+along the graph's canonical spanning tree, walked in BFS order, with
+denominators cleared; the result is never trusted but re-verified relation
+by relation, once.  The global verdict reads balance and the edge-image
+classes off one ratio-groupoid pass and assembles one verified
+parametrization per class, or reports an unbalanced edge plus an explicit
+almost Baumslag-Solitar witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from . import dihedral as dih
-from .balance import Unbalanced, group_balanced
+from .balance import Unbalanced, build_groupoid, group_balanced
 from .certify import BSWitness, almost_bs_witness
-from .conjgraph import ConjugacyGraph, build_conjugacy_graph, edge_classes
+from .conjgraph import ConjugacyGraph, build_conjugacy_graph
 from .model import (
     DIHEDRAL_R,
     DIHEDRAL_S,
@@ -27,7 +30,6 @@ from .model import (
     GoghError,
     GraphOfGroups,
     VertexWord,
-    _tree_parents,
     spanning_tree,
     validate,
 )
@@ -48,11 +50,19 @@ class LinearParametrization:
     vertex_images: tuple  # ((vertex, ((gen, DihedralElement), ...)), ...)
     stable_images: tuple  # ((edge, DihedralElement), ...)
 
+    @cached_property
+    def _vertex_maps(self) -> dict:
+        return {vertex: dict(images) for vertex, images in self.vertex_images}
+
+    @cached_property
+    def _stable_map(self) -> dict:
+        return dict(self.stable_images)
+
     def vertex_image(self, vertex: str):
-        return dict(dict(self.vertex_images)[vertex])
+        return dict(self._vertex_maps[vertex])
 
     def stable_image(self, edge: str) -> dih.DihedralElement:
-        return dict(self.stable_images).get(edge, dih.IDENTITY)
+        return self._stable_map.get(edge, dih.IDENTITY)
 
 
 def _require_two_ended(graph: GraphOfGroups) -> None:
@@ -69,70 +79,63 @@ def _attachment_exponent(word: VertexWord) -> int:
 def parametrize(graph: GraphOfGroups) -> LinearParametrization | Unbalanced:
     """Construct a verified parametrization of a graph of 2-ended groups.
 
-    Potentials propagate over the spanning tree (tree stable letters must
-    map to the identity, so tree relations fix exponent ratios exactly);
-    the least common multiple of the denominators clears everything to
-    integers.  A non-tree stable letter becomes the reflection exactly when
-    its relation needs a sign flip.  Returns the unbalanced verdict instead
-    whenever some groupoid cycle obstructs the construction.
+    Returns the unbalanced verdict instead whenever some groupoid cycle
+    obstructs the construction.
     """
     validate(graph)
     _require_two_ended(graph)
     verdict = group_balanced(graph)
     if isinstance(verdict, Unbalanced):
         return verdict
+    return _verified(graph, _tree_parametrization(graph))
 
-    tree = spanning_tree(graph)
-    parents = _tree_parents(graph)
+
+def _tree_parametrization(graph: GraphOfGroups) -> LinearParametrization:
+    """Potentials propagate over the spanning tree in BFS order (tree stable
+    letters must map to the identity, so tree relations fix exponent ratios
+    exactly); the least common multiple of the denominators clears
+    everything to integers.  A non-tree stable letter becomes the reflection
+    exactly when its relation needs a sign flip.  On an unbalanced graph
+    some relation fails, which verification then reports."""
     order = sorted(graph.vertex_ids())
-    exponents: dict[str, Fraction] = {min(order): Fraction(1)} if order else {}
-
-    def resolve(vertex: str) -> Fraction:
-        if vertex in exponents:
-            return exponents[vertex]
-        parent, step = parents[vertex]
+    exponents: dict[str, Fraction] = {order[0]: Fraction(1)}
+    for vertex, (parent, step) in graph.index.parents.items():
         e = graph.edge(step[0])
-        n_s = _attachment_exponent(e.attachment_source)
-        n_t = _attachment_exponent(e.attachment_target)
         # tree relation: E_source * n_s = E_target * n_t
-        if vertex == e.target:
-            value = resolve(e.source) * Fraction(n_s, n_t)
-        else:
-            value = resolve(e.target) * Fraction(n_t, n_s)
-        exponents[vertex] = value
-        return value
-
-    for v in order:
-        resolve(v)
-    scale = lcm(*(f.denominator for f in exponents.values())) if exponents else 1
+        ratio = Fraction(
+            _attachment_exponent(e.attachment_source), _attachment_exponent(e.attachment_target)
+        )
+        exponents[vertex] = exponents[parent] * (ratio if step[1] == 1 else 1 / ratio)
+    scale = lcm(*(f.denominator for f in exponents.values()))
     ints = {v: f.numerator * (scale // f.denominator) for v, f in exponents.items()}
-    shrink = gcd(*ints.values()) if ints else 1
+    shrink = gcd(*ints.values())
     ints = {v: k // shrink for v, k in ints.items()}
-    if ints[min(order)] < 0:
-        ints = {v: -k for v, k in ints.items()}
 
     vertex_images = []
     for v in order:
         k = ints[v]
-        assert k != 0
         if isinstance(graph.kind(v), DihedralInfinite):
             images = ((DIHEDRAL_R, dih.DihedralElement(0, k)), (DIHEDRAL_S, dih.DihedralElement(1, 0)))
         else:
             images = ((1, dih.DihedralElement(0, k)),)
         vertex_images.append((v, images))
 
+    tree = spanning_tree(graph)
     stable_images = []
     for e in graph.edges:
         if e.name in tree:
             continue
         lhs = ints[e.target] * _attachment_exponent(e.attachment_target)
         rhs = ints[e.source] * _attachment_exponent(e.attachment_source)
-        assert abs(lhs) == abs(rhs)
         if lhs != rhs:
             stable_images.append((e.name, dih.DihedralElement(1, 0)))
-    phi = LinearParametrization(tuple(vertex_images), tuple(stable_images))
+    return LinearParametrization(tuple(vertex_images), tuple(stable_images))
+
+
+def _verified(graph: GraphOfGroups, phi: LinearParametrization) -> LinearParametrization:
     ok, report = verify_parametrization(graph, phi)
-    assert ok, report
+    if not ok:
+        raise GoghError(f"internal contradiction: certificate failed verification: {report}")
     return phi
 
 
@@ -168,8 +171,6 @@ def verify_parametrization(graph: GraphOfGroups, phi: LinearParametrization):
                 continue
             if dih.dmul(dih.dmul(s_img, r_img), s_img) != dih.dinv(r_img):
                 report.append(f"vertex {vertex}: defining relation srs = r^-1 broken")
-                continue
-            index = dih.subgroup_index(dih.DihedralType(r_img.k, s_img.k))
         elif kind.rank == 1:
             g_img = images.get(1)
             if g_img is None:
@@ -177,12 +178,8 @@ def verify_parametrization(graph: GraphOfGroups, phi: LinearParametrization):
                 continue
             if not g_img.infinite_order:
                 report.append(f"vertex {vertex}: generator image has finite order (infinite kernel)")
-                continue
-            index = dih.subgroup_index(dih.Cyclic(g_img.k))
         else:
             report.append(f"vertex {vertex}: free rank {kind.rank} admits no quasi-isometric map")
-            continue
-        assert index > 0
     tree = spanning_tree(graph)
     for e in graph.edges:
         t_img = phi.stable_image(e.name)
@@ -233,26 +230,21 @@ Verdict = HHG | NotHHG
 def hhg_verdict(graph: GraphOfGroups) -> Verdict:
     """Hierarchical hyperbolicity of the fundamental group, with evidence.
 
-    Balanced graphs yield one verified linear parametrization per edge
-    class; otherwise the offending edge is reported together with a
-    re-verified non-Euclidean almost Baumslag-Solitar witness.
+    Balance and the edge classes are read off one groupoid pass.  A
+    balanced graph yields one linear parametrization per edge class, built
+    on the class's derived graph (whose groupoid is that balanced component,
+    so balance is not decided again) and verified once; otherwise the
+    offending edge is reported together with a re-verified non-Euclidean
+    almost Baumslag-Solitar witness.
     """
     validate(graph)
-    verdict = group_balanced(graph)
+    groupoid = build_groupoid(graph)
+    verdict = groupoid.verdict
     if isinstance(verdict, Unbalanced):
-        edge = min(arc.label for arc in verdict.cycle if arc.kind == "edge")
-        witness = almost_bs_witness(graph, verdict)
-        return NotHHG(edge=edge, witness=witness, verdict=verdict)
+        return NotHHG(edge=verdict.edge, witness=almost_bs_witness(graph, verdict), verdict=verdict)
     certificates = []
-    for cls in edge_classes(graph):
+    for cls in groupoid.classes:
         cg = build_conjugacy_graph(graph, cls)
-        phi = parametrize(cg.graph)
-        if isinstance(phi, Unbalanced):
-            raise GoghError(
-                "internal contradiction: balanced graph with unbalanced conjugacy graph"
-            )
-        ok, report = verify_parametrization(cg.graph, phi)
-        if not ok:
-            raise GoghError(f"internal contradiction: certificate failed verification: {report}")
+        phi = _verified(cg.graph, _tree_parametrization(cg.graph))
         certificates.append(Certificate(cls.index, cg, phi))
     return HHG(tuple(certificates))

@@ -1,0 +1,67 @@
+"""Byte-for-byte replay of the golden CLI corpus (see record_golden.py)."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from gogh.cli import render_json, run
+
+GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).parents[1] / "src"
+CASES = sorted(GOLDEN.glob("*.json"))
+
+
+def _load(path: Path):
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def _graph_file(tmp_path, case: Path, text: str) -> str:
+    path = tmp_path / f"{case.stem}.gog"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def test_corpus_present():
+    names = {p.stem for p in CASES}
+    assert len(names) > 200
+    assert {"fixture_trefoil", "fixture_bs32", "malformed_empty", "bs_-6_6"} <= names
+
+
+def test_golden_replay(tmp_path):
+    mismatches = []
+    for case in CASES:
+        data = _load(case)
+        path = _graph_file(tmp_path, case, data["text"])
+        for args, code, stdout in data["runs"]:
+            got_code, payload = run([args[0], path] + args[1:])
+            got = render_json(payload)
+            if (got_code, got) != (code, stdout):
+                mismatches.append((case.stem, args, code, stdout, got_code, got))
+    assert not mismatches, mismatches[:3]
+
+
+@pytest.mark.parametrize(
+    "stem", ["fixture_trefoil", "fixture_bs32", "malformed_bad_vertex_decl"]
+)
+def test_golden_replay_optimized_interpreter(tmp_path, stem):
+    """Under `python -O` every assert is gone; the verdicts and certificates
+    must still come out checked and identical."""
+    case = GOLDEN / f"{stem}.json"
+    data = _load(case)
+    path = _graph_file(tmp_path, case, data["text"])
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for args, code, stdout in data["runs"]:
+        if args[0] not in ("parametrize", "verdict", "witness", "balance"):
+            continue
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "gogh.cli", args[0], path] + args[1:],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=False,
+        )
+        assert (proc.returncode, proc.stdout) == (code, stdout + "\n"), (args, proc.stderr)

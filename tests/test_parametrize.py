@@ -1,12 +1,13 @@
+import importlib
 import random
 
 import pytest
 
 from conftest import random_graph, relabel_graph
 from gogh.balance import Balanced, Unbalanced, edge_balanced, group_balanced
-from gogh.cli import parse
+from gogh.cli import parse, run
 from gogh.dihedral import DihedralElement, dinv, dmul, dpow
-from gogh.model import Free, make_graph
+from gogh.model import Free, GoghError, make_graph
 from gogh.parametrize import (
     HHG,
     LinearParametrization,
@@ -218,3 +219,40 @@ def test_verdict_status_invariant_under_relabeling():
         rng.shuffle(shuffled)
         h = relabel_graph(g, dict(zip(ids, (f"z{s}" for s in shuffled))))
         assert hhg_verdict(g).status == hhg_verdict(h).status
+
+
+def test_failed_verification_raises_even_without_asserts(trefoil, monkeypatch):
+    # the package re-exports the function `parametrize` over the module name
+    module = importlib.import_module("gogh.parametrize")
+    monkeypatch.setattr(module, "verify_parametrization", lambda graph, phi: (False, ["forced"]))
+    with pytest.raises(GoghError, match="forced"):
+        parametrize(trefoil)
+    with pytest.raises(GoghError, match="forced"):
+        hhg_verdict(trefoil)
+
+
+def _deep_path_text(n):
+    # the least label sits at one end and the next least at the far end, so
+    # resolving exponents in label order starts at the bottom of the tree
+    def name(i):
+        return "v0000" if i == 0 else f"v{n - i:04d}"
+
+    lines = [f"vertex {name(i)} free 1" for i in range(n)]
+    for i in range(n - 1):
+        a, b = (2, 1) if i % 2 == 0 else (1, 2)
+        lines.append(
+            f"edge e{i:04d} from={name(i)} to={name(i + 1)} "
+            f'img_from="{name(i)}.1^{a}" img_to="{name(i + 1)}.1^{b}"'
+        )
+    return "\n".join(lines) + "\n"
+
+
+def test_deep_path_does_not_recurse(tmp_path):
+    path = tmp_path / "path.gog"
+    path.write_text(_deep_path_text(1200))
+    for command in ("verdict", "parametrize"):
+        code, out = run([command, str(path)])
+        assert code == 0
+        assert out["status"] == "HHG"
+        (cert,) = out["certificates"]
+        assert len(cert["phi"]) == 1200
