@@ -2,10 +2,13 @@
 
 Every attachment image of an edge-group generator is a conjugate power of a
 canonical root inside its vertex group.  Nodes are (vertex, canonical root)
-pairs; an edge arc carries the ratio of the two root exponents, and each
-dihedral node carries a sign-flip arc of weight -1 (conjugation by the
-reflection).  A cycle of weight with absolute value != 1 pumps conjugation
-ratios without bound, which is exactly the unbalanced phenomenon.
+pairs; an edge arc carries the ratio of the two root exponents.  A cycle of
+weight with absolute value != 1 pumps conjugation ratios without bound,
+which is exactly the unbalanced phenomenon.  Conjugation by a dihedral
+reflection inverts the root, a loop of weight -1; balance compares absolute
+weights only, so such loops can never unbalance a cycle, join components or
+shift a potential, and the groupoid carries none.  Reflections enter only
+through the stable-letter images of the parametrization.
 
 This module owns the groupoid and everything read off it in one pass:
 spanning-forest potentials, the connected components (which are the
@@ -55,19 +58,13 @@ class GroupoidArc:
     src: GroupoidNode
     dst: GroupoidNode
     weight: Fraction
-    kind: str  # "edge" or "flip"
-    label: str  # edge id, or vertex id for flips
-    sign: int  # traversal orientation for edge arcs; 0 for flips
+    label: str  # edge id
+    sign: int  # traversal orientation: +1 from the target-side node
     entry_exp: int  # carried root exponents must be divisible by this at src
     conj: tuple  # tokens kappa with kappa R_src^M kappa^-1 = R_dst^(M*weight)
 
-    def sort_key(self):
-        return (self.kind, self.label, -self.sign, self.src.sort_key(), self.dst.sort_key())
-
 
 def invert_arc(arc: GroupoidArc) -> GroupoidArc:
-    if arc.kind == "flip":
-        return arc
     exit_exp = arc.entry_exp * arc.weight
     if exit_exp.denominator != 1:
         raise GoghError(f"internal: arc {arc.label} carries a non-integral exit exponent")
@@ -75,7 +72,6 @@ def invert_arc(arc: GroupoidArc) -> GroupoidArc:
         src=arc.dst,
         dst=arc.src,
         weight=1 / arc.weight,
-        kind=arc.kind,
         label=arc.label,
         sign=-arc.sign,
         entry_exp=int(exit_exp),
@@ -96,7 +92,7 @@ class Unbalanced:
     @property
     def edge(self) -> str:
         """The offending edge reported for this cycle: its least edge id."""
-        return min(arc.label for arc in self.cycle if arc.kind == "edge")
+        return min(arc.label for arc in self.cycle)
 
 
 BalanceVerdict = Balanced | Unbalanced
@@ -108,6 +104,8 @@ class EdgeClass:
 
     index: int
     members: tuple[Occurrence, ...]
+    attachments: dict  # member -> its attachment_data, in member order
+    nodes: tuple[GroupoidNode, ...]  # the component's nodes, in groupoid order
 
     def edge_ids(self) -> tuple[str, ...]:
         return tuple(sorted({e for e, _ in self.members}))
@@ -116,7 +114,7 @@ class EdgeClass:
 @dataclass(eq=False)
 class RatioGroupoid:
     nodes: tuple[GroupoidNode, ...]
-    arcs: tuple[GroupoidArc, ...]  # both orientations of every connection
+    arcs: tuple[GroupoidArc, ...]  # per edge in id order: sign +1, then -1
     occurrences: dict  # (edge, side) -> (node, exponent, conjugator VertexWord)
     component: dict  # node -> index of its component in classes
     classes: tuple[EdgeClass, ...]  # components, ordered by least member
@@ -144,7 +142,12 @@ def attachment_data(graph: GraphOfGroups, edge: str, side: str):
 
 
 def build_groupoid(graph: GraphOfGroups) -> RatioGroupoid:
-    """The ratio groupoid of the graph, split into components and decided."""
+    """The ratio groupoid of the graph, split into components and decided.
+
+    Arcs come out per edge in id order (a validated graph stores its edges
+    sorted), the stored orientation first; the first unbalanced cycle is
+    taken in this order.
+    """
     occurrences = {
         (e.name, side): attachment_data(graph, e.name, side) for e in graph.edges for side in SIDES
     }
@@ -162,7 +165,6 @@ def build_groupoid(graph: GraphOfGroups) -> RatioGroupoid:
             src=node_t,
             dst=node_s,
             weight=Fraction(n_s, n_t),
-            kind="edge",
             label=e.name,
             sign=1,
             entry_exp=n_t,
@@ -170,21 +172,6 @@ def build_groupoid(graph: GraphOfGroups) -> RatioGroupoid:
         )
         arcs.append(fwd)
         arcs.append(invert_arc(fwd))
-    for node in nodes:
-        if isinstance(graph.kind(node.vertex), DihedralInfinite):
-            arcs.append(
-                GroupoidArc(
-                    src=node,
-                    dst=node,
-                    weight=Fraction(-1),
-                    kind="flip",
-                    label=node.vertex,
-                    sign=0,
-                    entry_exp=1,
-                    conj=(("g", node.vertex, "s", 1),),
-                )
-            )
-    arcs.sort(key=GroupoidArc.sort_key)
     return _decide(tuple(nodes), tuple(arcs), occurrences)
 
 
@@ -245,18 +232,25 @@ def _decide(nodes, arcs, occurrences) -> RatioGroupoid:
         if isinstance(verdict, Balanced):
             verdict = first_bad[root]
 
-    members: dict[GroupoidNode, list[Occurrence]] = {}
-    for occ, (node, _, _) in occurrences.items():
-        members.setdefault(root_of[node], []).append(occ)
-    roots = sorted(members, key=lambda r: min(members[r]))
-    position = {root: i for i, root in enumerate(roots)}
+    # occurrences are keyed in sorted order, so each component's members come
+    # out sorted and the components come out ordered by least member
+    attachments: dict[GroupoidNode, dict] = {}
+    for occ, data in occurrences.items():
+        attachments.setdefault(root_of[data[0]], {})[occ] = data
+    class_nodes: dict[GroupoidNode, list[GroupoidNode]] = {}
+    for node in nodes:
+        class_nodes.setdefault(root_of[node], []).append(node)
+    position = {root: i for i, root in enumerate(attachments)}
     return RatioGroupoid(
         nodes=nodes,
         arcs=arcs,
         occurrences=occurrences,
         component={node: position[root_of[node]] for node in nodes},
-        classes=tuple(EdgeClass(i, tuple(sorted(members[r]))) for i, r in enumerate(roots)),
-        verdicts=tuple(first_bad.get(r, Balanced()) for r in roots),
+        classes=tuple(
+            EdgeClass(i, tuple(attachments[r]), attachments[r], tuple(class_nodes[r]))
+            for i, r in enumerate(attachments)
+        ),
+        verdicts=tuple(first_bad.get(r, Balanced()) for r in attachments),
         verdict=verdict,
     )
 
@@ -331,10 +325,11 @@ def brute_force_balance_oracle(
                 continue
             lhs = list(toks) + tokens_of_vertex_word(x) + invert_tokens(toks)
             rhs = tokens_of_vertex_word(vw_pow(kind_s, u_s, j))
-            assert are_equal(
+            if not are_equal(
                 graph,
                 to_path_form(graph, lhs, x.vertex),
                 to_path_form(graph, rhs, u_s.vertex),
-            )
+            ):
+                raise GoghError("internal: oracle witness failed re-verification")
             return OracleUnbalanced(tuple(toks), i, j)
     return OracleBalancedWithinBounds()

@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import lcm
 
 from .balance import Balanced, GroupoidArc, Unbalanced
+from .freewords import pow_letters
 from .model import GoghError, GraphOfGroups, VertexWord
 from .words import (
     PathWord,
@@ -46,9 +47,6 @@ class BSWitness:
     j: int
     transcript: PathWord
 
-    def relation_tokens(self) -> list:
-        return relation_tokens(self.a, self.s, self.i, self.j)
-
 
 def relation_tokens(a: VertexWord, s, i: int, j: int) -> list:
     """Tokens of s a^i s^-1 a^-j."""
@@ -57,16 +55,7 @@ def relation_tokens(a: VertexWord, s, i: int, j: int) -> list:
 
 
 def tokens_of_vertex_word_power(word: VertexWord, n: int) -> list:
-    if len(word.letters) == 1:
-        g, e = word.letters[0]
-        if e * n == 0:
-            return []
-        return [("g", word.vertex, g, e * n)]
-    out = []
-    base = tokens_of_vertex_word(word) if n > 0 else invert_tokens(tokens_of_vertex_word(word))
-    for _ in range(abs(n)):
-        out.extend(base)
-    return out
+    return tokens_of_vertex_word(VertexWord(word.vertex, pow_letters(word.letters, n)))
 
 
 def _minimal_base_power(cycle: tuple[GroupoidArc, ...], i: int) -> int:
@@ -136,18 +125,10 @@ def distortion_certificate(graph: GraphOfGroups, witness: BSWitness, depth: int)
         raise NoWitness("witness is Euclidean; nothing is distorted")
     s_len = sum(1 if t[0] == "t" else abs(t[3]) for t in s)
     a_len = len(a)
-    kind = graph.kind(a.vertex)
     rows = []
     for k in range(1, depth + 1):
         ik, jk = i**k, j**k
-        tokens = []
-        for _ in range(k):
-            tokens.extend(s)
-        tokens.extend(tokens_of_vertex_word_power(a, ik))
-        inv_s = invert_tokens(s)
-        for _ in range(k):
-            tokens.extend(inv_s)
-        tokens.extend(tokens_of_vertex_word_power(a, -jk))
+        tokens = relation_tokens(a, s * k, ik, jk)
         if not is_trivial(graph, to_path_form(graph, tokens, a.vertex)):
             raise GoghError(f"internal: distortion identity failed at depth {k}")
         bound = 2 * k * s_len + abs(ik) * a_len

@@ -43,7 +43,16 @@ from .model import (
     validate,
 )
 from .parametrize import HHG, hhg_verdict, parametrize
-from .words import britton_reduce, display_tokens, to_path_form, tokens_of_path, vw_normalize
+from .words import (
+    britton_reduce,
+    display_tokens,
+    int_str,
+    letter_str,
+    parse_int,
+    to_path_form,
+    tokens_of_path,
+    vw_normalize,
+)
 
 
 class ParseError(GoghError):
@@ -79,12 +88,12 @@ def parse_letter(text: str, line: int = 0, column: int = 1):
     if not m:
         raise ParseError(f"bad letter {text!r}", line, column)
     owner, gen, _, exp = m.groups()
-    exponent = int(exp) if exp is not None else 1
+    exponent = parse_int(exp) if exp is not None else 1
     if gen == "t":
         return ("t", owner, exponent)
     if gen in (DIHEDRAL_R, DIHEDRAL_S):
         return ("g", owner, gen, exponent)
-    return ("g", owner, int(gen), exponent)
+    return ("g", owner, parse_int(gen), exponent)
 
 
 def _parse_attachment(text: str, vertex: str, kind, line: int) -> VertexWord:
@@ -117,7 +126,7 @@ def parse(text: str) -> GraphOfGroups:
             name, _, rank = m.groups()
             if name in vertices:
                 raise ParseError(f"duplicate vertex {name!r}", lineno, 1)
-            vertices[name] = Free(int(rank)) if rank is not None else DihedralInfinite()
+            vertices[name] = Free(parse_int(rank)) if rank is not None else DihedralInfinite()
         elif line.startswith("edge"):
             m = _EDGE_RE.match(line)
             if not m:
@@ -148,12 +157,8 @@ def parse(text: str) -> GraphOfGroups:
     return graph
 
 
-def _letter_str(gen, exp: int) -> str:
-    return f"{gen}" + (f"^{exp}" if exp != 1 else "")
-
-
 def _word_str(word: VertexWord) -> str:
-    return " ".join(f"{word.vertex}.{_letter_str(g, e)}" for g, e in word.letters)
+    return " ".join(f"{word.vertex}.{letter_str(g, e)}" for g, e in word.letters)
 
 
 def serialize(graph: GraphOfGroups) -> str:
@@ -202,9 +207,9 @@ def _canon(value):
     if isinstance(value, bool) or value is None or isinstance(value, str):
         return value
     if isinstance(value, int):
-        return str(value) if abs(value) > _BIG else value
+        return int_str(value) if abs(value) > _BIG else value
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return f"{int_str(value.numerator)}/{int_str(value.denominator)}"
     if isinstance(value, dict):
         return {str(k): _canon(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -217,22 +222,19 @@ def render_json(obj) -> str:
 
 
 def _node_str(node) -> str:
-    return f"{node.vertex}|" + " ".join(_letter_str(g, e) for g, e in node.root)
+    return f"{node.vertex}|" + " ".join(letter_str(g, e) for g, e in node.root)
 
 
 def _arc_json(arc) -> dict:
-    via = f"{arc.label}.t" if arc.kind == "edge" else f"{arc.label}.s"
-    if arc.kind == "edge" and arc.sign < 0:
-        via += "^-1"
     return {
         "from": _node_str(arc.src),
         "to": _node_str(arc.dst),
         "weight": arc.weight,
-        "via": via,
+        "via": f"{arc.label}.t" + ("^-1" if arc.sign < 0 else ""),
     }
 
 
-def _phi_json(graph: GraphOfGroups, phi) -> dict:
+def _phi_json(phi) -> dict:
     out = {}
     for vertex, images in phi.vertex_images:
         for gen, el in images:
@@ -320,7 +322,7 @@ def _verdict_json(graph: GraphOfGroups, verdict) -> dict:
         return {
             "status": "HHG",
             "certificates": [
-                {"class": c.class_index, "phi": _phi_json(c.conjugacy_graph.graph, c.phi)}
+                {"class": c.class_index, "phi": _phi_json(c.phi)}
                 for c in verdict.certificates
             ],
             "verified": True,
@@ -348,7 +350,7 @@ def _cmd_parametrize(graph: GraphOfGroups, args) -> dict:
         }
     return {
         "status": "HHG",
-        "certificates": [{"class": 0, "phi": _phi_json(graph, result)}],
+        "certificates": [{"class": 0, "phi": _phi_json(result)}],
         "verified": True,
     }
 
@@ -364,6 +366,8 @@ def _cmd_witness(graph: GraphOfGroups, args) -> dict:
 
 
 def _cmd_distortion(graph: GraphOfGroups, args) -> dict:
+    if args.depth < 1:
+        raise GoghError(f"--depth must be at least 1, got {args.depth}")
     verdict = group_balanced(graph)
     if isinstance(verdict, Balanced):
         return {"status": "Balanced"}

@@ -4,20 +4,21 @@ Two attachment occurrences are equivalent when they are the two sides of
 one edge, or commensurable inside one vertex group (same canonical root in
 a free vertex; always, between infinite-order elements of a dihedral
 vertex).  The classes are the connected components of the ratio groupoid,
-taken from its single pass in ``balance``.  Each class yields a derived
-graph of 2-ended groups: one vertex per commensurability class of roots
-inside each original vertex, carrying the maximal 2-ended subgroup around
-the representative root, and one edge per original edge of the class with
-integer attachment exponents over the representative roots.  Conjugators
-recording how each derived attachment sits inside the original group are
-kept as provenance.
+taken from its single pass in ``balance`` together with each member's
+attachment data (node, root exponent, conjugator).  Each class yields a
+derived graph of 2-ended groups: one vertex per commensurability class of
+roots inside each original vertex, carrying the maximal 2-ended subgroup
+around the representative root, and one edge per original edge of the
+class with integer attachment exponents over the representative roots.
+Conjugators recording how each derived attachment sits inside the
+original group are kept as provenance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .balance import EdgeClass, GroupoidNode, attachment_data, build_groupoid
+from .balance import EdgeClass, GroupoidNode, build_groupoid
 from .model import (
     DIHEDRAL_R,
     DihedralInfinite,
@@ -55,17 +56,15 @@ def build_conjugacy_graph(graph: GraphOfGroups, cls: EdgeClass) -> ConjugacyGrap
     For every occurrence u = g * root^n * g^-1 the derived attachment is the
     n-th power of the derived vertex generator standing for the root; the
     representative root is the canonical root shared by the class members at
-    that vertex, so rebuilding is deterministic.
+    that vertex, so rebuilding is deterministic.  The attachment data and
+    the nodes are the ones the groupoid pass recorded on the class.
     """
-    data = {occ: attachment_data(graph, *occ) for occ in cls.members}
-    nodes = sorted({node for node, _, _ in data.values()}, key=GroupoidNode.sort_key)
     names: dict[GroupoidNode, str] = {}
     taken: set[str] = set()
     by_vertex: dict[str, list[GroupoidNode]] = {}
-    for node in nodes:
+    for node in cls.nodes:
         by_vertex.setdefault(node.vertex, []).append(node)
-    for vertex in sorted(by_vertex):
-        group = by_vertex[vertex]
+    for vertex, group in by_vertex.items():  # nodes come sorted by vertex
         for i, node in enumerate(group):
             proposal = vertex if len(group) == 1 else f"{vertex}_{i}"
             while proposal in taken:
@@ -75,7 +74,7 @@ def build_conjugacy_graph(graph: GraphOfGroups, cls: EdgeClass) -> ConjugacyGrap
 
     vertices = []
     vertex_origin = {}
-    for node in nodes:
+    for node in cls.nodes:
         kind = graph.kind(node.vertex)
         derived_kind = DihedralInfinite() if isinstance(kind, DihedralInfinite) else Free(1)
         vertices.append((names[node], derived_kind))
@@ -90,8 +89,8 @@ def build_conjugacy_graph(graph: GraphOfGroups, cls: EdgeClass) -> ConjugacyGrap
     conjugators = {}
     exponents = {}
     for edge in cls.edge_ids():
-        node_s, n_s, g_s = data[(edge, "source")]
-        node_t, n_t, g_t = data[(edge, "target")]
+        node_s, n_s, g_s = cls.attachments[(edge, "source")]
+        node_t, n_t, g_t = cls.attachments[(edge, "target")]
         conjugators[(edge, "source")] = g_s
         conjugators[(edge, "target")] = g_t
         exponents[(edge, "source")] = n_s

@@ -14,6 +14,7 @@ Tokens are the flat exchange format:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 
 from . import dihedral as dih
 from . import freewords as fw
@@ -403,7 +404,8 @@ def bounded_conjugator_search(
         if vertex == yn.vertex and z == yn:
             conj = list(toks)
             lhs = conj + tokens_of_vertex_word(xn) + invert_tokens(conj)
-            assert are_equal(graph, to_path_form(graph, lhs, yn.vertex), yn)
+            if not are_equal(graph, to_path_form(graph, lhs, yn.vertex), yn):
+                raise GoghError("internal: conjugator search hit failed re-verification")
             return to_path_form(graph, conj, yn.vertex)
     return None
 
@@ -418,10 +420,27 @@ def display_tokens(graph: GraphOfGroups, tokens, erase_tree: bool = True) -> str
             _, v, g, e = tok
             if e == 0:
                 continue
-            parts.append(f"{v}.{g}" + (f"^{e}" if e != 1 else ""))
+            parts.append(f"{v}.{letter_str(g, e)}")
         else:
             _, edge, e = tok
             if e == 0 or (erase_tree and edge in tree):
                 continue
-            parts.append(f"{edge}.t" + (f"^{e}" if e != 1 else ""))
+            parts.append(f"{edge}.{letter_str('t', e)}")
     return " ".join(parts)
+
+
+def parse_int(numeral: str) -> int:
+    """The integer a signed decimal numeral denotes, of any length: decimal
+    converts exactly and without int()'s process-wide digit limit."""
+    return int(Decimal(numeral))
+
+
+def int_str(n: int) -> str:
+    """The decimal numeral of n, of any length (see parse_int)."""
+    return str(Decimal(n))
+
+
+def letter_str(gen, exp: int) -> str:
+    """A letter in the input syntax, after the owner's dot: gen or gen^exp."""
+    name = gen if isinstance(gen, str) else int_str(gen)
+    return name if exp == 1 else f"{name}^{int_str(exp)}"

@@ -4,17 +4,19 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_graph, random_tree_graph, relabel_graph
+import gogh.balance
 from gogh.balance import (
     Balanced,
     OracleBalancedWithinBounds,
     OracleUnbalanced,
     Unbalanced,
+    attachment_data,
     brute_force_balance_oracle,
     build_groupoid,
     edge_balanced,
     group_balanced,
 )
-from gogh.model import EdgeRecord, make_graph, validate
+from gogh.model import DihedralInfinite, EdgeRecord, Free, GoghError, make_graph, validate
 from gogh.words import SearchBudgetExceeded
 
 
@@ -54,7 +56,7 @@ def cycle_is_consistent(verdict):
 def test_bs32_groupoid(bs32):
     g = build_groupoid(bs32)
     assert len(g.nodes) == 1
-    edge_arcs = [a for a in g.arcs if a.kind == "edge" and a.sign == 1]
+    edge_arcs = [a for a in g.arcs if a.sign == 1]
     assert len(edge_arcs) == 1
     assert edge_arcs[0].weight == Fraction(3, 2)
 
@@ -62,7 +64,7 @@ def test_bs32_groupoid(bs32):
 def test_trefoil_groupoid(trefoil):
     g = build_groupoid(trefoil)
     assert len(g.nodes) == 2
-    arc = next(a for a in g.arcs if a.kind == "edge" and a.sign == 1)
+    arc = next(a for a in g.arcs if a.sign == 1)
     # from the target-side root to the source-side root
     assert arc.src.vertex == "v" and arc.dst.vertex == "u"
     assert arc.weight == Fraction(2, 3)
@@ -87,10 +89,30 @@ def test_every_arc_has_reciprocal_inverse():
         g = build_groupoid(graph)
         weights = {}
         for arc in g.arcs:
-            if arc.kind == "edge":
-                weights[(arc.label, arc.sign, arc.src, arc.dst)] = arc.weight
+            weights[(arc.label, arc.sign, arc.src, arc.dst)] = arc.weight
         for (label, sign, src, dst), w in weights.items():
             assert weights[(label, -sign, dst, src)] == 1 / w
+
+
+def test_pass_emits_edge_arcs_in_order_and_class_attachments():
+    """Two arcs per edge, in edge-id order with the stored orientation
+    first: the order the first unbalanced cycle is read in.  Each class
+    carries its members' attachment data and its nodes in groupoid order."""
+    rng = random.Random(73)
+    kinds = set()
+    for _ in range(50):
+        graph = random_graph(rng, rank2_prob=0.3)
+        kinds.update(kind for _, kind in graph.vertices)
+        g = build_groupoid(graph)
+        assert [(a.label, a.sign) for a in g.arcs] == [
+            (e, s) for e in graph.edge_ids() for s in (1, -1)
+        ]
+        for cls in g.classes:
+            assert list(cls.attachments) == list(cls.members)
+            for occ, data in cls.attachments.items():
+                assert data == attachment_data(graph, *occ)
+            assert cls.nodes == tuple(n for n in g.nodes if g.component[n] == cls.index)
+    assert {DihedralInfinite(), Free(1), Free(2)} <= kinds
 
 
 # -- group-level balance ----------------------------------------------------------
@@ -238,6 +260,13 @@ def test_oracle_f2_finds_three_two(f2_example):
     assert {abs(out.i), abs(out.j)} == {2, 3}
     # the conjugator lives in the vertex group, no stable letters
     assert all(tok[0] == "g" for tok in out.conjugator)
+
+
+def test_oracle_reverifies_its_hit_without_asserts(bs32, monkeypatch):
+    # an explicit raise, so `python -O` cannot strip the re-verification
+    monkeypatch.setattr(gogh.balance, "are_equal", lambda *args: False)
+    with pytest.raises(GoghError, match="re-verification"):
+        brute_force_balance_oracle(bs32, "e", 1, 3)
 
 
 def test_oracle_budget(f2_example):

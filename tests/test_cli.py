@@ -1,5 +1,7 @@
 import json
 import random
+from decimal import Decimal
+from math import gcd
 
 import pytest
 
@@ -171,6 +173,16 @@ def test_witness_and_distortion_commands(tmp_path):
     assert out == {"status": "Balanced"}
 
 
+def test_distortion_depth_below_one_rejected(tmp_path):
+    for text in (BS32_TEXT, TREFOIL_TEXT):
+        path = write(tmp_path, "g.gog", text)
+        for depth in ("0", "-2"):
+            code, out = run(["distortion", path, "--depth", depth])
+            assert code == 2
+            assert set(out) == {"error", "line", "column"}
+            assert "--depth" in out["error"]
+
+
 def test_malformed_input_exit_code(tmp_path):
     code, out = run(["check", write(tmp_path, "bad.gog", "vertex broken\n")])
     assert code == 2
@@ -199,3 +211,44 @@ def test_big_integers_render_as_strings(tmp_path):
     assert int(last["exponent"]) == 3**40
     small = data["table"][0]
     assert isinstance(small["exponent"], int)
+
+
+# Beyond the interpreter's default 4300-digit limit on int <-> str; the test
+# writes its numerals with Decimal so it never relies on that limit either.
+HUGE = 7 * 10**4400 + 3
+
+
+def _digits(n: int) -> str:
+    return str(Decimal(n))
+
+
+def _bs_text(m: int, n: int) -> str:
+    return (
+        "vertex v free 1\n"
+        f'edge e from=v to=v img_from="v.1^{_digits(m)}" img_to="v.1^{_digits(n)}"\n'
+    )
+
+
+def test_huge_exponents_balanced(tmp_path):
+    for m, n in ((HUGE, HUGE), (HUGE, -HUGE)):
+        code, out = run(["verdict", write(tmp_path, "g.gog", _bs_text(m, n))])
+        assert code == 0
+        assert out["status"] == "HHG"
+
+
+def test_huge_exponents_unbalanced(tmp_path):
+    m, n = 6 * HUGE, 4 * HUGE + 2
+    code, out = run(["verdict", write(tmp_path, "g.gog", _bs_text(m, n))])
+    assert code == 0
+    assert out["status"] == "NotHHG"
+    text = render_json(out)
+    w = json.loads(text)["witness"]
+    g = gcd(m, n)
+    assert {abs(int(Decimal(w["i"]))), abs(int(Decimal(w["j"])))} == {m // g, n // g}
+
+
+def test_huge_exponent_word_echoed(tmp_path):
+    word = f"v.1^{_digits(HUGE)}"
+    code, out = run(["reduce", write(tmp_path, "bs32.gog", BS32_TEXT), "--word", word])
+    assert code == 0
+    assert json.loads(render_json(out))["reduced"] == word

@@ -45,7 +45,7 @@ def test_golden_replay(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "stem", ["fixture_trefoil", "fixture_bs32", "malformed_bad_vertex_decl"]
+    "stem", ["fixture_trefoil", "fixture_bs32", "fixture_f2_example", "malformed_bad_vertex_decl"]
 )
 def test_golden_replay_optimized_interpreter(tmp_path, stem):
     """Under `python -O` every assert is gone; the verdicts and certificates
@@ -55,7 +55,7 @@ def test_golden_replay_optimized_interpreter(tmp_path, stem):
     path = _graph_file(tmp_path, case, data["text"])
     env = dict(os.environ, PYTHONPATH=str(SRC))
     for args, code, stdout in data["runs"]:
-        if args[0] not in ("parametrize", "verdict", "witness", "balance"):
+        if args[0] not in ("parametrize", "verdict", "witness", "balance", "distortion"):
             continue
         proc = subprocess.run(
             [sys.executable, "-O", "-m", "gogh.cli", args[0], path] + args[1:],

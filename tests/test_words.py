@@ -3,7 +3,8 @@ import random
 import pytest
 
 from conftest import random_graph, random_word_tokens, rewriting_bfs_trivial, _norm_tokens, _rewrite_moves
-from gogh.model import VertexWord
+import gogh.words
+from gogh.model import GoghError, VertexWord
 from gogh.words import (
     SearchBudgetExceeded,
     are_equal,
@@ -217,6 +218,15 @@ def test_defining_relation_conjugator(bs32):
     h = bounded_conjugator_search(bs32, x, y, 1, 1)
     assert h is not None
     assert tokens_of_path(h) == [("t", "e", 1)]
+
+
+def test_conjugator_search_reverifies_its_hit_without_asserts(bs32, monkeypatch):
+    # an explicit raise, so `python -O` cannot strip the re-verification
+    monkeypatch.setattr(gogh.words, "are_equal", lambda *args: False)
+    x = VertexWord("v", ((1, 2),))
+    y = VertexWord("v", ((1, 3),))
+    with pytest.raises(GoghError, match="re-verification"):
+        bounded_conjugator_search(bs32, x, y, 1, 1)
 
 
 def test_f2_example_conjugator(f2_example):
