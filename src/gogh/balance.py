@@ -2,9 +2,12 @@
 
 Every attachment image of an edge-group generator is a conjugate power of a
 canonical root inside its vertex group.  Nodes are (vertex, canonical root)
-pairs; an edge arc carries the ratio of the two root exponents.  A cycle of
-weight with absolute value != 1 pumps conjugation ratios without bound,
-which is exactly the unbalanced phenomenon.  Conjugation by a dihedral
+pairs; an edge arc carries the ratio of the two root exponents and the
+orientation in which it crosses its edge, nothing more (the conjugator and
+entry exponent of a crossing are witness data, which ``certify`` derives
+for the arcs of the one cycle it reads).  A cycle of weight with absolute
+value != 1 pumps conjugation ratios without bound, which is exactly the
+unbalanced phenomenon.  Conjugation by a dihedral
 reflection inverts the root, a loop of weight -1; balance compares absolute
 weights only, so such loops can never unbalance a cycle, join components or
 shift a potential, and the groupoid carries none.  Reflections enter only
@@ -60,23 +63,10 @@ class GroupoidArc:
     weight: Fraction
     label: str  # edge id
     sign: int  # traversal orientation: +1 from the target-side node
-    entry_exp: int  # carried root exponents must be divisible by this at src
-    conj: tuple  # tokens kappa with kappa R_src^M kappa^-1 = R_dst^(M*weight)
 
 
 def invert_arc(arc: GroupoidArc) -> GroupoidArc:
-    exit_exp = arc.entry_exp * arc.weight
-    if exit_exp.denominator != 1:
-        raise GoghError(f"internal: arc {arc.label} carries a non-integral exit exponent")
-    return GroupoidArc(
-        src=arc.dst,
-        dst=arc.src,
-        weight=1 / arc.weight,
-        label=arc.label,
-        sign=-arc.sign,
-        entry_exp=int(exit_exp),
-        conj=tuple(invert_tokens(arc.conj)),
-    )
+    return GroupoidArc(arc.dst, arc.src, 1 / arc.weight, arc.label, -arc.sign)
 
 
 @dataclass(frozen=True)
@@ -154,22 +144,9 @@ def build_groupoid(graph: GraphOfGroups) -> RatioGroupoid:
     nodes = sorted({node for node, _, _ in occurrences.values()}, key=GroupoidNode.sort_key)
     arcs: list[GroupoidArc] = []
     for e in graph.edges:
-        node_t, n_t, g_t = occurrences[(e.name, "target")]
-        node_s, n_s, g_s = occurrences[(e.name, "source")]
-        conj_fwd = (
-            tuple(invert_tokens(tokens_of_vertex_word(g_s)))
-            + (("t", e.name, 1),)
-            + tuple(tokens_of_vertex_word(g_t))
-        )
-        fwd = GroupoidArc(
-            src=node_t,
-            dst=node_s,
-            weight=Fraction(n_s, n_t),
-            label=e.name,
-            sign=1,
-            entry_exp=n_t,
-            conj=conj_fwd,
-        )
+        node_t, n_t, _ = occurrences[(e.name, "target")]
+        node_s, n_s, _ = occurrences[(e.name, "source")]
+        fwd = GroupoidArc(src=node_t, dst=node_s, weight=Fraction(n_s, n_t), label=e.name, sign=1)
         arcs.append(fwd)
         arcs.append(invert_arc(fwd))
     return _decide(tuple(nodes), tuple(arcs), occurrences)

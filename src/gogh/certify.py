@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .balance import Balanced, GroupoidArc, Unbalanced
+from .balance import Balanced, GroupoidArc, Unbalanced, attachment_data
 from .freewords import pow_letters
 from .model import GoghError, GraphOfGroups, VertexWord
 from .words import (
@@ -58,22 +58,36 @@ def tokens_of_vertex_word_power(word: VertexWord, n: int) -> list:
     return tokens_of_vertex_word(VertexWord(word.vertex, pow_letters(word.letters, n)))
 
 
-def _minimal_base_power(cycle: tuple[GroupoidArc, ...], i: int) -> int:
-    """Least m so that carrying root^(m*i) around the cycle stays integral."""
+def _crossing(graph: GraphOfGroups, arc: GroupoidArc) -> tuple[int, list]:
+    """(n, kappa) for one arc: n is the root exponent of the attachment on
+    the near (src) side and kappa = g_far^-1 t^sign g_near, so that
+    kappa R_src^(n*m) kappa^-1 = R_dst^(n*m*weight) for every integer m."""
+    near, far = ("target", "source") if arc.sign > 0 else ("source", "target")
+    _, n, g_near = attachment_data(graph, arc.label, near)
+    _, _, g_far = attachment_data(graph, arc.label, far)
+    kappa = invert_tokens(tokens_of_vertex_word(g_far)) + [("t", arc.label, arc.sign)]
+    return n, kappa + tokens_of_vertex_word(g_near)
+
+
+def _minimal_base_power(cycle: tuple[GroupoidArc, ...], crossings: list, i: int) -> int:
+    """Least m so that carrying root^(m*i) around the cycle stays integral:
+    the carried exponent must be a multiple of each arc's entry exponent."""
     constraints = []
-    prefix = Fraction(1)
-    for arc in cycle:
-        constraints.append((Fraction(i) * prefix / arc.entry_exp).denominator)
+    prefix = Fraction(i)
+    for arc, (n, _) in zip(cycle, crossings):
+        constraints.append((prefix / n).denominator)
         prefix *= arc.weight
-    return lcm(*constraints) if constraints else 1
+    return lcm(*constraints)
 
 
 def almost_bs_witness(graph: GraphOfGroups, verdict) -> BSWitness:
     """Assemble and verify a witness from an unbalanced cycle.
 
-    The cycle conjugators and stable letters compose to s; the base root is
-    raised to the minimal power that keeps every arc transition integral,
-    and (i, j) is the reduced modulus.
+    Each cycle arc's crossing (entry exponent and conjugator kappa) is
+    derived from the attachment data of its edge; the kappas compose to s,
+    the base root is raised to the minimal power that keeps every arc
+    transition integral, and (i, j) is the reduced modulus.  The relation
+    is then Britton-reduced, and anything but the empty word is an error.
     """
     if isinstance(verdict, Balanced):
         raise NoWitness("the graph is balanced")
@@ -81,13 +95,12 @@ def almost_bs_witness(graph: GraphOfGroups, verdict) -> BSWitness:
     cycle = verdict.cycle
     modulus = verdict.modulus
     i, j = modulus.denominator, modulus.numerator
-    m = _minimal_base_power(cycle, i)
+    crossings = [_crossing(graph, arc) for arc in cycle]
+    m = _minimal_base_power(cycle, crossings, i)
     base = cycle[0].src
     kind = graph.kind(base.vertex)
     a = vw_pow(kind, VertexWord(base.vertex, base.root), m)
-    s_tokens = []
-    for arc in reversed(cycle):
-        s_tokens.extend(arc.conj)
+    s_tokens = [tok for _, kappa in reversed(crossings) for tok in kappa]
     reduced = britton_reduce(
         graph, to_path_form(graph, relation_tokens(a, s_tokens, i, j), base.vertex)
     )

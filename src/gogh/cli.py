@@ -14,8 +14,9 @@ generator in the target vertex group, `img_from` the image in the source,
 and the defining relation reads t_e * img_to * t_e^-1 = img_from.
 
 All commands print one deterministic JSON object (sorted keys, integers
-beyond 2^53 rendered as decimal strings) and exit 0; malformed input exits
-2 with a machine-readable error object.  Verdicts are data, not exit codes.
+beyond 2^53 rendered as decimal strings) and exit 0; malformed input,
+command lines included, exits 2 with a machine-readable error object, and
+an internal error exits 3 with one.  Verdicts are data, not exit codes.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ import argparse
 import json
 import re
 import sys
+import traceback
 from fractions import Fraction
 
 from .balance import Balanced, Unbalanced, build_groupoid, group_balanced
-from .certify import NoWitness, almost_bs_witness, distortion_certificate
+from .certify import almost_bs_witness, distortion_certificate
 from .conjgraph import build_conjugacy_graph, class_of_edge
 from .model import (
     DIHEDRAL_R,
@@ -37,7 +39,6 @@ from .model import (
     GoghError,
     GraphOfGroups,
     EdgeRecord,
-    ValidationError,
     VertexWord,
     make_graph,
     validate,
@@ -69,18 +70,9 @@ _EDGE_RE = re.compile(
     rf'^edge\s+({_NAME})\s+from=({_NAME})\s+to=({_NAME})\s+img_from="([^"]*)"\s+img_to="([^"]*)"\s*$'
 )
 _LETTER_RE = re.compile(rf"^({_NAME})\.(\d+|r|s|t)(\^(-?\d+))?$")
-
-
-def _strip_comment(line: str) -> str:
-    out = []
-    quoted = False
-    for ch in line:
-        if ch == '"':
-            quoted = not quoted
-        if ch == "#" and not quoted:
-            break
-        out.append(ch)
-    return "".join(out)
+# The text before the first "#" outside double quotes; an unterminated
+# quote runs to the end of the line.
+_CODE_RE = re.compile(r'(?:[^"#]|"[^"]*"?)*')
 
 
 def parse_letter(text: str, line: int = 0, column: int = 1):
@@ -108,7 +100,7 @@ def _parse_attachment(text: str, vertex: str, kind, line: int) -> VertexWord:
             )
         letters.append((tok[2], tok[3]))
     word = VertexWord(vertex, tuple(letters))
-    return vw_normalize(kind, word) if kind is not None else word
+    return vw_normalize(kind, word)
 
 
 def parse(text: str) -> GraphOfGroups:
@@ -116,7 +108,7 @@ def parse(text: str) -> GraphOfGroups:
     vertices: dict[str, object] = {}
     pending_edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+        line = _CODE_RE.match(raw).group().strip()
         if not line:
             continue
         if line.startswith("vertex"):
@@ -176,24 +168,24 @@ def serialize(graph: GraphOfGroups) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_word(graph: GraphOfGroups, text: str, line: int = 0):
+def parse_word(graph: GraphOfGroups, text: str):
     tokens = []
     vertex_ids = set(graph.vertex_ids())
     edge_ids = set(graph.edge_ids())
     for piece in text.split():
-        tok = parse_letter(piece, line, 1)
+        tok = parse_letter(piece)
         if tok[0] == "t":
             if tok[1] not in edge_ids:
-                raise ParseError(f"unknown edge {tok[1]!r} in word", line, 1)
+                raise ParseError(f"unknown edge {tok[1]!r} in word", 0, 1)
         else:
             if tok[1] not in vertex_ids:
-                raise ParseError(f"unknown vertex {tok[1]!r} in word", line, 1)
+                raise ParseError(f"unknown vertex {tok[1]!r} in word", 0, 1)
             kind = graph.kind(tok[1])
             if isinstance(kind, Free):
                 if not isinstance(tok[2], int) or not 1 <= tok[2] <= kind.rank:
-                    raise ParseError(f"unknown generator in {piece!r}", line, 1)
+                    raise ParseError(f"unknown generator in {piece!r}", 0, 1)
             elif not isinstance(tok[2], str):
-                raise ParseError(f"unknown generator in {piece!r}", line, 1)
+                raise ParseError(f"unknown generator in {piece!r}", 0, 1)
         tokens.append(tok)
     return tokens
 
@@ -387,11 +379,19 @@ def _cmd_distortion(graph: GraphOfGroups, args) -> dict:
     }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line as a GoghError (the JSON error object,
+    exit 2) instead of printing usage text and exiting."""
+
+    def error(self, message):
+        raise GoghError(message)
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="gogh", description=__doc__)
+    ap = _ArgumentParser(prog="gogh", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **extra):
+    def add(name, fn):
         p = sub.add_parser(name)
         p.add_argument("file")
         p.set_defaults(fn=fn)
@@ -415,21 +415,20 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> tuple[int, dict]:
-    args = build_arg_parser().parse_args(argv)
+    """(exit code, JSON object): 0 for a result, 2 for bad input (command
+    line, files, text, names), 3 for an internal error."""
     try:
+        args = build_arg_parser().parse_args(argv)
         with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+        return 0, args.fn(parse(text), args)
+    except (GoghError, OSError, UnicodeDecodeError) as exc:
+        if isinstance(exc, ParseError):
+            return 2, {"error": exc.error, "line": exc.line, "column": exc.column}
         return 2, {"error": str(exc), "line": 0, "column": 0}
-    try:
-        graph = parse(text)
-        return 0, args.fn(graph, args)
-    except ParseError as exc:
-        return 2, {"error": exc.error, "line": exc.line, "column": exc.column}
-    except ValidationError as exc:
-        return 2, {"error": f"{exc.code}: {exc.message}", "line": 0, "column": 0}
-    except (NoWitness, GoghError) as exc:
-        return 2, {"error": str(exc), "line": 0, "column": 0}
+    except Exception as exc:
+        traceback.print_exc()
+        return 3, {"error": f"internal: {type(exc).__name__}: {exc}", "line": 0, "column": 0}
 
 
 def main(argv=None) -> int:

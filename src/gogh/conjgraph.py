@@ -47,7 +47,6 @@ class ConjugacyGraph:
     edge_class: EdgeClass
     vertex_origin: dict  # derived vertex -> (original vertex, root VertexWord)
     attachment_conjugator: dict  # occurrence -> conjugator g in the original
-    attachment_exponent: dict  # occurrence -> signed root exponent n
 
 
 def build_conjugacy_graph(graph: GraphOfGroups, cls: EdgeClass) -> ConjugacyGraph:
@@ -87,14 +86,11 @@ def build_conjugacy_graph(graph: GraphOfGroups, cls: EdgeClass) -> ConjugacyGrap
 
     edges = []
     conjugators = {}
-    exponents = {}
     for edge in cls.edge_ids():
         node_s, n_s, g_s = cls.attachments[(edge, "source")]
         node_t, n_t, g_t = cls.attachments[(edge, "target")]
         conjugators[(edge, "source")] = g_s
         conjugators[(edge, "target")] = g_t
-        exponents[(edge, "source")] = n_s
-        exponents[(edge, "target")] = n_t
         edges.append(
             EdgeRecord(
                 name=edge,
@@ -111,20 +107,22 @@ def build_conjugacy_graph(graph: GraphOfGroups, cls: EdgeClass) -> ConjugacyGrap
         edge_class=cls,
         vertex_origin=vertex_origin,
         attachment_conjugator=conjugators,
-        attachment_exponent=exponents,
     )
 
 
 def provenance_holds(graph: GraphOfGroups, cg: ConjugacyGraph) -> bool:
     """Check u = g * root^n * g^-1 in the original vertex group for every
-    derived attachment."""
+    derived attachment gen^n, n read off the derived graph itself."""
     for (edge, side), g in cg.attachment_conjugator.items():
         e = graph.edge(edge)
         u = e.attachment_source if side == "source" else e.attachment_target
         derived_edge = cg.graph.edge(edge)
-        dv = derived_edge.source if side == "source" else derived_edge.target
+        if side == "source":
+            dv, derived = derived_edge.source, derived_edge.attachment_source
+        else:
+            dv, derived = derived_edge.target, derived_edge.attachment_target
+        ((_, n),) = derived.letters  # a validated 2-ended attachment: one letter
         _, root = cg.vertex_origin[dv]
-        n = cg.attachment_exponent[(edge, side)]
         kind = graph.kind(u.vertex)
         rebuilt = vw_mul(kind, g, vw_pow(kind, root, n), vw_inv(kind, g))
         if vw_mul(kind, rebuilt, vw_inv(kind, u)).letters:

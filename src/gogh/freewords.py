@@ -133,7 +133,6 @@ def _seq_key(letters: Letters):
     return tuple(_letter_key(l) for l in letters)
 
 
-@lru_cache(maxsize=4096)
 def canonical_root(word: VertexWord) -> tuple[VertexWord, VertexWord, int]:
     """(canonical root R, conjugator g, signed exponent p) with w = g R^p g^-1.
 

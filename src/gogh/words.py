@@ -88,10 +88,6 @@ class PathWord:
     head: VertexWord
     tail: tuple[tuple[SignedEdge, VertexWord], ...]
 
-    @property
-    def syllable_count(self) -> int:
-        return len(self.tail) * 2 + 1
-
     def words(self) -> list[VertexWord]:
         return [self.head] + [w for _, w in self.tail]
 
@@ -228,30 +224,29 @@ def _power_of(letters: fw.Letters, root: fw.Letters) -> int | None:
 def britton_reduce(graph: GraphOfGroups, w: PathWord) -> PathWord:
     """Remove pinches t_e g t_e^-1 with g in the edge image, leftmost first.
 
-    Each pinch is replaced by the corresponding power of the opposite
-    attachment; the exponent is computed arithmetically.  The output
-    contains no pinch, so by the normal-form property it is the identity
-    only if it is a single trivial vertex syllable.
+    One left-to-right pass over a stack of (step, syllable), the head at
+    the bottom: the stack never holds a pinch, so an incoming step can only
+    pinch the syllable on top.  A pinch pops it and merges the replacing
+    power of the opposite attachment, computed arithmetically, and the
+    incoming syllable into the syllable below.  The output contains no
+    pinch, so by the normal-form property it is the identity only if it is
+    a single trivial vertex syllable.
     """
-    words = w.words()
-    steps = w.steps()
-    i = 0
-    while i + 1 < len(steps):
-        if steps[i] != reverse_step(steps[i + 1]):
-            i += 1
-            continue
-        k = pinch_membership(graph, steps[i][0], words[i + 1], steps[i][1])
+    stack: list[tuple[SignedEdge | None, VertexWord]] = [(None, w.head)]
+    for step, syllable in w.tail:
+        top_step, top = stack[-1]
+        k = None
+        if top_step == reverse_step(step):
+            k = pinch_membership(graph, top_step[0], top, top_step[1])
         if k is None:
-            i += 1
+            stack.append((step, syllable))
             continue
-        src_att = edge_attachments(graph, steps[i])[0]
-        kind = graph.kind(src_att.vertex)
-        repl = vw_pow(kind, src_att, k)
-        words[i] = vw_mul(kind, words[i], repl, words[i + 2])
-        del steps[i : i + 2]
-        del words[i + 1 : i + 3]
-        i = max(i - 1, 0)
-    return PathWord(w.base, words[0], tuple(zip(steps, words[1:])))
+        stack.pop()
+        att = edge_attachments(graph, top_step)[0]
+        kind = graph.kind(att.vertex)
+        below_step, below = stack[-1]
+        stack[-1] = (below_step, vw_mul(kind, below, vw_pow(kind, att, k), syllable))
+    return PathWord(w.base, stack[0][1], tuple(stack[1:]))
 
 
 def has_pinch(graph: GraphOfGroups, w: PathWord) -> bool:
@@ -264,12 +259,12 @@ def has_pinch(graph: GraphOfGroups, w: PathWord) -> bool:
     return False
 
 
-def _as_path(graph: GraphOfGroups, w, base=None) -> PathWord:
+def _as_path(graph: GraphOfGroups, w) -> PathWord:
     if isinstance(w, PathWord):
         return w
     if isinstance(w, VertexWord):
-        return to_path_form(graph, tokens_of_vertex_word(w), base or w.vertex)
-    return to_path_form(graph, w, base)
+        return to_path_form(graph, tokens_of_vertex_word(w), w.vertex)
+    return to_path_form(graph, w)
 
 
 def is_trivial(graph: GraphOfGroups, w) -> bool:

@@ -3,15 +3,17 @@ import random
 import pytest
 
 from conftest import random_graph
-from gogh.balance import Balanced, group_balanced
+from gogh.balance import Balanced, build_groupoid, group_balanced
 from gogh.certify import (
     BSWitness,
     NoWitness,
+    _crossing,
     almost_bs_witness,
     distortion_certificate,
     relation_tokens,
+    tokens_of_vertex_word_power,
 )
-from gogh.model import VertexWord
+from gogh.model import DihedralInfinite, Free, VertexWord
 from gogh.words import invert_tokens, is_trivial
 
 
@@ -36,6 +38,30 @@ def test_f2_witness(f2_example):
 def test_balanced_graph_has_no_witness(trefoil):
     with pytest.raises(NoWitness):
         almost_bs_witness(trefoil, group_balanced(trefoil))
+
+
+def test_every_arc_crossing_conjugates_root_powers():
+    """kappa R_src^n kappa^-1 = R_dst^(n*weight) for every groupoid arc, in
+    both orientations, not only for the arcs of witness cycles."""
+    rng = random.Random(131)
+    kinds = set()
+    for _ in range(50):
+        graph = random_graph(rng, rank2_prob=0.3)
+        kinds.update(kind for _, kind in graph.vertices)
+        for arc in build_groupoid(graph).arcs:
+            n, kappa = _crossing(graph, arc)
+            exit_exp = n * arc.weight
+            assert exit_exp.denominator == 1
+            src = VertexWord(arc.src.vertex, arc.src.root)
+            dst = VertexWord(arc.dst.vertex, arc.dst.root)
+            tokens = (
+                kappa
+                + tokens_of_vertex_word_power(src, n)
+                + invert_tokens(kappa)
+                + tokens_of_vertex_word_power(dst, -int(exit_exp))
+            )
+            assert is_trivial(graph, tokens)
+    assert {DihedralInfinite(), Free(2)} <= kinds
 
 
 def test_witness_exponents_normalized():

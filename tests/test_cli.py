@@ -13,7 +13,8 @@ from conftest import (
     TREFOIL_TEXT,
     random_graph,
 )
-from gogh.cli import ParseError, parse, parse_letter, render_json, run, serialize
+import gogh.cli
+from gogh.cli import _CODE_RE, ParseError, main, parse, parse_letter, render_json, run, serialize
 from gogh.model import ValidationError
 
 
@@ -43,6 +44,16 @@ def test_comments_and_blank_lines():
     g = parse("# a loop\n\nvertex v free 1  # rank one\nedge e from=v to=v "
               'img_from="v.1^3" img_to="v.1^2"\n')
     assert g.edge_ids() == ("e",)
+
+
+def test_comment_starts_at_first_hash_outside_quotes():
+    head = "vertex v free 1\nedge e from=v to=v "
+    with pytest.raises(ParseError, match="bad letter '#'"):
+        parse(head + 'img_from="v.1 # x" img_to="v.1^2"\n')
+    g = parse(head + 'img_from="v.1^3" img_to="v.1^2" # the "BS(2, 3)" loop\n')
+    assert g.edge_ids() == ("e",)
+    unterminated = head + 'img_from="v.1^3 # x'
+    assert _CODE_RE.match(unterminated).group() == unterminated
 
 
 def test_letter_syntax():
@@ -188,6 +199,48 @@ def test_malformed_input_exit_code(tmp_path):
     assert code == 2
     assert set(out) == {"error", "line", "column"}
     assert out["line"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["distortion", "{path}", "--depth", "x"],
+        ["frobnicate", "{path}"],
+        ["reduce", "{path}"],
+        [],
+    ],
+)
+def test_command_line_errors_print_the_error_object(tmp_path, capsys, argv):
+    path = write(tmp_path, "bs32.gog", BS32_TEXT)
+    code = main([arg.replace("{path}", path) for arg in argv])
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert code == 2
+    assert set(out) == {"error", "line", "column"}
+    assert captured.err == ""
+
+
+def test_unwritable_emit_and_undecodable_input_exit_2(tmp_path):
+    path = write(tmp_path, "f.gog", F2_EXAMPLE_TEXT)
+    missing = str(tmp_path / "missing" / "x.gog")
+    code, out = run(["conjgraph", path, "--class-of", "e", "--emit", missing])
+    assert code == 2
+    assert set(out) == {"error", "line", "column"} and "x.gog" in out["error"]
+    binary = tmp_path / "binary.gog"
+    binary.write_bytes(b"vertex v free 1 \xff\n")
+    code, out = run(["check", str(binary)])
+    assert code == 2
+    assert set(out) == {"error", "line", "column"}
+
+
+def test_internal_error_exit_3(tmp_path, monkeypatch, capsys):
+    def broken(graph, args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(gogh.cli, "_cmd_check", broken)
+    code, out = run(["check", write(tmp_path, "t.gog", TREFOIL_TEXT)])
+    assert (code, out) == (3, {"error": "internal: RuntimeError: boom", "line": 0, "column": 0})
+    assert "RuntimeError: boom" in capsys.readouterr().err
 
 
 # -- JSON rendering -----------------------------------------------------------------

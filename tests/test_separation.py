@@ -1,0 +1,86 @@
+"""The checkers share no decision logic with the producers.
+
+The code of each checker, nested code objects included, names none of the
+functions that produce verdicts, edge classes or attachment data, and
+neither does any package function it reaches by name, transitively.
+"""
+
+import importlib
+import types
+
+# import_module, because the package re-exports functions under some module names
+MODULES = {
+    name: importlib.import_module(f"gogh.{name}")
+    for name in ("balance", "certify", "cli", "conjgraph", "dihedral", "freewords", "model",
+                 "parametrize", "words")
+}
+
+CHECKERS = (
+    MODULES["parametrize"].verify_parametrization,
+    MODULES["conjgraph"].provenance_holds,
+    MODULES["words"].britton_reduce,
+    MODULES["words"].pinch_membership,
+    MODULES["words"].has_pinch,
+    MODULES["words"].bounded_conjugator_search,
+    MODULES["balance"].brute_force_balance_oracle,
+)
+
+PRODUCERS = {
+    "build_groupoid",
+    "_decide",
+    "attachment_data",
+    "canonical_root",
+    "group_balanced",
+    "edge_balanced",
+    "edge_classes",
+    "class_of_edge",
+}
+
+
+def _package_functions() -> dict:
+    """Module-level functions of the package, by name (cache wrappers unwrapped)."""
+    table: dict[str, set] = {}
+    for mod in MODULES.values():
+        for value in vars(mod).values():
+            value = getattr(value, "__wrapped__", value)
+            if isinstance(value, types.FunctionType) and value.__module__.startswith("gogh."):
+                table.setdefault(value.__name__, set()).add(value)
+    return table
+
+
+def _names(code: types.CodeType):
+    yield from code.co_names
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _names(const)
+
+
+def _reach(fn, table) -> dict:
+    """Every package function reachable from fn by name -> the names its code uses."""
+    seen: dict = {}
+    todo = [fn]
+    while todo:
+        f = todo.pop()
+        if f in seen:
+            continue
+        seen[f] = set(_names(f.__code__))
+        for name in seen[f]:
+            todo.extend(table.get(name, ()))
+    return seen
+
+
+def test_producers_exist():
+    assert PRODUCERS <= set(_package_functions())
+
+
+def test_checkers_name_no_producer():
+    table = _package_functions()
+    for checker in CHECKERS:
+        for f, names in _reach(checker, table).items():
+            assert not names & PRODUCERS, (checker.__name__, f.__name__, names & PRODUCERS)
+
+
+def test_reach_is_transitive():
+    reached = _reach(MODULES["words"].bounded_conjugator_search, _package_functions())
+    # through are_equal -> is_trivial -> britton_reduce -> pinch_membership
+    assert MODULES["freewords"].primitive_root.__wrapped__ in reached
