@@ -88,19 +88,24 @@ def parse_letter(text: str, line: int = 0, column: int = 1):
     return ("g", owner, parse_int(gen), exponent)
 
 
+def _scan_letters(text: str, line: int):
+    """(piece, 1-based column, token) of each letter of a word text."""
+    for m in re.finditer(r"\S+", text):
+        piece, column = m.group(), m.start() + 1
+        yield piece, column, parse_letter(piece, line, column)
+
+
 def _parse_attachment(text: str, vertex: str, kind, line: int) -> VertexWord:
     letters = []
-    for i, piece in enumerate(text.split()):
-        tok = parse_letter(piece, line, 1 + text.find(piece))
+    for piece, column, tok in _scan_letters(text, line):
         if tok[0] != "g":
-            raise ParseError(f"stable letter {piece!r} inside attachment word", line, 1)
+            raise ParseError(f"stable letter {piece!r} inside attachment word", line, column)
         if tok[1] != vertex:
             raise ParseError(
-                f"attachment letter {piece!r} does not live in vertex {vertex!r}", line, 1
+                f"attachment letter {piece!r} does not live in vertex {vertex!r}", line, column
             )
         letters.append((tok[2], tok[3]))
-    word = VertexWord(vertex, tuple(letters))
-    return vw_normalize(kind, word)
+    return vw_normalize(kind, VertexWord(vertex, tuple(letters)))
 
 
 def parse(text: str) -> GraphOfGroups:
@@ -170,22 +175,20 @@ def serialize(graph: GraphOfGroups) -> str:
 
 def parse_word(graph: GraphOfGroups, text: str):
     tokens = []
-    vertex_ids = set(graph.vertex_ids())
-    edge_ids = set(graph.edge_ids())
-    for piece in text.split():
-        tok = parse_letter(piece)
+    index = graph.index
+    for piece, column, tok in _scan_letters(text, 0):
         if tok[0] == "t":
-            if tok[1] not in edge_ids:
-                raise ParseError(f"unknown edge {tok[1]!r} in word", 0, 1)
+            if tok[1] not in index.edges:
+                raise ParseError(f"unknown edge {tok[1]!r} in word", 0, column)
         else:
-            if tok[1] not in vertex_ids:
-                raise ParseError(f"unknown vertex {tok[1]!r} in word", 0, 1)
-            kind = graph.kind(tok[1])
+            kind = index.kinds.get(tok[1])
+            if kind is None:
+                raise ParseError(f"unknown vertex {tok[1]!r} in word", 0, column)
             if isinstance(kind, Free):
                 if not isinstance(tok[2], int) or not 1 <= tok[2] <= kind.rank:
-                    raise ParseError(f"unknown generator in {piece!r}", 0, 1)
+                    raise ParseError(f"unknown generator in {piece!r}", 0, column)
             elif not isinstance(tok[2], str):
-                raise ParseError(f"unknown generator in {piece!r}", 0, 1)
+                raise ParseError(f"unknown generator in {piece!r}", 0, column)
         tokens.append(tok)
     return tokens
 

@@ -4,7 +4,7 @@ Elements are manipulated as path words: alternating vertex-group syllables
 and stable letters whose edge sequence is a closed path based at some
 vertex.  Vertex syllables keep exponents as arbitrary-precision integers;
 pinch rewriting only does exponent arithmetic, so words like v^(3^20) stay
-one letter long.
+one letter long.  A path form normalises each syllable once.
 
 Tokens are the flat exchange format:
     ("g", vertex, generator, exponent)   vertex-group letter
@@ -45,10 +45,6 @@ class SearchBudgetExceeded(GoghError):
 # -- vertex-word algebra, dispatching on the vertex-group kind ---------------
 
 
-def vw_identity(vertex: str) -> VertexWord:
-    return VertexWord(vertex, ())
-
-
 def vw_normalize(kind: VertexGroupKind, w: VertexWord) -> VertexWord:
     if isinstance(kind, Free):
         return fw.free_reduce(w)
@@ -56,13 +52,8 @@ def vw_normalize(kind: VertexGroupKind, w: VertexWord) -> VertexWord:
 
 
 def vw_mul(kind: VertexGroupKind, *words: VertexWord) -> VertexWord:
-    vertex = words[0].vertex
-    if isinstance(kind, Free):
-        return VertexWord(vertex, fw.mul_letters(*(w.letters for w in words)))
-    acc = dih.IDENTITY
-    for w in words:
-        acc = dih.dmul(acc, dih.word_to_element(w))
-    return dih.element_to_word(vertex, acc)
+    letters = tuple(letter for w in words for letter in w.letters)
+    return vw_normalize(kind, VertexWord(words[0].vertex, letters))
 
 
 def vw_inv(kind: VertexGroupKind, w: VertexWord) -> VertexWord:
@@ -122,42 +113,47 @@ def to_path_form(graph: GraphOfGroups, tokens, base: str | None = None) -> PathW
 
     Spanning-tree stable letters (trivial in the fundamental group) are
     inserted wherever consecutive letters live at different vertices, and
-    to close the path back to the base.
+    to close the path back to the base.  Each syllable is normalised once.
     """
     tokens = list(tokens)
     if base is None:
         base = _infer_base(graph, tokens)
-    if base not in set(graph.vertex_ids()):
+    kinds = graph.index.kinds
+    if base not in kinds:
         raise GoghError(f"UnknownVertex: {base!r}")
-    words: list[VertexWord] = [vw_identity(base)]
+    words: list[VertexWord] = []
     steps: list[SignedEdge] = []
     current = base
+    letters: list[tuple] = []  # the raw letters of the syllable at current
 
-    def goto(vertex: str) -> None:
+    def close() -> None:
+        word = VertexWord(current, tuple(letters))
+        words.append(vw_normalize(kinds[current], word) if letters else word)
+        letters.clear()
+
+    def walk(path) -> None:
         nonlocal current
-        for step in tree_steps(graph, current, vertex):
+        for step in path:
+            close()
             steps.append(step)
-            words.append(vw_identity(edge_endpoints(graph, step)[1]))
-        current = vertex
+            current = edge_endpoints(graph, step)[1]
 
     for tok in tokens:
+        exp = tok[-1]
+        if exp == 0:
+            continue
         if tok[0] == "g":
-            _, vertex, gen, exp = tok
-            if exp == 0:
-                continue
-            kind = graph.kind(vertex)
-            goto(vertex)
-            words[-1] = vw_mul(kind, words[-1], VertexWord(vertex, ((gen, exp),)))
+            if tok[1] != current:
+                graph.kind(tok[1])  # an unknown vertex raises UnknownVertex here
+                walk(tree_steps(graph, current, tok[1]))
+            letters.append((tok[2], exp))
         else:
-            _, edge, exp = tok
-            sign = 1 if exp > 0 else -1
+            step = (tok[1], 1 if exp > 0 else -1)
+            source = edge_endpoints(graph, step)[0]
             for _ in range(abs(exp)):
-                step = (edge, sign)
-                goto(edge_endpoints(graph, step)[0])
-                steps.append(step)
-                words.append(vw_identity(edge_endpoints(graph, step)[1]))
-                current = edge_endpoints(graph, step)[1]
-    goto(base)
+                walk(tree_steps(graph, current, source) + (step,))
+    walk(tree_steps(graph, current, base))
+    close()
     return PathWord(base, words[0], tuple(zip(steps, words[1:])))
 
 

@@ -85,6 +85,36 @@ def test_attachment_letter_must_match_vertex():
         )
 
 
+@pytest.mark.parametrize(
+    "word, column, error",
+    [
+        ("v.1 v.1 zz.1", 9, "unknown vertex 'zz' in word"),
+        ("v.1 e.t v.7", 9, "unknown generator in 'v.7'"),
+    ],
+    ids=["unknown-vertex", "unknown-generator"],
+)
+def test_word_errors_report_the_letter_column(tmp_path, word, column, error):
+    code, out = run(["reduce", write(tmp_path, "bs32.gog", BS32_TEXT), "--word", word])
+    assert (code, out) == (2, {"column": column, "error": error, "line": 0})
+
+
+@pytest.mark.parametrize(
+    "vertices, img_from, column, error",
+    [
+        ("vertex u free 1\nvertex v free 1\n", "u.1 v.1", 5,
+         "attachment letter 'v.1' does not live in vertex 'u'"),
+        ("vertex u free 1\n", "u.1 e.t", 5, "stable letter 'e.t' inside attachment word"),
+        ("vertex u free 1\n", "u.1^2 u.1^", 7, "bad letter 'u.1^'"),
+    ],
+    ids=["wrong-vertex", "stable-letter", "bad-letter-after-its-prefix"],
+)
+def test_attachment_errors_report_the_letter_column(tmp_path, vertices, img_from, column, error):
+    text = vertices + f'edge e from=u to=u img_from="{img_from}" img_to="u.1"\n'
+    code, out = run(["check", write(tmp_path, "g.gog", text)])
+    line = vertices.count("\n") + 1
+    assert (code, out) == (2, {"column": column, "error": error, "line": line})
+
+
 def test_empty_file_rejected():
     with pytest.raises(ValidationError) as err:
         parse("")

@@ -55,7 +55,7 @@ def test_golden_replay_optimized_interpreter(tmp_path, stem):
     path = _graph_file(tmp_path, case, data["text"])
     env = dict(os.environ, PYTHONPATH=str(SRC))
     for args, code, stdout in data["runs"]:
-        if args[0] not in ("parametrize", "verdict", "witness", "balance", "distortion"):
+        if args[0] not in ("parametrize", "verdict", "witness", "balance", "distortion", "reduce"):
             continue
         proc = subprocess.run(
             [sys.executable, "-O", "-m", "gogh.cli", args[0], path] + args[1:],

@@ -4,8 +4,20 @@ import pytest
 
 from conftest import random_graph, random_word_tokens, rewriting_bfs_trivial, _norm_tokens, _rewrite_moves
 import gogh.words
-from gogh.model import GoghError, VertexWord
+from gogh import dihedral as dih
+from gogh import freewords as fw
+from gogh.cli import parse
+from gogh.model import (
+    DihedralInfinite,
+    Free,
+    GoghError,
+    ValidationError,
+    VertexWord,
+    edge_endpoints,
+    tree_steps,
+)
 from gogh.words import (
+    PathWord,
     SearchBudgetExceeded,
     are_equal,
     bounded_conjugator_search,
@@ -53,6 +65,99 @@ def test_rebasing_conjugates_by_tree_path(trefoil):
     # tree letters are trivial, so both represent the same element
     assert are_equal(trefoil, at_v, at_u)
     assert at_u.base == "u"
+
+
+def _reference_path_form(graph, tokens, base=None):
+    """The path form built one letter at a time: each letter is multiplied
+    into its syllable with fw.mul_letters or dih.dmul."""
+    if base is None:
+        base = min(graph.vertex_ids())
+        for tok in tokens:
+            if tok[0] == "g":
+                base = tok[1]
+            else:
+                base = edge_endpoints(graph, (tok[1], 1 if tok[2] > 0 else -1))[0]
+            break
+    syllables = [VertexWord(base, ())]
+    steps = []
+
+    def walk(step):
+        steps.append(step)
+        syllables.append(VertexWord(edge_endpoints(graph, step)[1], ()))
+
+    def goto(vertex):
+        for step in tree_steps(graph, syllables[-1].vertex, vertex):
+            walk(step)
+
+    for tok in tokens:
+        if tok[0] == "g":
+            _, vertex, gen, exp = tok
+            if exp == 0:
+                continue
+            goto(vertex)
+            word = syllables[-1]
+            letter = VertexWord(vertex, ((gen, exp),))
+            if isinstance(graph.kind(vertex), Free):
+                syllables[-1] = VertexWord(vertex, fw.mul_letters(word.letters, letter.letters))
+            else:
+                el = dih.dmul(dih.word_to_element(word), dih.word_to_element(letter))
+                syllables[-1] = dih.element_to_word(vertex, el)
+        else:
+            _, edge, exp = tok
+            step = (edge, 1 if exp > 0 else -1)
+            for _ in range(abs(exp)):
+                goto(edge_endpoints(graph, step)[0])
+                walk(step)
+    goto(base)
+    return PathWord(base, syllables[0], tuple(zip(steps, syllables[1:])))
+
+
+def test_path_form_matches_letter_by_letter_reference():
+    rng = random.Random(41)
+    kinds = set()
+    for _ in range(300):
+        g = random_graph(rng, v_max=4, e_max=5, rank2_prob=0.4)
+        kinds.update(type(k) if isinstance(k, DihedralInfinite) else k.rank for _, k in g.vertices)
+        tokens = random_word_tokens(rng, g, syllables=12)
+        if rng.random() < 0.5:  # a tail that cancels against the word's end
+            tokens += invert_tokens(tokens)[: rng.randint(1, len(tokens))]
+        for _ in range(rng.randint(0, 3)):
+            tok = list(rng.choice(tokens))
+            if tok[0] == "t" and rng.random() < 0.6:
+                tok[2] *= rng.randint(2, 5)  # e.t^N and e.t^-N
+            else:
+                tok[-1] = 0
+            tokens.insert(rng.randint(0, len(tokens)), tuple(tok))
+        base = rng.choice([None, rng.choice(g.vertex_ids())])
+        assert to_path_form(g, tokens, base) == _reference_path_form(g, tokens, base)
+    assert {DihedralInfinite, 1, 2} <= kinds
+
+
+def test_path_form_reduces_each_letter_once(monkeypatch):
+    n = 2000
+    g = parse("vertex v free 2\n")
+    tokens = [("g", "v", 1 + i % 2, 1) for i in range(n)]
+    fed = []
+    reduce_letters = fw.reduce_letters
+
+    def counting(seq):
+        seq = list(seq)
+        fed.append(len(seq))
+        return reduce_letters(seq)
+
+    monkeypatch.setattr(fw, "reduce_letters", counting)
+    p = to_path_form(g, tokens, "v")
+    assert p.head.letters == ((1, 1), (2, 1)) * (n // 2) and not p.tail
+    assert sum(fed) <= 2 * n
+
+
+def test_path_form_unknown_names_are_validation_errors(bs32):
+    with pytest.raises(ValidationError) as err:
+        to_path_form(bs32, [("g", "nosuch", 1, 1)], "v")
+    assert err.value.code == "UnknownVertex"
+    with pytest.raises(ValidationError) as err:
+        to_path_form(bs32, [("t", "nosuch", 1)], "v")
+    assert err.value.code == "UnknownEdge"
 
 
 # -- pinch membership ---------------------------------------------------------------
