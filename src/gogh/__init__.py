@@ -19,8 +19,6 @@ from .conjgraph import ConjugacyGraph, EdgeClass, build_conjugacy_graph, edge_cl
 from .dihedral import DihedralElement, dmul, dpow
 from .freewords import (
     RootData,
-    commensurability_data,
-    cyclic_conjugacy,
     cyclic_reduce,
     free_reduce,
     primitive_root,
@@ -35,7 +33,6 @@ from .model import (
     VertexWord,
     make_graph,
     spanning_tree,
-    subgraph,
     validate,
 )
 from .parametrize import (
@@ -75,8 +72,6 @@ __all__ = [
     "dmul",
     "dpow",
     "RootData",
-    "commensurability_data",
-    "cyclic_conjugacy",
     "cyclic_reduce",
     "free_reduce",
     "primitive_root",
@@ -89,7 +84,6 @@ __all__ = [
     "VertexWord",
     "make_graph",
     "spanning_tree",
-    "subgraph",
     "validate",
     "HHG",
     "LinearParametrization",

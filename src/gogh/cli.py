@@ -17,12 +17,14 @@ All commands print one deterministic JSON object (sorted keys, integers
 beyond 2^53 rendered as decimal strings) and exit 0; malformed input,
 command lines included, exits 2 with a machine-readable error object, and
 an internal error exits 3 with one.  Verdicts are data, not exit codes.
+`--help` prints {"usage": <help text>} and exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import traceback
@@ -41,7 +43,6 @@ from .model import (
     EdgeRecord,
     VertexWord,
     make_graph,
-    validate,
 )
 from .parametrize import HHG, hhg_verdict, parametrize
 from .words import (
@@ -109,7 +110,7 @@ def _parse_attachment(text: str, vertex: str, kind, line: int) -> VertexWord:
 
 
 def parse(text: str) -> GraphOfGroups:
-    """Parse and validate a graph description."""
+    """Parse a graph description; the graph validates itself on construction."""
     vertices: dict[str, object] = {}
     pending_edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -149,9 +150,7 @@ def parse(text: str) -> GraphOfGroups:
                 attachment_target=_parse_attachment(img_to, tgt, vertices[tgt], lineno),
             )
         )
-    graph = make_graph(list(vertices.items()), edges)
-    validate(graph)
-    return graph
+    return make_graph(list(vertices.items()), edges)
 
 
 def _word_str(word: VertexWord) -> str:
@@ -382,12 +381,19 @@ def _cmd_distortion(graph: GraphOfGroups, args) -> dict:
     }
 
 
+class _Help(Exception):
+    """A help request; its argument is the usage text."""
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Reports a bad command line as a GoghError (the JSON error object,
-    exit 2) instead of printing usage text and exiting."""
+    exit 2) and --help as _Help (the usage object, exit 0), printing nothing."""
 
     def error(self, message):
         raise GoghError(message)
+
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -425,6 +431,8 @@ def run(argv) -> tuple[int, dict]:
         with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
         return 0, args.fn(parse(text), args)
+    except _Help as exc:
+        return 0, {"usage": exc.args[0]}
     except (GoghError, OSError, UnicodeDecodeError) as exc:
         if isinstance(exc, ParseError):
             return 2, {"error": exc.error, "line": exc.line, "column": exc.column}
@@ -436,7 +444,10 @@ def run(argv) -> tuple[int, dict]:
 
 def main(argv=None) -> int:
     code, payload = run(sys.argv[1:] if argv is None else argv)
-    print(render_json(payload))
+    try:
+        print(render_json(payload), flush=True)
+    except BrokenPipeError:  # no reader: send the exit-time flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

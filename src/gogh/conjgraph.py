@@ -27,7 +27,6 @@ from .model import (
     EdgeRecord,
     VertexWord,
     make_graph,
-    validate,
 )
 from .words import vw_inv, vw_mul, vw_pow
 
@@ -100,10 +99,8 @@ def build_conjugacy_graph(graph: GraphOfGroups, cls: EdgeClass) -> ConjugacyGrap
                 attachment_target=derived_attachment(names[node_t], node_t, n_t),
             )
         )
-    derived = make_graph(vertices, edges)
-    validate(derived)
     return ConjugacyGraph(
-        graph=derived,
+        graph=make_graph(vertices, edges),
         edge_class=cls,
         vertex_origin=vertex_origin,
         attachment_conjugator=conjugators,

@@ -158,60 +158,3 @@ def canonical_root(word: VertexWord) -> tuple[VertexWord, VertexWord, int]:
         VertexWord(word.vertex, conj),
         rd.exponent * flip,
     )
-
-
-def cyclic_conjugacy(u: VertexWord, v: VertexWord) -> VertexWord | None:
-    """A conjugator g with g u g^-1 = v, if the cyclic words match."""
-    cu_conj, cu = cyclic_reduce(free_reduce(u))
-    cv_conj, cv = cyclic_reduce(free_reduce(v))
-    if len(cu.letters) != len(cv.letters):
-        return None
-    n = len(cu.letters)
-    if n == 0:
-        return VertexWord(u.vertex, ())
-    for i in range(n):
-        rot = cu.letters[i:] + cu.letters[:i]
-        if rot == cv.letters:
-            # u = (a A) rot (a A)^-1 with A the rotated-out prefix, v = b rot b^-1
-            inner = mul_letters(cu_conj.letters, cu.letters[:i])
-            g = mul_letters(cv_conj.letters, inv_letters(inner))
-            return VertexWord(u.vertex, g)
-    return None
-
-
-@dataclass(frozen=True)
-class CommensurabilityData:
-    """u = conj_u root^p conj_u^-1 and v = conj_v root^(q*sign) conj_v^-1."""
-
-    root: VertexWord
-    conj_u: VertexWord
-    p: int
-    conj_v: VertexWord
-    q: int
-    sign: int
-
-
-def commensurability_data(u: VertexWord, v: VertexWord) -> CommensurabilityData | None:
-    """Common-root data iff <u> and <v> are commensurable, i.e. share a root.
-
-    The convention keeps p > 0; the relative orientation of v sits in sign.
-    """
-    if u.is_identity or v.is_identity:
-        raise TrivialWord("commensurability needs nontrivial words")
-    ru, gu, pu = canonical_root(free_reduce(u))
-    rv, gv, pv = canonical_root(free_reduce(v))
-    if ru.letters != rv.letters:
-        return None
-    if pu > 0:
-        root, p, rel_v = ru, pu, pv
-    else:
-        root = VertexWord(u.vertex, inv_letters(ru.letters))
-        p, rel_v = -pu, -pv
-    return CommensurabilityData(
-        root=root,
-        conj_u=gu,
-        p=p,
-        conj_v=gv,
-        q=abs(rel_v),
-        sign=1 if rel_v > 0 else -1,
-    )

@@ -6,10 +6,11 @@ generator in the two endpoint groups.  Edges are stored once per
 {e, reverse(e)} pair, in the orientation given at construction time; the
 reversed orientation is addressed with sign -1.
 
-Each graph carries an index, built on first use and kept for the life of
-the (immutable) graph: vertex-kind and edge maps and the canonical BFS
-spanning tree with parents and depths.  Lookups, the spanning tree and
-tree paths are read from it instead of being recomputed.
+A graph is valid by construction: ``__post_init__`` runs ``validate``, so
+no consumer re-checks it.  Each graph carries an index, built by that
+validation and kept for the life of the (immutable) graph: vertex-kind and
+edge maps and the canonical BFS spanning tree with parents and depths.
+Lookups, the spanning tree and tree paths are read from it.
 """
 
 from __future__ import annotations
@@ -89,6 +90,9 @@ class EdgeRecord:
 class GraphOfGroups:
     vertices: tuple[tuple[str, VertexGroupKind], ...]  # sorted by id
     edges: tuple[EdgeRecord, ...]  # sorted by id
+
+    def __post_init__(self) -> None:
+        validate(self)
 
     @cached_property
     def index(self) -> GraphIndex:
@@ -248,18 +252,16 @@ class GraphIndex:
         for steps in adj.values():
             steps.sort(key=lambda p: (p[1][0], -p[1][1]))
         self.parents: dict[str, tuple[str, SignedEdge]] = {}
-        self.depth: dict[str, int] = {}
-        if self.kinds:
-            root = min(self.kinds)
-            self.depth[root] = 0
-            queue = deque([root])
-            while queue:
-                v = queue.popleft()
-                for w, step in adj[v]:
-                    if w not in self.depth:
-                        self.depth[w] = self.depth[v] + 1
-                        self.parents[w] = (v, step)
-                        queue.append(w)
+        root = min(self.kinds)  # validate rejects an empty graph before indexing it
+        self.depth: dict[str, int] = {root: 0}
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for w, step in adj[v]:
+                if w not in self.depth:
+                    self.depth[w] = self.depth[v] + 1
+                    self.parents[w] = (v, step)
+                    queue.append(w)
         self.tree = frozenset(step[0] for _, step in self.parents.values())
 
 
@@ -281,15 +283,3 @@ def tree_steps(graph: GraphOfGroups, start: str, end: str) -> tuple[SignedEdge, 
             end, step = parents[end]
             down.append(step)
     return tuple(up + down[::-1])
-
-
-def subgraph(graph: GraphOfGroups, vertex_subset, edge_subset) -> GraphOfGroups:
-    """Restrict to a subset of vertices and edges; the result must validate."""
-    vset = set(vertex_subset)
-    eset = set(edge_subset)
-    sub = make_graph(
-        [(v, k) for v, k in graph.vertices if v in vset],
-        [e for e in graph.edges if e.name in eset],
-    )
-    validate(sub)
-    return sub

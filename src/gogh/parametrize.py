@@ -31,7 +31,6 @@ from .model import (
     GraphOfGroups,
     VertexWord,
     spanning_tree,
-    validate,
 )
 
 
@@ -82,7 +81,6 @@ def parametrize(graph: GraphOfGroups) -> LinearParametrization | Unbalanced:
     Returns the unbalanced verdict instead whenever some groupoid cycle
     obstructs the construction.
     """
-    validate(graph)
     _require_two_ended(graph)
     verdict = group_balanced(graph)
     if isinstance(verdict, Unbalanced):
@@ -235,9 +233,8 @@ def hhg_verdict(graph: GraphOfGroups) -> Verdict:
     on the class's derived graph (whose groupoid is that balanced component,
     so balance is not decided again) and verified once; otherwise the
     offending edge is reported together with a re-verified non-Euclidean
-    almost Baumslag-Solitar witness.
+    almost Baumslag-Solitar witness.  The graph was validated when built.
     """
-    validate(graph)
     groupoid = build_groupoid(graph)
     verdict = groupoid.verdict
     if isinstance(verdict, Unbalanced):

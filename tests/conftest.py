@@ -18,7 +18,6 @@ from gogh.model import (
     GraphOfGroups,
     VertexWord,
     make_graph,
-    validate,
 )
 
 BS32_TEXT = """\
@@ -130,9 +129,7 @@ def random_tree_graph(rng: random.Random, v_max=6, exp_max=9) -> GraphOfGroups:
                 attachment_target=_random_attachment(rng, tgt, kinds[tgt], exp_max),
             )
         )
-    graph = make_graph(vertices, edges)
-    validate(graph)
-    return graph
+    return make_graph(vertices, edges)
 
 
 def random_graph(rng: random.Random, v_max=4, e_max=5, exp_max=5, rank2_prob=0.15) -> GraphOfGroups:
@@ -158,9 +155,7 @@ def random_graph(rng: random.Random, v_max=4, e_max=5, exp_max=5, rank2_prob=0.1
                 attachment_target=_random_attachment(rng, tgt, kinds[tgt], exp_max),
             )
         )
-    graph = make_graph(vertices, records)
-    validate(graph)
-    return graph
+    return make_graph(vertices, records)
 
 
 def random_word_tokens(rng: random.Random, graph: GraphOfGroups, syllables=8, exp_max=4):
@@ -200,9 +195,7 @@ def relabel_graph(graph: GraphOfGroups, vmap: dict[str, str]) -> GraphOfGroups:
         )
         for e in graph.edges
     ]
-    out = make_graph(vertices, edges)
-    validate(out)
-    return out
+    return make_graph(vertices, edges)
 
 
 def canonical_relabel(graph: GraphOfGroups) -> GraphOfGroups:

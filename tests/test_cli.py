@@ -1,7 +1,11 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from decimal import Decimal
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -248,6 +252,35 @@ def test_command_line_errors_print_the_error_object(tmp_path, capsys, argv):
     assert code == 2
     assert set(out) == {"error", "line", "column"}
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verdict", "--help"], ["distortion", "-h"]])
+def test_help_prints_the_usage_object(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert code == 0
+    assert set(out) == {"usage"} and out["usage"].startswith("usage: gogh")
+    assert captured.err == ""
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    path = write(tmp_path, "t.gog", TREFOIL_TEXT)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader exists before the child writes
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "gogh.cli", "verdict", path],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src")),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert b"Traceback" not in child.stderr
+    assert child.stderr == b""
+    assert child.returncode == 0
 
 
 def test_unwritable_emit_and_undecodable_input_exit_2(tmp_path):

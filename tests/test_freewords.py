@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 from gogh.freewords import (
     TrivialWord,
     canonical_root,
-    commensurability_data,
-    cyclic_conjugacy,
     cyclic_reduce,
     free_reduce,
     inv_letters,
     mul_letters,
     pow_letters,
     primitive_root,
+    reduce_letters,
 )
 from gogh.model import VertexWord
 
@@ -177,79 +176,79 @@ def test_root_of_powers_is_stable():
             assert canonical_root(wk)[0] == base
 
 
-# -- cyclic conjugacy ---------------------------------------------------------------
+# -- conjugacy and commensurability through canonical roots -------------------------
+#
+# Two free words are commensurable exactly when they share a canonical root R;
+# `balance` decides commensurability by that equality.
 
 
 def test_rotation_conjugacy():
+    # rotations and conjugates share R
     u, v = W((1, 1), (2, 1)), W((2, 1), (1, 1))
-    g = cyclic_conjugacy(u, v)
-    assert g is not None
-    assert conj(g, u) == v
+    c = W((3, 2), (1, -1))
+    assert canonical_root(u)[0] == canonical_root(v)[0] == canonical_root(conj(c, u))[0]
 
 
 def test_non_conjugate_rotations():
     u, v = W((1, 1), (2, 1)), W((1, 1), (2, -1))
-    # no expanded rotation of u equals v
-    assert tuple(expand(v.letters)) not in expanded_rotations(u.letters)
-    assert cyclic_conjugacy(u, v) is None
+    # no expanded rotation of u or of its inverse equals v
+    roots_u = expanded_rotations(u.letters) + expanded_rotations(inv_letters(u.letters))
+    assert tuple(expand(v.letters)) not in roots_u
+    assert canonical_root(u)[0] != canonical_root(v)[0]
 
 
-def test_self_conjugacy_identity_conjugator():
+def test_canonical_root_rebuilds_word():
+    # g R^p g^-1 rebuilds the word, also when the word is conjugated
     w = W((1, 2), (2, -1))
-    g = cyclic_conjugacy(w, w)
-    assert g is not None and conj(g, w) == w
-
-
-# -- commensurability ----------------------------------------------------------------
+    for word in (w, conj(W((2, 1)), w)):
+        root, g, p = canonical_root(word)
+        assert conj(g, W(*pow_letters(root.letters, p))) == word
 
 
 def test_example_powers_of_a():
     # a^3 versus b a^2 b^-1 share the root a
-    u = W((1, 3))
-    v = W((2, 1), (1, 2), (2, -1))
-    data = commensurability_data(u, v)
-    assert data is not None
-    assert data.root.letters == ((1, 1),)
-    assert (data.p, data.q, data.sign) == (3, 2, 1)
-    assert data.conj_u.letters == ()
-    assert data.conj_v.letters == ((2, 1),)
+    ru, gu, pu = canonical_root(W((1, 3)))
+    rv, gv, pv = canonical_root(W((2, 1), (1, 2), (2, -1)))
+    assert ru.letters == rv.letters == ((1, 1),)
+    assert (pu, pv) == (3, 2)
+    assert gu.letters == ()
+    assert gv.letters == ((2, 1),)
 
 
 def test_distinct_generators_not_commensurable():
     u, v = W((1, 1)), W((2, 1))
     roots_u = expanded_rotations(u.letters) + expanded_rotations(inv_letters(u.letters))
     assert tuple(expand(v.letters)) not in roots_u
-    assert commensurability_data(u, v) is None
+    assert canonical_root(u)[0] != canonical_root(v)[0]
 
 
 def test_inverse_word():
+    # w and w^-1 share R, with exponents of opposite sign
     w = W((1, 1), (2, 1))
-    data = commensurability_data(w, W(*inv_letters(w.letters)))
-    assert data is not None
-    assert (data.p, data.q, data.sign) == (1, 1, -1)
+    rw, _, pw = canonical_root(w)
+    ri, _, pi = canonical_root(W(*inv_letters(w.letters)))
+    assert rw == ri
+    assert pw == -pi and abs(pw) == 1
 
 
 def test_trivial_input_raises():
     with pytest.raises(TrivialWord):
-        commensurability_data(W(), W((1, 1)))
+        canonical_root(W())
 
 
 @settings(max_examples=60)
-@given(letters_strategy, letters_strategy)
-def test_commensurability_is_symmetric(a, b):
-    u = free_reduce(VertexWord("v", a))
-    v = free_reduce(VertexWord("v", b))
-    if u.is_identity or v.is_identity:
+@given(letters_strategy, letters_strategy, st.integers(min_value=-3, max_value=3))
+def test_commensurable_words_share_canonical_root(a, c, k):
+    w = free_reduce(VertexWord("v", a))
+    if w.is_identity or k == 0:
         return
-    forward = commensurability_data(u, v)
-    backward = commensurability_data(v, u)
-    assert (forward is None) == (backward is None)
-    if forward is not None:
-        assert conj(forward.conj_u, W(*pow_letters(forward.root.letters, forward.p))) == u
-        assert (
-            conj(forward.conj_v, W(*pow_letters(forward.root.letters, forward.q * forward.sign)))
-            == v
-        )
+    root, _, p = canonical_root(w)
+    # g w^k g^-1 lies in the cyclic group around a conjugate of R
+    other = conj(W(*reduce_letters(c)), W(*pow_letters(w.letters, k)))
+    root_o, g_o, p_o = canonical_root(other)
+    assert root_o == root
+    assert p_o == k * p
+    assert conj(g_o, W(*pow_letters(root.letters, p_o))) == other
 
 
 @given(letters_strategy)

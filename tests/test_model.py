@@ -1,13 +1,16 @@
 import random
+import sys
 
 import pytest
 
-from conftest import random_graph, random_tree_graph
-from gogh.cli import parse, serialize
+import gogh.model
+from conftest import TREFOIL_TEXT, random_graph, random_tree_graph
+from gogh.cli import parse, run, serialize
 from gogh.model import (
     DihedralInfinite,
     EdgeRecord,
     Free,
+    GraphOfGroups,
     ValidationError,
     VertexWord,
     edge_attachments,
@@ -15,63 +18,91 @@ from gogh.model import (
     make_graph,
     reverse_step,
     spanning_tree,
-    subgraph,
     tree_steps,
-    validate,
 )
 
 
 def test_single_vertex_is_valid():
     g = make_graph([("v", Free(1))], [])
-    validate(g)
     assert spanning_tree(g) == frozenset()
 
 
 def test_reflection_attachment_rejected():
-    g = make_graph(
-        [("d", DihedralInfinite())],
-        [
-            EdgeRecord(
-                "e",
-                "d",
-                "d",
-                VertexWord("d", (("r", 2),)),
-                VertexWord("d", (("s", 1),)),
-            )
-        ],
-    )
     with pytest.raises(ValidationError) as err:
-        validate(g)
+        make_graph(
+            [("d", DihedralInfinite())],
+            [
+                EdgeRecord(
+                    "e",
+                    "d",
+                    "d",
+                    VertexWord("d", (("r", 2),)),
+                    VertexWord("d", (("s", 1),)),
+                )
+            ],
+        )
     assert err.value.code == "FiniteOrderAttachment"
 
 
 def test_two_components_rejected():
-    g = make_graph([("u", Free(1)), ("v", Free(1))], [])
     with pytest.raises(ValidationError) as err:
-        validate(g)
+        make_graph([("u", Free(1)), ("v", Free(1))], [])
     assert err.value.code == "DisconnectedGraph"
 
 
 def test_empty_graph_rejected():
     with pytest.raises(ValidationError) as err:
-        validate(make_graph([], []))
+        make_graph([], [])
     assert err.value.code == "DisconnectedGraph"
 
 
 def test_rank_zero_rejected():
     with pytest.raises(ValidationError) as err:
-        validate(make_graph([("v", Free(0))], []))
+        make_graph([("v", Free(0))], [])
     assert err.value.code == "RankZero"
 
 
 def test_unknown_generator_rejected():
-    g = make_graph(
-        [("v", Free(1))],
-        [EdgeRecord("e", "v", "v", VertexWord("v", ((2, 1),)), VertexWord("v", ((1, 1),)))],
-    )
     with pytest.raises(ValidationError) as err:
-        validate(g)
+        make_graph(
+            [("v", Free(1))],
+            [EdgeRecord("e", "v", "v", VertexWord("v", ((2, 1),)), VertexWord("v", ((1, 1),)))],
+        )
     assert err.value.code == "UnknownGenerator"
+
+
+# -- validation at construction ----------------------------------------------------
+
+
+def test_direct_construction_validates():
+    with pytest.raises(ValidationError) as err:
+        GraphOfGroups((("u", Free(1)), ("v", Free(1))), ())
+    assert err.value.code == "DisconnectedGraph"
+    with pytest.raises(ValidationError) as err:
+        GraphOfGroups((("v", Free(1)), ("u", Free(1))), ())
+    assert err.value.code == "DuplicateVertex"
+
+
+@pytest.mark.parametrize("command, calls", [("verdict", 2), ("parametrize", 1)])
+def test_validation_runs_once_per_graph(tmp_path, monkeypatch, command, calls):
+    """verdict builds the input and one derived graph; parametrize only the input."""
+    seen = []
+    original = gogh.model.validate
+
+    def counting(graph):
+        seen.append(graph)
+        return original(graph)
+
+    # patch every gogh namespace that holds the function, so a call through
+    # any imported name is counted too
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "gogh" and getattr(module, "validate", None) is original:
+            monkeypatch.setattr(module, "validate", counting)
+    path = tmp_path / "trefoil.gog"
+    path.write_text(TREFOIL_TEXT)
+    code, _ = run([command, str(path)])
+    assert code == 0
+    assert len(seen) == calls
 
 
 def test_spanning_tree_of_path(trefoil):
@@ -111,19 +142,27 @@ def test_reverse_edge_involution(bs32):
     assert (a, b) == (d, c)
 
 
+def restrict(graph, vertex_subset, edge_subset):
+    """The graph on a subset of vertices and edges; construction validates it."""
+    return make_graph(
+        [(v, k) for v, k in graph.vertices if v in vertex_subset],
+        [e for e in graph.edges if e.name in edge_subset],
+    )
+
+
 def test_subgraph_full_is_identity(trefoil):
-    assert subgraph(trefoil, trefoil.vertex_ids(), trefoil.edge_ids()) == trefoil
+    assert restrict(trefoil, trefoil.vertex_ids(), trefoil.edge_ids()) == trefoil
 
 
 def test_subgraph_drops_loop(bs32, f2_example):
     for g in (bs32, f2_example):
-        smaller = subgraph(g, g.vertex_ids(), [])
+        smaller = restrict(g, g.vertex_ids(), [])
         assert smaller.edges == ()
 
 
 def test_subgraph_bridge_removal_rejected(trefoil):
     with pytest.raises(ValidationError) as err:
-        subgraph(trefoil, trefoil.vertex_ids(), [])
+        restrict(trefoil, trefoil.vertex_ids(), [])
     assert err.value.code == "DisconnectedGraph"
 
 
@@ -133,8 +172,8 @@ def test_subgraph_closure_on_random_connected_subsets():
         g = random_graph(rng)
         tree = spanning_tree(g)
         keep = [e for e in g.edge_ids() if e in tree or rng.random() < 0.6]
-        sub = subgraph(g, g.vertex_ids(), keep)
-        validate(sub)
+        sub = restrict(g, g.vertex_ids(), keep)
+        assert sub.edge_ids() == tuple(keep) and sub.vertices == g.vertices
 
 
 def test_tree_steps_connect_endpoints():
