@@ -16,14 +16,16 @@ through the stable-letter images of the parametrization.
 This module owns the groupoid and everything read off it in one pass:
 spanning-forest potentials, the connected components (which are the
 edge-image equivalence classes), and per component either its first
-unbalanced cycle in arc order or balance.  Graph, edge and class verdicts
+unbalanced cycle in arc order or balance.  Each fact is stored once: a
+class holds its verdict, and an unbalanced verdict holds the pass's
+attachment data, which ``certify`` reads.  Graph, edge and class verdicts
 are all lookups into that pass.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import dihedral as dih
@@ -78,6 +80,8 @@ class Balanced:
 class Unbalanced:
     cycle: tuple[GroupoidArc, ...]
     modulus: Fraction
+    # the pass's attachment data, (edge, side) -> (node, exponent, conjugator)
+    occurrences: dict = field(compare=False, repr=False)
 
     @property
     def edge(self) -> str:
@@ -93,9 +97,13 @@ class EdgeClass:
     """One groupoid component, as the attachment occurrences landing in it."""
 
     index: int
-    members: tuple[Occurrence, ...]
-    attachments: dict  # member -> its attachment_data, in member order
+    attachments: dict  # member occurrence -> its attachment_data, sorted
     nodes: tuple[GroupoidNode, ...]  # the component's nodes, in groupoid order
+    verdict: BalanceVerdict  # the component's first unbalanced cycle, or balance
+
+    @property
+    def members(self) -> tuple[Occurrence, ...]:
+        return tuple(self.attachments)
 
     def edge_ids(self) -> tuple[str, ...]:
         return tuple(sorted({e for e, _ in self.members}))
@@ -108,14 +116,10 @@ class RatioGroupoid:
     occurrences: dict  # (edge, side) -> (node, exponent, conjugator VertexWord)
     component: dict  # node -> index of its component in classes
     classes: tuple[EdgeClass, ...]  # components, ordered by least member
-    verdicts: tuple[BalanceVerdict, ...]  # per component, aligned with classes
     verdict: BalanceVerdict  # the whole graph: first unbalanced cycle in arc order
 
     def class_of(self, edge: str) -> EdgeClass:
         return self.classes[self.component[self.occurrences[(edge, "target")][0]]]
-
-    def edge_verdict(self, edge: str) -> BalanceVerdict:
-        return self.verdicts[self.class_of(edge).index]
 
 
 def attachment_data(graph: GraphOfGroups, edge: str, side: str):
@@ -205,7 +209,7 @@ def _decide(nodes, arcs, occurrences) -> RatioGroupoid:
             modulus *= a.weight
         if abs(modulus) == 1:
             raise GoghError(f"internal: cycle through arc {arc.label} is balanced")
-        first_bad[root] = Unbalanced(tuple(cycle), modulus)
+        first_bad[root] = Unbalanced(tuple(cycle), modulus, occurrences)
         if isinstance(verdict, Balanced):
             verdict = first_bad[root]
 
@@ -224,10 +228,9 @@ def _decide(nodes, arcs, occurrences) -> RatioGroupoid:
         occurrences=occurrences,
         component={node: position[root_of[node]] for node in nodes},
         classes=tuple(
-            EdgeClass(i, tuple(attachments[r]), attachments[r], tuple(class_nodes[r]))
+            EdgeClass(i, attachments[r], tuple(class_nodes[r]), first_bad.get(r, Balanced()))
             for i, r in enumerate(attachments)
         ),
-        verdicts=tuple(first_bad.get(r, Balanced()) for r in attachments),
         verdict=verdict,
     )
 
@@ -246,7 +249,7 @@ def edge_balanced(graph: GraphOfGroups, edge: str) -> BalanceVerdict:
     a cycle of absolute weight != 1.  This matches the balance of the
     conjugacy graph of the edge's equivalence class.
     """
-    return build_groupoid(graph).edge_verdict(graph.edge(edge).name)
+    return build_groupoid(graph).class_of(graph.edge(edge).name).verdict
 
 
 # -- brute-force oracle --------------------------------------------------------

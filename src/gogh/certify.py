@@ -5,8 +5,9 @@ s a^i s^-1 = a^j with |i| != |j|, where a is a power of the cycle's base
 root.  Since a has infinite order, <a, s> is a non-Euclidean almost
 Baumslag-Solitar subgroup; the relation certifies that the cyclic subgroup
 <a> is distorted, so the ambient group has no hierarchically hyperbolic
-structure.  Nothing from the groupoid computation is trusted: every emitted
-identity is re-verified through Britton reduction.
+structure.  The attachment data is the groupoid pass's, stored on the
+verdict, but nothing is trusted: every emitted identity is re-verified
+through Britton reduction.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .balance import Balanced, GroupoidArc, Unbalanced, attachment_data
+from .balance import Balanced, GroupoidArc, Unbalanced
 from .freewords import pow_letters
 from .model import GoghError, GraphOfGroups, VertexWord
 from .words import (
@@ -58,13 +59,13 @@ def tokens_of_vertex_word_power(word: VertexWord, n: int) -> list:
     return tokens_of_vertex_word(VertexWord(word.vertex, pow_letters(word.letters, n)))
 
 
-def _crossing(graph: GraphOfGroups, arc: GroupoidArc) -> tuple[int, list]:
+def _crossing(arc: GroupoidArc, occurrences: dict) -> tuple[int, list]:
     """(n, kappa) for one arc: n is the root exponent of the attachment on
     the near (src) side and kappa = g_far^-1 t^sign g_near, so that
     kappa R_src^(n*m) kappa^-1 = R_dst^(n*m*weight) for every integer m."""
     near, far = ("target", "source") if arc.sign > 0 else ("source", "target")
-    _, n, g_near = attachment_data(graph, arc.label, near)
-    _, _, g_far = attachment_data(graph, arc.label, far)
+    _, n, g_near = occurrences[(arc.label, near)]
+    _, _, g_far = occurrences[(arc.label, far)]
     kappa = invert_tokens(tokens_of_vertex_word(g_far)) + [("t", arc.label, arc.sign)]
     return n, kappa + tokens_of_vertex_word(g_near)
 
@@ -95,7 +96,7 @@ def almost_bs_witness(graph: GraphOfGroups, verdict) -> BSWitness:
     cycle = verdict.cycle
     modulus = verdict.modulus
     i, j = modulus.denominator, modulus.numerator
-    crossings = [_crossing(graph, arc) for arc in cycle]
+    crossings = [_crossing(arc, verdict.occurrences) for arc in cycle]
     m = _minimal_base_power(cycle, crossings, i)
     base = cycle[0].src
     kind = graph.kind(base.vertex)

@@ -29,6 +29,7 @@ import re
 import sys
 import traceback
 from fractions import Fraction
+from functools import partial
 
 from .balance import Balanced, Unbalanced, build_groupoid, group_balanced
 from .certify import almost_bs_witness, distortion_certificate
@@ -271,7 +272,7 @@ def _cmd_balance(graph: GraphOfGroups, args) -> dict:
     groupoid = build_groupoid(graph)
     edges = []
     for name in names:
-        verdict = groupoid.edge_verdict(name)
+        verdict = groupoid.class_of(name).verdict
         if isinstance(verdict, Balanced):
             edges.append({"id": name, "verdict": "Balanced"})
         else:
@@ -397,11 +398,14 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
-    ap = _ArgumentParser(prog="gogh", description=__doc__)
+    # a fixed width and the description's own line breaks, whatever the
+    # terminal: the usage object is the same bytes everywhere
+    fmt = partial(argparse.RawDescriptionHelpFormatter, width=80)
+    ap = _ArgumentParser(prog="gogh", description=__doc__, formatter_class=fmt)
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name, fn):
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, formatter_class=fmt)
         p.add_argument("file")
         p.set_defaults(fn=fn)
         return p

@@ -180,15 +180,11 @@ def _check_letters(kind: VertexGroupKind, word: VertexWord) -> None:
             if exp == 0:
                 raise ValidationError("UnknownGenerator", "zero exponent letter")
         shapes = tuple(g for g, _ in word.letters)
-        if shapes not in ((), (DIHEDRAL_R,), (DIHEDRAL_S,), (DIHEDRAL_S, DIHEDRAL_R)):
+        s_power = any(gen == DIHEDRAL_S and exp != 1 for gen, exp in word.letters)
+        if s_power or shapes not in ((), (DIHEDRAL_R,), (DIHEDRAL_S,), (DIHEDRAL_S, DIHEDRAL_R)):
             raise ValidationError(
                 "UnreducedWord", f"dihedral word in {word.vertex} not in s^e r^k form"
             )
-        for gen, exp in word.letters:
-            if gen == DIHEDRAL_S and exp != 1:
-                raise ValidationError(
-                    "UnreducedWord", f"dihedral word in {word.vertex} not in s^e r^k form"
-                )
 
 
 def _attachment_infinite_order(kind: VertexGroupKind, word: VertexWord) -> bool:
@@ -245,12 +241,11 @@ class GraphIndex:
     def __init__(self, graph: GraphOfGroups):
         self.kinds = dict(graph.vertices)
         self.edges = {e.name: e for e in graph.edges}
+        # edges are stored sorted: each list is in id order, stored orientation first
         adj: dict[str, list[tuple[str, SignedEdge]]] = {v: [] for v in self.kinds}
         for e in graph.edges:
-            adj.setdefault(e.source, []).append((e.target, (e.name, 1)))
-            adj.setdefault(e.target, []).append((e.source, (e.name, -1)))
-        for steps in adj.values():
-            steps.sort(key=lambda p: (p[1][0], -p[1][1]))
+            adj[e.source].append((e.target, (e.name, 1)))
+            adj[e.target].append((e.source, (e.name, -1)))
         self.parents: dict[str, tuple[str, SignedEdge]] = {}
         root = min(self.kinds)  # validate rejects an empty graph before indexing it
         self.depth: dict[str, int] = {root: 0}

@@ -95,7 +95,7 @@ def _tree_parametrization(graph: GraphOfGroups) -> LinearParametrization:
     everything to integers.  A non-tree stable letter becomes the reflection
     exactly when its relation needs a sign flip.  On an unbalanced graph
     some relation fails, which verification then reports."""
-    order = sorted(graph.vertex_ids())
+    order = graph.vertex_ids()
     exponents: dict[str, Fraction] = {order[0]: Fraction(1)}
     for vertex, (parent, step) in graph.index.parents.items():
         e = graph.edge(step[0])
@@ -215,11 +215,14 @@ class HHG:
 
 @dataclass(eq=False)
 class NotHHG:
-    edge: str
     witness: BSWitness
     verdict: Unbalanced
 
     status = "NotHHG"
+
+    @property
+    def edge(self) -> str:
+        return self.verdict.edge
 
 
 Verdict = HHG | NotHHG
@@ -238,7 +241,7 @@ def hhg_verdict(graph: GraphOfGroups) -> Verdict:
     groupoid = build_groupoid(graph)
     verdict = groupoid.verdict
     if isinstance(verdict, Unbalanced):
-        return NotHHG(edge=verdict.edge, witness=almost_bs_witness(graph, verdict), verdict=verdict)
+        return NotHHG(witness=almost_bs_witness(graph, verdict), verdict=verdict)
     certificates = []
     for cls in groupoid.classes:
         cg = build_conjugacy_graph(graph, cls)

@@ -322,13 +322,7 @@ def _conjugation_gens(graph: GraphOfGroups, x: VertexWord, y: VertexWord):
 def _search_states(graph, start_vertex, start_word, max_syllables, max_exp,
                    node_cap, banned_edges, gens):
     """BFS over pinch-transition states; yields (vertex, word, tokens)."""
-    edge_moves = []
-    for e in graph.edges:
-        if e.name in banned_edges:
-            continue
-        edge_moves.append((e.name, 1))
-        edge_moves.append((e.name, -1))
-    edge_moves.sort(key=lambda s: (s[0], -s[1]))
+    edge_moves = [(e.name, s) for e in graph.edges if e.name not in banned_edges for s in (1, -1)]
 
     start = (start_vertex, start_word)
     seen = {start}

@@ -106,7 +106,7 @@ def test_pass_emits_edge_arcs_in_order_and_class_attachments():
             (e, s) for e in graph.edge_ids() for s in (1, -1)
         ]
         for cls in g.classes:
-            assert list(cls.attachments) == list(cls.members)
+            assert list(cls.members) == sorted(cls.members)
             for occ, data in cls.attachments.items():
                 assert data == attachment_data(graph, *occ)
             assert cls.nodes == tuple(n for n in g.nodes if g.component[n] == cls.index)
@@ -121,6 +121,17 @@ def test_bs32_unbalanced(bs32):
     assert isinstance(verdict, Unbalanced)
     assert verdict.modulus == Fraction(3, 2)
     assert cycle_is_consistent(verdict)
+
+
+def test_unbalanced_verdict_carries_the_pass_data(f2_example):
+    """The verdict holds the pass's occurrences map itself, and equality and
+    hashing still see only the cycle and the modulus."""
+    g = build_groupoid(f2_example)
+    assert g.verdict.occurrences is g.occurrences
+    assert g.classes[0].verdict is g.verdict
+    bare = Unbalanced(g.verdict.cycle, g.verdict.modulus, {})
+    assert bare == g.verdict and hash(bare) == hash(g.verdict)
+    assert "occurrences" not in repr(g.verdict)
 
 
 def test_inverting_loop_balanced(klein):

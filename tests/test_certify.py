@@ -1,8 +1,10 @@
 import random
+import sys
 
 import pytest
 
-from conftest import random_graph
+import gogh.balance
+from conftest import BS32_TEXT, F2_EXAMPLE_TEXT, random_graph
 from gogh.balance import Balanced, build_groupoid, group_balanced
 from gogh.certify import (
     BSWitness,
@@ -13,6 +15,7 @@ from gogh.certify import (
     relation_tokens,
     tokens_of_vertex_word_power,
 )
+from gogh.cli import parse, run
 from gogh.model import DihedralInfinite, Free, VertexWord
 from gogh.words import invert_tokens, is_trivial
 
@@ -48,8 +51,9 @@ def test_every_arc_crossing_conjugates_root_powers():
     for _ in range(50):
         graph = random_graph(rng, rank2_prob=0.3)
         kinds.update(kind for _, kind in graph.vertices)
-        for arc in build_groupoid(graph).arcs:
-            n, kappa = _crossing(graph, arc)
+        groupoid = build_groupoid(graph)
+        for arc in groupoid.arcs:
+            n, kappa = _crossing(arc, groupoid.occurrences)
             exit_exp = n * arc.weight
             assert exit_exp.denominator == 1
             src = VertexWord(arc.src.vertex, arc.src.root)
@@ -62,6 +66,46 @@ def test_every_arc_crossing_conjugates_root_powers():
             )
             assert is_trivial(graph, tokens)
     assert {DihedralInfinite(), Free(2)} <= kinds
+
+
+# a 3-cycle of rank-2 vertices, each attached by v.1^k and v.2 v.1^k v.2^-1,
+# with modulus 3/2
+RANK2_CYCLE_TEXT = """\
+vertex a free 2
+vertex b free 2
+vertex c free 2
+edge e0 from=a to=b img_from="a.2 a.1^3 a.2^-1" img_to="b.1^2"
+edge e1 from=b to=c img_from="b.2 b.1 b.2^-1" img_to="c.1"
+edge e2 from=c to=a img_from="c.2 c.1^5 c.2^-1" img_to="a.1^5"
+"""
+
+
+@pytest.mark.parametrize(
+    "text", [BS32_TEXT, F2_EXAMPLE_TEXT, RANK2_CYCLE_TEXT], ids=["bs32", "f2_example", "rank2_cycle"]
+)
+@pytest.mark.parametrize(
+    "argv", [["verdict"], ["witness"], ["distortion", "--depth", "2"]], ids=lambda a: a[0]
+)
+def test_attachment_data_is_computed_once_per_occurrence(tmp_path, monkeypatch, text, argv):
+    """The witness reads the crossings' attachment data from the groupoid
+    pass, so each of the 2|E| occurrences is computed exactly once."""
+    calls = []
+    original = gogh.balance.attachment_data
+
+    def counting(graph, edge, side):
+        calls.append((edge, side))
+        return original(graph, edge, side)
+
+    # patch every gogh namespace that holds the function, so a call through
+    # any imported name is counted too
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "gogh" and getattr(module, "attachment_data", None) is original:
+            monkeypatch.setattr(module, "attachment_data", counting)
+    path = tmp_path / "g.gog"
+    path.write_text(text)
+    code, out = run([argv[0], str(path), *argv[1:]])
+    assert code == 0 and out.get("status") != "Balanced"
+    assert len(calls) == len(set(calls)) == 2 * len(parse(text).edges)
 
 
 def test_witness_exponents_normalized():

@@ -264,6 +264,20 @@ def test_help_prints_the_usage_object(capsys, argv):
     assert captured.err == ""
 
 
+def test_help_is_the_same_bytes_at_any_terminal_width(capsys, monkeypatch):
+    """argparse would wrap to $COLUMNS and reflow the module docstring."""
+    usage = {}
+    for argv in (("--help",), ("verdict", "--help")):
+        outputs = set()
+        for columns in ("40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            assert main(list(argv)) == 0
+            outputs.add(capsys.readouterr().out)
+        assert len(outputs) == 1
+        usage[argv] = json.loads(outputs.pop())["usage"]
+    assert "vertex NAME free INT" in [line.strip() for line in usage[("--help",)].splitlines()]
+
+
 def test_closed_stdout_exits_quietly(tmp_path):
     path = write(tmp_path, "t.gog", TREFOIL_TEXT)
     read_end, write_end = os.pipe()
