@@ -16,17 +16,26 @@ through the stable-letter images of the parametrization.
 This module owns the groupoid and everything read off it in one pass:
 spanning-forest potentials, the connected components (which are the
 edge-image equivalence classes), and per component either its first
-unbalanced cycle in arc order or balance.  Each fact is stored once: a
-class holds its verdict, and an unbalanced verdict holds the pass's
-attachment data, which ``certify`` reads.  Graph, edge and class verdicts
-are all lookups into that pass.
+unbalanced cycle in arc order or balance.  The pass runs on integer ids:
+the sorted nodes are numbered 0..N-1 once, and adjacency, potentials, tree
+arcs and component roots are lists indexed by id.  A potential is the
+absolute value of a product of arc weights, kept as a gcd-reduced pair of
+positive integers, and an arc is balanced when cross-multiplying it with
+the potentials of its ends agrees.  The two arcs of an edge are
+reciprocal, so they are balanced together: each non-tree edge is tested
+once, and an unbalanced one closes its cycle through its +1 arc, the arc
+met first in arc order.  Each fact is stored once: a class holds its
+verdict, and an unbalanced verdict holds the pass's attachment data,
+which ``certify`` reads.  Graph, edge and class verdicts are all lookups
+into that pass.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
+from typing import NamedTuple
 
 from . import dihedral as dih
 from . import freewords as fw
@@ -46,8 +55,7 @@ SIDES = ("source", "target")
 Occurrence = tuple[str, str]  # (edge id, "source"|"target")
 
 
-@dataclass(frozen=True)
-class GroupoidNode:
+class GroupoidNode(NamedTuple):
     vertex: str
     root: tuple  # letter tuple of the canonical root
 
@@ -58,17 +66,12 @@ class GroupoidNode:
         )
 
 
-@dataclass(frozen=True)
-class GroupoidArc:
+class GroupoidArc(NamedTuple):
     src: GroupoidNode
     dst: GroupoidNode
     weight: Fraction
     label: str  # edge id
     sign: int  # traversal orientation: +1 from the target-side node
-
-
-def invert_arc(arc: GroupoidArc) -> GroupoidArc:
-    return GroupoidArc(arc.dst, arc.src, 1 / arc.weight, arc.label, -arc.sign)
 
 
 @dataclass(frozen=True)
@@ -145,88 +148,97 @@ def build_groupoid(graph: GraphOfGroups) -> RatioGroupoid:
     occurrences = {
         (e.name, side): attachment_data(graph, e.name, side) for e in graph.edges for side in SIDES
     }
-    nodes = sorted({node for node, _, _ in occurrences.values()}, key=GroupoidNode.sort_key)
+    nodes = tuple(sorted({node for node, _, _ in occurrences.values()}, key=GroupoidNode.sort_key))
+    ids = {node: i for i, node in enumerate(nodes)}
     arcs: list[GroupoidArc] = []
+    ends: list[tuple[int, int, int, int]] = []
     for e in graph.edges:
         node_t, n_t, _ = occurrences[(e.name, "target")]
         node_s, n_s, _ = occurrences[(e.name, "source")]
-        fwd = GroupoidArc(src=node_t, dst=node_s, weight=Fraction(n_s, n_t), label=e.name, sign=1)
-        arcs.append(fwd)
-        arcs.append(invert_arc(fwd))
-    return _decide(tuple(nodes), tuple(arcs), occurrences)
+        arcs.append(GroupoidArc(node_t, node_s, Fraction(n_s, n_t), e.name, 1))
+        arcs.append(GroupoidArc(node_s, node_t, Fraction(n_t, n_s), e.name, -1))
+        ends.append((ids[node_t], ids[node_s], abs(n_t), abs(n_s)))
+    return _decide(nodes, tuple(arcs), ends, occurrences, ids)
 
 
-def _decide(nodes, arcs, occurrences) -> RatioGroupoid:
+def _decide(nodes, arcs, ends, occurrences, ids) -> RatioGroupoid:
     """One pass: a BFS forest with potentials (each component rooted at its
-    least node), then one scan of the arcs in order.  A non-tree arc whose
+    least node), then one scan of the edges in order.  A non-tree edge whose
     weight disagrees in absolute value with the potentials closes the
     component's first unbalanced cycle; the first of those overall decides
-    the graph."""
-    adj: dict[GroupoidNode, list[GroupoidArc]] = {n: [] for n in nodes}
-    for arc in arcs:
-        adj[arc.src].append(arc)
-    potential: dict[GroupoidNode, Fraction] = {}
-    tree_arc: dict[GroupoidNode, GroupoidArc] = {}
-    root_of: dict[GroupoidNode, GroupoidNode] = {}
-    for start in nodes:
-        if start in potential:
-            continue
-        potential[start] = Fraction(1)
-        root_of[start] = start
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for arc in adj[u]:
-                if arc.dst not in potential:
-                    potential[arc.dst] = potential[u] * arc.weight
-                    tree_arc[arc.dst] = arc
-                    root_of[arc.dst] = start
-                    queue.append(arc.dst)
+    the graph.
 
-    def path_from_root(node: GroupoidNode) -> list[GroupoidArc]:
+    Edge k comes in as ends[k] = (target id, source id, |n_t|, |n_s|): arc
+    2k runs from the target node with weight n_s/n_t, arc 2k+1 = 2k ^ 1 is
+    its inverse."""
+    adj: list[list[tuple[int, int, int, int]]] = [[] for _ in nodes]
+    for k, (t, s, n_t, n_s) in enumerate(ends):
+        # (arc, head, |weight| numerator, |weight| denominator), in arc order
+        adj[t].append((2 * k, s, n_s, n_t))
+        adj[s].append((2 * k + 1, t, n_t, n_s))
+    num = [1] * len(nodes)  # |potential| = num / den
+    den = [1] * len(nodes)
+    tree_arc = [-1] * len(nodes)  # arc index into the node, -1 at a root
+    parent = [-1] * len(nodes)
+    root_of = [-1] * len(nodes)
+    for start in range(len(nodes)):
+        if root_of[start] >= 0:
+            continue
+        root_of[start] = start
+        queue = [start]
+        for u in queue:  # the list grows as it is read: a FIFO queue
+            for a, v, p, q in adj[u]:
+                if root_of[v] < 0:
+                    x, y = num[u] * p, den[u] * q
+                    g = gcd(x, y)
+                    num[v], den[v] = x // g, y // g
+                    tree_arc[v], parent[v], root_of[v] = a, u, start
+                    queue.append(v)
+
+    def path_from_root(v: int) -> list[int]:
         chain = []
-        while node in tree_arc:
-            chain.append(tree_arc[node])
-            node = tree_arc[node].src
+        while tree_arc[v] >= 0:
+            chain.append(tree_arc[v])
+            v = parent[v]
         chain.reverse()
         return chain
 
-    first_bad: dict[GroupoidNode, Unbalanced] = {}
+    first_bad: dict[int, Unbalanced] = {}
     verdict: BalanceVerdict = Balanced()
-    for arc in arcs:
-        root = root_of[arc.src]
-        if root in first_bad or tree_arc.get(arc.dst) is arc:
+    for k, (t, s, n_t, n_s) in enumerate(ends):
+        root = root_of[t]
+        # a tree edge agrees with the potential it set
+        if root in first_bad or tree_arc[s] == 2 * k or tree_arc[t] == 2 * k + 1:
             continue
-        if abs(potential[arc.src] * arc.weight) == abs(potential[arc.dst]):
+        if num[t] * n_s * den[s] == num[s] * n_t * den[t]:
             continue
-        cycle = (
-            path_from_root(arc.src)
-            + [arc]
-            + [invert_arc(a) for a in reversed(path_from_root(arc.dst))]
-        )
-        modulus = Fraction(1)
-        for a in cycle:
-            modulus *= a.weight
+        walk = path_from_root(t) + [2 * k] + [a ^ 1 for a in reversed(path_from_root(s))]
+        cycle = tuple(arcs[a] for a in walk)
+        top = bottom = 1
+        for arc in cycle:
+            top *= arc.weight.numerator
+            bottom *= arc.weight.denominator
+        modulus = Fraction(top, bottom)
         if abs(modulus) == 1:
-            raise GoghError(f"internal: cycle through arc {arc.label} is balanced")
-        first_bad[root] = Unbalanced(tuple(cycle), modulus, occurrences)
+            raise GoghError(f"internal: cycle through arc {arcs[2 * k].label} is balanced")
+        first_bad[root] = Unbalanced(cycle, modulus, occurrences)
         if isinstance(verdict, Balanced):
             verdict = first_bad[root]
 
     # occurrences are keyed in sorted order, so each component's members come
     # out sorted and the components come out ordered by least member
-    attachments: dict[GroupoidNode, dict] = {}
+    attachments: dict[int, dict] = {}
     for occ, data in occurrences.items():
-        attachments.setdefault(root_of[data[0]], {})[occ] = data
-    class_nodes: dict[GroupoidNode, list[GroupoidNode]] = {}
-    for node in nodes:
-        class_nodes.setdefault(root_of[node], []).append(node)
+        attachments.setdefault(root_of[ids[data[0]]], {})[occ] = data
+    class_nodes: dict[int, list[GroupoidNode]] = {}
+    for i, node in enumerate(nodes):
+        class_nodes.setdefault(root_of[i], []).append(node)
     position = {root: i for i, root in enumerate(attachments)}
     return RatioGroupoid(
         nodes=nodes,
         arcs=arcs,
         occurrences=occurrences,
-        component={node: position[root_of[node]] for node in nodes},
+        component={node: position[root_of[i]] for i, node in enumerate(nodes)},
         classes=tuple(
             EdgeClass(i, attachments[r], tuple(class_nodes[r]), first_bad.get(r, Balanced()))
             for i, r in enumerate(attachments)

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,14 @@ import pytest
 from conftest import random_graph, random_tree_graph, relabel_graph
 import gogh.balance
 from gogh.balance import (
+    SIDES,
     Balanced,
+    EdgeClass,
+    GroupoidArc,
+    GroupoidNode,
     OracleBalancedWithinBounds,
     OracleUnbalanced,
+    RatioGroupoid,
     Unbalanced,
     attachment_data,
     brute_force_balance_oracle,
@@ -111,6 +117,118 @@ def test_pass_emits_edge_arcs_in_order_and_class_attachments():
                 assert data == attachment_data(graph, *occ)
             assert cls.nodes == tuple(n for n in g.nodes if g.component[n] == cls.index)
     assert {DihedralInfinite(), Free(1), Free(2)} <= kinds
+
+
+def _reference_groupoid(graph):
+    """The groupoid pass written with node-keyed dicts and Fraction
+    potentials, testing both arcs of every edge: the reference the
+    id-indexed pass must reproduce field for field."""
+    occurrences = {
+        (e.name, side): attachment_data(graph, e.name, side) for e in graph.edges for side in SIDES
+    }
+    nodes = tuple(sorted({node for node, _, _ in occurrences.values()}, key=GroupoidNode.sort_key))
+
+    def invert(arc):
+        return GroupoidArc(arc.dst, arc.src, 1 / arc.weight, arc.label, -arc.sign)
+
+    arcs = []
+    for e in graph.edges:
+        node_t, n_t, _ = occurrences[(e.name, "target")]
+        node_s, n_s, _ = occurrences[(e.name, "source")]
+        fwd = GroupoidArc(node_t, node_s, Fraction(n_s, n_t), e.name, 1)
+        arcs += [fwd, invert(fwd)]
+    adj = {n: [] for n in nodes}
+    for arc in arcs:
+        adj[arc.src].append(arc)
+    potential, tree_arc, root_of = {}, {}, {}
+    for start in nodes:
+        if start in potential:
+            continue
+        potential[start] = Fraction(1)
+        root_of[start] = start
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for arc in adj[u]:
+                if arc.dst not in potential:
+                    potential[arc.dst] = potential[u] * arc.weight
+                    tree_arc[arc.dst] = arc
+                    root_of[arc.dst] = start
+                    queue.append(arc.dst)
+
+    def path_from_root(node):
+        chain = []
+        while node in tree_arc:
+            chain.append(tree_arc[node])
+            node = tree_arc[node].src
+        return chain[::-1]
+
+    first_bad = {}
+    verdict = Balanced()
+    for arc in arcs:
+        root = root_of[arc.src]
+        if root in first_bad or tree_arc.get(arc.dst) is arc:
+            continue
+        if abs(potential[arc.src] * arc.weight) == abs(potential[arc.dst]):
+            continue
+        cycle = (
+            path_from_root(arc.src) + [arc] + [invert(a) for a in reversed(path_from_root(arc.dst))]
+        )
+        modulus = Fraction(1)
+        for a in cycle:
+            modulus *= a.weight
+        first_bad[root] = Unbalanced(tuple(cycle), modulus, occurrences)
+        if isinstance(verdict, Balanced):
+            verdict = first_bad[root]
+    attachments, class_nodes = {}, {}
+    for occ, data in occurrences.items():
+        attachments.setdefault(root_of[data[0]], {})[occ] = data
+    for node in nodes:
+        class_nodes.setdefault(root_of[node], []).append(node)
+    position = {root: i for i, root in enumerate(attachments)}
+    return RatioGroupoid(
+        nodes=nodes,
+        arcs=tuple(arcs),
+        occurrences=occurrences,
+        component={node: position[root_of[node]] for node in nodes},
+        classes=tuple(
+            EdgeClass(i, attachments[r], tuple(class_nodes[r]), first_bad.get(r, Balanced()))
+            for i, r in enumerate(attachments)
+        ),
+        verdict=verdict,
+    )
+
+
+def test_pass_matches_the_reference_pass():
+    """Equal nodes, arcs, occurrences, components, classes (with their
+    verdicts) and graph verdict, on seeded graphs with dihedral, rank-1 and
+    rank-2 vertices, balanced and unbalanced components side by side."""
+    rng = random.Random(97)
+    kinds = set()
+    seen = {"unbalanced": 0, "balanced": 0, "mixed": 0, "long cycle": 0}
+    for i in range(600):
+        graph = random_graph(
+            rng, v_max=4 + i % 5, e_max=5 + i % 6, exp_max=(1, 2, 5)[i % 3], rank2_prob=0.3
+        )
+        kinds.update(kind for _, kind in graph.vertices)
+        got, want = build_groupoid(graph), _reference_groupoid(graph)
+        assert got.nodes == want.nodes
+        assert got.arcs == want.arcs
+        assert got.occurrences == want.occurrences
+        assert got.component == want.component
+        assert got.classes == want.classes
+        assert type(got.verdict) is type(want.verdict)
+        if isinstance(want.verdict, Unbalanced):
+            assert got.verdict.cycle == want.verdict.cycle
+            assert got.verdict.modulus == want.verdict.modulus
+            assert cycle_is_consistent(got.verdict)
+            seen["long cycle"] += len(want.verdict.cycle) >= 3
+        verdicts = {type(cls.verdict) for cls in want.classes}
+        seen["unbalanced"] += Unbalanced in verdicts
+        seen["balanced"] += Balanced in verdicts
+        seen["mixed"] += verdicts == {Balanced, Unbalanced}
+    assert {DihedralInfinite(), Free(1), Free(2)} <= kinds
+    assert min(seen.values()) >= 20, seen
 
 
 # -- group-level balance ----------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from gogh.freewords import (
     primitive_root,
     reduce_letters,
 )
+from gogh.cli import run
 from gogh.model import VertexWord
 
 
@@ -262,3 +264,99 @@ def test_canonical_root_reconstructs(letters):
     root_inv, _, p_inv = canonical_root(W(*inv_letters(w.letters)))
     assert root_inv == root
     assert p_inv == -p
+
+
+# -- canonical roots against the quadratic rotation scan -----------------------------
+
+
+def quadratic_canonical_root(word):
+    """Every rotation of the primitive root and of its inverse, keyed letter by
+    letter by (generator, sign, size), the least kept, the root first on a tie:
+    O(L^2), the reference for Booth's least rotation."""
+    rd = primitive_root(word)
+    best = None
+    for source, flip in ((rd.root.letters, 1), (inv_letters(rd.root.letters), -1)):
+        for i in range(len(source)):
+            rot = source[i:] + source[:i]
+            key = tuple((g, 0 if e > 0 else 1, abs(e)) for g, e in rot)
+            if best is None or key < best[0]:
+                best = (key, rot, flip, source[:i])
+    _, rot, flip, prefix = best
+    return W(*rot), W(*mul_letters(rd.conjugator.letters, prefix)), rd.exponent * flip
+
+
+def _random_reduced(rng, length, gens=3, exp_max=3):
+    letters = []
+    while len(letters) < length:
+        g = rng.randint(1, gens)
+        if not letters or letters[-1][0] != g:
+            letters.append((g, rng.choice([e for e in range(-exp_max, exp_max + 1) if e])))
+    return tuple(letters)
+
+
+def _seeded_words(rng):
+    for _ in range(150):  # mixed exponents over three generators
+        yield W(*_random_reduced(rng, rng.randint(1, 12)))
+    for _ in range(100):  # proper powers, some conjugated
+        base = free_reduce(W(*_random_reduced(rng, rng.randint(1, 5), gens=2, exp_max=2)))
+        word = W(*pow_letters(base.letters, rng.choice([2, 3, 4, -2, -3])))
+        if rng.random() < 0.5:
+            word = conj(W(*_random_reduced(rng, rng.randint(1, 3))), word)
+        yield word
+    for _ in range(50):  # single-generator words, some conjugated
+        word = W((rng.randint(1, 3), rng.choice([-5, -2, -1, 1, 3, 7])))
+        yield conj(W(*_random_reduced(rng, rng.randint(0, 3))), word)
+    # commutators and their relatives: the inverse of each is built from the
+    # same letters in another order, so its rotations share long prefixes
+    # with the word's own
+    a, b, c = (1, 1), (2, 1), (3, 1)
+    A, B, C = (1, -1), (2, -1), (3, -1)
+    for letters in (
+        (a, b, A, B),
+        (b, a, B, A),
+        (a, b, A, B) * 3,
+        (a, b, A, B, b, a, B, A),
+        (a, b, c, A, B, C),
+        (a, b, A, B, c),
+        (a, B, A, b),
+        ((1, 2), (2, 3), (1, -2), (2, -3)),
+    ):
+        yield W(*letters)
+        yield conj(W(c), W(*letters))
+
+
+def test_canonical_root_matches_the_quadratic_scan():
+    """Also: the root and inverse scans never tie, since a nontrivial
+    element of a free group is not conjugate to its inverse."""
+    rng = random.Random(2024)
+    count = 0
+    for word in _seeded_words(rng):
+        word = free_reduce(word)
+        if word.is_identity:
+            continue
+        assert canonical_root(word) == quadratic_canonical_root(word), word
+        root = primitive_root(word).root.letters
+        inverse = inv_letters(root)
+        assert all(inverse[i:] + inverse[:i] != root for i in range(len(root)))
+        count += 1
+    assert count >= 300
+
+
+def test_long_attachments_stay_linear(tmp_path):
+    """`verdict` on two 8000-letter attachments: the rotation scan alone was
+    O(L^2) and took over a minute."""
+    rng = random.Random(8000)
+    letters = _random_reduced(rng, 8000, gens=2, exp_max=1)
+    word = " ".join(f"v.{g}^{e}" for g, e in letters)
+    path = tmp_path / "long.gog"
+    path.write_text(
+        "vertex u free 1\nvertex v free 2\n"
+        f'edge a from=v to=u img_from="{word}" img_to="u.1^2"\n'
+        f'edge b from=v to=u img_from="{word}" img_to="u.1^3"\n',
+        encoding="utf-8",
+    )
+    start = time.perf_counter()
+    code, payload = run(["verdict", str(path)])
+    elapsed = time.perf_counter() - start
+    assert code == 0 and payload["status"] == "NotHHG" and payload["verified"]
+    assert elapsed < 2.0, elapsed
