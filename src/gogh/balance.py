@@ -37,7 +37,6 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from . import dihedral as dih
 from . import freewords as fw
 from .model import DIHEDRAL_R, DihedralInfinite, GoghError, GraphOfGroups, VertexWord
 from .words import (
@@ -131,9 +130,9 @@ def attachment_data(graph: GraphOfGroups, edge: str, side: str):
     word = e.attachment_source if side == "source" else e.attachment_target
     kind = graph.kind(word.vertex)
     if isinstance(kind, DihedralInfinite):
-        el = dih.word_to_element(word)
+        # validation admits exactly ((r, k),) as a dihedral attachment
         node = GroupoidNode(word.vertex, ((DIHEDRAL_R, 1),))
-        return node, el.k, VertexWord(word.vertex, ())
+        return node, word.letters[0][1], VertexWord(word.vertex, ())
     root, conj, n = fw.canonical_root(word)
     return GroupoidNode(word.vertex, root.letters), n, conj
 

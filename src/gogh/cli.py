@@ -23,6 +23,7 @@ an internal error exits 3 with one.  Verdicts are data, not exit codes.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import re
@@ -74,7 +75,8 @@ _EDGE_RE = re.compile(
 _LETTER_RE = re.compile(rf"^({_NAME})\.(\d+|r|s|t)(\^(-?\d+))?$")
 # The text before the first "#" outside double quotes; an unterminated
 # quote runs to the end of the line.
-_CODE_RE = re.compile(r'(?:[^"#]|"[^"]*"?)*')
+_CODE_RE = re.compile(r'[^"#]*(?:"[^"]*"?[^"#]*)*')
+_TOKEN_RE = re.compile(r"\S+")
 
 
 def parse_letter(text: str, line: int = 0, column: int = 1):
@@ -92,7 +94,7 @@ def parse_letter(text: str, line: int = 0, column: int = 1):
 
 def _scan_letters(text: str, line: int):
     """(piece, 1-based column, token) of each letter of a word text."""
-    for m in re.finditer(r"\S+", text):
+    for m in _TOKEN_RE.finditer(text):
         piece, column = m.group(), m.start() + 1
         yield piece, column, parse_letter(piece, line, column)
 
@@ -429,7 +431,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def run(argv) -> tuple[int, dict]:
     """(exit code, JSON object): 0 for a result, 2 for bad input (command
-    line, files, text, names), 3 for an internal error."""
+    line, files, text, names), 3 for an internal error.
+
+    The cyclic garbage collector is paused for the command and switched
+    back on afterwards only if it was on before.  Reference counting frees
+    the graph, groupoid and certificate data, which hold no cycles; the
+    only cycles a run leaves are its fixed-size argparse tree, which the
+    collector frees once it runs again."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         args = build_arg_parser().parse_args(argv)
         with open(args.file, encoding="utf-8") as fh:
@@ -444,6 +454,9 @@ def run(argv) -> tuple[int, dict]:
     except Exception as exc:
         traceback.print_exc()
         return 3, {"error": f"internal: {type(exc).__name__}: {exc}", "line": 0, "column": 0}
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def main(argv=None) -> int:

@@ -22,7 +22,8 @@ from gogh.balance import (
     edge_balanced,
     group_balanced,
 )
-from gogh.model import DihedralInfinite, EdgeRecord, Free, GoghError, make_graph
+from gogh.dihedral import word_to_element
+from gogh.model import DIHEDRAL_R, DihedralInfinite, EdgeRecord, Free, GoghError, make_graph
 from gogh.words import SearchBudgetExceeded
 
 
@@ -117,6 +118,29 @@ def test_pass_emits_edge_arcs_in_order_and_class_attachments():
                 assert data == attachment_data(graph, *occ)
             assert cls.nodes == tuple(n for n in g.nodes if g.component[n] == cls.index)
     assert {DihedralInfinite(), Free(1), Free(2)} <= kinds
+
+
+def test_dihedral_exponent_is_the_rotation_of_the_attachment():
+    """The pass reads a dihedral attachment's exponent off its one letter
+    (r, k); the element the word denotes, by the dihedral arithmetic, must
+    be the rotation r^k."""
+    rng = random.Random(131)
+    graphs = occurrences = 0
+    for i in range(200):
+        graph = random_graph(rng, v_max=2 + i % 4, exp_max=(1, 5, 40)[i % 3], rank2_prob=0.0)
+        data = build_groupoid(graph).occurrences
+        found = 0
+        for e in graph.edges:
+            for side, word in zip(SIDES, (e.attachment_source, e.attachment_target)):
+                if isinstance(graph.kind(word.vertex), DihedralInfinite):
+                    node, k, conj = data[(e.name, side)]
+                    assert k == word_to_element(word).k, (e.name, side, word)
+                    assert node == GroupoidNode(word.vertex, ((DIHEDRAL_R, 1),))
+                    assert conj.is_identity
+                    found += 1
+        graphs += found > 0
+        occurrences += found
+    assert graphs >= 100 and occurrences >= 300, (graphs, occurrences)
 
 
 def _reference_groupoid(graph):

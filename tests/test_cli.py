@@ -1,6 +1,8 @@
+import gc
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -8,6 +10,8 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     BS32_TEXT,
@@ -58,6 +62,16 @@ def test_comment_starts_at_first_hash_outside_quotes():
     assert g.edge_ids() == ("e",)
     unterminated = head + 'img_from="v.1^3 # x'
     assert _CODE_RE.match(unterminated).group() == unterminated
+
+
+# one regex step per character: the reference for the unrolled _CODE_RE
+_CODE_RE_REFERENCE = re.compile(r'(?:[^"#]|"[^"]*"?)*')
+
+
+@settings(max_examples=1000)
+@given(st.text(alphabet='ab "#\t.', max_size=40))
+def test_code_pattern_matches_the_reference_prefix(text):
+    assert _CODE_RE.match(text).group() == _CODE_RE_REFERENCE.match(text).group()
 
 
 def test_letter_syntax():
@@ -318,6 +332,114 @@ def test_internal_error_exit_3(tmp_path, monkeypatch, capsys):
     code, out = run(["check", write(tmp_path, "t.gog", TREFOIL_TEXT)])
     assert (code, out) == (3, {"error": "internal: RuntimeError: boom", "line": 0, "column": 0})
     assert "RuntimeError: boom" in capsys.readouterr().err
+
+
+# -- the collector pause -------------------------------------------------------------
+
+
+def _cycle_text(n, last_exponent=2):
+    """An n-vertex cycle of rank-1 vertices, balanced unless last_exponent != 2."""
+    lines = [f"vertex v{i:03d} free 1" for i in range(n)]
+    for i in range(n):
+        j = (i + 1) % n
+        k = last_exponent if i == n - 1 else 2
+        lines.append(
+            f'edge e{i:03d} from=v{i:03d} to=v{j:03d} '
+            f'img_from="v{i:03d}.1^2" img_to="v{j:03d}.1^{k}"'
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _runs_on_every_path(tmp_path, tag, text, vertex, edge):
+    """(argv, exit code) of the eight commands, a bad file and a help request."""
+    path = write(tmp_path, f"{tag}.gog", text)
+    bad = write(tmp_path, f"{tag}-bad.gog", text + "bogus\n")
+    commands = [
+        ["check", path],
+        ["reduce", path, "--word", f"{vertex}.1^2"],
+        ["balance", path],
+        ["conjgraph", path, "--class-of", edge],
+        ["parametrize", path],
+        ["verdict", path],
+        ["witness", path],
+        ["distortion", path, "--depth", "2"],
+    ]
+    return [(argv, 0) for argv in commands] + [
+        (["verdict", bad], 2),
+        (["verdict", path, "--help"], 0),
+    ]
+
+
+def _cyclic_garbage(argv):
+    """(exit code, objects the collector finds after one run), with the
+    collector off throughout so that no automatic collection runs between."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        code, _ = run(argv)
+        return code, gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_cyclic_garbage_of_a_run_does_not_grow_with_the_input(tmp_path):
+    """The premise of pausing the collector during a run: what only the
+    collector can free is a fixed-size structure (the argparse tree), the
+    same for two vertices as for four hundred, on every path out of run,
+    and the same for a one-pinch word as for a two-hundred-pinch one."""
+    pairs = [
+        ((TREFOIL_TEXT, "u", "e"), (_cycle_text(400), "v000", "e000")),
+        ((BS32_TEXT, "v", "e"), (_cycle_text(400, last_exponent=3), "v000", "e000")),
+    ]
+    for n, (small, large) in enumerate(pairs):
+        for (small_argv, code), (large_argv, _) in zip(
+            _runs_on_every_path(tmp_path, f"small{n}", *small),
+            _runs_on_every_path(tmp_path, f"large{n}", *large),
+        ):
+            want = _cyclic_garbage(small_argv)
+            assert want[0] == code and want[1] > 0, small_argv
+            assert _cyclic_garbage(large_argv) == want, large_argv
+    # the same for traffic that grows with the word rather than the graph:
+    # Britton reduction through 200 pinches, a word stuck after one pinch,
+    # an 800-letter word, and a deeper distortion table
+    bs = write(tmp_path, "bs.gog", BS32_TEXT)
+    want = _cyclic_garbage(["reduce", bs, "--word", "e.t v.1^2 e.t^-1"])
+    assert want[0] == 0 and want[1] > 0
+    for argv in (
+        ["reduce", bs, "--word", f"e.t^200 v.1^{2 ** 200} e.t^-200"],
+        ["reduce", bs, "--word", "e.t^200 v.1^2 e.t^-200"],
+        ["reduce", bs, "--word", " ".join(["e.t v.1 e.t^-1 v.1^-1"] * 200)],
+        ["distortion", bs, "--depth", "40"],
+    ):
+        assert _cyclic_garbage(argv) == want, argv
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_restores_the_collector_state(tmp_path, monkeypatch, capsys, enabled):
+    path = write(tmp_path, "t.gog", TREFOIL_TEXT)
+    bad = write(tmp_path, "bad.gog", "vertex broken\n")
+
+    def broken(graph, args):
+        raise RuntimeError("boom")
+
+    was = gc.isenabled()
+    try:
+        for argv, code in (
+            (["verdict", path], 0),
+            (["check", bad], 2),
+            (["--help"], 0),
+            (["check", path], 3),
+        ):
+            if code == 3:
+                monkeypatch.setattr(gogh.cli, "_cmd_check", broken)
+            gc.enable() if enabled else gc.disable()
+            assert run(argv)[0] == code
+            assert gc.isenabled() is enabled, argv
+    finally:
+        gc.enable() if was else gc.disable()
+    capsys.readouterr()
 
 
 # -- JSON rendering -----------------------------------------------------------------

@@ -306,6 +306,10 @@ def _seeded_words(rng):
     for _ in range(50):  # single-generator words, some conjugated
         word = W((rng.randint(1, 3), rng.choice([-5, -2, -1, 1, 3, 7])))
         yield conj(W(*_random_reduced(rng, rng.randint(0, 3))), word)
+    for g in (1, 2, 3):  # one-letter words of both signs, bare and conjugated
+        for e in (1, -1, 4, -4):
+            yield W((g, e))
+            yield conj(W((g % 3 + 1, 1), ((g + 1) % 3 + 1, -2)), W((g, e)))
     # commutators and their relatives: the inverse of each is built from the
     # same letters in another order, so its rotations share long prefixes
     # with the word's own
