@@ -32,7 +32,7 @@ import traceback
 from fractions import Fraction
 from functools import partial
 
-from .balance import Balanced, Unbalanced, build_groupoid, group_balanced
+from .balance import Balanced, build_groupoid, group_balanced
 from .certify import almost_bs_witness, distortion_certificate
 from .conjgraph import build_conjugacy_graph, class_of_edge
 from .model import (
@@ -46,7 +46,7 @@ from .model import (
     VertexWord,
     make_graph,
 )
-from .parametrize import HHG, hhg_verdict, parametrize
+from .parametrize import HHG, hhg_verdict, parametrize, require_two_ended
 from .words import (
     britton_reduce,
     display_tokens,
@@ -337,19 +337,13 @@ def _cmd_verdict(graph: GraphOfGroups, args) -> dict:
 
 
 def _cmd_parametrize(graph: GraphOfGroups, args) -> dict:
-    result = parametrize(graph)
-    if isinstance(result, Unbalanced):
-        witness = almost_bs_witness(graph, result)
-        return {
-            "status": "NotHHG",
-            "witness": _witness_json(graph, witness),
-            "verified": True,
-        }
-    return {
-        "status": "HHG",
-        "certificates": [{"class": 0, "phi": _phi_json(result)}],
-        "verified": True,
-    }
+    require_two_ended(graph)
+    if not graph.edges:  # a lone vertex has no edge class to certify
+        phi = _phi_json(parametrize(graph))
+        return {"status": "HHG", "certificates": [{"class": 0, "phi": phi}], "verified": True}
+    out = _verdict_json(graph, hhg_verdict(graph))  # verdict's object without "edge"
+    out.pop("edge", None)
+    return out
 
 
 def _cmd_witness(graph: GraphOfGroups, args) -> dict:

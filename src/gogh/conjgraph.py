@@ -57,6 +57,18 @@ def build_conjugacy_graph(graph: GraphOfGroups, cls: EdgeClass) -> ConjugacyGrap
     that vertex, so rebuilding is deterministic.  The attachment data and
     the nodes are the ones the groupoid pass recorded on the class.
     """
+    if not all(isinstance(kind, DihedralInfinite) or kind.rank == 1 for _, kind in graph.vertices):
+        return _derived_conjugacy_graph(graph, cls)
+    # A connected graph of 2-ended groups with an edge has one class: one node
+    # per vertex, rooted at its generator (v.1 or d.r), no conjugators, root
+    # exponents equal to the input's.  So the input is its own derived graph.
+    origin = {node.vertex: (node.vertex, VertexWord(node.vertex, node.root)) for node in cls.nodes}
+    conjugators = {occ: g for occ, (_, _, g) in cls.attachments.items()}
+    return ConjugacyGraph(graph, cls, origin, conjugators)
+
+
+def _derived_conjugacy_graph(graph: GraphOfGroups, cls: EdgeClass) -> ConjugacyGraph:
+    """The derived graph of any class, built node by node."""
     names: dict[GroupoidNode, str] = {}
     taken: set[str] = set()
     by_vertex: dict[str, list[GroupoidNode]] = {}
@@ -74,37 +86,28 @@ def build_conjugacy_graph(graph: GraphOfGroups, cls: EdgeClass) -> ConjugacyGrap
     vertex_origin = {}
     for node in cls.nodes:
         kind = graph.kind(node.vertex)
-        derived_kind = DihedralInfinite() if isinstance(kind, DihedralInfinite) else Free(1)
-        vertices.append((names[node], derived_kind))
+        vertices.append((names[node], kind if isinstance(kind, DihedralInfinite) else Free(1)))
         vertex_origin[names[node]] = (node.vertex, VertexWord(node.vertex, node.root))
 
-    def derived_attachment(derived_vertex: str, node: GroupoidNode, n: int) -> VertexWord:
-        if isinstance(graph.kind(node.vertex), DihedralInfinite):
-            return VertexWord(derived_vertex, ((DIHEDRAL_R, n),))
-        return VertexWord(derived_vertex, ((1, n),))
+    def derived_attachment(node: GroupoidNode, n: int) -> VertexWord:
+        gen = DIHEDRAL_R if isinstance(graph.kind(node.vertex), DihedralInfinite) else 1
+        return VertexWord(names[node], ((gen, n),))
 
     edges = []
-    conjugators = {}
     for edge in cls.edge_ids():
-        node_s, n_s, g_s = cls.attachments[(edge, "source")]
-        node_t, n_t, g_t = cls.attachments[(edge, "target")]
-        conjugators[(edge, "source")] = g_s
-        conjugators[(edge, "target")] = g_t
+        node_s, n_s, _ = cls.attachments[(edge, "source")]
+        node_t, n_t, _ = cls.attachments[(edge, "target")]
         edges.append(
             EdgeRecord(
                 name=edge,
                 source=names[node_s],
                 target=names[node_t],
-                attachment_source=derived_attachment(names[node_s], node_s, n_s),
-                attachment_target=derived_attachment(names[node_t], node_t, n_t),
+                attachment_source=derived_attachment(node_s, n_s),
+                attachment_target=derived_attachment(node_t, n_t),
             )
         )
-    return ConjugacyGraph(
-        graph=make_graph(vertices, edges),
-        edge_class=cls,
-        vertex_origin=vertex_origin,
-        attachment_conjugator=conjugators,
-    )
+    conjugators = {occ: g for occ, (_, _, g) in cls.attachments.items()}
+    return ConjugacyGraph(make_graph(vertices, edges), cls, vertex_origin, conjugators)
 
 
 def provenance_holds(graph: GraphOfGroups, cg: ConjugacyGraph) -> bool:

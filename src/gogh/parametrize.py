@@ -8,7 +8,8 @@ denominators cleared; the result is never trusted but re-verified relation
 by relation, once.  The global verdict reads balance and the edge-image
 classes off one ratio-groupoid pass and assembles one verified
 parametrization per class, or reports an unbalanced edge plus an explicit
-almost Baumslag-Solitar witness.
+almost Baumslag-Solitar witness.  A connected graph of 2-ended groups with
+an edge is its own single class: its verdict is its parametrization.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class LinearParametrization:
         return self._stable_map.get(edge, dih.IDENTITY)
 
 
-def _require_two_ended(graph: GraphOfGroups) -> None:
+def require_two_ended(graph: GraphOfGroups) -> None:
     for name, kind in graph.vertices:
         if isinstance(kind, Free) and kind.rank != 1:
             raise NotTwoEnded(f"vertex {name} is free of rank {kind.rank}")
@@ -81,7 +82,7 @@ def parametrize(graph: GraphOfGroups) -> LinearParametrization | Unbalanced:
     Returns the unbalanced verdict instead whenever some groupoid cycle
     obstructs the construction.
     """
-    _require_two_ended(graph)
+    require_two_ended(graph)
     verdict = group_balanced(graph)
     if isinstance(verdict, Unbalanced):
         return verdict
@@ -233,10 +234,11 @@ def hhg_verdict(graph: GraphOfGroups) -> Verdict:
 
     Balance and the edge classes are read off one groupoid pass.  A
     balanced graph yields one linear parametrization per edge class, built
-    on the class's derived graph (whose groupoid is that balanced component,
-    so balance is not decided again) and verified once; otherwise the
-    offending edge is reported together with a re-verified non-Euclidean
-    almost Baumslag-Solitar witness.  The graph was validated when built.
+    on the class's derived graph (the input itself for a graph of 2-ended
+    groups; its groupoid is that balanced component, so balance is not
+    decided again) and verified once on that graph; otherwise the offending
+    edge is reported with a re-verified non-Euclidean almost Baumslag-Solitar
+    witness.  The graph was validated when built.
     """
     groupoid = build_groupoid(graph)
     verdict = groupoid.verdict

@@ -24,6 +24,7 @@ from conftest import (
 import gogh.cli
 from gogh.cli import _CODE_RE, ParseError, main, parse, parse_letter, render_json, run, serialize
 from gogh.model import ValidationError
+from gogh.parametrize import HHG, hhg_verdict, parametrize
 
 
 def write(tmp_path, name, text):
@@ -208,6 +209,53 @@ def test_parametrize_command(tmp_path):
     assert out["certificates"][0]["phi"] == {"u.1": [0, 3], "v.1": [0, 2]}
     code, out = run(["parametrize", write(tmp_path, "f.gog", F2_EXAMPLE_TEXT)])
     assert code == 2  # rank-two vertex is not 2-ended
+
+
+@pytest.mark.parametrize(
+    "decl, code, stdout",
+    [
+        (
+            "vertex v free 1",
+            0,
+            '{"certificates":[{"class":0,"phi":{"v.1":[0,1]}}],"status":"HHG","verified":true}',
+        ),
+        (
+            "vertex d dihedral",
+            0,
+            '{"certificates":[{"class":0,"phi":{"d.r":[0,1],"d.s":[1,0]}}],"status":"HHG","verified":true}',
+        ),
+        ("vertex v free 2", 2, '{"column":0,"error":"vertex v is free of rank 2","line":0}'),
+    ],
+)
+def test_parametrize_on_a_lone_vertex(tmp_path, decl, code, stdout):
+    """No edge, no edge class: the lone vertex still gets its certificate."""
+    got_code, payload = run(["parametrize", write(tmp_path, "v.gog", decl + "\n")])
+    assert (got_code, render_json(payload)) == (code, stdout)
+
+
+def test_parametrize_is_verdict_on_two_ended_graphs(tmp_path):
+    """On a graph of 2-ended groups with an edge, the parametrize command
+    prints verdict's object without "edge", and the library parametrization
+    is the verdict's one certificate, or its unbalanced cycle."""
+    rng = random.Random(107)
+    statuses = []
+    for i in range(120):
+        g = random_graph(rng, rank2_prob=0.0)
+        if not g.edges:
+            continue
+        path = write(tmp_path, f"g{i}.gog", serialize(g))
+        code_p, out_p = run(["parametrize", path])
+        code_v, out_v = run(["verdict", path])
+        out_v.pop("edge", None)
+        assert (code_p, render_json(out_p)) == (code_v, render_json(out_v))
+        verdict = hhg_verdict(g)
+        if isinstance(verdict, HHG):
+            (cert,) = verdict.certificates
+            assert parametrize(g) == cert.phi
+        else:
+            assert parametrize(g) == verdict.verdict
+        statuses.append(verdict.status)
+    assert statuses.count("HHG") >= 20 and statuses.count("NotHHG") >= 20
 
 
 def test_conjgraph_command(tmp_path):

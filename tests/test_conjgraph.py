@@ -1,9 +1,10 @@
 import random
 
-from conftest import random_graph
+from conftest import random_graph, random_tree_graph
 from gogh.balance import Unbalanced, edge_balanced, group_balanced
 from gogh.cli import parse, serialize
 from gogh.conjgraph import (
+    _derived_conjugacy_graph,
     build_conjugacy_graph,
     class_of_edge,
     edge_classes,
@@ -140,3 +141,34 @@ def test_classes_partition_occurrences():
             seen.extend(cls.members)
         expected = sorted((e, side) for e in g.edge_ids() for side in ("source", "target"))
         assert sorted(seen) == expected
+
+
+def test_two_ended_graph_is_its_own_derived_graph():
+    """A connected graph of rank-1 and dihedral vertices with an edge is
+    returned as its own derived graph, with the provenance the general
+    construction computes."""
+    rng = random.Random(97)
+    verdicts = []
+    for i in range(240):
+        # trees are balanced; graphs with cycles mostly are not
+        g = random_tree_graph(rng) if i % 4 == 0 else random_graph(rng, rank2_prob=0.0)
+        if not g.edges:
+            continue
+        (cls,) = edge_classes(g)
+        cg = build_conjugacy_graph(g, cls)
+        general = _derived_conjugacy_graph(g, cls)
+        assert cg.graph is g
+        assert general.graph == g
+        assert cg.vertex_origin == general.vertex_origin
+        assert cg.attachment_conjugator == general.attachment_conjugator
+        assert provenance_holds(g, cg)
+        verdicts.append(isinstance(cls.verdict, Unbalanced))
+    assert len(verdicts) >= 200
+    assert verdicts.count(True) >= 50 and verdicts.count(False) >= 50
+
+
+def test_rank_two_vertex_gets_a_new_derived_graph(f2_example):
+    (cls,) = edge_classes(f2_example)
+    cg = build_conjugacy_graph(f2_example, cls)
+    assert cg.graph is not f2_example
+    assert cg.graph == _derived_conjugacy_graph(f2_example, cls).graph

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 import gogh.model
-from conftest import TREFOIL_TEXT, random_graph, random_tree_graph
+from conftest import F2_EXAMPLE_TEXT, TREFOIL_TEXT, random_graph, random_tree_graph
 from gogh.cli import parse, run, serialize
 from gogh.model import (
     DihedralInfinite,
@@ -83,9 +83,31 @@ def test_direct_construction_validates():
     assert err.value.code == "DuplicateVertex"
 
 
-@pytest.mark.parametrize("command, calls", [("verdict", 2), ("parametrize", 1)])
-def test_validation_runs_once_per_graph(tmp_path, monkeypatch, command, calls):
-    """verdict builds the input and one derived graph; parametrize only the input."""
+# a rank-2 loop whose two sides are conjugate: balanced, so HHG
+F2_BALANCED_TEXT = """\
+vertex v free 2
+edge e from=v to=v img_from="v.1^2" img_to="v.2 v.1^2 v.2^-1"
+"""
+
+
+@pytest.mark.parametrize(
+    "command, fixture, calls",
+    [
+        ("verdict", "trefoil", 1),
+        ("parametrize", "trefoil", 1),
+        ("conjgraph", "trefoil", 1),
+        ("verdict", "f2_example", 1),
+        ("conjgraph", "f2_example", 2),
+        ("verdict", "f2_balanced", 2),
+    ],
+)
+def test_validation_runs_once_per_graph(tmp_path, monkeypatch, command, fixture, calls):
+    """Every graph is validated once, when it is built.  The trefoil is a
+    graph of 2-ended groups, so it is its own derived graph and only the
+    input is built.  A rank-2 vertex gets one new derived graph wherever a
+    class is certified or printed: verdict on the unbalanced f2_example
+    certifies none, conjgraph prints one, and verdict on f2_balanced
+    certifies one."""
     seen = []
     original = gogh.model.validate
 
@@ -98,9 +120,10 @@ def test_validation_runs_once_per_graph(tmp_path, monkeypatch, command, calls):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "gogh" and getattr(module, "validate", None) is original:
             monkeypatch.setattr(module, "validate", counting)
-    path = tmp_path / "trefoil.gog"
-    path.write_text(TREFOIL_TEXT)
-    code, _ = run([command, str(path)])
+    path = tmp_path / f"{fixture}.gog"
+    texts = {"trefoil": TREFOIL_TEXT, "f2_example": F2_EXAMPLE_TEXT, "f2_balanced": F2_BALANCED_TEXT}
+    path.write_text(texts[fixture])
+    code, _ = run([command, str(path)] + (["--class-of", "e"] if command == "conjgraph" else []))
     assert code == 0
     assert len(seen) == calls
 
