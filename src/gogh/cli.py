@@ -73,6 +73,9 @@ _EDGE_RE = re.compile(
     rf'^edge\s+({_NAME})\s+from=({_NAME})\s+to=({_NAME})\s+img_from="([^"]*)"\s+img_to="([^"]*)"\s*$'
 )
 _LETTER_RE = re.compile(rf"^({_NAME})\.(\d+|r|s|t)(\^(-?\d+))?$")
+# A whole attachment text that is one letter `v.k^e` or `v.r^e`, padding
+# allowed: the common case, built without the general word path.
+_ONE_LETTER_RE = re.compile(rf"\s*({_NAME})\.(\d+|r)(?:\^(-?\d+))?\s*")
 # The text before the first "#" outside double quotes; an unterminated
 # quote runs to the end of the line.
 _CODE_RE = re.compile(r'[^"#]*(?:"[^"]*"?[^"#]*)*')
@@ -100,6 +103,18 @@ def _scan_letters(text: str, line: int):
 
 
 def _parse_attachment(text: str, vertex: str, kind, line: int) -> VertexWord:
+    m = _ONE_LETTER_RE.fullmatch(text)
+    if m is not None:
+        owner, gen, exp = m.groups()
+        exponent = parse_int(exp) if exp is not None else 1
+        # a free generator in a free vertex or r in a dihedral one, with a
+        # nonzero exponent, is already the normal form vw_normalize returns;
+        # every other one-letter text takes the general path below
+        if owner == vertex and exponent:
+            if isinstance(kind, Free) and gen != DIHEDRAL_R:
+                return VertexWord(vertex, ((parse_int(gen), exponent),))
+            if isinstance(kind, DihedralInfinite) and gen == DIHEDRAL_R:
+                return VertexWord(vertex, ((DIHEDRAL_R, exponent),))
     letters = []
     for piece, column, tok in _scan_letters(text, line):
         if tok[0] != "g":
@@ -116,8 +131,11 @@ def parse(text: str) -> GraphOfGroups:
     """Parse a graph description; the graph validates itself on construction."""
     vertices: dict[str, object] = {}
     pending_edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _CODE_RE.match(raw).group().strip()
+    # lines end only at \n, \r\n and \r: str.splitlines() also ends them at
+    # \v, \f, \x1c-\x1e, \x85, U+2028 and U+2029, inside comments and words too
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
+        line = (_CODE_RE.match(raw).group() if "#" in raw else raw).strip()
         if not line:
             continue
         if line.startswith("vertex"):

@@ -195,11 +195,17 @@ def _attachment_infinite_order(kind: VertexGroupKind, word: VertexWord) -> bool:
 
 
 def validate(graph: GraphOfGroups) -> None:
-    """Check every model invariant; raise ValidationError on the first failure."""
+    """Check every model invariant; raise ValidationError on the first failure.
+
+    A one-letter attachment that is valid for its vertex (a generator in
+    1..rank of a free group, or the rotation r of a dihedral one, with a
+    nonzero exponent) has infinite order and is accepted at once; every
+    other word goes through the general checks."""
     if not graph.vertices:
         raise ValidationError("DisconnectedGraph", "graph has no vertices")
     names = [name for name, _ in graph.vertices]
-    if names != sorted(names) or len(set(names)) != len(names):
+    kinds = dict(graph.vertices)
+    if names != sorted(names) or len(kinds) != len(names):
         raise ValidationError("DuplicateVertex", "vertex table not canonical")
     for name, kind in graph.vertices:
         if isinstance(kind, Free) and kind.rank < 1:
@@ -207,17 +213,24 @@ def validate(graph: GraphOfGroups) -> None:
     edge_names = [e.name for e in graph.edges]
     if edge_names != sorted(edge_names) or len(set(edge_names)) != len(edge_names):
         raise ValidationError("DuplicateEdge", "edge table not canonical")
-    vertex_set = set(names)
     for e in graph.edges:
         for v in (e.source, e.target):
-            if v not in vertex_set:
+            if v not in kinds:
                 raise ValidationError("UnknownVertex", f"edge {e.name} touches {v!r}")
         if e.attachment_source.vertex != e.source or e.attachment_target.vertex != e.target:
             raise ValidationError(
                 "UnknownVertex", f"edge {e.name} attachment tagged with wrong vertex"
             )
         for side, word in (("source", e.attachment_source), ("target", e.attachment_target)):
-            kind = graph.kind(word.vertex)
+            kind = kinds[word.vertex]
+            if len(word.letters) == 1:
+                gen, exp = word.letters[0]
+                if exp != 0 and (
+                    isinstance(gen, int) and 1 <= gen <= kind.rank
+                    if isinstance(kind, Free)
+                    else gen == DIHEDRAL_R
+                ):
+                    continue
             _check_letters(kind, word)
             if not _attachment_infinite_order(kind, word):
                 raise ValidationError(

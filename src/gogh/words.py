@@ -415,13 +415,28 @@ def display_tokens(graph: GraphOfGroups, tokens, erase_tree: bool = True) -> str
 
 
 def parse_int(numeral: str) -> int:
-    """The integer a signed decimal numeral denotes, of any length: decimal
-    converts exactly and without int()'s process-wide digit limit."""
-    return int(Decimal(numeral))
+    """The integer a signed decimal numeral denotes, of any length.
+
+    int() converts it; decimal takes over where int() raises ValueError,
+    as beyond the interpreter's process-wide digit limit
+    (sys.set_int_max_str_digits).  The value, or the error, is always the
+    one int(Decimal(numeral)) gives."""
+    try:
+        return int(numeral)
+    except ValueError:
+        return int(Decimal(numeral))
 
 
 def int_str(n: int) -> str:
-    """The decimal numeral of n, of any length (see parse_int)."""
+    """The decimal numeral of n, of any length: str() writes it, and
+    decimal beyond the digit limit (see parse_int).  A value that is not
+    exactly an int, such as a bool, is written as str(Decimal(n)) writes
+    it, so True is "1"."""
+    if type(n) is int:
+        try:
+            return str(n)
+        except ValueError:
+            pass
     return str(Decimal(n))
 
 

@@ -71,6 +71,59 @@ def test_unknown_generator_rejected():
     assert err.value.code == "UnknownGenerator"
 
 
+# -- one-letter attachments ---------------------------------------------------------
+
+
+def _general_verdict(kind, word, edge, side):
+    """(code, message) of the checks a word of any length goes through, or None."""
+    try:
+        gogh.model._check_letters(kind, word)
+        if not gogh.model._attachment_infinite_order(kind, word):
+            raise ValidationError(
+                "FiniteOrderAttachment", f"edge {edge} {side} attachment has finite order"
+            )
+    except ValidationError as exc:
+        return exc.code, exc.message
+    return None
+
+
+FREE2, DIHEDRAL = Free(2), DihedralInfinite()
+ONE_LETTER_CASES = [
+    (FREE2, (1, 1), True),
+    (FREE2, (2, -3), True),
+    (FREE2, (True, 1), True),
+    (FREE2, (0, 1), False),
+    (FREE2, (3, 1), False),  # rank + 1
+    (FREE2, (1, 0), False),
+    (FREE2, ("r", 1), False),
+    (FREE2, (1.0, 1), False),
+    (DIHEDRAL, ("r", 5), True),
+    (DIHEDRAL, ("s", 1), False),
+    (DIHEDRAL, ("s", 2), False),
+    (DIHEDRAL, ("r", 0), False),
+    (DIHEDRAL, (1, 1), False),
+]
+
+
+@pytest.mark.parametrize("side", ["source", "target"])
+@pytest.mark.parametrize("kind, letter, valid", ONE_LETTER_CASES)
+def test_one_letter_attachments_get_the_general_verdict(kind, letter, valid, side):
+    """validate accepts a valid one-letter word at once; its verdict on every
+    one-letter word is the one the general checks give."""
+    word = VertexWord("x", (letter,))
+    plain = VertexWord("w", ((1, 1),))
+    src, tgt = (word, plain) if side == "source" else (plain, word)
+    edge = EdgeRecord("e", src.vertex, tgt.vertex, src, tgt)
+    want = _general_verdict(kind, word, "e", side)
+    try:
+        GraphOfGroups((("w", Free(1)), ("x", kind)), (edge,))
+        got = None
+    except ValidationError as exc:
+        got = exc.code, exc.message
+    assert got == want
+    assert (want is None) == valid
+
+
 # -- validation at construction ----------------------------------------------------
 
 

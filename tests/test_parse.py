@@ -1,0 +1,277 @@
+"""The graph-text parser against a reference parser, and its line splitting.
+
+`reference_parse` is the parser as it was before one-letter attachments got
+their own path: every attachment goes through the letter scanner and
+`vw_normalize`, and every numeral through `int(Decimal(...))`.  Its only
+change is the line split, which ends lines at \\n, \\r\\n and \\r alone.
+"""
+
+from __future__ import annotations
+
+import re
+from decimal import Decimal
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import BS32_TEXT, F2_EXAMPLE_TEXT, TREFOIL_TEXT
+from gogh.cli import (
+    _CODE_RE,
+    _EDGE_RE,
+    _NAME,
+    _VERTEX_RE,
+    ParseError,
+    parse,
+)
+from gogh.model import (
+    DIHEDRAL_R,
+    DIHEDRAL_S,
+    DihedralInfinite,
+    EdgeRecord,
+    Free,
+    GoghError,
+    VertexWord,
+    make_graph,
+)
+from gogh.words import vw_normalize
+
+# -- the reference -----------------------------------------------------------------
+
+_REF_LETTER_RE = re.compile(rf"^({_NAME})\.(\d+|r|s|t)(\^(-?\d+))?$")
+_REF_TOKEN_RE = re.compile(r"\S+")
+
+
+def _ref_int(numeral: str) -> int:
+    return int(Decimal(numeral))
+
+
+def _ref_letter(text: str, line: int, column: int):
+    m = _REF_LETTER_RE.match(text)
+    if not m:
+        raise ParseError(f"bad letter {text!r}", line, column)
+    owner, gen, _, exp = m.groups()
+    exponent = _ref_int(exp) if exp is not None else 1
+    if gen == "t":
+        return ("t", owner, exponent)
+    if gen in (DIHEDRAL_R, DIHEDRAL_S):
+        return ("g", owner, gen, exponent)
+    return ("g", owner, _ref_int(gen), exponent)
+
+
+def _ref_attachment(text: str, vertex: str, kind, line: int) -> VertexWord:
+    letters = []
+    for m in _REF_TOKEN_RE.finditer(text):
+        piece, column = m.group(), m.start() + 1
+        tok = _ref_letter(piece, line, column)
+        if tok[0] != "g":
+            raise ParseError(f"stable letter {piece!r} inside attachment word", line, column)
+        if tok[1] != vertex:
+            raise ParseError(
+                f"attachment letter {piece!r} does not live in vertex {vertex!r}", line, column
+            )
+        letters.append((tok[2], tok[3]))
+    return vw_normalize(kind, VertexWord(vertex, tuple(letters)))
+
+
+def reference_parse(text: str):
+    vertices: dict[str, object] = {}
+    pending_edges = []
+    lines = re.split(r"\r\n|\r|\n", text)
+    for lineno, raw in enumerate(lines, start=1):
+        line = _CODE_RE.match(raw).group().strip()
+        if not line:
+            continue
+        if line.startswith("vertex"):
+            m = _VERTEX_RE.match(line)
+            if not m:
+                raise ParseError("malformed vertex declaration", lineno, 1)
+            name, _, rank = m.groups()
+            if name in vertices:
+                raise ParseError(f"duplicate vertex {name!r}", lineno, 1)
+            vertices[name] = Free(_ref_int(rank)) if rank is not None else DihedralInfinite()
+        elif line.startswith("edge"):
+            m = _EDGE_RE.match(line)
+            if not m:
+                raise ParseError("malformed edge declaration", lineno, 1)
+            pending_edges.append((lineno, m.groups()))
+        else:
+            raise ParseError(f"unrecognized declaration {line.split()[0]!r}", lineno, 1)
+    edges = []
+    seen = set()
+    for lineno, (name, src, tgt, img_from, img_to) in pending_edges:
+        if name in seen:
+            raise ParseError(f"duplicate edge {name!r}", lineno, 1)
+        seen.add(name)
+        for v in (src, tgt):
+            if v not in vertices:
+                raise ParseError(f"edge {name!r} references unknown vertex {v!r}", lineno, 1)
+        edges.append(
+            EdgeRecord(
+                name=name,
+                source=src,
+                target=tgt,
+                attachment_source=_ref_attachment(img_from, src, vertices[src], lineno),
+                attachment_target=_ref_attachment(img_to, tgt, vertices[tgt], lineno),
+            )
+        )
+    return make_graph(list(vertices.items()), edges)
+
+
+def outcome(parser, text: str):
+    """The parsed graph, or the exit code and error object `gogh.cli.run`
+    maps the parser's exception to."""
+    try:
+        return parser(text)
+    except ParseError as exc:
+        return 2, {"error": exc.error, "line": exc.line, "column": exc.column}
+    except GoghError as exc:
+        return 2, {"error": str(exc), "line": 0, "column": 0}
+    except Exception as exc:
+        return 3, {"error": f"internal: {type(exc).__name__}: {exc}", "line": 0, "column": 0}
+
+
+# -- mutated graph text ------------------------------------------------------------
+
+VERTICES = {"u": "free 1", "v": "free 2", "d": "dihedral", "c": "dihedral"}
+BIG = "7" * 5000
+
+# mostly plain exponents; the rest are zero, padded or 5000 digits long
+exponents = st.sampled_from(
+    ["", "", "", "^2", "^-3", "^5", "^1", "^0", "^-0", "^007", "^-01", "^" + BIG, "^-" + BIG[1:]]
+)
+
+
+def one_in(draw, n: int) -> bool:
+    return draw(st.sampled_from([False] * (n - 1) + [True]))
+
+
+@st.composite
+def letters(draw, owner: str, edge: str):
+    """One letter, usually of the owner vertex and a generator of its kind."""
+    kind = VERTICES.get(owner, "free 1")
+    if one_in(draw, 12):  # a wrong owner or an unknown one
+        owner = draw(st.sampled_from(sorted(VERTICES) + ["zz"]))
+    if one_in(draw, 16):
+        return f"{edge}.t" + draw(exponents)
+    if kind == "dihedral":
+        gen = draw(st.sampled_from(["r"] * 10 + ["s", "1"]))
+    else:
+        rank = int(kind.split()[1])
+        gen = draw(st.sampled_from([str(g) for g in range(1, rank + 1)] * 3 + ["01", str(rank + 1), "r"]))
+    return f"{owner}.{gen}" + draw(exponents)
+
+
+@st.composite
+def attachments(draw, owner: str, edge: str):
+    """One letter, or a few, with varied padding and separators."""
+    size = 1 if draw(st.booleans()) else draw(st.integers(1, 3))
+    words = draw(st.lists(letters(owner, edge), min_size=size, max_size=size))
+    if one_in(draw, 20):
+        words.append(draw(st.sampled_from(["v.", "#", "d.x", "u.1^"])))
+    gap = draw(st.sampled_from([" ", " ", "  ", "\t", "\x85"]))
+    pad = draw(st.sampled_from(["", "", " ", "  "]))
+    return pad + gap.join(words) + pad
+
+
+@st.composite
+def graph_texts(draw):
+    """A connected graph's text, sometimes with a duplicate or unknown name,
+    comments and \\r\\n or \\r line ends."""
+    names = draw(st.lists(st.sampled_from(sorted(VERTICES)), min_size=1, max_size=4, unique=True))
+    lines = [f"vertex {name} {VERTICES[name]}" for name in names]
+    if one_in(draw, 10):
+        lines.append(lines[draw(st.integers(0, len(names) - 1))])
+    ends = [(names[draw(st.integers(0, i - 1))], names[i]) for i in range(1, len(names))]
+    ends += draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), max_size=2))
+    edges = [f"e{i}" for i in range(len(ends))]
+    if edges and one_in(draw, 10):
+        edges[-1] = edges[0]
+    for edge, (src, tgt) in zip(edges, ends):
+        if one_in(draw, 20):
+            src = "zz"
+        if draw(st.booleans()):
+            src, tgt = tgt, src
+        img_from = draw(attachments(src, edge))
+        img_to = draw(attachments(tgt, edge))
+        lines.append(f'edge {edge} from={src} to={tgt} img_from="{img_from}" img_to="{img_to}"')
+    lines = [line + " # a note" if one_in(draw, 5) else line for line in draw(st.permutations(lines))]
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    return newline.join(lines) + newline
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph_texts())
+def test_parse_matches_the_reference_parser(text):
+    assert outcome(parse, text) == outcome(reference_parse, text)
+
+
+@pytest.mark.parametrize(
+    "src, tgt, img_from, img_to",
+    [
+        ("v", "v", "v.1^0", "v.1"),
+        ("v", "v", "v.1^-0", "v.1"),
+        ("v", "v", "v.1^007", "v.1^-01"),
+        ("v", "v", f"v.1^{BIG}", f"v.1^-{BIG[1:]}"),
+        ("v", "v", "v.3", "v.1"),
+        ("u", "v", "v.1", "v.1"),
+        ("v", "v", "v.1 e.t", "v.1"),
+        ("v", "v", "v.1", "e.t"),
+        ("v", "v", " v.1 ", "  v.2^2  "),
+        ("v", "v", "v.1 v.2 v.1^-1", "v.2 v.2"),
+        ("d", "v", "d.s", "v.1"),
+        ("d", "v", "d.s^3", "v.1"),
+        ("d", "v", "d.r^0", "v.1"),
+        ("d", "v", "d.1", "v.1"),
+        ("d", "v", "d.r^-2", " v.r "),
+    ],
+)
+def test_mutations_match_the_reference_parser(src, tgt, img_from, img_to):
+    head = "vertex u free 1\nvertex v free 2\nvertex d dihedral\n"
+    text = head + f'edge e from={src} to={tgt} img_from="{img_from}" img_to="{img_to}"\n'
+    assert outcome(parse, text) == outcome(reference_parse, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "vertex v free 1\nvertex v free 2\n",
+        "vertex v free 1\nvertex w free 1\n",
+        BS32_TEXT + BS32_TEXT.splitlines()[-1] + "\n",
+        BS32_TEXT.replace("to=v", "to=w"),
+        TREFOIL_TEXT,
+        F2_EXAMPLE_TEXT,
+    ],
+    ids=["duplicate-vertex", "disconnected", "duplicate-edge", "unknown-vertex", "trefoil", "f2"],
+)
+def test_names_match_the_reference_parser(text):
+    assert outcome(parse, text) == outcome(reference_parse, text)
+
+
+# -- line splitting ------------------------------------------------------------------
+
+LOOP = 'vertex v free 1\nedge e from=v to=v img_from="v.1^3" img_to="v.1^2"\n'
+
+
+@pytest.mark.parametrize("mark", ["\x0b", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_only_newlines_end_a_line(mark):
+    # a comment holding the mark stays one comment: no declaration 'x' on a
+    # line 4 of a three-line file
+    text = LOOP + f"# c{mark}x\n"
+    assert parse(text) == parse(LOOP)
+    # between two letters the mark separates them, as a space does
+    word = 'img_from="v.1^3"'
+    assert parse(LOOP.replace(word, f'img_from="v.1{mark}v.1"')) == parse(
+        LOOP.replace(word, 'img_from="v.1 v.1"')
+    )
+
+
+def test_line_numbers_count_newlines_only():
+    with pytest.raises(ParseError) as err:
+        parse("vertex v free 1\f\nvertex broken\n")
+    assert (err.value.line, err.value.error) == (2, "malformed vertex declaration")
+    for newline in ("\r\n", "\r"):
+        assert parse(LOOP.replace("\n", newline)) == parse(LOOP)
+        with pytest.raises(ParseError) as err:
+            parse(newline.join(["vertex v free 1", "", "vertex broken"]))
+        assert err.value.line == 3

@@ -1,6 +1,10 @@
 import random
+import sys
+from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_graph, random_word_tokens, rewriting_bfs_trivial, _norm_tokens, _rewrite_moves
 import gogh.words
@@ -24,7 +28,9 @@ from gogh.words import (
     britton_reduce,
     display_tokens,
     has_pinch,
+    int_str,
     is_trivial,
+    parse_int,
     pinch_membership,
     to_path_form,
     tokens_of_path,
@@ -350,3 +356,66 @@ def test_search_budget_error(f2_example):
     y = VertexWord("v", ((2, 1),))
     with pytest.raises(SearchBudgetExceeded):
         bounded_conjugator_search(f2_example, x, y, 6, 4, node_cap=50)
+
+
+# -- numerals ------------------------------------------------------------------
+
+# around the interpreter's default limit of 4300 digits on int <-> str
+NUMERALS = [
+    "9" * 4299,
+    "9" * 4300,
+    "9" * 4301,
+    "-" + "1" * 4300,
+    "-" + "1" * 4301,
+    "0",
+    "-0",
+    "007",
+    "-0012",
+    "\u0661\u0662",  # Arabic-Indic "12": a Unicode decimal numeral
+    "-\u0661\u0662",
+    # fraction, underscore and small-exponent forms
+    "1.5",
+    "-12.0",
+    "1_000",
+    "1e3",
+    "-2E2",
+]
+
+
+@pytest.mark.parametrize("limit", [None, 640], ids=["default-limit", "limit-640"])
+def test_numerals_equal_the_decimal_conversion(limit):
+    if limit is not None and not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int <-> str digit limit")
+    old = sys.get_int_max_str_digits() if limit is not None else None
+    try:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+        for numeral in NUMERALS:
+            value = int(Decimal(numeral))
+            assert parse_int(numeral) == value
+            assert int_str(value) == str(Decimal(value))
+            assert int_str(-value) == str(Decimal(-value))
+    finally:
+        if old is not None:
+            sys.set_int_max_str_digits(old)
+
+
+def test_int_str_writes_a_non_int_as_decimal_does():
+    for value in (True, False, 2.0, -3.5):
+        assert int_str(value) == str(Decimal(value))
+
+
+def _outcome(convert, value):
+    try:
+        return convert(value)
+    except Exception as exc:  # the error type is part of the contract
+        return type(exc)
+
+
+# No exponent marker: "9e9999999999" is 12 characters and denotes an integer
+# of 10**10 digits, which neither conversion can build in bounded time or
+# memory.  Small exponents are among NUMERALS above.
+@settings(max_examples=500)
+@given(st.text(alphabet="0123456789-+_ \t\x1c.\u0661\u0662\u2003", max_size=12))
+def test_parse_int_equals_the_decimal_conversion_on_any_text(text):
+    assert _outcome(parse_int, text) == _outcome(lambda s: int(Decimal(s)), text)
