@@ -1,17 +1,20 @@
 """Balance decisions through a rational-weighted commensurability groupoid.
 
 Every attachment image of an edge-group generator is a conjugate power of a
-canonical root inside its vertex group.  Nodes are (vertex, canonical root)
-pairs; an edge arc carries the ratio of the two root exponents and the
-orientation in which it crosses its edge, nothing more (the conjugator and
-entry exponent of a crossing are witness data, which ``certify`` derives
-for the arcs of the one cycle it reads).  A cycle of weight with absolute
-value != 1 pumps conjugation ratios without bound, which is exactly the
-unbalanced phenomenon.  Conjugation by a dihedral
-reflection inverts the root, a loop of weight -1; balance compares absolute
-weights only, so such loops can never unbalance a cycle, join components or
-shift a potential, and the groupoid carries none.  Reflections enter only
-through the stable-letter images of the parametrization.
+canonical root inside its vertex group.  One rule covers one-letter images:
+g^k is k times its own root g, unconjugated, since validation admits only
+r^k as a dihedral attachment and a free basis letter is primitive and its
+own least rotation.  Nodes are (vertex, canonical root) pairs; an edge arc
+carries the ratio of the two root exponents and the orientation in which it
+crosses its edge, nothing more (the conjugator and entry exponent of a
+crossing are witness data, which ``certify`` derives for the arcs of the one
+cycle it reads).  A cycle of weight with absolute value != 1 pumps
+conjugation ratios without bound, which is exactly the unbalanced
+phenomenon.  Conjugation by a dihedral reflection inverts the root, a loop
+of weight -1; balance compares absolute weights only, so such loops can
+never unbalance a cycle, join components or shift a potential, and the
+groupoid carries none.  Reflections enter only through the stable-letter
+images of the parametrization.
 
 This module owns the groupoid and everything read off it in one pass:
 spanning-forest potentials, the connected components (which are the
@@ -38,7 +41,7 @@ from math import gcd
 from typing import NamedTuple
 
 from . import freewords as fw
-from .model import DIHEDRAL_R, DihedralInfinite, GoghError, GraphOfGroups, VertexWord
+from .model import GoghError, GraphOfGroups, VertexWord
 from .words import (
     _conjugation_gens,
     _search_states,
@@ -125,14 +128,13 @@ class RatioGroupoid:
 
 
 def attachment_data(graph: GraphOfGroups, edge: str, side: str):
-    """(node, signed root exponent, conjugator g) with image = g root^n g^-1."""
+    """(node, signed root exponent n, conjugator c) with image = c root^n c^-1:
+    a one-letter g^k, free or dihedral, is root g, n = k, c = 1 (see above)."""
     e = graph.edge(edge)
     word = e.attachment_source if side == "source" else e.attachment_target
-    kind = graph.kind(word.vertex)
-    if isinstance(kind, DihedralInfinite):
-        # validation admits exactly ((r, k),) as a dihedral attachment
-        node = GroupoidNode(word.vertex, ((DIHEDRAL_R, 1),))
-        return node, word.letters[0][1], VertexWord(word.vertex, ())
+    if len(word.letters) == 1:
+        ((g, k),) = word.letters
+        return GroupoidNode(word.vertex, ((g, 1),)), k, VertexWord(word.vertex, ())
     root, conj, n = fw.canonical_root(word)
     return GroupoidNode(word.vertex, root.letters), n, conj
 

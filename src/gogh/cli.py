@@ -123,6 +123,8 @@ def _parse_attachment(text: str, vertex: str, kind, line: int) -> VertexWord:
             raise ParseError(
                 f"attachment letter {piece!r} does not live in vertex {vertex!r}", line, column
             )
+        if isinstance(kind, DihedralInfinite) and not isinstance(tok[2], str):
+            raise ParseError(f"unknown generator in {piece!r}", line, column)
         letters.append((tok[2], tok[3]))
     return vw_normalize(kind, VertexWord(vertex, tuple(letters)))
 

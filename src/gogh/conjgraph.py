@@ -59,9 +59,9 @@ def build_conjugacy_graph(graph: GraphOfGroups, cls: EdgeClass) -> ConjugacyGrap
     """
     if not all(isinstance(kind, DihedralInfinite) or kind.rank == 1 for _, kind in graph.vertices):
         return _derived_conjugacy_graph(graph, cls)
-    # A connected graph of 2-ended groups with an edge has one class: one node
-    # per vertex, rooted at its generator (v.1 or d.r), no conjugators, root
-    # exponents equal to the input's.  So the input is its own derived graph.
+    # A connected graph of 2-ended groups with an edge has one class, and the
+    # one-letter rule of balance.attachment_data gives it one node per vertex
+    # (v.1 or d.r), no conjugators and the input's exponents: its own derived graph.
     origin = {node.vertex: (node.vertex, VertexWord(node.vertex, node.root)) for node in cls.nodes}
     conjugators = {occ: g for occ, (_, _, g) in cls.attachments.items()}
     return ConjugacyGraph(graph, cls, origin, conjugators)

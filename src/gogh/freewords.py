@@ -170,9 +170,6 @@ def canonical_root(word: VertexWord) -> tuple[VertexWord, VertexWord, int]:
     its inverse.
     """
     rd = primitive_root(word)
-    if len(rd.root.letters) == 1:
-        # (g, 1) is its own least rotation and sorts before (g, -1)
-        return rd.root, rd.conjugator, rd.exponent
     best = None
     for source, flip in ((rd.root.letters, 1), (inv_letters(rd.root.letters), -1)):
         keys = [_letter_key(l) for l in source]

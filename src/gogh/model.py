@@ -155,6 +155,13 @@ def reverse_step(step: SignedEdge) -> SignedEdge:
 # -- validation --------------------------------------------------------------
 
 
+def _check_exponent(exp) -> None:
+    if not isinstance(exp, int):
+        raise ValidationError("UnknownGenerator", f"exponent {exp!r} is not an integer")
+    if exp == 0:
+        raise ValidationError("UnknownGenerator", "zero exponent letter")
+
+
 def _check_letters(kind: VertexGroupKind, word: VertexWord) -> None:
     if isinstance(kind, Free):
         prev = None
@@ -164,8 +171,7 @@ def _check_letters(kind: VertexGroupKind, word: VertexWord) -> None:
                     "UnknownGenerator",
                     f"generator {gen!r} not valid in free group of rank {kind.rank}",
                 )
-            if exp == 0:
-                raise ValidationError("UnknownGenerator", "zero exponent letter")
+            _check_exponent(exp)
             if gen == prev:
                 raise ValidationError(
                     "UnreducedWord", f"word in {word.vertex} is not freely reduced"
@@ -177,8 +183,7 @@ def _check_letters(kind: VertexGroupKind, word: VertexWord) -> None:
                 raise ValidationError(
                     "UnknownGenerator", f"generator {gen!r} not valid in dihedral group"
                 )
-            if exp == 0:
-                raise ValidationError("UnknownGenerator", "zero exponent letter")
+            _check_exponent(exp)
         shapes = tuple(g for g, _ in word.letters)
         s_power = any(gen == DIHEDRAL_S and exp != 1 for gen, exp in word.letters)
         if s_power or shapes not in ((), (DIHEDRAL_R,), (DIHEDRAL_S,), (DIHEDRAL_S, DIHEDRAL_R)):
@@ -199,7 +204,7 @@ def validate(graph: GraphOfGroups) -> None:
 
     A one-letter attachment that is valid for its vertex (a generator in
     1..rank of a free group, or the rotation r of a dihedral one, with a
-    nonzero exponent) has infinite order and is accepted at once; every
+    nonzero int exponent) has infinite order and is accepted at once; every
     other word goes through the general checks."""
     if not graph.vertices:
         raise ValidationError("DisconnectedGraph", "graph has no vertices")
@@ -225,7 +230,7 @@ def validate(graph: GraphOfGroups) -> None:
             kind = kinds[word.vertex]
             if len(word.letters) == 1:
                 gen, exp = word.letters[0]
-                if exp != 0 and (
+                if isinstance(exp, int) and exp != 0 and (
                     isinstance(gen, int) and 1 <= gen <= kind.rank
                     if isinstance(kind, Free)
                     else gen == DIHEDRAL_R

@@ -1,5 +1,5 @@
 import random
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 
 import pytest
@@ -23,6 +23,7 @@ from gogh.balance import (
     group_balanced,
 )
 from gogh.dihedral import word_to_element
+from gogh.freewords import canonical_root
 from gogh.model import DIHEDRAL_R, DihedralInfinite, EdgeRecord, Free, GoghError, make_graph
 from gogh.words import SearchBudgetExceeded
 
@@ -121,26 +122,43 @@ def test_pass_emits_edge_arcs_in_order_and_class_attachments():
 
 
 def test_dihedral_exponent_is_the_rotation_of_the_attachment():
-    """The pass reads a dihedral attachment's exponent off its one letter
-    (r, k); the element the word denotes, by the dihedral arithmetic, must
-    be the rotation r^k."""
+    """The pass reads a one-letter attachment (g, k) as k times its root g,
+    whatever the vertex kind.  In a dihedral vertex the element the word
+    denotes, by the dihedral arithmetic, must be the rotation r^k.  In a free
+    vertex the pass's (root, exponent, conjugator) must be canonical_root's,
+    for one-letter words of rank-1 and rank-2 vertices, conjugated
+    one-letter cores and multi-letter roots alike."""
     rng = random.Random(131)
-    graphs = occurrences = 0
-    for i in range(200):
-        graph = random_graph(rng, v_max=2 + i % 4, exp_max=(1, 5, 40)[i % 3], rank2_prob=0.0)
+    graphs = 0
+    seen = Counter()
+    for i in range(240):
+        rank2_prob = (0.0, 0.5)[i % 2]
+        graph = random_graph(rng, v_max=2 + i % 4, exp_max=(1, 5, 40)[i % 3], rank2_prob=rank2_prob)
         data = build_groupoid(graph).occurrences
         found = 0
         for e in graph.edges:
             for side, word in zip(SIDES, (e.attachment_source, e.attachment_target)):
-                if isinstance(graph.kind(word.vertex), DihedralInfinite):
-                    node, k, conj = data[(e.name, side)]
+                node, k, conj = data[(e.name, side)]
+                assert node.vertex == word.vertex
+                kind = graph.kind(word.vertex)
+                if isinstance(kind, DihedralInfinite):
                     assert k == word_to_element(word).k, (e.name, side, word)
                     assert node == GroupoidNode(word.vertex, ((DIHEDRAL_R, 1),))
                     assert conj.is_identity
                     found += 1
+                    seen["dihedral"] += 1
+                else:
+                    root, g, n = canonical_root(word)
+                    assert (node.root, k, conj) == (root.letters, n, g), (e.name, side, word)
+                    if len(word.letters) == 1:
+                        seen[f"rank {kind.rank}, one letter"] += 1
+                    elif len(root.letters) == 1:
+                        seen["conjugated one-letter core"] += 1
+                    else:
+                        seen["multi-letter root"] += 1
         graphs += found > 0
-        occurrences += found
-    assert graphs >= 100 and occurrences >= 300, (graphs, occurrences)
+    assert graphs >= 100 and seen["dihedral"] >= 300, (graphs, seen)
+    assert min(seen.values()) >= 50 and len(seen) == 5, seen
 
 
 def _reference_groupoid(graph):

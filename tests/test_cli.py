@@ -124,8 +124,9 @@ def test_word_errors_report_the_letter_column(tmp_path, word, column, error):
          "attachment letter 'v.1' does not live in vertex 'u'"),
         ("vertex u free 1\n", "u.1 e.t", 5, "stable letter 'e.t' inside attachment word"),
         ("vertex u free 1\n", "u.1^2 u.1^", 7, "bad letter 'u.1^'"),
+        ("vertex u dihedral\n", "u.r^2 u.1", 7, "unknown generator in 'u.1'"),
     ],
-    ids=["wrong-vertex", "stable-letter", "bad-letter-after-its-prefix"],
+    ids=["wrong-vertex", "stable-letter", "bad-letter-after-its-prefix", "free-generator-in-dihedral"],
 )
 def test_attachment_errors_report_the_letter_column(tmp_path, vertices, img_from, column, error):
     text = vertices + f'edge e from=u to=u img_from="{img_from}" img_to="u.1"\n'

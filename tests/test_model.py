@@ -1,5 +1,6 @@
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -63,12 +64,15 @@ def test_rank_zero_rejected():
 
 
 def test_unknown_generator_rejected():
-    with pytest.raises(ValidationError) as err:
-        make_graph(
-            [("v", Free(1))],
-            [EdgeRecord("e", "v", "v", VertexWord("v", ((2, 1),)), VertexWord("v", ((1, 1),)))],
-        )
-    assert err.value.code == "UnknownGenerator"
+    # a generator beyond the rank, or an exponent that is not an int, which
+    # the pipeline would otherwise reach and fail on with a TypeError
+    for letter in [(2, 1), (1, 1.5), (1, Fraction(3, 2)), (1, "2"), (1, 2.0)]:
+        with pytest.raises(ValidationError) as err:
+            make_graph(
+                [("v", Free(1))],
+                [EdgeRecord("e", "v", "v", VertexWord("v", (letter,)), VertexWord("v", ((1, 1),)))],
+            )
+        assert err.value.code == "UnknownGenerator", letter
 
 
 # -- one-letter attachments ---------------------------------------------------------
@@ -102,6 +106,13 @@ ONE_LETTER_CASES = [
     (DIHEDRAL, ("s", 2), False),
     (DIHEDRAL, ("r", 0), False),
     (DIHEDRAL, (1, 1), False),
+    (FREE2, (1, 1.5), False),
+    (FREE2, (1, Fraction(3, 2)), False),
+    (FREE2, (2, "2"), False),
+    (DIHEDRAL, ("r", 1.5), False),
+    (DIHEDRAL, ("r", Fraction(3, 2)), False),
+    (DIHEDRAL, ("r", "2"), False),
+    (FREE2, ((1, 2), (2, 1.5)), False),  # two letters: the general checks on both sides
 ]
 
 
@@ -110,7 +121,7 @@ ONE_LETTER_CASES = [
 def test_one_letter_attachments_get_the_general_verdict(kind, letter, valid, side):
     """validate accepts a valid one-letter word at once; its verdict on every
     one-letter word is the one the general checks give."""
-    word = VertexWord("x", (letter,))
+    word = VertexWord("x", letter if isinstance(letter[0], tuple) else (letter,))
     plain = VertexWord("w", ((1, 1),))
     src, tgt = (word, plain) if side == "source" else (plain, word)
     edge = EdgeRecord("e", src.vertex, tgt.vertex, src, tgt)
