@@ -24,7 +24,8 @@ the sorted nodes are numbered 0..N-1 once, and adjacency, potentials, tree
 arcs and component roots are lists indexed by id.  A potential is the
 absolute value of a product of arc weights, kept as a gcd-reduced pair of
 positive integers, and an arc is balanced when cross-multiplying it with
-the potentials of its ends agrees.  The two arcs of an edge are
+the potentials of its ends agrees; each class keeps its nodes' potentials,
+from which ``parametrize`` builds its certificate.  The two arcs of an edge are
 reciprocal, so they are balanced together: each non-tree edge is tested
 once, and an unbalanced one closes its cycle through its +1 arc, the arc
 met first in arc order.  Each fact is stored once: a class holds its
@@ -105,6 +106,10 @@ class EdgeClass:
     attachments: dict  # member occurrence -> its attachment_data, sorted
     nodes: tuple[GroupoidNode, ...]  # the component's nodes, in groupoid order
     verdict: BalanceVerdict  # the component's first unbalanced cycle, or balance
+    # |potential| of each node, aligned with nodes, as a reduced pair (num, den)
+    # of positive ints: the product of |arc weights| along the pass's tree path
+    # from the component's least node
+    potentials: tuple[tuple[int, int], ...]
 
     @property
     def members(self) -> tuple[Occurrence, ...]:
@@ -232,8 +237,10 @@ def _decide(nodes, arcs, ends, occurrences, ids) -> RatioGroupoid:
     for occ, data in occurrences.items():
         attachments.setdefault(root_of[ids[data[0]]], {})[occ] = data
     class_nodes: dict[int, list[GroupoidNode]] = {}
+    class_potentials: dict[int, list[tuple[int, int]]] = {}
     for i, node in enumerate(nodes):
         class_nodes.setdefault(root_of[i], []).append(node)
+        class_potentials.setdefault(root_of[i], []).append((num[i], den[i]))
     position = {root: i for i, root in enumerate(attachments)}
     return RatioGroupoid(
         nodes=nodes,
@@ -241,7 +248,13 @@ def _decide(nodes, arcs, ends, occurrences, ids) -> RatioGroupoid:
         occurrences=occurrences,
         component={node: position[root_of[i]] for i, node in enumerate(nodes)},
         classes=tuple(
-            EdgeClass(i, attachments[r], tuple(class_nodes[r]), first_bad.get(r, Balanced()))
+            EdgeClass(
+                i,
+                attachments[r],
+                tuple(class_nodes[r]),
+                first_bad.get(r, Balanced()),
+                tuple(class_potentials[r]),
+            )
             for i, r in enumerate(attachments)
         ),
         verdict=verdict,

@@ -221,6 +221,17 @@ _BIG = 2**53
 
 
 def _canon(value):
+    # the exact types the commands build come first; subclasses such as
+    # IntEnum, Fraction and unrenderable values take the isinstance chain
+    t = type(value)
+    if t is int:
+        return value if -_BIG <= value <= _BIG else int_str(value)
+    if t is str or value is None or t is bool:
+        return value
+    if t is dict:
+        return {str(k): _canon(v) for k, v in value.items()}
+    if t is list or t is tuple:
+        return [_canon(v) for v in value]
     if isinstance(value, bool) or value is None or isinstance(value, str):
         return value
     if isinstance(value, int):

@@ -44,7 +44,8 @@ def class_of_edge(graph: GraphOfGroups, edge: str) -> EdgeClass:
 class ConjugacyGraph:
     graph: GraphOfGroups  # the derived graph of 2-ended groups
     edge_class: EdgeClass
-    vertex_origin: dict  # derived vertex -> (original vertex, root VertexWord)
+    vertex_origin: dict  # derived vertex -> (original vertex, root VertexWord),
+    # keyed in the order of edge_class.nodes
     attachment_conjugator: dict  # occurrence -> conjugator g in the original
 
 

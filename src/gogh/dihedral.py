@@ -18,7 +18,8 @@ class DihedralElement:
     k: int
 
     def __post_init__(self):
-        assert self.eps in (0, 1)
+        if self.eps not in (0, 1):
+            raise ValueError(f"reflection exponent {self.eps!r} is not 0 or 1")
 
     @property
     def is_identity(self) -> bool:
@@ -44,10 +45,7 @@ def dinv(x: DihedralElement) -> DihedralElement:
 
 
 def dpow(x: DihedralElement, n: int) -> DihedralElement:
-    if n < 0:
-        return dpow(dinv(x), -n)
-    if n == 0:
-        return IDENTITY
+    # reflections are involutions; (0,k)^n = (0,kn) for n of either sign
     if x.eps:
         return x if n % 2 else IDENTITY
     return DihedralElement(0, x.k * n)

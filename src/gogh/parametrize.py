@@ -2,25 +2,28 @@
 
 A graph of 2-ended groups maps to the infinite dihedral group by sending
 each vertex generator to a rotation r^E and each stable letter to the
-identity or the bare reflection.  The rotation exponents are potentials
-along the graph's canonical spanning tree, walked in BFS order, with
-denominators cleared; the result is never trusted but re-verified relation
-by relation, once.  The global verdict reads balance and the edge-image
-classes off one ratio-groupoid pass and assembles one verified
-parametrization per class, or reports an unbalanced edge plus an explicit
-almost Baumslag-Solitar witness.  A connected graph of 2-ended groups with
-an edge is its own single class: its verdict is its parametrization.
+identity or the bare reflection.  The certificate is built in integers
+from the ratio-groupoid pass: the magnitude |E| of each vertex is the
+reciprocal of its node's potential, which the pass keeps as a reduced
+integer pair, cleared to the primitive positive vector by one lcm and one
+gcd; the signs come from one walk over the spanning tree in BFS order.
+The result is never trusted but re-verified relation by relation, once, by
+a checker that reads nothing from the pass.  The global verdict reads
+balance and the edge-image classes off that one pass and assembles one
+verified parametrization per class, or reports an unbalanced edge plus an
+explicit almost Baumslag-Solitar witness.  A connected graph of 2-ended
+groups with an edge is its own single class: its verdict is its
+parametrization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
 from . import dihedral as dih
-from .balance import Unbalanced, build_groupoid, group_balanced
+from .balance import Unbalanced, build_groupoid
 from .certify import BSWitness, almost_bs_witness
 from .conjgraph import ConjugacyGraph, build_conjugacy_graph
 from .model import (
@@ -71,63 +74,79 @@ def require_two_ended(graph: GraphOfGroups) -> None:
             raise NotTwoEnded(f"vertex {name} is free of rank {kind.rank}")
 
 
-def _attachment_exponent(word: VertexWord) -> int:
-    assert len(word.letters) == 1
-    return word.letters[0][1]
-
-
 def parametrize(graph: GraphOfGroups) -> LinearParametrization | Unbalanced:
     """Construct a verified parametrization of a graph of 2-ended groups.
 
     Returns the unbalanced verdict instead whenever some groupoid cycle
-    obstructs the construction.
+    obstructs the construction.  A connected graph of 2-ended groups with an
+    edge is its own single class; a lone vertex has no class and maps its
+    generator to r.
     """
     require_two_ended(graph)
-    verdict = group_balanced(graph)
-    if isinstance(verdict, Unbalanced):
-        return verdict
-    return _verified(graph, _tree_parametrization(graph))
+    if not graph.edges:
+        return _verified(graph, _parametrization(graph, {graph.vertices[0][0]: (1, 1)}, {}))
+    groupoid = build_groupoid(graph)
+    if isinstance(groupoid.verdict, Unbalanced):
+        return groupoid.verdict
+    (cls,) = groupoid.classes
+    return _verified(graph, _class_parametrization(build_conjugacy_graph(graph, cls)))
 
 
-def _tree_parametrization(graph: GraphOfGroups) -> LinearParametrization:
-    """Potentials propagate over the spanning tree in BFS order (tree stable
-    letters must map to the identity, so tree relations fix exponent ratios
-    exactly); the least common multiple of the denominators clears
-    everything to integers.  A non-tree stable letter becomes the reflection
-    exactly when its relation needs a sign flip.  On an unbalanced graph
-    some relation fails, which verification then reports."""
-    order = graph.vertex_ids()
-    exponents: dict[str, Fraction] = {order[0]: Fraction(1)}
-    for vertex, (parent, step) in graph.index.parents.items():
-        e = graph.edge(step[0])
-        # tree relation: E_source * n_s = E_target * n_t
-        ratio = Fraction(
-            _attachment_exponent(e.attachment_source), _attachment_exponent(e.attachment_target)
-        )
-        exponents[vertex] = exponents[parent] * (ratio if step[1] == 1 else 1 / ratio)
-    scale = lcm(*(f.denominator for f in exponents.values()))
-    ints = {v: f.numerator * (scale // f.denominator) for v, f in exponents.items()}
-    shrink = gcd(*ints.values())
-    ints = {v: k // shrink for v, k in ints.items()}
+_REFLECTION = dih.DihedralElement(1, 0)
+
+
+def _class_parametrization(cg: ConjugacyGraph) -> LinearParametrization:
+    """The parametrization of one balanced class, on its derived graph, from
+    the potentials and attachment exponents the groupoid pass recorded."""
+    cls = cg.edge_class
+    potential = dict(zip(cg.vertex_origin, cls.potentials))  # both follow cls.nodes
+    return _parametrization(cg.graph, potential, cls.attachments)
+
+
+def _parametrization(
+    graph: GraphOfGroups, potential: dict, attachments: dict
+) -> LinearParametrization:
+    """The primitive linear parametrization of a balanced connected graph of
+    2-ended groups, in integers.
+
+    ``potential`` maps each vertex to the |potential| of its groupoid node
+    as a reduced pair (num, den), ``attachments`` each (edge, side) to the
+    pass's (node, signed root exponent, conjugator).  Along the arc
+    target -> source of weight n_s/n_t the potential scales by |n_s/n_t|,
+    while the tree relation E_s * n_s = E_t * n_t scales the rotation
+    exponent by n_t/n_s: so |E_v| is proportional to 1/|potential_v|, made
+    the primitive positive vector by one lcm and one gcd.  The root of the
+    spanning tree is positive, and one walk over the tree parents in BFS
+    order flips the sign across each edge whose two exponents have opposite
+    signs.  A non-tree stable letter maps to the reflection exactly when its
+    relation needs a sign flip."""
+    scale = lcm(*(num for num, _ in potential.values()))
+    magnitude = {v: den * (scale // num) for v, (num, den) in potential.items()}
+    shrink = gcd(*magnitude.values())
+    negative = {graph.vertices[0][0]: False}  # the tree is rooted at the least vertex
+    for vertex, (parent, (edge, _)) in graph.index.parents.items():
+        flip = (attachments[(edge, "source")][1] < 0) != (attachments[(edge, "target")][1] < 0)
+        negative[vertex] = negative[parent] != flip
 
     vertex_images = []
-    for v in order:
-        k = ints[v]
-        if isinstance(graph.kind(v), DihedralInfinite):
-            images = ((DIHEDRAL_R, dih.DihedralElement(0, k)), (DIHEDRAL_S, dih.DihedralElement(1, 0)))
+    for v, kind in graph.vertices:
+        k = magnitude[v] // shrink
+        rotation = dih.DihedralElement(0, -k if negative[v] else k)
+        if isinstance(kind, DihedralInfinite):
+            vertex_images.append((v, ((DIHEDRAL_R, rotation), (DIHEDRAL_S, _REFLECTION))))
         else:
-            images = ((1, dih.DihedralElement(0, k)),)
-        vertex_images.append((v, images))
+            vertex_images.append((v, ((1, rotation),)))
 
     tree = spanning_tree(graph)
     stable_images = []
     for e in graph.edges:
         if e.name in tree:
             continue
-        lhs = ints[e.target] * _attachment_exponent(e.attachment_target)
-        rhs = ints[e.source] * _attachment_exponent(e.attachment_source)
-        if lhs != rhs:
-            stable_images.append((e.name, dih.DihedralElement(1, 0)))
+        # E_t * n_t and E_s * n_s agree in absolute value; compare their signs
+        target = negative[e.target] != (attachments[(e.name, "target")][1] < 0)
+        source = negative[e.source] != (attachments[(e.name, "source")][1] < 0)
+        if target != source:
+            stable_images.append((e.name, _REFLECTION))
     return LinearParametrization(tuple(vertex_images), tuple(stable_images))
 
 
@@ -138,8 +157,21 @@ def _verified(graph: GraphOfGroups, phi: LinearParametrization) -> LinearParamet
     return phi
 
 
-def _word_image(phi: LinearParametrization, word: VertexWord) -> dih.DihedralElement:
-    images = phi.vertex_image(word.vertex)
+def _in_group(x) -> bool:
+    """Whether x is the normal form s^eps r^k of an element of D-infinity."""
+    return (
+        isinstance(x, dih.DihedralElement)
+        and isinstance(x.eps, int)
+        and x.eps in (0, 1)
+        and isinstance(x.k, int)
+    )
+
+
+def _image(images: dict, word: VertexWord) -> dih.DihedralElement:
+    """The image of a word under its vertex's generator images."""
+    if len(word.letters) == 1:
+        ((gen, exp),) = word.letters
+        return dih.dpow(images[gen], exp)
     out = dih.IDENTITY
     for gen, exp in word.letters:
         out = dih.dmul(out, dih.dpow(images[gen], exp))
@@ -147,15 +179,27 @@ def _word_image(phi: LinearParametrization, word: VertexWord) -> dih.DihedralEle
 
 
 def verify_parametrization(graph: GraphOfGroups, phi: LinearParametrization):
-    """(ok, report): every edge relation holds under dihedral multiplication
-    and every vertex restriction has finite kernel and finite-index image."""
+    """(ok, report): every image is an element of the infinite dihedral
+    group, every edge relation holds under dihedral multiplication and every
+    vertex restriction has finite kernel and finite-index image.
+
+    phi's images are read into maps once; a relation touching a vertex or
+    stable letter whose image is not a group element is not evaluated."""
     report: list[str] = []
-    assigned = dict(phi.vertex_images)
+    maps = {vertex: dict(images) for vertex, images in phi.vertex_images}
+    stable = dict(phi.stable_images)
+    outside: set[str] = set()  # vertices with an image outside the group
     for vertex, kind in graph.vertices:
-        if vertex not in assigned:
+        images = maps.get(vertex)
+        if images is None:
             report.append(f"vertex {vertex}: no images assigned")
             continue
-        images = dict(assigned[vertex])
+        for gen, x in images.items():
+            if not _in_group(x):
+                report.append(f"vertex {vertex}: image of {gen} is not an element of D-infinity")
+                outside.add(vertex)
+        if vertex in outside:
+            continue
         if isinstance(kind, DihedralInfinite):
             r_img = images.get(DIHEDRAL_R)
             s_img = images.get(DIHEDRAL_S)
@@ -181,12 +225,20 @@ def verify_parametrization(graph: GraphOfGroups, phi: LinearParametrization):
             report.append(f"vertex {vertex}: free rank {kind.rank} admits no quasi-isometric map")
     tree = spanning_tree(graph)
     for e in graph.edges:
-        t_img = phi.stable_image(e.name)
-        if e.name in tree and not t_img.is_identity:
+        t_img = stable.get(e.name, dih.IDENTITY)
+        if not _in_group(t_img):
+            report.append(f"edge {e.name}: stable letter image is not an element of D-infinity")
+            continue
+        conjugate = not t_img.is_identity
+        if conjugate and e.name in tree:
             report.append(f"edge {e.name}: tree stable letter must map to the identity")
+        if e.source in outside or e.target in outside:
+            continue
         try:
-            lhs = dih.dmul(dih.dmul(t_img, _word_image(phi, e.attachment_target)), dih.dinv(t_img))
-            rhs = _word_image(phi, e.attachment_source)
+            lhs = _image(maps[e.target], e.attachment_target)
+            if conjugate:
+                lhs = dih.dmul(dih.dmul(t_img, lhs), dih.dinv(t_img))
+            rhs = _image(maps[e.source], e.attachment_source)
         except KeyError:
             report.append(f"edge {e.name}: relation references unassigned generators")
             continue
@@ -247,6 +299,6 @@ def hhg_verdict(graph: GraphOfGroups) -> Verdict:
     certificates = []
     for cls in groupoid.classes:
         cg = build_conjugacy_graph(graph, cls)
-        phi = _verified(cg.graph, _tree_parametrization(cg.graph))
+        phi = _verified(cg.graph, _class_parametrization(cg))
         certificates.append(Certificate(cls.index, cg, phi))
     return HHG(tuple(certificates))

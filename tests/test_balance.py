@@ -234,7 +234,15 @@ def _reference_groupoid(graph):
         occurrences=occurrences,
         component={node: position[root_of[node]] for node in nodes},
         classes=tuple(
-            EdgeClass(i, attachments[r], tuple(class_nodes[r]), first_bad.get(r, Balanced()))
+            EdgeClass(
+                i,
+                attachments[r],
+                tuple(class_nodes[r]),
+                first_bad.get(r, Balanced()),
+                tuple(
+                    (abs(potential[n].numerator), potential[n].denominator) for n in class_nodes[r]
+                ),
+            )
             for i, r in enumerate(attachments)
         ),
         verdict=verdict,
@@ -243,7 +251,7 @@ def _reference_groupoid(graph):
 
 def test_pass_matches_the_reference_pass():
     """Equal nodes, arcs, occurrences, components, classes (with their
-    verdicts) and graph verdict, on seeded graphs with dihedral, rank-1 and
+    verdicts and potentials) and graph verdict, on seeded graphs with dihedral, rank-1 and
     rank-2 vertices, balanced and unbalanced components side by side."""
     rng = random.Random(97)
     kinds = set()

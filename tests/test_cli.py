@@ -6,6 +6,8 @@ import re
 import subprocess
 import sys
 from decimal import Decimal
+from enum import IntEnum
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
@@ -25,6 +27,7 @@ import gogh.cli
 from gogh.cli import _CODE_RE, ParseError, main, parse, parse_letter, render_json, run, serialize
 from gogh.model import ValidationError
 from gogh.parametrize import HHG, hhg_verdict, parametrize
+from gogh.words import int_str
 
 
 def write(tmp_path, name, text):
@@ -553,3 +556,84 @@ def test_huge_exponent_word_echoed(tmp_path):
     code, out = run(["reduce", write(tmp_path, "bs32.gog", BS32_TEXT), "--word", word])
     assert code == 0
     assert json.loads(render_json(out))["reduced"] == word
+
+
+# -- JSON rendering against the isinstance chain -----------------------------------
+
+
+def _reference_canon(value):
+    """The renderer's value mapping written as one isinstance chain: the
+    reference for its dispatch on exact types."""
+    if isinstance(value, bool) or value is None or isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return int_str(value) if abs(value) > 2**53 else value
+    if isinstance(value, Fraction):
+        return f"{int_str(value.numerator)}/{int_str(value.denominator)}"
+    if isinstance(value, dict):
+        return {str(k): _reference_canon(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_reference_canon(v) for v in value]
+    raise TypeError(f"cannot render {type(value)!r}")
+
+
+class _Level(IntEnum):
+    LOW = -(2**53) - 1
+    ONE = 1
+    HIGH = 2**60
+
+
+class _Tag(str):
+    pass
+
+
+def _typed(value):
+    """A value with the type of every part, so that 1 and True differ."""
+    if isinstance(value, dict):
+        return (dict, tuple((type(k), k, _typed(v)) for k, v in value.items()))
+    if isinstance(value, list):
+        return (list, tuple(_typed(v) for v in value))
+    return (type(value), value)
+
+
+_EDGES = [s * (2**53 + d) for s in (1, -1) for d in (-1, 0, 1)]
+_LEAVES = st.one_of(
+    st.sampled_from(_EDGES + [0]),
+    # beyond the int <-> str digit limit: built on draw, since Hypothesis
+    # writes out the arguments of sampled_from
+    st.sampled_from([1, -1]).map(lambda sign: sign * HUGE),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.builds(_Tag, st.text(max_size=3)),
+    st.builds(Fraction, st.integers(), st.integers(min_value=1)),
+    st.sampled_from(list(_Level)),
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(
+            st.one_of(st.integers(), st.text(max_size=3), st.sampled_from(list(_Level))),
+            kids,
+            max_size=4,
+        ),
+    ),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES)
+def test_canon_matches_the_isinstance_chain(value):
+    assert _typed(gogh.cli._canon(value)) == _typed(_reference_canon(value))
+
+
+@pytest.mark.parametrize("value", [1.5, object(), [1, {2: (3, 0.5)}]])
+def test_canon_refuses_what_the_isinstance_chain_refuses(value):
+    with pytest.raises(TypeError):
+        _reference_canon(value)
+    with pytest.raises(TypeError):
+        gogh.cli._canon(value)

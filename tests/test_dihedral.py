@@ -1,5 +1,7 @@
 from itertools import product
 
+import pytest
+
 from gogh.dihedral import (
     DihedralElement,
     IDENTITY,
@@ -19,6 +21,13 @@ def test_basic_products():
     # s r s = r^-1
     s, r = DihedralElement(1, 0), DihedralElement(0, 1)
     assert dmul(dmul(s, r), s) == DihedralElement(0, -1)
+
+
+@pytest.mark.parametrize("eps", [-1, 2, 3])
+def test_reflection_exponent_is_checked(eps):
+    # a raise, not an assert: it holds under `python -O` too
+    with pytest.raises(ValueError):
+        DihedralElement(eps, 0)
 
 
 def test_reflections_square_to_identity():

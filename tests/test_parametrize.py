@@ -1,13 +1,28 @@
 import importlib
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 
-from conftest import random_graph, relabel_graph
+from conftest import KLEIN_TEXT, random_graph, relabel_graph
+from gogh import dihedral as dih
 from gogh.balance import Balanced, Unbalanced, edge_balanced, group_balanced
 from gogh.cli import parse, run
 from gogh.dihedral import DihedralElement, dinv, dmul, dpow
-from gogh.model import Free, GoghError, make_graph
+from gogh.model import (
+    DIHEDRAL_R,
+    DIHEDRAL_S,
+    DihedralInfinite,
+    Free,
+    GoghError,
+    make_graph,
+    spanning_tree,
+)
 from gogh.parametrize import (
     HHG,
     LinearParametrization,
@@ -256,3 +271,298 @@ def test_deep_path_does_not_recurse(tmp_path):
         assert out["status"] == "HHG"
         (cert,) = out["certificates"]
         assert len(cert["phi"]) == 1200
+
+
+# -- references for the producer and the checker ----------------------------------
+
+
+def _reference_tree_parametrization(graph):
+    """The producer written with Fraction exponents propagated along the
+    spanning tree in BFS order, cleared by the lcm of their denominators and
+    the gcd of the results: the reference the integer producer, fed by the
+    groupoid pass, must reproduce."""
+    order = graph.vertex_ids()
+    exponents = {order[0]: Fraction(1)}
+    for vertex, (parent, step) in graph.index.parents.items():
+        e = graph.edge(step[0])
+        # tree relation: E_source * n_s = E_target * n_t
+        ratio = Fraction(e.attachment_source.letters[0][1], e.attachment_target.letters[0][1])
+        exponents[vertex] = exponents[parent] * (ratio if step[1] == 1 else 1 / ratio)
+    scale = lcm(*(f.denominator for f in exponents.values()))
+    ints = {v: f.numerator * (scale // f.denominator) for v, f in exponents.items()}
+    shrink = gcd(*ints.values())
+    ints = {v: k // shrink for v, k in ints.items()}
+    vertex_images = []
+    for v in order:
+        k = ints[v]
+        if isinstance(graph.kind(v), DihedralInfinite):
+            images = ((DIHEDRAL_R, DihedralElement(0, k)), (DIHEDRAL_S, DihedralElement(1, 0)))
+        else:
+            images = ((1, DihedralElement(0, k)),)
+        vertex_images.append((v, images))
+    tree = spanning_tree(graph)
+    stable_images = []
+    for e in graph.edges:
+        if e.name in tree:
+            continue
+        lhs = ints[e.target] * e.attachment_target.letters[0][1]
+        rhs = ints[e.source] * e.attachment_source.letters[0][1]
+        if lhs != rhs:
+            stable_images.append((e.name, DihedralElement(1, 0)))
+    return LinearParametrization(tuple(vertex_images), tuple(stable_images))
+
+
+def _reference_word_image(phi, word):
+    images = phi.vertex_image(word.vertex)
+    out = dih.IDENTITY
+    for gen, exp in word.letters:
+        out = dmul(out, dpow(images[gen], exp))
+    return out
+
+
+def _reference_verify(graph, phi):
+    """The checker written with a copy of the vertex's images per word and a
+    conjugation on every edge: the reference for every phi whose images are
+    group elements."""
+    report = []
+    assigned = dict(phi.vertex_images)
+    for vertex, kind in graph.vertices:
+        if vertex not in assigned:
+            report.append(f"vertex {vertex}: no images assigned")
+            continue
+        images = dict(assigned[vertex])
+        if isinstance(kind, DihedralInfinite):
+            r_img = images.get(DIHEDRAL_R)
+            s_img = images.get(DIHEDRAL_S)
+            if r_img is None or s_img is None:
+                report.append(f"vertex {vertex}: dihedral generators not assigned")
+                continue
+            if not r_img.infinite_order:
+                report.append(f"vertex {vertex}: rotation image has finite order (infinite kernel)")
+                continue
+            if s_img.eps != 1:
+                report.append(f"vertex {vertex}: reflection image is not a reflection")
+                continue
+            if dmul(dmul(s_img, r_img), s_img) != dinv(r_img):
+                report.append(f"vertex {vertex}: defining relation srs = r^-1 broken")
+        elif kind.rank == 1:
+            g_img = images.get(1)
+            if g_img is None:
+                report.append(f"vertex {vertex}: generator not assigned")
+                continue
+            if not g_img.infinite_order:
+                report.append(f"vertex {vertex}: generator image has finite order (infinite kernel)")
+        else:
+            report.append(f"vertex {vertex}: free rank {kind.rank} admits no quasi-isometric map")
+    tree = spanning_tree(graph)
+    for e in graph.edges:
+        t_img = phi.stable_image(e.name)
+        if e.name in tree and not t_img.is_identity:
+            report.append(f"edge {e.name}: tree stable letter must map to the identity")
+        try:
+            lhs = dmul(dmul(t_img, _reference_word_image(phi, e.attachment_target)), dinv(t_img))
+            rhs = _reference_word_image(phi, e.attachment_source)
+        except KeyError:
+            report.append(f"edge {e.name}: relation references unassigned generators")
+            continue
+        if lhs != rhs:
+            report.append(
+                f"edge {e.name}: relation image ({lhs.eps},{lhs.k}) != ({rhs.eps},{rhs.k})"
+            )
+    return (not report, report)
+
+
+def _two_ended(graph):
+    return all(isinstance(k, DihedralInfinite) or k.rank == 1 for _, k in graph.vertices)
+
+
+def test_producer_matches_the_tree_reference():
+    """Each certificate equals the reference built on its derived graph, and
+    parametrize equals it on graphs of 2-ended groups and on lone vertices:
+    seeded graphs with rank-2 (derived graphs), rank-1 and dihedral
+    vertices, loops, negative exponents, reflections and several classes."""
+    rng = random.Random(1401)
+    seen = dict.fromkeys(
+        ("derived", "dihedral", "loop", "negative", "reflection", "classes", "two-ended"), 0
+    )
+    balanced = 0
+    for i in range(1500):
+        g = random_graph(
+            rng,
+            v_max=3 + i % 4,
+            e_max=3 + i % 5,
+            exp_max=(1, 2, 4)[i % 3],
+            rank2_prob=(0.0, 0.35)[i % 2],
+        )
+        verdict = hhg_verdict(g)
+        if not isinstance(verdict, HHG):
+            continue
+        balanced += 1
+        for cert in verdict.certificates:
+            assert cert.phi == _reference_tree_parametrization(cert.conjugacy_graph.graph)
+            exponents = [n for _, n, _ in cert.conjugacy_graph.edge_class.attachments.values()]
+            seen["negative"] += min(exponents) < 0
+            seen["reflection"] += bool(cert.phi.stable_images)
+        if _two_ended(g):
+            assert parametrize(g) == _reference_tree_parametrization(g)
+            seen["two-ended"] += 1
+        else:
+            seen["derived"] += 1
+        seen["dihedral"] += any(isinstance(k, DihedralInfinite) for _, k in g.vertices)
+        seen["loop"] += any(e.source == e.target for e in g.edges)
+        seen["classes"] += len(verdict.certificates) >= 2
+    assert balanced >= 300, balanced
+    assert min(seen.values()) >= 20, seen
+    for decl in ("vertex v free 1", "vertex d dihedral"):
+        g = parse(decl + "\n")
+        assert parametrize(g) == _reference_tree_parametrization(g)
+
+
+def _random_image(rng):
+    return DihedralElement(rng.choice((0, 0, 1)), rng.randint(-3, 3))
+
+
+def _random_phi(rng, graph):
+    """Random images, some vertices and generators left out and some stable
+    letters, tree letters included, sent anywhere."""
+    vertex_images = []
+    for v, kind in graph.vertices:
+        if rng.random() < 0.1:
+            continue
+        if isinstance(kind, DihedralInfinite):
+            gens = (DIHEDRAL_R, DIHEDRAL_S)
+        else:
+            gens = range(1, kind.rank + 1)
+        images = tuple((g, _random_image(rng)) for g in gens if rng.random() > 0.1)
+        vertex_images.append((v, images))
+    stable_images = tuple(
+        (e.name, _random_image(rng)) for e in graph.edges if rng.random() < 0.3
+    )
+    return LinearParametrization(tuple(vertex_images), stable_images)
+
+
+def _mutants(rng, graph, phi):
+    """Criterion-8 mutations of a certificate (one exponent moved by one),
+    a lost vertex, a lost generator, a reflection on a tree edge and a
+    reflection moved on or off a non-tree edge."""
+    vertex = rng.choice(graph.vertex_ids())
+    images = phi.vertex_image(vertex)
+    gen = rng.choice(sorted(images, key=str))
+    old = images[gen]
+    moved = DihedralElement(old.eps, old.k + rng.choice((1, -1)))
+    yield _with_vertex_image(phi, vertex, gen, moved)
+    yield LinearParametrization(
+        tuple(p for p in phi.vertex_images if p[0] != vertex), phi.stable_images
+    )
+    yield LinearParametrization(
+        tuple(
+            (v, tuple(p for p in imgs if not (v == vertex and p[0] == gen)))
+            for v, imgs in phi.vertex_images
+        ),
+        phi.stable_images,
+    )
+    tree = sorted(spanning_tree(graph))
+    if tree:
+        edge = rng.choice(tree)
+        yield LinearParametrization(
+            phi.vertex_images, phi.stable_images + ((edge, DihedralElement(1, 0)),)
+        )
+    others = [e for e in graph.edge_ids() if e not in spanning_tree(graph)]
+    if others:
+        edge = rng.choice(others)
+        stable = dict(phi.stable_images)
+        if stable.pop(edge, None) is None:
+            stable[edge] = DihedralElement(1, 0)
+        yield LinearParametrization(phi.vertex_images, tuple(sorted(stable.items())))
+
+
+def test_checker_matches_the_reference():
+    """The same (ok, report), strings and order, on certificates and their
+    mutants, on random images with vertices and generators missing, and on
+    graphs with rank-2 vertices and multi-letter attachments."""
+    rng = random.Random(1402)
+    seen = {"ok": 0, "rejected": 0, "lines": set()}
+
+    def check(g, phi):
+        got = verify_parametrization(g, phi)
+        assert got == _reference_verify(g, phi)
+        seen["ok" if got[0] else "rejected"] += 1
+        seen["lines"].update(line.split(": ", 1)[1].split(" (")[0] for line in got[1])
+
+    for i in range(300):
+        g = random_graph(rng, exp_max=(1, 3)[i % 2], rank2_prob=(0.0, 0.3)[i % 2])
+        verdict = hhg_verdict(g)
+        if isinstance(verdict, HHG):
+            for cert in verdict.certificates:
+                derived = cert.conjugacy_graph.graph
+                check(derived, cert.phi)
+                for mutant in _mutants(rng, derived, cert.phi):
+                    check(derived, mutant)
+        elif _two_ended(g):
+            check(g, _reference_tree_parametrization(g))
+        check(g, _random_phi(rng, g))
+    assert seen["ok"] >= 100 and seen["rejected"] >= 300, seen
+    assert seen["lines"] == {
+        "no images assigned",
+        "dihedral generators not assigned",
+        "rotation image has finite order",
+        "reflection image is not a reflection",
+        "generator not assigned",
+        "generator image has finite order",
+        "free rank 2 admits no quasi-isometric map",
+        "tree stable letter must map to the identity",
+        "relation references unassigned generators",
+        "relation image",
+    }, seen["lines"]
+
+
+def test_verifier_rejects_a_rational_rotation(trefoil):
+    # u.1^2 = v.1^3 holds for r^(3/2) and r, but r^(3/2) is no group element
+    phi = LinearParametrization(
+        (
+            ("u", ((1, DihedralElement(0, Fraction(3, 2))),)),
+            ("v", ((1, DihedralElement(0, 1)),)),
+        ),
+        (),
+    )
+    assert verify_parametrization(trefoil, phi) == (
+        False,
+        ["vertex u: image of 1 is not an element of D-infinity"],
+    )
+
+
+_FORGED_REFLECTION = """\
+import sys
+from gogh.cli import parse
+from gogh.dihedral import DihedralElement
+from gogh.parametrize import LinearParametrization, verify_parametrization
+
+try:
+    DihedralElement(3, 0)
+except ValueError:
+    pass
+else:
+    sys.exit("DihedralElement(3, 0) was built")
+forged = object.__new__(DihedralElement)
+object.__setattr__(forged, "eps", 3)
+object.__setattr__(forged, "k", 0)
+phi = LinearParametrization((("v", ((1, DihedralElement(0, 1)),)),), (("e", forged),))
+print(verify_parametrization(parse(sys.argv[1]), phi))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_verifier_rejects_a_forged_reflection_even_without_asserts(flags):
+    # s^3 conjugates v.1 to v.1^-1 under the letter arithmetic, but is no element
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _FORGED_REFLECTION, KLEIN_TEXT],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        check=False,
+    )
+    assert (proc.returncode, proc.stdout) == (
+        0,
+        "(False, ['edge e: stable letter image is not an element of D-infinity'])\n",
+    ), proc.stderr

@@ -34,6 +34,8 @@ PRODUCERS = {
     "edge_balanced",
     "edge_classes",
     "class_of_edge",
+    "_class_parametrization",
+    "_parametrization",
 }
 
 
