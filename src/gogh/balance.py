@@ -19,30 +19,38 @@ images of the parametrization.
 This module owns the groupoid and everything read off it in one pass:
 spanning-forest potentials, the connected components (which are the
 edge-image equivalence classes), and per component either its first
-unbalanced cycle in arc order or balance.  The pass runs on integer ids:
-the sorted nodes are numbered 0..N-1 once, and adjacency, potentials, tree
-arcs and component roots are lists indexed by id.  A potential is the
+unbalanced cycle in arc order or balance.  The pass reads each edge once
+and runs on integer ids: a node is numbered when it is first seen, an edge
+becomes its two end ids and its two absolute root exponents, and
+adjacency, potentials, tree arcs and component roots are lists indexed by
+id.  All one-letter images g^k at a vertex share one node and one identity
+conjugator, so the pass allocates per node, not per occurrence.  The nodes
+come out in vertex-table order, sorted by root only within a vertex; that
+is the order of ``GroupoidNode.sort_key``, whose first component is the
+vertex.  Arcs, with their ``Fraction`` weights, are built when read: the
+pass builds only those of the cycles it reports.  A potential is the
 absolute value of a product of arc weights, kept as a gcd-reduced pair of
 positive integers, and an arc is balanced when cross-multiplying it with
 the potentials of its ends agrees; each class keeps its nodes' potentials,
-from which ``parametrize`` builds its certificate.  The two arcs of an edge are
-reciprocal, so they are balanced together: each non-tree edge is tested
-once, and an unbalanced one closes its cycle through its +1 arc, the arc
-met first in arc order.  Each fact is stored once: a class holds its
-verdict, and an unbalanced verdict holds the pass's attachment data,
+from which ``parametrize`` builds its certificate.  The two arcs of an
+edge are reciprocal, so they are balanced together: each non-tree edge is
+tested once, and an unbalanced one closes its cycle through its +1 arc,
+the arc met first in arc order.  Each fact is stored once: a class holds
+its verdict, and an unbalanced verdict holds the pass's attachment data,
 which ``certify`` reads.  Graph, edge and class verdicts are all lookups
 into that pass.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
 from . import freewords as fw
-from .model import GoghError, GraphOfGroups, VertexWord
+from .model import EdgeRecord, GoghError, GraphOfGroups, VertexWord
 from .words import (
     _conjugation_gens,
     _search_states,
@@ -121,8 +129,10 @@ class EdgeClass:
 
 @dataclass(eq=False)
 class RatioGroupoid:
-    nodes: tuple[GroupoidNode, ...]
-    arcs: tuple[GroupoidArc, ...]  # per edge in id order: sign +1, then -1
+    nodes: tuple[GroupoidNode, ...]  # in vertex-table order, then by sort_key
+    # per edge in id order: sign +1, then -1; each arc is built when read, and
+    # the length is known without building any
+    arcs: Sequence[GroupoidArc]
     occurrences: dict  # (edge, side) -> (node, exponent, conjugator VertexWord)
     component: dict  # node -> index of its component in classes
     classes: tuple[EdgeClass, ...]  # components, ordered by least member
@@ -132,48 +142,90 @@ class RatioGroupoid:
         return self.classes[self.component[self.occurrences[(edge, "target")][0]]]
 
 
-def attachment_data(graph: GraphOfGroups, edge: str, side: str):
-    """(node, signed root exponent n, conjugator c) with image = c root^n c^-1:
-    a one-letter g^k, free or dihedral, is root g, n = k, c = 1 (see above)."""
-    e = graph.edge(edge)
-    word = e.attachment_source if side == "source" else e.attachment_target
+def attachment_data(edge: EdgeRecord, side: str, shared: dict):
+    """(node, signed root exponent n, conjugator c) with image = c root^n c^-1,
+    for the image on one side of an edge: a one-letter g^k, free or
+    dihedral, is root g, n = k, c = 1 (see above).  Every one-letter image
+    at a vertex with root g gets the node and identity conjugator that
+    ``shared`` holds for (vertex, g), both immutable, so a pass builds them
+    once per root."""
+    word = edge.attachment_source if side == "source" else edge.attachment_target
     if len(word.letters) == 1:
         ((g, k),) = word.letters
-        return GroupoidNode(word.vertex, ((g, 1),)), k, VertexWord(word.vertex, ())
+        key = (word.vertex, g)
+        found = shared.get(key)
+        if found is None:
+            found = GroupoidNode(word.vertex, ((g, 1),)), VertexWord(word.vertex, ())
+            shared[key] = found
+        return found[0], k, found[1]
     root, conj, n = fw.canonical_root(word)
     return GroupoidNode(word.vertex, root.letters), n, conj
+
+
+class _Arcs(Sequence):
+    """The arcs of a groupoid, each built when it is read: for the k-th edge,
+    arc 2k runs from its target-side node with weight n_s/n_t and sign +1,
+    and arc 2k+1 = 2k ^ 1 is its inverse."""
+
+    def __init__(self, labels: list[str], occurrences: dict):
+        self._labels = labels
+        self._occurrences = occurrences
+
+    def __len__(self) -> int:
+        return 2 * len(self._labels)
+
+    def __getitem__(self, a):
+        label = self._labels[a >> 1]  # arithmetic shift: negative indices work too
+        node_t, n_t, _ = self._occurrences[(label, "target")]
+        node_s, n_s, _ = self._occurrences[(label, "source")]
+        if a & 1:
+            return GroupoidArc(node_s, node_t, Fraction(n_t, n_s), label, -1)
+        return GroupoidArc(node_t, node_s, Fraction(n_s, n_t), label, 1)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and tuple(self) == tuple(other)
 
 
 def build_groupoid(graph: GraphOfGroups) -> RatioGroupoid:
     """The ratio groupoid of the graph, split into components and decided.
 
-    Arcs come out per edge in id order (a validated graph stores its edges
-    sorted), the stored orientation first; the first unbalanced cycle is
-    taken in this order.
+    Each edge is read once, in id order (a validated graph stores its edges
+    sorted): its two attachment data are computed and its integer ends
+    recorded, a node taking the next id when it is first seen.  The nodes
+    are then listed in vertex-table order, sorting only the roots within
+    one vertex.  No arc is built here: ``arcs`` builds each when it is read,
+    per edge in id order with the stored orientation first, the order in
+    which the first unbalanced cycle is taken.
     """
-    occurrences = {
-        (e.name, side): attachment_data(graph, e.name, side) for e in graph.edges for side in SIDES
-    }
-    nodes = tuple(sorted({node for node, _, _ in occurrences.values()}, key=GroupoidNode.sort_key))
-    ids = {node: i for i, node in enumerate(nodes)}
-    arcs: list[GroupoidArc] = []
+    shared: dict = {}
+    occurrences: dict = {}
+    ids: dict[GroupoidNode, int] = {}
     ends: list[tuple[int, int, int, int]] = []
     for e in graph.edges:
-        node_t, n_t, _ = occurrences[(e.name, "target")]
-        node_s, n_s, _ = occurrences[(e.name, "source")]
-        arcs.append(GroupoidArc(node_t, node_s, Fraction(n_s, n_t), e.name, 1))
-        arcs.append(GroupoidArc(node_s, node_t, Fraction(n_t, n_s), e.name, -1))
-        ends.append((ids[node_t], ids[node_s], abs(n_t), abs(n_s)))
-    return _decide(nodes, tuple(arcs), ends, occurrences, ids)
+        node_s, n_s, _ = occurrences[(e.name, "source")] = attachment_data(e, "source", shared)
+        node_t, n_t, _ = occurrences[(e.name, "target")] = attachment_data(e, "target", shared)
+        t, s = ids.setdefault(node_t, len(ids)), ids.setdefault(node_s, len(ids))
+        ends.append((t, s, abs(n_t), abs(n_s)))
+    at_vertex: dict[str, list[GroupoidNode]] = {}
+    for node in ids:
+        at_vertex.setdefault(node.vertex, []).append(node)
+    nodes: list[GroupoidNode] = []
+    for v, _ in graph.vertices:
+        roots = at_vertex.get(v)
+        if roots:
+            nodes += sorted(roots, key=GroupoidNode.sort_key) if len(roots) > 1 else roots
+    arcs = _Arcs([e.name for e in graph.edges], occurrences)
+    return _decide(tuple(nodes), [ids[node] for node in nodes], arcs, ends, occurrences)
 
 
-def _decide(nodes, arcs, ends, occurrences, ids) -> RatioGroupoid:
+def _decide(nodes, order, arcs, ends, occurrences) -> RatioGroupoid:
     """One pass: a BFS forest with potentials (each component rooted at its
     least node), then one scan of the edges in order.  A non-tree edge whose
     weight disagrees in absolute value with the potentials closes the
     component's first unbalanced cycle; the first of those overall decides
     the graph.
 
+    Nodes carry the ids of the edge ends; order[i] is the id of nodes[i].
     Edge k comes in as ends[k] = (target id, source id, |n_t|, |n_s|): arc
     2k runs from the target node with weight n_s/n_t, arc 2k+1 = 2k ^ 1 is
     its inverse."""
@@ -187,7 +239,7 @@ def _decide(nodes, arcs, ends, occurrences, ids) -> RatioGroupoid:
     tree_arc = [-1] * len(nodes)  # arc index into the node, -1 at a root
     parent = [-1] * len(nodes)
     root_of = [-1] * len(nodes)
-    for start in range(len(nodes)):
+    for start in order:
         if root_of[start] >= 0:
             continue
         root_of[start] = start
@@ -234,11 +286,12 @@ def _decide(nodes, arcs, ends, occurrences, ids) -> RatioGroupoid:
     # occurrences are keyed in sorted order, so each component's members come
     # out sorted and the components come out ordered by least member
     attachments: dict[int, dict] = {}
-    for occ, data in occurrences.items():
-        attachments.setdefault(root_of[ids[data[0]]], {})[occ] = data
+    occurrence_ids = (i for t, s, _, _ in ends for i in (s, t))  # in key order
+    for (occ, data), i in zip(occurrences.items(), occurrence_ids):
+        attachments.setdefault(root_of[i], {})[occ] = data
     class_nodes: dict[int, list[GroupoidNode]] = {}
     class_potentials: dict[int, list[tuple[int, int]]] = {}
-    for i, node in enumerate(nodes):
+    for node, i in zip(nodes, order):
         class_nodes.setdefault(root_of[i], []).append(node)
         class_potentials.setdefault(root_of[i], []).append((num[i], den[i]))
     position = {root: i for i, root in enumerate(attachments)}
@@ -246,7 +299,7 @@ def _decide(nodes, arcs, ends, occurrences, ids) -> RatioGroupoid:
         nodes=nodes,
         arcs=arcs,
         occurrences=occurrences,
-        component={node: position[root_of[i]] for i, node in enumerate(nodes)},
+        component={node: position[root_of[i]] for node, i in zip(nodes, order)},
         classes=tuple(
             EdgeClass(
                 i,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .balance import Balanced, GroupoidArc, Unbalanced
 from .freewords import pow_letters
@@ -72,13 +72,19 @@ def _crossing(arc: GroupoidArc, occurrences: dict) -> tuple[int, list]:
 
 def _minimal_base_power(cycle: tuple[GroupoidArc, ...], crossings: list, i: int) -> int:
     """Least m so that carrying root^(m*i) around the cycle stays integral:
-    the carried exponent must be a multiple of each arc's entry exponent."""
-    constraints = []
-    prefix = Fraction(i)
+    the carried exponent must be a multiple of each arc's entry exponent.
+
+    The carried exponent per unit of m is top/bottom, a gcd-reduced pair
+    with bottom > 0; on entering an arc with exponent n, m must be a
+    multiple of the denominator of top/(bottom*n), |n*bottom| / gcd."""
+    m, top, bottom = 1, i, 1
     for arc, (n, _) in zip(cycle, crossings):
-        constraints.append((prefix / n).denominator)
-        prefix *= arc.weight
-    return lcm(*constraints)
+        entry = n * bottom
+        m = lcm(m, abs(entry) // gcd(top, entry))
+        top, bottom = top * arc.weight.numerator, bottom * arc.weight.denominator
+        g = gcd(top, bottom)
+        top, bottom = top // g, bottom // g
+    return m
 
 
 def almost_bs_witness(graph: GraphOfGroups, verdict) -> BSWitness:

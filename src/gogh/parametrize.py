@@ -5,8 +5,8 @@ each vertex generator to a rotation r^E and each stable letter to the
 identity or the bare reflection.  The certificate is built in integers
 from the ratio-groupoid pass: the magnitude |E| of each vertex is the
 reciprocal of its node's potential, which the pass keeps as a reduced
-integer pair, cleared to the primitive positive vector by one lcm and one
-gcd; the signs come from one walk over the spanning tree in BFS order.
+integer pair, cleared to the primitive positive vector by one lcm; the
+signs come from one walk over the spanning tree in BFS order.
 The result is never trusted but re-verified relation by relation, once, by
 a checker that reads nothing from the pass.  The global verdict reads
 balance and the edge-image classes off that one pass and assembles one
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 
 from . import dihedral as dih
 from .balance import Unbalanced, build_groupoid
@@ -114,15 +114,18 @@ def _parametrization(
     pass's (node, signed root exponent, conjugator).  Along the arc
     target -> source of weight n_s/n_t the potential scales by |n_s/n_t|,
     while the tree relation E_s * n_s = E_t * n_t scales the rotation
-    exponent by n_t/n_s: so |E_v| is proportional to 1/|potential_v|, made
-    the primitive positive vector by one lcm and one gcd.  The root of the
+    exponent by n_t/n_s: so |E_v| is proportional to 1/|potential_v|,
+    cleared to integers by L = lcm of the numerators.  The result is already
+    primitive.  The class root has potential (1, 1), hence magnitude L, so a
+    prime p dividing every magnitude divides L; but the node whose numerator
+    holds the highest power of p has magnitude den * (L // num) with
+    neither factor divisible by p (den is prime to num).  The root of the
     spanning tree is positive, and one walk over the tree parents in BFS
     order flips the sign across each edge whose two exponents have opposite
     signs.  A non-tree stable letter maps to the reflection exactly when its
     relation needs a sign flip."""
     scale = lcm(*(num for num, _ in potential.values()))
     magnitude = {v: den * (scale // num) for v, (num, den) in potential.items()}
-    shrink = gcd(*magnitude.values())
     negative = {graph.vertices[0][0]: False}  # the tree is rooted at the least vertex
     for vertex, (parent, (edge, _)) in graph.index.parents.items():
         flip = (attachments[(edge, "source")][1] < 0) != (attachments[(edge, "target")][1] < 0)
@@ -130,7 +133,7 @@ def _parametrization(
 
     vertex_images = []
     for v, kind in graph.vertices:
-        k = magnitude[v] // shrink
+        k = magnitude[v]
         rotation = dih.DihedralElement(0, -k if negative[v] else k)
         if isinstance(kind, DihedralInfinite):
             vertex_images.append((v, ((DIHEDRAL_R, rotation), (DIHEDRAL_S, _REFLECTION))))

@@ -24,7 +24,15 @@ from gogh.balance import (
 )
 from gogh.dihedral import word_to_element
 from gogh.freewords import canonical_root
-from gogh.model import DIHEDRAL_R, DihedralInfinite, EdgeRecord, Free, GoghError, make_graph
+from gogh.model import (
+    DIHEDRAL_R,
+    DihedralInfinite,
+    EdgeRecord,
+    Free,
+    GoghError,
+    VertexWord,
+    make_graph,
+)
 from gogh.words import SearchBudgetExceeded
 
 
@@ -116,7 +124,7 @@ def test_pass_emits_edge_arcs_in_order_and_class_attachments():
         for cls in g.classes:
             assert list(cls.members) == sorted(cls.members)
             for occ, data in cls.attachments.items():
-                assert data == attachment_data(graph, *occ)
+                assert data == attachment_data(graph.edge(occ[0]), occ[1], {})
             assert cls.nodes == tuple(n for n in g.nodes if g.component[n] == cls.index)
     assert {DihedralInfinite(), Free(1), Free(2)} <= kinds
 
@@ -166,7 +174,7 @@ def _reference_groupoid(graph):
     potentials, testing both arcs of every edge: the reference the
     id-indexed pass must reproduce field for field."""
     occurrences = {
-        (e.name, side): attachment_data(graph, e.name, side) for e in graph.edges for side in SIDES
+        (e.name, side): attachment_data(e, side, {}) for e in graph.edges for side in SIDES
     }
     nodes = tuple(sorted({node for node, _, _ in occurrences.values()}, key=GroupoidNode.sort_key))
 
@@ -279,6 +287,71 @@ def test_pass_matches_the_reference_pass():
         seen["mixed"] += verdicts == {Balanced, Unbalanced}
     assert {DihedralInfinite(), Free(1), Free(2)} <= kinds
     assert min(seen.values()) >= 20, seen
+
+
+def _ratio_cycle(n, unbalanced):
+    """A cycle of n (even) vertices whose edge ratios n_s/n_t alternate
+    -2/3 and 3/2, so that they multiply to 1, or to 4 when unbalanced.
+    Every third vertex is dihedral and every fifth free of rank 2, which
+    leaves v.2 v.1^k v.2^-1, a conjugated root, on its outgoing edge."""
+    kinds = [
+        Free(2) if i % 5 == 0 else DihedralInfinite() if i % 3 == 0 else Free(1) for i in range(n)
+    ]
+
+    def word(i, k, outgoing):
+        vertex = f"v{i:04d}"
+        if isinstance(kinds[i], DihedralInfinite):
+            return VertexWord(vertex, ((DIHEDRAL_R, k),))
+        if kinds[i] == Free(2) and outgoing:
+            return VertexWord(vertex, ((2, 1), (1, k), (2, -1)))
+        return VertexWord(vertex, ((1, k),))
+
+    edges = []
+    for i in range(n):
+        n_s, n_t = (-2, 3) if i % 2 == 0 else (3, 2)
+        if unbalanced and i == n // 2:
+            n_s *= 4
+        j = (i + 1) % n
+        edges.append(
+            EdgeRecord(f"e{i:04d}", f"v{i:04d}", f"v{j:04d}", word(i, n_s, True), word(j, n_t, False))
+        )
+    return make_graph([(f"v{i:04d}", kind) for i, kind in enumerate(kinds)], edges)
+
+
+def test_pass_builds_only_the_arcs_it_reports(monkeypatch):
+    """The pass builds an arc, and its Fraction weight, only for the cycle it
+    reports; the groupoid's arcs are built when they are read, and their
+    count is known without building them.  One-letter images share their
+    node and conjugator objects."""
+    built = Counter()
+
+    def counting(name, make):
+        def counted(*args):
+            built[name] += 1
+            return make(*args)
+
+        return counted
+
+    monkeypatch.setattr(gogh.balance, "Fraction", counting("Fraction", Fraction))
+    monkeypatch.setattr(gogh.balance, "GroupoidArc", counting("GroupoidArc", GroupoidArc))
+    g = build_groupoid(_ratio_cycle(400, unbalanced=False))
+    assert isinstance(g.verdict, Balanced) and len(g.nodes) == 400
+    assert len(g.arcs) == 800 and not built
+    arcs = list(g.arcs)
+    assert built == {"Fraction": 800, "GroupoidArc": 800}
+    assert [(a.label, a.sign) for a in arcs] == [(f"e{i:04d}", s) for i in range(400) for s in (1, -1)]
+    # the one-letter images at a vertex share one node and one identity conjugator
+    one_letter = [data for data in g.occurrences.values() if data[2].is_identity]
+    assert len(one_letter) == 800 - 80
+    assert len({id(node) for node, _, _ in one_letter}) == len({node for node, _, _ in one_letter})
+    assert len({id(conj) for _, _, conj in one_letter}) == len({node for node, _, _ in one_letter})
+
+    built.clear()
+    g = build_groupoid(_ratio_cycle(400, unbalanced=True))
+    assert isinstance(g.verdict, Unbalanced) and abs(g.verdict.modulus) == 4
+    assert len(g.verdict.cycle) == 400 and cycle_is_consistent(g.verdict)
+    # one weight per cycle arc, and the modulus
+    assert built == {"Fraction": 401, "GroupoidArc": 400}
 
 
 # -- group-level balance ----------------------------------------------------------

@@ -1,5 +1,8 @@
 import random
 import sys
+from collections import Counter
+from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -10,6 +13,7 @@ from gogh.certify import (
     BSWitness,
     NoWitness,
     _crossing,
+    _minimal_base_power,
     almost_bs_witness,
     distortion_certificate,
     relation_tokens,
@@ -68,6 +72,39 @@ def test_every_arc_crossing_conjugates_root_powers():
     assert {DihedralInfinite(), Free(2)} <= kinds
 
 
+def _reference_minimal_base_power(cycle, crossings, i):
+    """certify._minimal_base_power in Fractions: the reference."""
+    constraints = []
+    prefix = Fraction(i)
+    for arc, (n, _) in zip(cycle, crossings):
+        constraints.append((prefix / n).denominator)
+        prefix *= arc.weight
+    return lcm(*constraints)
+
+
+def test_minimal_base_power_matches_the_fraction_reference():
+    """The integer computation equals the Fraction one on the unbalanced
+    cycles of seeded graphs (rank-2 roots and exponents up to 60), for the
+    cycle's own base exponent i and for others."""
+    rng = random.Random(151)
+    seen = Counter()
+    for k in range(400):
+        graph = random_graph(
+            rng, v_max=3 + k % 5, e_max=4 + k % 6, exp_max=(3, 12, 60)[k % 3], rank2_prob=0.3
+        )
+        verdict = group_balanced(graph)
+        if isinstance(verdict, Balanced):
+            continue
+        crossings = [_crossing(arc, verdict.occurrences) for arc in verdict.cycle]
+        for i in (verdict.modulus.denominator, 1, 6, 35, 2**70 + 1):
+            got = _minimal_base_power(verdict.cycle, crossings, i)
+            assert got == _reference_minimal_base_power(verdict.cycle, crossings, i)
+            seen["m > 1"] += got > 1
+        seen["cycles"] += 1
+        seen["long cycles"] += len(verdict.cycle) >= 3
+    assert seen["cycles"] >= 200 and min(seen.values()) >= 80, seen
+
+
 # a 3-cycle of rank-2 vertices, each attached by v.1^k and v.2 v.1^k v.2^-1,
 # with modulus 3/2
 RANK2_CYCLE_TEXT = """\
@@ -92,9 +129,9 @@ def test_attachment_data_is_computed_once_per_occurrence(tmp_path, monkeypatch, 
     calls = []
     original = gogh.balance.attachment_data
 
-    def counting(graph, edge, side):
-        calls.append((edge, side))
-        return original(graph, edge, side)
+    def counting(edge, side, shared):
+        calls.append((edge.name, side))
+        return original(edge, side, shared)
 
     # patch every gogh namespace that holds the function, so a call through
     # any imported name is counted too

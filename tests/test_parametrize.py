@@ -376,6 +376,12 @@ def _two_ended(graph):
     return all(isinstance(k, DihedralInfinite) or k.rank == 1 for _, k in graph.vertices)
 
 
+def _magnitudes_gcd(phi):
+    """The gcd of the rotation magnitudes |E_v|: every vertex's first image
+    is its rotation r^E_v."""
+    return gcd(*(images[0][1].k for _, images in phi.vertex_images))
+
+
 def test_producer_matches_the_tree_reference():
     """Each certificate equals the reference built on its derived graph, and
     parametrize equals it on graphs of 2-ended groups and on lone vertices:
@@ -400,11 +406,13 @@ def test_producer_matches_the_tree_reference():
         balanced += 1
         for cert in verdict.certificates:
             assert cert.phi == _reference_tree_parametrization(cert.conjugacy_graph.graph)
+            assert _magnitudes_gcd(cert.phi) == 1
             exponents = [n for _, n, _ in cert.conjugacy_graph.edge_class.attachments.values()]
             seen["negative"] += min(exponents) < 0
             seen["reflection"] += bool(cert.phi.stable_images)
         if _two_ended(g):
             assert parametrize(g) == _reference_tree_parametrization(g)
+            assert _magnitudes_gcd(parametrize(g)) == 1
             seen["two-ended"] += 1
         else:
             seen["derived"] += 1
@@ -416,6 +424,7 @@ def test_producer_matches_the_tree_reference():
     for decl in ("vertex v free 1", "vertex d dihedral"):
         g = parse(decl + "\n")
         assert parametrize(g) == _reference_tree_parametrization(g)
+        assert _magnitudes_gcd(parametrize(g)) == 1
 
 
 def _random_image(rng):
