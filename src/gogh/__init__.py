@@ -9,7 +9,6 @@ non-Euclidean almost Baumslag-Solitar witness otherwise.
 from .balance import (
     Balanced,
     Unbalanced,
-    brute_force_balance_oracle,
     build_groupoid,
     edge_balanced,
     group_balanced,
@@ -46,7 +45,6 @@ from .parametrize import (
 from .words import (
     PathWord,
     are_equal,
-    bounded_conjugator_search,
     britton_reduce,
     is_trivial,
     pinch_membership,
@@ -56,7 +54,6 @@ from .words import (
 __all__ = [
     "Balanced",
     "Unbalanced",
-    "brute_force_balance_oracle",
     "build_groupoid",
     "edge_balanced",
     "group_balanced",
@@ -93,7 +90,6 @@ __all__ = [
     "verify_parametrization",
     "PathWord",
     "are_equal",
-    "bounded_conjugator_search",
     "britton_reduce",
     "is_trivial",
     "pinch_membership",

@@ -51,15 +51,6 @@ from typing import NamedTuple
 
 from . import freewords as fw
 from .model import EdgeRecord, GoghError, GraphOfGroups, VertexWord
-from .words import (
-    _conjugation_gens,
-    _search_states,
-    are_equal,
-    invert_tokens,
-    to_path_form,
-    tokens_of_vertex_word,
-    vw_pow,
-)
 
 SIDES = ("source", "target")
 
@@ -330,65 +321,3 @@ def edge_balanced(graph: GraphOfGroups, edge: str) -> BalanceVerdict:
     """
     return build_groupoid(graph).class_of(graph.edge(edge).name).verdict
 
-
-# -- brute-force oracle --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OracleUnbalanced:
-    conjugator: tuple  # tokens h with h x^i h^-1 = y^j in the edge-deleted group
-    i: int
-    j: int
-
-
-@dataclass(frozen=True)
-class OracleBalancedWithinBounds:
-    pass
-
-
-def brute_force_balance_oracle(
-    graph: GraphOfGroups,
-    edge: str,
-    max_syllables: int,
-    max_exp: int,
-    node_cap: int = 50_000,
-):
-    """Exhaustive witness search for unbalancedness of one edge.
-
-    For every exponent i up to the bound, conjugates of the target-side
-    image power are pushed through the groups of the edge-deleted graph by
-    bounded search; a hit on a source-side image power with a different
-    absolute exponent is an unbalancedness witness (h, i, j), re-verified
-    through the word engine.  Finding nothing within bounds is inconclusive.
-    """
-    e = graph.edge(edge)
-    kind_t = graph.kind(e.target)
-    kind_s = graph.kind(e.source)
-    u_t = e.attachment_target
-    u_s = e.attachment_source
-    targets = {}
-    for j in range(1, max_exp + 1):
-        for sj in (1, -1):
-            targets[vw_pow(kind_s, u_s, sj * j)] = sj * j
-    banned = frozenset({edge})
-    for i in range(1, max_exp + 1):
-        x = vw_pow(kind_t, u_t, i)
-        gens = _conjugation_gens(graph, x, u_s)
-        for vertex, z, toks in _search_states(
-            graph, x.vertex, x, max_syllables, max_exp, node_cap, banned, gens
-        ):
-            j = targets.get(z)
-            if j is None or vertex != z.vertex:
-                continue
-            if abs(i) == abs(j):
-                continue
-            lhs = list(toks) + tokens_of_vertex_word(x) + invert_tokens(toks)
-            rhs = tokens_of_vertex_word(vw_pow(kind_s, u_s, j))
-            if not are_equal(
-                graph,
-                to_path_form(graph, lhs, x.vertex),
-                to_path_form(graph, rhs, u_s.vertex),
-            ):
-                raise GoghError("internal: oracle witness failed re-verification")
-            return OracleUnbalanced(tuple(toks), i, j)
-    return OracleBalancedWithinBounds()

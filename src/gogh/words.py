@@ -19,8 +19,6 @@ from decimal import Decimal
 from . import dihedral as dih
 from . import freewords as fw
 from .model import (
-    DIHEDRAL_R,
-    DIHEDRAL_S,
     DihedralInfinite,
     Free,
     GoghError,
@@ -36,10 +34,6 @@ from .model import (
 )
 
 Token = tuple
-
-
-class SearchBudgetExceeded(GoghError):
-    pass
 
 
 # -- vertex-word algebra, dispatching on the vertex-group kind ---------------
@@ -245,16 +239,6 @@ def britton_reduce(graph: GraphOfGroups, w: PathWord) -> PathWord:
     return PathWord(w.base, stack[0][1], tuple(stack[1:]))
 
 
-def has_pinch(graph: GraphOfGroups, w: PathWord) -> bool:
-    steps = w.steps()
-    words = w.words()
-    for i in range(len(steps) - 1):
-        if steps[i] == reverse_step(steps[i + 1]):
-            if pinch_membership(graph, steps[i][0], words[i + 1], steps[i][1]) is not None:
-                return True
-    return False
-
-
 def _as_path(graph: GraphOfGroups, w) -> PathWord:
     if isinstance(w, PathWord):
         return w
@@ -276,128 +260,9 @@ def are_equal(graph: GraphOfGroups, u, v) -> bool:
     return is_trivial(graph, to_path_form(graph, tokens, pu.base))
 
 
-# -- bounded conjugator search (independent oracle) ---------------------------
-
-
-def _letter_moves(graph: GraphOfGroups, vertex: str, z: VertexWord, max_exp: int, gens):
-    kind = graph.kind(vertex)
-    if isinstance(kind, DihedralInfinite):
-        flip = dih.element_to_word(vertex, dih.dmul(dih.dmul(
-            dih.DihedralElement(1, 0), dih.word_to_element(z)), dih.DihedralElement(1, 0)))
-        yield ("g", vertex, DIHEDRAL_S, 1), flip
-        if z.letters and z.letters[0][0] == DIHEDRAL_S:
-            el = dih.word_to_element(z)
-            for mag in range(1, max_exp + 1):
-                for s in (1, -1):
-                    r = dih.DihedralElement(0, s * mag)
-                    out = dih.dmul(dih.dmul(r, el), dih.dinv(r))
-                    yield ("g", vertex, DIHEDRAL_R, s * mag), dih.element_to_word(vertex, out)
-        return
-    for gen in sorted(gens):
-        for mag in range(1, max_exp + 1):
-            for s in (1, -1):
-                ell = ((gen, s * mag),)
-                out = fw.mul_letters(ell, z.letters, fw.inv_letters(ell))
-                moved = VertexWord(vertex, out)
-                if moved != z:
-                    yield ("g", vertex, gen, s * mag), moved
-
-
-def _conjugation_gens(graph: GraphOfGroups, x: VertexWord, y: VertexWord):
-    """Per-vertex generator pools for conjugator letters.
-
-    Letters are drawn from generators occurring in incident attachments and
-    in the two endpoints; a conjugating path assembled from root data never
-    needs other generators.
-    """
-    pools: dict[str, set] = {v: set() for v in graph.vertex_ids()}
-    for e in graph.edges:
-        for w in (e.attachment_source, e.attachment_target):
-            pools[w.vertex].update(g for g, _ in w.letters)
-    for w in (x, y):
-        pools[w.vertex].update(g for g, _ in w.letters)
-    return pools
-
-
-def _search_states(graph, start_vertex, start_word, max_syllables, max_exp,
-                   node_cap, banned_edges, gens):
-    """BFS over pinch-transition states; yields (vertex, word, tokens)."""
-    edge_moves = [(e.name, s) for e in graph.edges if e.name not in banned_edges for s in (1, -1)]
-
-    start = (start_vertex, start_word)
-    seen = {start}
-    frontier = [(start, [])]
-    yield start_vertex, start_word, []
-    depth = 0
-    visited = 1
-    while frontier and depth < max_syllables:
-        depth += 1
-        nxt = []
-        for (vertex, z), toks in frontier:
-            moves = []
-            for step in edge_moves:
-                src, tgt = edge_endpoints(graph, step)
-                if tgt != vertex:
-                    continue
-                k = pinch_membership(graph, step[0], z, step[1])
-                if k is None:
-                    continue
-                att_src = edge_attachments(graph, step)[0]
-                kind = graph.kind(src)
-                moves.append((("t", step[0], step[1]), src, vw_pow(kind, att_src, k)))
-            for tok, moved in _letter_moves(graph, vertex, z, max_exp, gens.get(vertex, ())):
-                moves.append((tok, vertex, moved))
-            for tok, nv, nw in moves:
-                state = (nv, nw)
-                if state in seen:
-                    continue
-                seen.add(state)
-                visited += 1
-                if visited > node_cap:
-                    raise SearchBudgetExceeded(f"conjugator search exceeded {node_cap} states")
-                ntoks = [tok] + toks
-                yield nv, nw, ntoks
-                nxt.append((state, ntoks))
-        frontier = nxt
-
-
-def bounded_conjugator_search(
-    graph: GraphOfGroups,
-    x: VertexWord,
-    y: VertexWord,
-    max_syllables: int,
-    max_exp: int,
-    node_cap: int = 50_000,
-    banned_edges: frozenset[str] = frozenset(),
-) -> PathWord | None:
-    """Search for h with h x h^-1 = y among short canonical path words.
-
-    States track the conjugate of x as it is pushed through edges whose
-    image subgroups contain it (the only way an elliptic element can stay
-    elliptic), plus bounded single-letter conjugations inside vertex
-    groups.  Any hit is re-verified with are_equal before it is returned.
-    Absence only means no conjugator within the given bounds.
-    """
-    xk = graph.kind(x.vertex)
-    yk = graph.kind(y.vertex)
-    xn = vw_normalize(xk, x)
-    yn = vw_normalize(yk, y)
-    gens = _conjugation_gens(graph, xn, yn)
-    for vertex, z, toks in _search_states(
-        graph, xn.vertex, xn, max_syllables, max_exp, node_cap, banned_edges, gens
-    ):
-        if vertex == yn.vertex and z == yn:
-            conj = list(toks)
-            lhs = conj + tokens_of_vertex_word(xn) + invert_tokens(conj)
-            if not are_equal(graph, to_path_form(graph, lhs, yn.vertex), yn):
-                raise GoghError("internal: conjugator search hit failed re-verification")
-            return to_path_form(graph, conj, yn.vertex)
-    return None
-
-
-def display_tokens(graph: GraphOfGroups, tokens, erase_tree: bool = True) -> str:
+def display_tokens(graph: GraphOfGroups, tokens) -> str:
     """Render tokens in the input letter syntax; tree stable letters are
-    display-trivial and dropped unless erase_tree is false."""
+    display-trivial and dropped."""
     tree = spanning_tree(graph)
     parts = []
     for tok in tokens:
@@ -408,7 +273,7 @@ def display_tokens(graph: GraphOfGroups, tokens, erase_tree: bool = True) -> str
             parts.append(f"{v}.{letter_str(g, e)}")
         else:
             _, edge, e = tok
-            if e == 0 or (erase_tree and edge in tree):
+            if e == 0 or edge in tree:
                 continue
             parts.append(f"{edge}.{letter_str('t', e)}")
     return " ".join(parts)

@@ -35,7 +35,7 @@ from conftest import (  # noqa: E402
     random_word_tokens,
 )
 from gogh.cli import parse, render_json, run, serialize  # noqa: E402
-from gogh.words import display_tokens, invert_tokens, tokens_of_vertex_word  # noqa: E402
+from gogh.words import invert_tokens, letter_str, tokens_of_vertex_word  # noqa: E402
 
 GOLDEN = os.path.join(HERE, "golden")
 
@@ -74,6 +74,17 @@ def inputs():
         yield f"malformed_{name}", text
 
 
+def display(tokens) -> str:
+    """Tokens in the input letter syntax, tree stable letters kept, so the
+    word is exactly the one generated."""
+    parts = []
+    for tok in tokens:
+        if tok[-1] != 0:
+            gen = tok[2] if tok[0] == "g" else "t"
+            parts.append(f"{tok[1]}.{letter_str(gen, tok[-1])}")
+    return " ".join(parts)
+
+
 def commands(name: str, text: str):
     try:
         graph = parse(text)
@@ -82,7 +93,7 @@ def commands(name: str, text: str):
     rng = random.Random(name)
     words = ["v.1"]
     if graph is not None:
-        words = [display_tokens(graph, random_word_tokens(rng, graph), erase_tree=False)]
+        words = [display(random_word_tokens(rng, graph))]
         if graph.edges:
             e = graph.edges[0]
             relator = (
@@ -91,7 +102,7 @@ def commands(name: str, text: str):
                 + [("t", e.name, -1)]
                 + invert_tokens(tokens_of_vertex_word(e.attachment_source))
             )
-            words.append(display_tokens(graph, relator, erase_tree=False))
+            words.append(display(relator))
     out = [["check"]]
     out += [["reduce", "--word", w] for w in words if w]
     out.append(["balance"])

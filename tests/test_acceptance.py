@@ -20,9 +20,7 @@ from conftest import (
 )
 from gogh.balance import (
     Balanced,
-    OracleUnbalanced,
     Unbalanced,
-    brute_force_balance_oracle,
     build_groupoid,
     edge_balanced,
     group_balanced,
@@ -41,6 +39,7 @@ from gogh.parametrize import (
     verify_parametrization,
 )
 from gogh.words import invert_tokens, is_trivial, to_path_form, are_equal
+from oracles import OracleUnbalanced, brute_force_balance_oracle
 
 
 class Clock:
@@ -161,7 +160,7 @@ def _cycle_moduli_closure(graph, depth=6):
 
 def test_criterion_4_balance_oracle_agreement(small_instances):
     with Clock("4 balance-oracle", 60.0):
-        from gogh.words import SearchBudgetExceeded
+        from oracles import SearchBudgetExceeded
 
         conclusive = inconclusive = 0
         for g in small_instances:

@@ -6,18 +6,16 @@ import pytest
 
 from conftest import random_graph, random_tree_graph, relabel_graph
 import gogh.balance
+import oracles
 from gogh.balance import (
     SIDES,
     Balanced,
     EdgeClass,
     GroupoidArc,
     GroupoidNode,
-    OracleBalancedWithinBounds,
-    OracleUnbalanced,
     RatioGroupoid,
     Unbalanced,
     attachment_data,
-    brute_force_balance_oracle,
     build_groupoid,
     edge_balanced,
     group_balanced,
@@ -33,7 +31,12 @@ from gogh.model import (
     VertexWord,
     make_graph,
 )
-from gogh.words import SearchBudgetExceeded
+from oracles import (
+    OracleBalancedWithinBounds,
+    OracleUnbalanced,
+    SearchBudgetExceeded,
+    brute_force_balance_oracle,
+)
 
 
 def flip_edge(graph, name):
@@ -513,7 +516,7 @@ def test_oracle_f2_finds_three_two(f2_example):
 
 def test_oracle_reverifies_its_hit_without_asserts(bs32, monkeypatch):
     # an explicit raise, so `python -O` cannot strip the re-verification
-    monkeypatch.setattr(gogh.balance, "are_equal", lambda *args: False)
+    monkeypatch.setattr(oracles, "are_equal", lambda *args: False)
     with pytest.raises(GoghError, match="re-verification"):
         brute_force_balance_oracle(bs32, "e", 1, 3)
 

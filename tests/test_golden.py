@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import record_golden
 from gogh.cli import render_json, run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -29,6 +30,18 @@ def test_corpus_present():
     names = {p.stem for p in CASES}
     assert len(names) > 200
     assert {"fixture_trefoil", "fixture_bs32", "malformed_empty", "bs_-6_6"} <= names
+
+
+def test_recorder_reproduces_corpus_inputs():
+    """The recorder, run today, would write the same graphs and the same
+    argument lists as the corpus holds, so changes to what it calls can be
+    checked without re-recording."""
+    recorded = {case.stem: _load(case) for case in CASES}
+    produced = dict(record_golden.inputs())
+    assert {k: v["text"] for k, v in recorded.items()} == produced
+    for name, text in produced.items():
+        argv = [args for args, _, _ in recorded[name]["runs"]]
+        assert argv == record_golden.commands(name, text), name
 
 
 def test_golden_replay(tmp_path):

@@ -1,0 +1,87 @@
+"""The package's shape, read from its source with ``ast``.
+
+The package ships producers and checkers; the brute-force oracles live in
+``tests/oracles.py``.  No module keeps an import it does not use, none
+defines or re-exports an oracle name, and the groupoid module does not
+depend on the word layer.
+"""
+
+import ast
+from pathlib import Path
+
+import gogh
+
+PACKAGE = Path(gogh.__file__).parent
+MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+
+MOVED = {
+    "brute_force_balance_oracle",
+    "OracleUnbalanced",
+    "OracleBalancedWithinBounds",
+    "bounded_conjugator_search",
+    "_search_states",
+    "_letter_moves",
+    "_conjugation_gens",
+    "SearchBudgetExceeded",
+    "has_pinch",
+}
+
+
+def _imported(tree: ast.Module) -> set[str]:
+    """The names the module's imports bind, at any depth."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    return bound
+
+
+def _bound_at_top(tree: ast.Module) -> set[str]:
+    """Names the module binds at its top level, imports included, and the
+    strings listed in its ``__all__``."""
+    bound = _imported(tree)
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                bound.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                bound.update(
+                    n.value for n in ast.walk(node.value)
+                    if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                )
+    return bound
+
+
+def test_modules_found():
+    assert {"balance", "words", "model", "freewords", "__init__"} <= set(MODULES)
+
+
+def test_every_import_is_used():
+    unused = {}
+    for name, tree in MODULES.items():
+        if name == "__init__":  # imports there are the re-exports
+            continue
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        missing = _imported(tree) - used
+        if missing:
+            unused[name] = sorted(missing)
+    assert not unused
+
+
+def test_no_module_holds_an_oracle():
+    held = {name: sorted(_bound_at_top(tree) & MOVED) for name, tree in MODULES.items()}
+    assert not any(held.values()), held
+
+
+def test_balance_does_not_import_words():
+    for node in ast.walk(MODULES["balance"]):
+        if isinstance(node, ast.ImportFrom):
+            assert node.module not in ("words", "gogh.words"), ast.dump(node)
+            assert not any(alias.name == "words" for alias in node.names), ast.dump(node)
+        elif isinstance(node, ast.Import):
+            assert all(alias.name != "gogh.words" for alias in node.names), ast.dump(node)

@@ -2,11 +2,15 @@
 
 The code of each checker, nested code objects included, names none of the
 functions that produce verdicts, edge classes or attachment data, and
-neither does any package function it reaches by name, transitively.
+neither does any package function it reaches by name, transitively.  The
+brute-force oracles in ``oracles.py`` are checkers too, and their functions
+join the walk.
 """
 
 import importlib
 import types
+
+import oracles
 
 # import_module, because the package re-exports functions under some module names
 MODULES = {
@@ -20,9 +24,9 @@ CHECKERS = (
     MODULES["conjgraph"].provenance_holds,
     MODULES["words"].britton_reduce,
     MODULES["words"].pinch_membership,
-    MODULES["words"].has_pinch,
-    MODULES["words"].bounded_conjugator_search,
-    MODULES["balance"].brute_force_balance_oracle,
+    oracles.has_pinch,
+    oracles.bounded_conjugator_search,
+    oracles.brute_force_balance_oracle,
 )
 
 PRODUCERS = {
@@ -40,12 +44,15 @@ PRODUCERS = {
 
 
 def _package_functions() -> dict:
-    """Module-level functions of the package, by name (cache wrappers unwrapped)."""
+    """Module-level functions of the package and of the test oracles, by name
+    (cache wrappers unwrapped)."""
     table: dict[str, set] = {}
-    for mod in MODULES.values():
+    for mod in (*MODULES.values(), oracles):
         for value in vars(mod).values():
             value = getattr(value, "__wrapped__", value)
-            if isinstance(value, types.FunctionType) and value.__module__.startswith("gogh."):
+            if isinstance(value, types.FunctionType) and (
+                value.__module__.startswith("gogh.") or value.__module__ == oracles.__name__
+            ):
                 table.setdefault(value.__name__, set()).add(value)
     return table
 
@@ -83,6 +90,8 @@ def test_checkers_name_no_producer():
 
 
 def test_reach_is_transitive():
-    reached = _reach(MODULES["words"].bounded_conjugator_search, _package_functions())
+    reached = _reach(oracles.bounded_conjugator_search, _package_functions())
     # through are_equal -> is_trivial -> britton_reduce -> pinch_membership
     assert MODULES["freewords"].primitive_root.__wrapped__ in reached
+    # and through the oracle's own helpers
+    assert oracles._search_states in reached and oracles._letter_moves in reached
