@@ -39,7 +39,6 @@ from .parametrize import (
     LinearParametrization,
     NotHHG,
     hhg_verdict,
-    parametrize,
     verify_parametrization,
 )
 from .words import (
@@ -86,7 +85,6 @@ __all__ = [
     "LinearParametrization",
     "NotHHG",
     "hhg_verdict",
-    "parametrize",
     "verify_parametrization",
     "PathWord",
     "are_equal",

@@ -29,7 +29,6 @@ import os
 import re
 import sys
 import traceback
-from fractions import Fraction
 from functools import partial
 
 from .balance import Balanced, build_groupoid, group_balanced
@@ -216,37 +215,26 @@ def parse_word(graph: GraphOfGroups, text: str):
 
 
 # -- JSON rendering ------------------------------------------------------------
+#
+# The commands build their objects JSON-ready.  The only numbers that can
+# pass 2^53 are domain data (exponents, moduli, weights, distortion
+# entries), wrapped by _num and _ratio where they enter an object; every
+# other number is a count, an index, a position or a 0/1 flag.
 
 _BIG = 2**53
 
 
-def _canon(value):
-    # the exact types the commands build come first; subclasses such as
-    # IntEnum, Fraction and unrenderable values take the isinstance chain
-    t = type(value)
-    if t is int:
-        return value if -_BIG <= value <= _BIG else int_str(value)
-    if t is str or value is None or t is bool:
-        return value
-    if t is dict:
-        return {str(k): _canon(v) for k, v in value.items()}
-    if t is list or t is tuple:
-        return [_canon(v) for v in value]
-    if isinstance(value, bool) or value is None or isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return int_str(value) if abs(value) > _BIG else value
-    if isinstance(value, Fraction):
-        return f"{int_str(value.numerator)}/{int_str(value.denominator)}"
-    if isinstance(value, dict):
-        return {str(k): _canon(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_canon(v) for v in value]
-    raise TypeError(f"cannot render {type(value)!r}")
-
-
 def render_json(obj) -> str:
-    return json.dumps(_canon(obj), sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _num(n: int):
+    """n itself up to 2^53 in absolute value, its decimal numeral beyond."""
+    return n if -_BIG <= n <= _BIG else int_str(n)
+
+
+def _ratio(q) -> str:
+    return f"{int_str(q.numerator)}/{int_str(q.denominator)}"
 
 
 def _node_str(node) -> str:
@@ -257,7 +245,7 @@ def _arc_json(arc) -> dict:
     return {
         "from": _node_str(arc.src),
         "to": _node_str(arc.dst),
-        "weight": arc.weight,
+        "weight": _ratio(arc.weight),
         "via": f"{arc.label}.t" + ("^-1" if arc.sign < 0 else ""),
     }
 
@@ -266,9 +254,9 @@ def _phi_json(phi) -> dict:
     out = {}
     for vertex, images in phi.vertex_images:
         for gen, el in images:
-            out[f"{vertex}.{gen}"] = [el.eps, el.k]
+            out[f"{vertex}.{gen}"] = [el.eps, _num(el.k)]
     for edge, el in phi.stable_images:
-        out[f"{edge}.t"] = [el.eps, el.k]
+        out[f"{edge}.t"] = [el.eps, _num(el.k)]
     return out
 
 
@@ -276,8 +264,8 @@ def _witness_json(graph: GraphOfGroups, witness) -> dict:
     return {
         "a": _word_str(witness.a),
         "s": display_tokens(graph, witness.s),
-        "i": witness.i,
-        "j": witness.j,
+        "i": _num(witness.i),
+        "j": _num(witness.j),
         "transcript": display_tokens(graph, tokens_of_path(witness.transcript)),
     }
 
@@ -313,7 +301,7 @@ def _cmd_balance(graph: GraphOfGroups, args) -> dict:
                 {
                     "id": name,
                     "verdict": "Unbalanced",
-                    "modulus": verdict.modulus,
+                    "modulus": _ratio(verdict.modulus),
                     "cycle": [_arc_json(a) for a in verdict.cycle],
                 }
             )
@@ -400,9 +388,9 @@ def _cmd_distortion(graph: GraphOfGroups, args) -> dict:
         "table": [
             {
                 "k": row.k,
-                "exponent": row.exponent,
-                "length_bound": row.length_bound,
-                "ratio": row.ratio,
+                "exponent": _num(row.exponent),
+                "length_bound": _num(row.length_bound),
+                "ratio": _ratio(row.ratio),
             }
             for row in cert.rows
         ],

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 
 
 class GoghError(Exception):
@@ -92,11 +91,8 @@ class GraphOfGroups:
     edges: tuple[EdgeRecord, ...]  # sorted by id
 
     def __post_init__(self) -> None:
-        validate(self)
-
-    @cached_property
-    def index(self) -> GraphIndex:
-        return GraphIndex(self)
+        # index: the GraphIndex that validation builds
+        object.__setattr__(self, "index", validate(self))
 
     def kind(self, vertex: str) -> VertexGroupKind:
         try:
@@ -199,8 +195,9 @@ def _attachment_infinite_order(kind: VertexGroupKind, word: VertexWord) -> bool:
     return len(word.letters) == 1 and word.letters[0][0] == DIHEDRAL_R
 
 
-def validate(graph: GraphOfGroups) -> None:
+def validate(graph: GraphOfGroups) -> GraphIndex:
     """Check every model invariant; raise ValidationError on the first failure.
+    Return the graph's index, built during the same walk.
 
     A one-letter attachment that is valid for its vertex (a generator in
     1..rank of a free group, or the rotation r of a dihedral one, with a
@@ -209,15 +206,18 @@ def validate(graph: GraphOfGroups) -> None:
     if not graph.vertices:
         raise ValidationError("DisconnectedGraph", "graph has no vertices")
     names = [name for name, _ in graph.vertices]
-    kinds = dict(graph.vertices)
-    if names != sorted(names) or len(kinds) != len(names):
+    if any(a >= b for a, b in zip(names, names[1:])):
         raise ValidationError("DuplicateVertex", "vertex table not canonical")
+    kinds = dict(graph.vertices)
     for name, kind in graph.vertices:
         if isinstance(kind, Free) and kind.rank < 1:
             raise ValidationError("RankZero", f"vertex {name} has rank {kind.rank}")
     edge_names = [e.name for e in graph.edges]
-    if edge_names != sorted(edge_names) or len(set(edge_names)) != len(edge_names):
+    if any(a >= b for a, b in zip(edge_names, edge_names[1:])):
         raise ValidationError("DuplicateEdge", "edge table not canonical")
+    edges: dict[str, EdgeRecord] = {}
+    # the table is sorted: each list is in id order, stored orientation first
+    adj: dict[str, list[tuple[str, SignedEdge]]] = {v: [] for v in kinds}
     for e in graph.edges:
         for v in (e.source, e.target):
             if v not in kinds:
@@ -242,8 +242,13 @@ def validate(graph: GraphOfGroups) -> None:
                     "FiniteOrderAttachment",
                     f"edge {e.name} {side} attachment has finite order",
                 )
-    if len(graph.index.depth) != len(names):
+        edges[e.name] = e
+        adj[e.source].append((e.target, (e.name, 1)))
+        adj[e.target].append((e.source, (e.name, -1)))
+    index = GraphIndex(kinds, edges, adj)
+    if len(index.depth) != len(names):
         raise ValidationError("DisconnectedGraph", "underlying graph is not connected")
+    return index
 
 
 class GraphIndex:
@@ -253,19 +258,15 @@ class GraphIndex:
     incident edges in lexicographic id order, stored orientation first, so
     it is a pure function of the graph content.  ``parents`` maps each
     non-root vertex reached to (parent vertex, signed edge parent->vertex)
-    in BFS order; ``depth`` covers the root too.
+    in BFS order; ``depth`` covers the root too.  ``validate`` builds the
+    maps and the adjacency lists it reads.
     """
 
-    def __init__(self, graph: GraphOfGroups):
-        self.kinds = dict(graph.vertices)
-        self.edges = {e.name: e for e in graph.edges}
-        # edges are stored sorted: each list is in id order, stored orientation first
-        adj: dict[str, list[tuple[str, SignedEdge]]] = {v: [] for v in self.kinds}
-        for e in graph.edges:
-            adj[e.source].append((e.target, (e.name, 1)))
-            adj[e.target].append((e.source, (e.name, -1)))
+    def __init__(self, kinds, edges, adj):
+        self.kinds = kinds
+        self.edges = edges
         self.parents: dict[str, tuple[str, SignedEdge]] = {}
-        root = min(self.kinds)  # validate rejects an empty graph before indexing it
+        root = min(kinds)  # validate rejects an empty graph before indexing it
         self.depth: dict[str, int] = {root: 0}
         queue = deque([root])
         while queue:

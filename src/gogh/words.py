@@ -73,9 +73,6 @@ class PathWord:
     head: VertexWord
     tail: tuple[tuple[SignedEdge, VertexWord], ...]
 
-    def words(self) -> list[VertexWord]:
-        return [self.head] + [w for _, w in self.tail]
-
     def steps(self) -> list[SignedEdge]:
         return [s for s, _ in self.tail]
 

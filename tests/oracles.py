@@ -45,10 +45,9 @@ class SearchBudgetExceeded(GoghError):
 
 def has_pinch(graph: GraphOfGroups, w: PathWord) -> bool:
     steps = w.steps()
-    words = w.words()
     for i in range(len(steps) - 1):
         if steps[i] == reverse_step(steps[i + 1]):
-            if pinch_membership(graph, steps[i][0], words[i + 1], steps[i][1]) is not None:
+            if pinch_membership(graph, steps[i][0], w.tail[i][1], steps[i][1]) is not None:
                 return True
     return False
 

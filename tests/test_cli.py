@@ -6,7 +6,6 @@ import re
 import subprocess
 import sys
 from decimal import Decimal
-from enum import IntEnum
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -24,10 +23,21 @@ from conftest import (
     random_graph,
 )
 import gogh.cli
-from gogh.cli import _CODE_RE, ParseError, main, parse, parse_letter, render_json, run, serialize
+import record_golden
+from gogh.cli import (
+    _CODE_RE,
+    ParseError,
+    _num,
+    _ratio,
+    main,
+    parse,
+    parse_letter,
+    render_json,
+    run,
+    serialize,
+)
 from gogh.model import ValidationError
 from gogh.parametrize import HHG, hhg_verdict, parametrize
-from gogh.words import int_str
 
 
 def write(tmp_path, name, text):
@@ -558,82 +568,121 @@ def test_huge_exponent_word_echoed(tmp_path):
     assert json.loads(render_json(out))["reduced"] == word
 
 
-# -- JSON rendering against the isinstance chain -----------------------------------
+# -- JSON-ready payloads ------------------------------------------------------------
+
+# magnitudes at and past the 2^53 boundary, named for the test ids (pytest
+# would write out HUGE); signed fields take both signs
+_BOUNDARY = {"2^53": 2**53, "2^53+1": 2**53 + 1, "huge": HUGE}
+_SIGNED = {**_BOUNDARY, **{f"-{name}": -n for name, n in _BOUNDARY.items()}}
 
 
-def _reference_canon(value):
-    """The renderer's value mapping written as one isinstance chain: the
-    reference for its dispatch on exact types."""
-    if isinstance(value, bool) or value is None or isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return int_str(value) if abs(value) > 2**53 else value
-    if isinstance(value, Fraction):
-        return f"{int_str(value.numerator)}/{int_str(value.denominator)}"
-    if isinstance(value, dict):
-        return {str(k): _reference_canon(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_reference_canon(v) for v in value]
-    raise TypeError(f"cannot render {type(value)!r}")
+def _params(values: dict) -> list:
+    return [pytest.param(n, id=name) for name, n in values.items()]
 
 
-class _Level(IntEnum):
-    LOW = -(2**53) - 1
-    ONE = 1
-    HIGH = 2**60
+def _rendered(n: int):
+    """A domain integer as the JSON holds it: a number up to 2^53 in
+    absolute value, its decimal numeral beyond."""
+    return n if abs(n) <= 2**53 else _digits(n)
 
 
-class _Tag(str):
-    pass
+def _fraction_rendered(q: Fraction) -> str:
+    return f"{_digits(q.numerator)}/{_digits(q.denominator)}"
 
 
-def _typed(value):
-    """A value with the type of every part, so that 1 and True differ."""
-    if isinstance(value, dict):
-        return (dict, tuple((type(k), k, _typed(v)) for k, v in value.items()))
-    if isinstance(value, list):
-        return (list, tuple(_typed(v) for v in value))
-    return (type(value), value)
+def _two_vertex_text(m: int, n: int) -> str:
+    return (
+        "vertex u free 1\nvertex v free 1\n"
+        f'edge e from=u to=v img_from="u.1^{_digits(m)}" img_to="v.1^{_digits(n)}"\n'
+    )
 
 
-_EDGES = [s * (2**53 + d) for s in (1, -1) for d in (-1, 0, 1)]
-_LEAVES = st.one_of(
-    st.sampled_from(_EDGES + [0]),
-    # beyond the int <-> str digit limit: built on draw, since Hypothesis
-    # writes out the arguments of sampled_from
-    st.sampled_from([1, -1]).map(lambda sign: sign * HUGE),
-    st.integers(),
-    st.booleans(),
-    st.none(),
-    st.text(max_size=4),
-    st.builds(_Tag, st.text(max_size=3)),
-    st.builds(Fraction, st.integers(), st.integers(min_value=1)),
-    st.sampled_from(list(_Level)),
+def _payload(tmp_path, text: str, command: str, *options: str) -> dict:
+    code, out = run([command, write(tmp_path, "g.gog", text), *options])
+    assert code == 0, out
+    return json.loads(render_json(out))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2**53 - 1] + _params(_BOUNDARY))
+def test_num_wraps_past_two_to_the_53(n):
+    assert _num(n) == _rendered(n)
+    assert _num(-n) == _rendered(-n)
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        Fraction(3),
+        Fraction(-5, 3),
+        Fraction(2**53 + 1, 2**53),
+        pytest.param(Fraction(-HUGE, 7), id="huge"),
+    ],
 )
-_VALUES = st.recursive(
-    _LEAVES,
-    lambda kids: st.one_of(
-        st.lists(kids, max_size=4),
-        st.lists(kids, max_size=4).map(tuple),
-        st.dictionaries(
-            st.one_of(st.integers(), st.text(max_size=3), st.sampled_from(list(_Level))),
-            kids,
-            max_size=4,
-        ),
-    ),
-    max_leaves=16,
-)
+def test_ratio_is_the_reduced_fraction_in_decimal(q):
+    assert _ratio(q) == _fraction_rendered(q)
 
 
-@settings(max_examples=300, deadline=None)
-@given(_VALUES)
-def test_canon_matches_the_isinstance_chain(value):
-    assert _typed(gogh.cli._canon(value)) == _typed(_reference_canon(value))
+@pytest.mark.parametrize("x", _params(_SIGNED))
+def test_signed_fields_render_at_the_boundary(tmp_path, x):
+    # BS(x, 7): modulus x/7, so i = 7 and j = x, and |j| > |i| keeps the
+    # distortion table unswapped
+    assert gcd(x, 7) == 1
+    want = _rendered(x)
+    w = _payload(tmp_path, _bs_text(x, 7), "witness")
+    assert (w["i"], w["j"]) == (7, want)
+    (edge,) = _payload(tmp_path, _bs_text(x, 7), "balance")["edges"]
+    assert edge["modulus"] == edge["cycle"][0]["weight"] == _fraction_rendered(Fraction(x, 7))
+    (row,) = _payload(tmp_path, _bs_text(x, 7), "distortion", "--depth", "1")["table"]
+    assert row["exponent"] == want
+    assert row["ratio"] == _fraction_rendered(Fraction(2 + 7, abs(x)))
+    for command in ("parametrize", "verdict"):
+        (cert,) = _payload(tmp_path, _two_vertex_text(x, 7), command)["certificates"]
+        assert cert["phi"] == {"u.1": [0, 7], "v.1": [0, want]}
 
 
-@pytest.mark.parametrize("value", [1.5, object(), [1, {2: (3, 0.5)}]])
-def test_canon_refuses_what_the_isinstance_chain_refuses(value):
-    with pytest.raises(TypeError):
-        _reference_canon(value)
-    with pytest.raises(TypeError):
-        gogh.cli._canon(value)
+@pytest.mark.parametrize("bound", _params(_BOUNDARY))
+def test_unsigned_fields_render_at_the_boundary(tmp_path, bound):
+    # i is the modulus's denominator, never negative
+    for sign in (1, -1):
+        w = _payload(tmp_path, _bs_text(7, sign * bound), "witness")
+        assert (w["i"], w["j"]) == (_rendered(bound), 7 * sign)
+    # BS(bound - 1, n) with |n| = bound - 2 at depth 1: i = |n|, j = (bound - 1) sign(n),
+    # and length_bound = 2 len(s) + |i| len(a) = bound
+    for sign in (1, -1):
+        text = _bs_text(bound - 1, sign * (bound - 2))
+        (row,) = _payload(tmp_path, text, "distortion", "--depth", "1")["table"]
+        assert row["exponent"] == _rendered(sign * (bound - 1))
+        assert row["length_bound"] == _rendered(bound)
+        assert row["ratio"] == _fraction_rendered(Fraction(bound, bound - 1))
+
+
+def _ints(value):
+    """Every int in a payload, bools aside."""
+    if isinstance(value, dict):
+        for v in value.values():
+            yield from _ints(v)
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            yield from _ints(v)
+    elif isinstance(value, int) and not isinstance(value, bool):
+        yield value
+
+
+def test_every_payload_is_json_native(tmp_path):
+    """Each payload of the golden corpus and of the boundary inputs is
+    JSON as built: json.dumps needs no default, and no int in it passes
+    2^53, so a command that leaves a domain number unwrapped fails here."""
+    runs = []
+    for case in sorted((Path(__file__).parent / "golden").glob("*.json")):
+        data = json.loads(case.read_text(encoding="utf-8"))
+        runs.append((data["text"], [args for args, _, _ in data["runs"]]))
+    for x in _SIGNED.values():
+        for text in (_bs_text(x, 7), _bs_text(7, x), _two_vertex_text(x, 7)):
+            runs.append((text, record_golden.commands("boundary", text)))
+    assert len(runs) > 200
+    for text, argvs in runs:
+        path = write(tmp_path, "g.gog", text)
+        for args in argvs:
+            _, payload = run([args[0], path] + args[1:])
+            json.dumps(payload)
+            assert all(abs(n) <= 2**53 for n in _ints(payload)), (text, args)

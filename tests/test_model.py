@@ -145,6 +145,15 @@ def test_direct_construction_validates():
     with pytest.raises(ValidationError) as err:
         GraphOfGroups((("v", Free(1)), ("u", Free(1))), ())
     assert err.value.code == "DuplicateVertex"
+    with pytest.raises(ValidationError) as err:
+        GraphOfGroups((("v", Free(1)), ("v", Free(1))), ())
+    assert err.value.code == "DuplicateVertex"
+    a, b = VertexWord("v", ((1, 2),)), VertexWord("v", ((1, 3),))
+    e, f = EdgeRecord("e", "v", "v", a, b), EdgeRecord("f", "v", "v", a, b)
+    for edges in ((e, e), (f, e)):
+        with pytest.raises(ValidationError) as err:
+            GraphOfGroups((("v", Free(1)),), edges)
+        assert err.value.code == "DuplicateEdge"
 
 
 # a rank-2 loop whose two sides are conjugate: balanced, so HHG

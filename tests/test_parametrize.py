@@ -1,4 +1,3 @@
-import importlib
 import os
 import random
 import subprocess
@@ -9,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import gogh.parametrize
 from conftest import KLEIN_TEXT, random_graph, relabel_graph
 from gogh import dihedral as dih
 from gogh.balance import Balanced, Unbalanced, edge_balanced, group_balanced
@@ -237,9 +237,9 @@ def test_verdict_status_invariant_under_relabeling():
 
 
 def test_failed_verification_raises_even_without_asserts(trefoil, monkeypatch):
-    # the package re-exports the function `parametrize` over the module name
-    module = importlib.import_module("gogh.parametrize")
-    monkeypatch.setattr(module, "verify_parametrization", lambda graph, phi: (False, ["forced"]))
+    monkeypatch.setattr(
+        gogh.parametrize, "verify_parametrization", lambda graph, phi: (False, ["forced"])
+    )
     with pytest.raises(GoghError, match="forced"):
         parametrize(trefoil)
     with pytest.raises(GoghError, match="forced"):

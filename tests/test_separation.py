@@ -7,16 +7,14 @@ brute-force oracles in ``oracles.py`` are checkers too, and their functions
 join the walk.
 """
 
-import importlib
 import types
 
 import oracles
+from gogh import balance, certify, cli, conjgraph, dihedral, freewords, model, parametrize, words
 
-# import_module, because the package re-exports functions under some module names
 MODULES = {
-    name: importlib.import_module(f"gogh.{name}")
-    for name in ("balance", "certify", "cli", "conjgraph", "dihedral", "freewords", "model",
-                 "parametrize", "words")
+    module.__name__.rpartition(".")[2]: module
+    for module in (balance, certify, cli, conjgraph, dihedral, freewords, model, parametrize, words)
 }
 
 CHECKERS = (
