@@ -28,12 +28,10 @@ import json
 import os
 import re
 import sys
-import traceback
 from functools import partial
 
-from .balance import Balanced, build_groupoid, group_balanced
-from .certify import almost_bs_witness, distortion_certificate
-from .conjgraph import build_conjugacy_graph, class_of_edge
+# The parser and the numerals need only model and words; each command
+# imports its other layers when it runs, so a process loads what it uses.
 from .model import (
     DIHEDRAL_R,
     DIHEDRAL_S,
@@ -45,7 +43,6 @@ from .model import (
     VertexWord,
     make_graph,
 )
-from .parametrize import HHG, hhg_verdict, parametrize, require_two_ended
 from .words import (
     britton_reduce,
     display_tokens,
@@ -289,6 +286,8 @@ def _cmd_reduce(graph: GraphOfGroups, args) -> dict:
 
 
 def _cmd_balance(graph: GraphOfGroups, args) -> dict:
+    from .balance import Balanced, build_groupoid
+
     names = [graph.edge(args.edge).name] if args.edge else list(graph.edge_ids())
     groupoid = build_groupoid(graph)
     edges = []
@@ -309,6 +308,8 @@ def _cmd_balance(graph: GraphOfGroups, args) -> dict:
 
 
 def _cmd_conjgraph(graph: GraphOfGroups, args) -> dict:
+    from .conjgraph import build_conjugacy_graph, class_of_edge
+
     cls = class_of_edge(graph, args.class_of)
     cg = build_conjugacy_graph(graph, cls)
     text = serialize(cg.graph)
@@ -334,7 +335,7 @@ def _cmd_conjgraph(graph: GraphOfGroups, args) -> dict:
 
 
 def _verdict_json(graph: GraphOfGroups, verdict) -> dict:
-    if isinstance(verdict, HHG):
+    if verdict.status == "HHG":
         return {
             "status": "HHG",
             "certificates": [
@@ -352,10 +353,14 @@ def _verdict_json(graph: GraphOfGroups, verdict) -> dict:
 
 
 def _cmd_verdict(graph: GraphOfGroups, args) -> dict:
+    from .parametrize import hhg_verdict
+
     return _verdict_json(graph, hhg_verdict(graph))
 
 
 def _cmd_parametrize(graph: GraphOfGroups, args) -> dict:
+    from .parametrize import hhg_verdict, parametrize, require_two_ended
+
     require_two_ended(graph)
     if not graph.edges:  # a lone vertex has no edge class to certify
         phi = _phi_json(parametrize(graph))
@@ -366,6 +371,9 @@ def _cmd_parametrize(graph: GraphOfGroups, args) -> dict:
 
 
 def _cmd_witness(graph: GraphOfGroups, args) -> dict:
+    from .balance import Balanced, group_balanced
+    from .certify import almost_bs_witness
+
     verdict = group_balanced(graph)
     if isinstance(verdict, Balanced):
         return {"status": "Balanced"}
@@ -376,6 +384,9 @@ def _cmd_witness(graph: GraphOfGroups, args) -> dict:
 
 
 def _cmd_distortion(graph: GraphOfGroups, args) -> dict:
+    from .balance import Balanced, group_balanced
+    from .certify import almost_bs_witness, distortion_certificate
+
     if args.depth < 1:
         raise GoghError(f"--depth must be at least 1, got {args.depth}")
     verdict = group_balanced(graph)
@@ -465,6 +476,8 @@ def run(argv) -> tuple[int, dict]:
             return 2, {"error": exc.error, "line": exc.line, "column": exc.column}
         return 2, {"error": str(exc), "line": 0, "column": 0}
     except Exception as exc:
+        import traceback
+
         traceback.print_exc()
         return 3, {"error": f"internal: {type(exc).__name__}: {exc}", "line": 0, "column": 0}
     finally:

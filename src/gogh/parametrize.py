@@ -21,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
+from typing import TYPE_CHECKING
 
 from . import dihedral as dih
 from .balance import Unbalanced, build_groupoid
-from .certify import BSWitness, almost_bs_witness
 from .conjgraph import ConjugacyGraph, build_conjugacy_graph
 from .model import (
     DIHEDRAL_R,
@@ -36,6 +36,9 @@ from .model import (
     VertexWord,
     spanning_tree,
 )
+
+if TYPE_CHECKING:  # certify is imported only where a NotHHG is built
+    from .certify import BSWitness
 
 
 class NotTwoEnded(GoghError):
@@ -298,6 +301,8 @@ def hhg_verdict(graph: GraphOfGroups) -> Verdict:
     groupoid = build_groupoid(graph)
     verdict = groupoid.verdict
     if isinstance(verdict, Unbalanced):
+        from .certify import almost_bs_witness
+
         return NotHHG(witness=almost_bs_witness(graph, verdict), verdict=verdict)
     certificates = []
     for cls in groupoid.classes:

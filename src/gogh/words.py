@@ -14,7 +14,6 @@ Tokens are the flat exchange format:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
 
 from . import dihedral as dih
 from . import freewords as fw
@@ -286,6 +285,8 @@ def parse_int(numeral: str) -> int:
     try:
         return int(numeral)
     except ValueError:
+        from decimal import Decimal
+
         return int(Decimal(numeral))
 
 
@@ -299,6 +300,8 @@ def int_str(n: int) -> str:
             return str(n)
         except ValueError:
             pass
+    from decimal import Decimal
+
     return str(Decimal(n))
 
 

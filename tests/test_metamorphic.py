@@ -11,9 +11,9 @@ import random
 
 from conftest import random_graph
 from gogh.cli import run, serialize
-from gogh.model import EdgeRecord, Free, VertexWord, make_graph
+from gogh.model import DIHEDRAL_R, DIHEDRAL_S, DihedralInfinite, EdgeRecord, Free, VertexWord, make_graph
 from gogh.parametrize import HHG, hhg_verdict, verify_parametrization
-from gogh.words import vw_inv
+from gogh.words import vw_inv, vw_mul
 
 
 def _replace_edge(graph, name, edges, vertices=()):
@@ -49,6 +49,27 @@ def subdivide_edge(graph, e):
     return _replace_edge(graph, e.name, halves, [("w", Free(1))])
 
 
+def conjugate_attachment(graph, rng):
+    """Conjugate one attachment by an element g of its vertex group: a seeded
+    reduced word in a free vertex, s or r^k in a dihedral one.  t b t^-1 = a
+    holds iff (g t) b (g t)^-1 = g a g^-1 for g at the source, and iff
+    (t g^-1) (g b g^-1) (t g^-1)^-1 = a for g at the target: a new stable
+    letter, so the same group."""
+    e = rng.choice(graph.edges)
+    side = rng.choice(["source", "target"])
+    vertex = e.source if side == "source" else e.target
+    kind = graph.kind(vertex)
+    if isinstance(kind, DihedralInfinite):
+        letters = ((DIHEDRAL_S, 1),) if rng.random() < 0.5 else ((DIHEDRAL_R, rng.choice([-2, -1, 1, 2])),)
+    else:
+        letters = tuple((rng.randint(1, kind.rank), rng.choice([-2, -1, 1, 2])) for _ in range(rng.randint(1, 3)))
+    g = vw_mul(kind, VertexWord(vertex, letters))
+    ends = {"source": e.attachment_source, "target": e.attachment_target}
+    ends[side] = vw_mul(kind, g, ends[side], vw_inv(kind, g))
+    record = EdgeRecord(e.name, e.source, e.target, ends["source"], ends["target"])
+    return _replace_edge(graph, e.name, [record])
+
+
 MOVES = (reverse_edge, invert_edge, subdivide_edge)
 
 
@@ -72,13 +93,16 @@ def _checked_status(graph, tmp_path) -> str:
 
 def test_single_moves_keep_the_status(tmp_path):
     rng = random.Random(31)
+    conj_rng = random.Random(37)  # the conjugation's own draws: rng draws the same graphs
     seen = {"HHG": 0, "NotHHG": 0}
     for _ in range(300):
         graph = random_graph(rng, rank2_prob=0.4)
         status = _checked_status(graph, tmp_path)
-        for move in MOVES if graph.edges else ():
-            e = rng.choice(graph.edges)
-            moved = move(graph, e)
-            assert _checked_status(moved, tmp_path) == status, (move.__name__, serialize(graph))
+        if not graph.edges:
+            continue
+        moved = [(move, move(graph, rng.choice(graph.edges))) for move in MOVES]
+        moved.append((conjugate_attachment, conjugate_attachment(graph, conj_rng)))
+        for move, other in moved:
+            assert _checked_status(other, tmp_path) == status, (move.__name__, serialize(graph), serialize(other))
             seen[status] += 1
     assert min(seen.values()) > 100, seen

@@ -40,20 +40,30 @@ def _imported(tree: ast.Module) -> set[str]:
 
 def _bound_at_top(tree: ast.Module) -> set[str]:
     """Names the module binds at its top level, imports included, and the
-    strings listed in its ``__all__``."""
+    strings listed in its ``__all__`` or in a top-level table it is built
+    from (the package root's name -> home module table)."""
     bound = _imported(tree)
+    values = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             bound.add(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
-                bound.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
-            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
-                bound.update(
-                    n.value for n in ast.walk(node.value)
-                    if isinstance(n, ast.Constant) and isinstance(n.value, str)
-                )
+                names = [n.id for n in ast.walk(target) if isinstance(n, ast.Name)]
+                bound.update(names)
+                values.update(dict.fromkeys(names, node.value))
+    pending, seen = ["__all__"], set()
+    while pending:
+        name = pending.pop()
+        if name in seen or values.get(name) is None:
+            continue
+        seen.add(name)
+        for n in ast.walk(values[name]):
+            if isinstance(n, ast.Constant) and isinstance(n.value, str):
+                bound.add(n.value)
+            elif isinstance(n, ast.Name):
+                pending.append(n.id)
     return bound
 
 

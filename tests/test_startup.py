@@ -1,0 +1,153 @@
+"""Each command loads only the layers it runs.
+
+Every case starts a fresh interpreter, runs one import or one command and
+reports the ``gogh`` submodules it loaded, so a layer imported at a
+module's top where a command does not need it shows here.  The package
+root loads its names on first use; its tests follow.
+"""
+
+import importlib
+import json
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from conftest import BS32_TEXT, TREFOIL_TEXT
+import gogh
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+ONE_VERTEX_TEXT = "vertex v free 1\n"
+
+CLI = {"cli", "model", "words", "freewords", "dihedral"}
+BALANCE = CLI | {"balance"}
+CONJGRAPH = BALANCE | {"conjgraph"}
+HHG_VERDICT = CONJGRAPH | {"parametrize"}
+NOT_HHG_VERDICT = HHG_VERDICT | {"certify"}
+WITNESS = BALANCE | {"certify"}
+
+STDLIB = ("fractions", "decimal", "traceback")
+
+PROBE = """\
+import json, sys
+{run}
+print(json.dumps({{
+    "gogh": sorted(m[5:] for m in sys.modules if m.startswith("gogh.")),
+    "stdlib": [m for m in {stdlib!r} if m in sys.modules],
+}}))
+"""
+
+
+def _fresh(run: str, cwd) -> dict:
+    """What a fresh interpreter has loaded after running `run`."""
+    child = subprocess.run(
+        [sys.executable, "-c", PROBE.format(run=run, stdlib=STDLIB)],
+        cwd=cwd,
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout.splitlines()[-1])
+
+
+@pytest.fixture
+def files(tmp_path):
+    for name, text in (("one.gog", ONE_VERTEX_TEXT), ("trefoil.gog", TREFOIL_TEXT), ("bs32.gog", BS32_TEXT)):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    return tmp_path
+
+
+def test_bare_import_loads_no_submodule(files):
+    assert _fresh("import gogh", files)["gogh"] == []
+
+
+def test_cli_import_loads_the_text_layer_only(files):
+    loaded = _fresh("import gogh.cli", files)
+    assert set(loaded["gogh"]) == CLI
+    assert loaded["stdlib"] == []
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["check", "one.gog"], CLI),
+        (["reduce", "bs32.gog", "--word", "e.t v.1^2 e.t^-1"], CLI),
+        (["balance", "bs32.gog"], BALANCE),
+        (["conjgraph", "trefoil.gog", "--class-of", "e"], CONJGRAPH),
+        (["verdict", "trefoil.gog"], HHG_VERDICT),
+        (["parametrize", "trefoil.gog"], HHG_VERDICT),
+        (["verdict", "bs32.gog"], NOT_HHG_VERDICT),
+        (["parametrize", "bs32.gog"], NOT_HHG_VERDICT),
+        (["witness", "bs32.gog"], WITNESS),
+        (["distortion", "bs32.gog", "--depth", "3"], WITNESS),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_command_loads_its_layers(files, argv, modules):
+    loaded = _fresh(f"from gogh.cli import main\nassert main({argv!r}) == 0", files)
+    assert set(loaded["gogh"]) == modules
+
+
+def test_check_loads_no_fraction_decimal_or_traceback(files):
+    assert _fresh("from gogh.cli import main\nmain(['check', 'one.gog'])", files)["stdlib"] == []
+
+
+def test_every_cache_lives_in_a_module_the_cli_loads(files):
+    """A cache the benchmark clears between ops is collected right after
+    ``from gogh import cli``; one in a module loaded later is never cleared."""
+    at_start = {f"gogh.{name}" for name in _fresh("import gogh.cli", files)["gogh"]}
+    homes = {}
+    for info in pkgutil.iter_modules(gogh.__path__):
+        module = importlib.import_module(f"gogh.{info.name}")
+        for name, value in vars(module).items():
+            if callable(getattr(value, "cache_clear", None)):
+                homes[f"{module.__name__}.{name}"] = value.__module__
+            elif isinstance(value, dict) and name.upper().endswith("_CACHE"):
+                homes[f"{module.__name__}.{name}"] = module.__name__
+    assert homes  # freewords.primitive_root at least
+    assert {name: home for name, home in homes.items() if home not in at_start} == {}
+
+
+# -- the package root ----------------------------------------------------------
+
+
+def test_every_exported_name_is_its_home_modules_object():
+    for name in gogh.__all__:
+        home = importlib.import_module(f"gogh.{gogh._HOMES[name]}")
+        value = getattr(gogh, name)
+        assert value is getattr(home, name) and value.__module__ == home.__name__, name
+
+
+def test_star_import_and_dir_list_every_name():
+    namespace = {}
+    exec("from gogh import *", namespace)
+    assert {name: namespace.get(name) for name in gogh.__all__} == {
+        name: getattr(gogh, name) for name in gogh.__all__
+    }
+    assert set(gogh.__all__) <= set(dir(gogh))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        gogh.no_such_name
+
+
+def test_submodules_load_through_the_root(files):
+    submodules = sorted(info.name for info in pkgutil.iter_modules(gogh.__path__))
+    run = "\n".join(
+        [
+            "import importlib, types, gogh",
+            f"for name in {submodules!r}:",
+            "    module = getattr(gogh, name)",
+            "    assert isinstance(module, types.ModuleType), name",
+            "    assert module is importlib.import_module('gogh.' + name), name",
+        ]
+    )
+    assert set(_fresh(run, files)["gogh"]) == set(submodules)
+    run = "from gogh import parametrize\nassert parametrize is sys.modules['gogh.parametrize']"
+    assert "parametrize" in _fresh(run, files)["gogh"]
