@@ -125,8 +125,10 @@ def _parametrization(
     neither factor divisible by p (den is prime to num).  The root of the
     spanning tree is positive, and one walk over the tree parents in BFS
     order flips the sign across each edge whose two exponents have opposite
-    signs.  A non-tree stable letter maps to the reflection exactly when its
-    relation needs a sign flip."""
+    signs.  A stable letter maps to the reflection exactly when its relation
+    needs a sign flip.  No tree edge does: the walk sets the sign of a tree
+    edge's child to its parent's sign flipped by the edge, so its two sides
+    always agree, and the edge needs no lookup in the tree."""
     scale = lcm(*(num for num, _ in potential.values()))
     magnitude = {v: den * (scale // num) for v, (num, den) in potential.items()}
     negative = {graph.vertices[0][0]: False}  # the tree is rooted at the least vertex
@@ -143,11 +145,8 @@ def _parametrization(
         else:
             vertex_images.append((v, ((1, rotation),)))
 
-    tree = spanning_tree(graph)
     stable_images = []
     for e in graph.edges:
-        if e.name in tree:
-            continue
         # E_t * n_t and E_s * n_s agree in absolute value; compare their signs
         target = negative[e.target] != (attachments[(e.name, "target")][1] < 0)
         source = negative[e.source] != (attachments[(e.name, "source")][1] < 0)

@@ -8,12 +8,13 @@ after a move carries its own checked evidence.
 """
 
 import random
+from itertools import count
 
 from conftest import random_graph
 from gogh.cli import run, serialize
 from gogh.model import DIHEDRAL_R, DIHEDRAL_S, DihedralInfinite, EdgeRecord, Free, VertexWord, make_graph
 from gogh.parametrize import HHG, hhg_verdict, verify_parametrization
-from gogh.words import vw_inv, vw_mul
+from gogh.words import vw_inv, vw_mul, vw_pow
 
 
 def _replace_edge(graph, name, edges, vertices=()):
@@ -22,8 +23,9 @@ def _replace_edge(graph, name, edges, vertices=()):
     )
 
 
-def reverse_edge(graph, e):
+def reverse_edge(graph, rng):
     """t' = t^-1: the relation t b t^-1 = a reads t' a t'^-1 = b."""
+    e = rng.choice(graph.edges)
     return _replace_edge(
         graph,
         e.name,
@@ -31,22 +33,25 @@ def reverse_edge(graph, e):
     )
 
 
-def invert_edge(graph, e):
+def invert_edge(graph, rng):
     """t b t^-1 = a holds iff t b^-1 t^-1 = a^-1."""
+    e = rng.choice(graph.edges)
     source = vw_inv(graph.kind(e.source), e.attachment_source)
     target = vw_inv(graph.kind(e.target), e.attachment_target)
     return _replace_edge(graph, e.name, [EdgeRecord(e.name, e.source, e.target, source, target)])
 
 
-def subdivide_edge(graph, e):
+def subdivide_edge(graph, rng):
     """An elementary expansion: u -> w -> v through a fresh Z vertex w whose
     generator is the edge group of both halves."""
-    w1 = VertexWord("w", ((1, 1),))
+    e = rng.choice(graph.edges)
+    w = next(name for name in (f"w{i}" if i else "w" for i in count()) if name not in graph.vertex_ids())
+    w1 = VertexWord(w, ((1, 1),))
     halves = [
-        EdgeRecord(f"{e.name}a", e.source, "w", e.attachment_source, w1),
-        EdgeRecord(f"{e.name}b", "w", e.target, w1, e.attachment_target),
+        EdgeRecord(f"{e.name}a", e.source, w, e.attachment_source, w1),
+        EdgeRecord(f"{e.name}b", w, e.target, w1, e.attachment_target),
     ]
-    return _replace_edge(graph, e.name, halves, [("w", Free(1))])
+    return _replace_edge(graph, e.name, halves, [(w, Free(1))])
 
 
 def conjugate_attachment(graph, rng):
@@ -70,7 +75,38 @@ def conjugate_attachment(graph, rng):
     return _replace_edge(graph, e.name, [record])
 
 
-MOVES = (reverse_edge, invert_edge, subdivide_edge)
+def _rank2_vertices(graph):
+    return [(v, kind) for v, kind in graph.vertices if isinstance(kind, Free) and kind.rank >= 2]
+
+
+def nielsen_move(graph, rng):
+    """v.1 -> v.1 v.2 in every attachment at one free vertex v of rank >= 2:
+    an automorphism of the vertex group, so the same pi_1."""
+    v, kind = rng.choice(_rank2_vertices(graph))
+    image = VertexWord(v, ((1, 1), (2, 1)))
+
+    def moved(w):
+        if w.vertex != v:
+            return w
+        pieces = (vw_pow(kind, image, exp) if gen == 1 else VertexWord(v, ((gen, exp),)) for gen, exp in w.letters)
+        return vw_mul(kind, *pieces)
+
+    edges = [
+        EdgeRecord(e.name, e.source, e.target, moved(e.attachment_source), moved(e.attachment_target))
+        for e in graph.edges
+    ]
+    return make_graph(graph.vertices, edges)
+
+
+MOVES = (reverse_edge, invert_edge, subdivide_edge, conjugate_attachment, nielsen_move)
+
+
+def chain_of_moves(graph, rng):
+    """Two to four moves in a row, each drawn from those that apply."""
+    for _ in range(rng.randint(2, 4)):
+        moves = MOVES if _rank2_vertices(graph) else MOVES[:-1]  # Nielsen needs a rank-2 vertex
+        graph = rng.choice(moves)(graph, rng)
+    return graph
 
 
 def _checked_status(graph, tmp_path) -> str:
@@ -91,18 +127,26 @@ def _checked_status(graph, tmp_path) -> str:
     return verdict.status
 
 
-def test_single_moves_keep_the_status(tmp_path):
+def test_moves_keep_the_status(tmp_path):
+    """Each single move, and one chain of moves, on 300 seeded graphs."""
     rng = random.Random(31)
-    conj_rng = random.Random(37)  # the conjugation's own draws: rng draws the same graphs
+    # the conjugation's and the later moves' own draws: rng draws the same graphs
+    conj_rng, move_rng = random.Random(37), random.Random(41)
     seen = {"HHG": 0, "NotHHG": 0}
+    changed = {move.__name__: 0 for move in (*MOVES, chain_of_moves)}
     for _ in range(300):
         graph = random_graph(rng, rank2_prob=0.4)
         status = _checked_status(graph, tmp_path)
         if not graph.edges:
             continue
-        moved = [(move, move(graph, rng.choice(graph.edges))) for move in MOVES]
+        moved = [(move, move(graph, rng)) for move in MOVES[:3]]
         moved.append((conjugate_attachment, conjugate_attachment(graph, conj_rng)))
+        if _rank2_vertices(graph):
+            moved.append((nielsen_move, nielsen_move(graph, move_rng)))
+        moved.append((chain_of_moves, chain_of_moves(graph, move_rng)))
         for move, other in moved:
             assert _checked_status(other, tmp_path) == status, (move.__name__, serialize(graph), serialize(other))
             seen[status] += 1
+            changed[move.__name__] += serialize(other) != serialize(graph)
     assert min(seen.values()) > 100, seen
+    assert min(changed.values()) > 100, changed  # a move may give back its graph

@@ -41,7 +41,7 @@ def _imported(tree: ast.Module) -> set[str]:
 def _bound_at_top(tree: ast.Module) -> set[str]:
     """Names the module binds at its top level, imports included, and the
     strings listed in its ``__all__`` or in a top-level table it is built
-    from (the package root's name -> home module table)."""
+    from (such as a name -> home module table)."""
     bound = _imported(tree)
     values = {}
     for node in tree.body:
@@ -74,8 +74,6 @@ def test_modules_found():
 def test_every_import_is_used():
     unused = {}
     for name, tree in MODULES.items():
-        if name == "__init__":  # imports there are the re-exports
-            continue
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         missing = _imported(tree) - used
         if missing:
