@@ -312,6 +312,7 @@ def _cmd_conjgraph(graph: GraphOfGroups, args) -> dict:
 
     cls = class_of_edge(graph, args.class_of)
     cg = build_conjugacy_graph(graph, cls)
+    origin = cg.vertex_origin
     text = serialize(cg.graph)
     if args.emit:
         with open(args.emit, "w", encoding="utf-8") as fh:
@@ -320,15 +321,11 @@ def _cmd_conjgraph(graph: GraphOfGroups, args) -> dict:
         "class": cls.index,
         "members": [[e, side] for e, side in cls.members],
         "vertices": [
-            {
-                "id": name,
-                "origin": cg.vertex_origin[name][0],
-                "root": _word_str(cg.vertex_origin[name][1]),
-            }
-            for name, _ in cg.graph.vertices
+            {"id": v, "origin": origin[v].vertex, "root": _word_str(VertexWord(*origin[v]))}
+            for v, _ in cg.graph.vertices
         ],
         "provenance": {
-            f"{e}.{side}": _word_str(g) for (e, side), g in sorted(cg.attachment_conjugator.items())
+            f"{e}.{side}": _word_str(g) for (e, side), (_, _, g) in cls.attachments.items()
         },
         "text": text,
     }

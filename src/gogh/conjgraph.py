@@ -10,8 +10,9 @@ derived graph of 2-ended groups: one vertex per commensurability class of
 roots inside each original vertex, carrying the maximal 2-ended subgroup
 around the representative root, and one edge per original edge of the
 class with integer attachment exponents over the representative roots.
-Conjugators recording how each derived attachment sits inside the
-original group are kept as provenance.
+Each derived vertex points at its class node, and the conjugators recording
+how each derived attachment sits inside the original group are read from
+the class itself, so the derived graph copies no fact the class holds.
 """
 
 from __future__ import annotations
@@ -43,10 +44,9 @@ def class_of_edge(graph: GraphOfGroups, edge: str) -> EdgeClass:
 @dataclass(eq=False)
 class ConjugacyGraph:
     graph: GraphOfGroups  # the derived graph of 2-ended groups
-    edge_class: EdgeClass
-    vertex_origin: dict  # derived vertex -> (original vertex, root VertexWord),
+    edge_class: EdgeClass  # its attachments hold each occurrence's conjugator
+    vertex_origin: dict  # derived vertex -> its GroupoidNode (vertex, root letters),
     # keyed in the order of edge_class.nodes
-    attachment_conjugator: dict  # occurrence -> conjugator g in the original
 
 
 def build_conjugacy_graph(graph: GraphOfGroups, cls: EdgeClass) -> ConjugacyGraph:
@@ -58,14 +58,16 @@ def build_conjugacy_graph(graph: GraphOfGroups, cls: EdgeClass) -> ConjugacyGrap
     that vertex, so rebuilding is deterministic.  The attachment data and
     the nodes are the ones the groupoid pass recorded on the class.
     """
-    if not all(isinstance(kind, DihedralInfinite) or kind.rank == 1 for _, kind in graph.vertices):
+    # A connected graph of 2-ended groups with an edge has one class, holding
+    # all 2|E| occurrences (a smaller class needs no scan of the vertex table),
+    # and the one-letter rule of balance.attachment_data gives it one node per
+    # vertex (v.1 or d.r), no conjugators and the input's exponents: its own
+    # derived graph.
+    if len(cls.attachments) < 2 * len(graph.edges) or not all(
+        isinstance(kind, DihedralInfinite) or kind.rank == 1 for _, kind in graph.vertices
+    ):
         return _derived_conjugacy_graph(graph, cls)
-    # A connected graph of 2-ended groups with an edge has one class, and the
-    # one-letter rule of balance.attachment_data gives it one node per vertex
-    # (v.1 or d.r), no conjugators and the input's exponents: its own derived graph.
-    origin = {node.vertex: (node.vertex, VertexWord(node.vertex, node.root)) for node in cls.nodes}
-    conjugators = {occ: g for occ, (_, _, g) in cls.attachments.items()}
-    return ConjugacyGraph(graph, cls, origin, conjugators)
+    return ConjugacyGraph(graph, cls, {node.vertex: node for node in cls.nodes})
 
 
 def _derived_conjugacy_graph(graph: GraphOfGroups, cls: EdgeClass) -> ConjugacyGraph:
@@ -88,7 +90,7 @@ def _derived_conjugacy_graph(graph: GraphOfGroups, cls: EdgeClass) -> ConjugacyG
     for node in cls.nodes:
         kind = graph.kind(node.vertex)
         vertices.append((names[node], kind if isinstance(kind, DihedralInfinite) else Free(1)))
-        vertex_origin[names[node]] = (node.vertex, VertexWord(node.vertex, node.root))
+        vertex_origin[names[node]] = node
 
     def derived_attachment(node: GroupoidNode, n: int) -> VertexWord:
         gen = DIHEDRAL_R if isinstance(graph.kind(node.vertex), DihedralInfinite) else 1
@@ -107,14 +109,14 @@ def _derived_conjugacy_graph(graph: GraphOfGroups, cls: EdgeClass) -> ConjugacyG
                 attachment_target=derived_attachment(node_t, n_t),
             )
         )
-    conjugators = {occ: g for occ, (_, _, g) in cls.attachments.items()}
-    return ConjugacyGraph(make_graph(vertices, edges), cls, vertex_origin, conjugators)
+    return ConjugacyGraph(make_graph(vertices, edges), cls, vertex_origin)
 
 
 def provenance_holds(graph: GraphOfGroups, cg: ConjugacyGraph) -> bool:
     """Check u = g * root^n * g^-1 in the original vertex group for every
-    derived attachment gen^n, n read off the derived graph itself."""
-    for (edge, side), g in cg.attachment_conjugator.items():
+    derived attachment gen^n, n read off the derived graph itself and g from
+    the class."""
+    for (edge, side), (_, _, g) in cg.edge_class.attachments.items():
         e = graph.edge(edge)
         u = e.attachment_source if side == "source" else e.attachment_target
         derived_edge = cg.graph.edge(edge)
@@ -123,7 +125,7 @@ def provenance_holds(graph: GraphOfGroups, cg: ConjugacyGraph) -> bool:
         else:
             dv, derived = derived_edge.target, derived_edge.attachment_target
         ((_, n),) = derived.letters  # a validated 2-ended attachment: one letter
-        _, root = cg.vertex_origin[dv]
+        root = VertexWord(*cg.vertex_origin[dv])
         kind = graph.kind(u.vertex)
         rebuilt = vw_mul(kind, g, vw_pow(kind, root, n), vw_inv(kind, g))
         if vw_mul(kind, rebuilt, vw_inv(kind, u)).letters:

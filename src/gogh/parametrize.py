@@ -19,12 +19,11 @@ parametrization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import lcm
 from typing import TYPE_CHECKING
 
 from . import dihedral as dih
-from .balance import Unbalanced, build_groupoid
+from .balance import EdgeClass, Unbalanced, build_groupoid
 from .conjgraph import ConjugacyGraph, build_conjugacy_graph
 from .model import (
     DIHEDRAL_R,
@@ -56,19 +55,11 @@ class LinearParametrization:
     vertex_images: tuple  # ((vertex, ((gen, DihedralElement), ...)), ...)
     stable_images: tuple  # ((edge, DihedralElement), ...)
 
-    @cached_property
-    def _vertex_maps(self) -> dict:
-        return {vertex: dict(images) for vertex, images in self.vertex_images}
-
-    @cached_property
-    def _stable_map(self) -> dict:
-        return dict(self.stable_images)
-
     def vertex_image(self, vertex: str):
-        return dict(self._vertex_maps[vertex])
+        return dict(dict(self.vertex_images)[vertex])
 
     def stable_image(self, edge: str) -> dih.DihedralElement:
-        return self._stable_map.get(edge, dih.IDENTITY)
+        return dict(self.stable_images).get(edge, dih.IDENTITY)
 
 
 def require_two_ended(graph: GraphOfGroups) -> None:
@@ -91,19 +82,11 @@ def parametrize(graph: GraphOfGroups) -> LinearParametrization | Unbalanced:
     groupoid = build_groupoid(graph)
     if isinstance(groupoid.verdict, Unbalanced):
         return groupoid.verdict
-    (cls,) = groupoid.classes
-    return _verified(graph, _class_parametrization(build_conjugacy_graph(graph, cls)))
+    (cls,) = groupoid.classes  # its derived graph is the input itself
+    return _class_certificate(graph, cls).phi
 
 
 _REFLECTION = dih.DihedralElement(1, 0)
-
-
-def _class_parametrization(cg: ConjugacyGraph) -> LinearParametrization:
-    """The parametrization of one balanced class, on its derived graph, from
-    the potentials and attachment exponents the groupoid pass recorded."""
-    cls = cg.edge_class
-    potential = dict(zip(cg.vertex_origin, cls.potentials))  # both follow cls.nodes
-    return _parametrization(cg.graph, potential, cls.attachments)
 
 
 def _parametrization(
@@ -303,9 +286,14 @@ def hhg_verdict(graph: GraphOfGroups) -> Verdict:
         from .certify import almost_bs_witness
 
         return NotHHG(witness=almost_bs_witness(graph, verdict), verdict=verdict)
-    certificates = []
-    for cls in groupoid.classes:
-        cg = build_conjugacy_graph(graph, cls)
-        phi = _verified(cg.graph, _class_parametrization(cg))
-        certificates.append(Certificate(cls.index, cg, phi))
-    return HHG(tuple(certificates))
+    return HHG(tuple(_class_certificate(graph, cls) for cls in groupoid.classes))
+
+
+def _class_certificate(graph: GraphOfGroups, cls: EdgeClass) -> Certificate:
+    """The certificate of one balanced class: its derived graph and the
+    parametrization built there from the potentials and attachment exponents
+    the groupoid pass recorded, verified once on that graph."""
+    cg = build_conjugacy_graph(graph, cls)
+    potential = dict(zip(cg.vertex_origin, cls.potentials))  # both follow cls.nodes
+    phi = _verified(cg.graph, _parametrization(cg.graph, potential, cls.attachments))
+    return Certificate(cls.index, cg, phi)

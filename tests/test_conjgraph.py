@@ -46,9 +46,11 @@ def test_conjugacy_graph_of_f2_example(f2_example):
     assert edge.source == edge.target == name
     exps = {abs(edge.attachment_source.letters[0][1]), abs(edge.attachment_target.letters[0][1])}
     assert exps == {2, 3}
-    # the nontrivial conjugator is b on the target side
-    assert cg.attachment_conjugator[("e", "target")].letters == ((2, 1),)
-    assert cg.attachment_conjugator[("e", "source")].letters == ()
+    # the derived vertex points at the class node, and the nontrivial
+    # conjugator is b on the target side
+    assert list(cg.vertex_origin.values()) == list(cg.edge_class.nodes)
+    assert cg.edge_class.attachments[("e", "target")][2].letters == ((2, 1),)
+    assert cg.edge_class.attachments[("e", "source")][2].letters == ()
 
 
 def test_conjugacy_graph_of_bs32_is_isomorphic_copy(bs32):
@@ -118,7 +120,7 @@ def test_rebuild_is_deterministic():
             second = build_conjugacy_graph(g, cls)
             assert first.graph == second.graph
             assert first.vertex_origin == second.vertex_origin
-            assert first.attachment_conjugator == second.attachment_conjugator
+            assert first.edge_class == second.edge_class
 
 
 def test_balance_transfers_to_conjugacy_graph():
@@ -160,7 +162,7 @@ def test_two_ended_graph_is_its_own_derived_graph():
         assert cg.graph is g
         assert general.graph == g
         assert cg.vertex_origin == general.vertex_origin
-        assert cg.attachment_conjugator == general.attachment_conjugator
+        assert cg.edge_class == general.edge_class
         assert provenance_holds(g, cg)
         verdicts.append(isinstance(cls.verdict, Unbalanced))
     assert len(verdicts) >= 200

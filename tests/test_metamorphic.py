@@ -98,13 +98,61 @@ def nielsen_move(graph, rng):
     return make_graph(graph.vertices, edges)
 
 
-MOVES = (reverse_edge, invert_edge, subdivide_edge, conjugate_attachment, nielsen_move)
+def _collapsible(graph):
+    """(edge, w) for each non-loop edge with an end at a Z vertex w that it
+    attaches by w.1 or w.1^-1."""
+    return [
+        (e, w)
+        for e in graph.edges
+        if e.source != e.target
+        for w, word in ((e.source, e.attachment_source), (e.target, e.attachment_target))
+        if graph.kind(w) == Free(1) and word.letters in (((1, 1),), ((1, -1),))
+    ]
+
+
+def collapse_edge(graph, rng):
+    """An elementary collapse, the inverse of a subdivision: a non-loop edge
+    from u to a Z vertex w attached by w.1^eps lies in a spanning tree, so
+    its stable letter is trivial and w.1^eps = a, the edge's attachment at u.
+    w and the edge go; every other end at w, loops included, moves to u with
+    w.1^k read as a^(eps k)."""
+    e, w = rng.choice(_collapsible(graph))
+    if w == e.source:
+        u, a, ((_, eps),) = e.target, e.attachment_target, e.attachment_source.letters
+    else:
+        u, a, ((_, eps),) = e.source, e.attachment_source, e.attachment_target.letters
+    kind = graph.kind(u)
+
+    def end(vertex, word):
+        if vertex != w:
+            return vertex, word
+        ((_, k),) = word.letters
+        return u, vw_pow(kind, a, eps * k)
+
+    edges = []
+    for f in graph.edges:
+        if f.name != e.name:
+            source, at_source = end(f.source, f.attachment_source)
+            target, at_target = end(f.target, f.attachment_target)
+            edges.append(EdgeRecord(f.name, source, target, at_source, at_target))
+    return make_graph([pair for pair in graph.vertices if pair[0] != w], edges)
+
+
+MOVES = (reverse_edge, invert_edge, subdivide_edge, conjugate_attachment, nielsen_move, collapse_edge)
+NEEDS = {nielsen_move: _rank2_vertices, collapse_edge: _collapsible}  # what a move needs of the graph
+
+
+def _applicable(graph):
+    """The moves that apply to graph: every move needs an edge."""
+    return [move for move in MOVES if graph.edges and (move not in NEEDS or NEEDS[move](graph))]
 
 
 def chain_of_moves(graph, rng):
     """Two to four moves in a row, each drawn from those that apply."""
     for _ in range(rng.randint(2, 4)):
-        moves = MOVES if _rank2_vertices(graph) else MOVES[:-1]  # Nielsen needs a rank-2 vertex
+        moves = _applicable(graph)
+        if not moves:  # a collapse took the last edge
+            break
         graph = rng.choice(moves)(graph, rng)
     return graph
 
@@ -128,10 +176,11 @@ def _checked_status(graph, tmp_path) -> str:
 
 
 def test_moves_keep_the_status(tmp_path):
-    """Each single move, and one chain of moves, on 300 seeded graphs."""
+    """Each single move, and one chain of moves, on 300 seeded graphs; the
+    collapse also after a subdivision and one other move."""
     rng = random.Random(31)
     # the conjugation's and the later moves' own draws: rng draws the same graphs
-    conj_rng, move_rng = random.Random(37), random.Random(41)
+    conj_rng, move_rng, collapse_rng = random.Random(37), random.Random(41), random.Random(43)
     seen = {"HHG": 0, "NotHHG": 0}
     changed = {move.__name__: 0 for move in (*MOVES, chain_of_moves)}
     for _ in range(300):
@@ -144,6 +193,12 @@ def test_moves_keep_the_status(tmp_path):
         if _rank2_vertices(graph):
             moved.append((nielsen_move, nielsen_move(graph, move_rng)))
         moved.append((chain_of_moves, chain_of_moves(graph, move_rng)))
+        if _collapsible(graph):
+            moved.append((collapse_edge, collapse_edge(graph, collapse_rng)))
+        subdivided = subdivide_edge(graph, collapse_rng)
+        others = [move for move in _applicable(subdivided) if move not in (subdivide_edge, collapse_edge)]
+        stepped = collapse_rng.choice(others)(subdivided, collapse_rng)
+        moved.append((collapse_edge, collapse_edge(stepped, collapse_rng)))
         for move, other in moved:
             assert _checked_status(other, tmp_path) == status, (move.__name__, serialize(graph), serialize(other))
             seen[status] += 1

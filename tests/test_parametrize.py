@@ -18,8 +18,11 @@ from gogh.model import (
     DIHEDRAL_R,
     DIHEDRAL_S,
     DihedralInfinite,
+    EdgeRecord,
     Free,
     GoghError,
+    GraphOfGroups,
+    VertexWord,
     make_graph,
     spanning_tree,
 )
@@ -575,3 +578,44 @@ def test_verifier_rejects_a_forged_reflection_even_without_asserts(flags):
         0,
         "(False, ['edge e: stable letter image is not an element of D-infinity'])\n",
     ), proc.stderr
+
+
+class _CountingTable(tuple):
+    """A vertex table that counts how often it is iterated."""
+
+    reads = 0
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+
+def _class_path(n: int) -> GraphOfGroups:
+    """a0 - z0 - a1 - ... - z(n-1) - an, rank-1 a's and rank-2 z's, each z
+    attached by its first generator on one side and its second on the other:
+    n + 1 edge classes."""
+    a = [f"a{i:03d}" for i in range(n + 1)]
+    z = [f"z{i:03d}" for i in range(n)]
+
+    def letter(vertex, gen):
+        return VertexWord(vertex, ((gen, 1),))
+
+    edges = []
+    for i in range(n):
+        edges.append(EdgeRecord(f"e{i:03d}a", a[i], z[i], letter(a[i], 1), letter(z[i], 1)))
+        edges.append(EdgeRecord(f"e{i:03d}b", z[i], a[i + 1], letter(z[i], 2), letter(a[i + 1], 1)))
+    vertices = _CountingTable([*((v, Free(1)) for v in a), *((v, Free(2)) for v in z)])
+    return GraphOfGroups(vertices, tuple(edges))
+
+
+def test_verdict_reads_the_vertex_table_a_fixed_number_of_times():
+    """The per-class work reads nothing of size |V|: a class smaller than
+    2|E| occurrences is not its own derived graph, without a vertex scan."""
+    reads = []
+    for n in (9, 49):
+        graph = _class_path(n)
+        before = graph.vertices.reads
+        verdict = hhg_verdict(graph)
+        assert verdict.status == "HHG" and len(verdict.certificates) == n + 1
+        reads.append(graph.vertices.reads - before)
+    assert reads[0] == reads[1], reads

@@ -36,7 +36,7 @@ PRODUCERS = {
     "edge_balanced",
     "edge_classes",
     "class_of_edge",
-    "_class_parametrization",
+    "_class_certificate",
     "_parametrization",
 }
 
