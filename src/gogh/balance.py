@@ -35,10 +35,11 @@ the potentials of its ends agrees; each class keeps its nodes' potentials,
 from which ``parametrize`` builds its certificate.  The two arcs of an
 edge are reciprocal, so they are balanced together: each non-tree edge is
 tested once, and an unbalanced one closes its cycle through its +1 arc,
-the arc met first in arc order.  Each fact is stored once: a class holds
-its verdict, and an unbalanced verdict holds the pass's attachment data,
-which ``certify`` reads.  Graph, edge and class verdicts are all lookups
-into that pass.
+the arc met first in arc order.  Each fact is stored once: the pass's
+attachment data lives in its one occurrence map, a class holds its verdict
+and its member keys over that map, and an unbalanced verdict holds the
+map, which ``certify`` reads.  Graph, edge and class verdicts are all
+lookups into that pass.
 """
 
 from __future__ import annotations
@@ -97,25 +98,25 @@ class Unbalanced:
 BalanceVerdict = Balanced | Unbalanced
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeClass:
     """One groupoid component, as the attachment occurrences landing in it."""
 
     index: int
-    attachments: dict  # member occurrence -> its attachment_data, sorted
+    members: tuple[Occurrence, ...]  # its occurrences, sorted
     nodes: tuple[GroupoidNode, ...]  # the component's nodes, in groupoid order
     verdict: BalanceVerdict  # the component's first unbalanced cycle, or balance
     # |potential| of each node, aligned with nodes, as a reduced pair (num, den)
     # of positive ints: the product of |arc weights| along the pass's tree path
     # from the component's least node
     potentials: tuple[tuple[int, int], ...]
-
-    @property
-    def members(self) -> tuple[Occurrence, ...]:
-        return tuple(self.attachments)
+    # the pass's attachment data of every occurrence of the graph (the
+    # groupoid's one map), (edge, side) -> (node, exponent, conjugator)
+    occurrences: dict = field(compare=False, repr=False)
 
     def edge_ids(self) -> tuple[str, ...]:
-        return tuple(sorted({e for e, _ in self.members}))
+        # an edge's two occurrences share a component, and members are sorted
+        return tuple(e for e, side in self.members if side == "source")
 
 
 @dataclass(eq=False)
@@ -138,16 +139,17 @@ def attachment_data(edge: EdgeRecord, side: str, shared: dict):
     for the image on one side of an edge: a one-letter g^k, free or
     dihedral, is root g, n = k, c = 1 (see above).  Every one-letter image
     at a vertex with root g gets the node and identity conjugator that
-    ``shared`` holds for (vertex, g), both immutable, so a pass builds them
-    once per root."""
+    ``shared`` holds for (vertex, g), and every node of root g the letters
+    ``shared`` holds for g, all immutable, so a pass builds them once per
+    root."""
     word = edge.attachment_source if side == "source" else edge.attachment_target
     if len(word.letters) == 1:
         ((g, k),) = word.letters
         key = (word.vertex, g)
         found = shared.get(key)
         if found is None:
-            found = GroupoidNode(word.vertex, ((g, 1),)), VertexWord(word.vertex, ())
-            shared[key] = found
+            root = shared.setdefault(g, ((g, 1),))
+            found = shared[key] = GroupoidNode(word.vertex, root), VertexWord(word.vertex, ())
         return found[0], k, found[1]
     root, conj, n = fw.canonical_root(word)
     return GroupoidNode(word.vertex, root.letters), n, conj
@@ -274,32 +276,36 @@ def _decide(nodes, order, arcs, ends, occurrences) -> RatioGroupoid:
         if isinstance(verdict, Balanced):
             verdict = first_bad[root]
 
-    # occurrences are keyed in sorted order, so each component's members come
-    # out sorted and the components come out ordered by least member
-    attachments: dict[int, dict] = {}
-    occurrence_ids = (i for t, s, _, _ in ends for i in (s, t))  # in key order
-    for (occ, data), i in zip(occurrences.items(), occurrence_ids):
-        attachments.setdefault(root_of[i], {})[occ] = data
-    class_nodes: dict[int, list[GroupoidNode]] = {}
-    class_potentials: dict[int, list[tuple[int, int]]] = {}
+    # occurrences are keyed in sorted order, two per edge, and an edge's two
+    # occurrences share its component: so each component's members come out
+    # sorted and the components come out ordered by least member
+    keys = iter(occurrences)
+    members: dict[int, list[Occurrence]] = {}
+    for t, _, _, _ in ends:
+        members.setdefault(root_of[t], []).extend((next(keys), next(keys)))
+    position = {root: i for i, root in enumerate(members)}
+    component = {}
+    class_nodes: list[list[GroupoidNode]] = [[] for _ in members]
+    class_potentials: list[list[tuple[int, int]]] = [[] for _ in members]
     for node, i in zip(nodes, order):
-        class_nodes.setdefault(root_of[i], []).append(node)
-        class_potentials.setdefault(root_of[i], []).append((num[i], den[i]))
-    position = {root: i for i, root in enumerate(attachments)}
+        c = component[node] = position[root_of[i]]
+        class_nodes[c].append(node)
+        class_potentials[c].append((num[i], den[i]))
     return RatioGroupoid(
         nodes=nodes,
         arcs=arcs,
         occurrences=occurrences,
-        component={node: position[root_of[i]] for node, i in zip(nodes, order)},
+        component=component,
         classes=tuple(
             EdgeClass(
                 i,
-                attachments[r],
-                tuple(class_nodes[r]),
+                tuple(members[r]),
+                tuple(class_nodes[i]),
                 first_bad.get(r, Balanced()),
-                tuple(class_potentials[r]),
+                tuple(class_potentials[i]),
+                occurrences,
             )
-            for i, r in enumerate(attachments)
+            for r, i in position.items()
         ),
         verdict=verdict,
     )

@@ -98,19 +98,23 @@ def _scan_letters(text: str, line: int):
         yield piece, column, parse_letter(piece, line, column)
 
 
-def _parse_attachment(text: str, vertex: str, kind, line: int) -> VertexWord:
+def _parse_attachment(text: str, vertex: str, kind, line: int, shared: dict) -> VertexWord:
     m = _ONE_LETTER_RE.fullmatch(text)
     if m is not None:
         owner, gen, exp = m.groups()
-        exponent = parse_int(exp) if exp is not None else 1
         # a free generator in a free vertex or r in a dihedral one, with a
         # nonzero exponent, is already the normal form vw_normalize returns;
-        # every other one-letter text takes the general path below
-        if owner == vertex and exponent:
-            if isinstance(kind, Free) and gen != DIHEDRAL_R:
-                return VertexWord(vertex, ((parse_int(gen), exponent),))
-            if isinstance(kind, DihedralInfinite) and gen == DIHEDRAL_R:
-                return VertexWord(vertex, ((DIHEDRAL_R, exponent),))
+        # every other one-letter text takes the general path below.  Its
+        # letters are immutable, so one tuple serves every vertex: shared
+        # maps (generator, exponent) texts to it, or to () for exponent 0.
+        if owner == vertex and (gen == DIHEDRAL_R) == isinstance(kind, DihedralInfinite):
+            letters = shared.get((gen, exp))
+            if letters is None:
+                exponent = parse_int(exp) if exp is not None else 1
+                generator = gen if gen == DIHEDRAL_R else parse_int(gen)
+                letters = shared[(gen, exp)] = ((generator, exponent),) if exponent else ()
+            if letters:
+                return VertexWord(vertex, letters)
     letters = []
     for piece, column, tok in _scan_letters(text, line):
         if tok[0] != "g":
@@ -126,8 +130,12 @@ def _parse_attachment(text: str, vertex: str, kind, line: int) -> VertexWord:
 
 
 def parse(text: str) -> GraphOfGroups:
-    """Parse a graph description; the graph validates itself on construction."""
-    vertices: dict[str, object] = {}
+    """Parse a graph description; the graph validates itself on construction.
+    Equal declarations share their immutable parts: one kind object per
+    rank (and one dihedral), one letters tuple per one-letter image, and
+    each vertex name is the one string of its declaration."""
+    vertices: dict[str, tuple[str, object]] = {}  # name -> its vertex-table entry
+    kinds: dict[str | None, object] = {}  # rank numeral, or None -> kind
     pending_edges = []
     # lines end only at \n, \r\n and \r: str.splitlines() also ends them at
     # \v, \f, \x1c-\x1e, \x85, U+2028 and U+2029, inside comments and words too
@@ -143,7 +151,10 @@ def parse(text: str) -> GraphOfGroups:
             name, _, rank = m.groups()
             if name in vertices:
                 raise ParseError(f"duplicate vertex {name!r}", lineno, 1)
-            vertices[name] = Free(parse_int(rank)) if rank is not None else DihedralInfinite()
+            kind = kinds.get(rank)
+            if kind is None:
+                kind = kinds[rank] = Free(parse_int(rank)) if rank is not None else DihedralInfinite()
+            vertices[name] = (name, kind)
         elif line.startswith("edge"):
             m = _EDGE_RE.match(line)
             if not m:
@@ -153,23 +164,26 @@ def parse(text: str) -> GraphOfGroups:
             raise ParseError(f"unrecognized declaration {line.split()[0]!r}", lineno, 1)
     edges = []
     seen = set()
+    shared: dict = {}
     for lineno, (name, src, tgt, img_from, img_to) in pending_edges:
         if name in seen:
             raise ParseError(f"duplicate edge {name!r}", lineno, 1)
         seen.add(name)
-        for v in (src, tgt):
-            if v not in vertices:
-                raise ParseError(f"edge {name!r} references unknown vertex {v!r}", lineno, 1)
+        declared_s, declared_t = vertices.get(src), vertices.get(tgt)
+        if declared_s is None or declared_t is None:
+            missing = src if declared_s is None else tgt
+            raise ParseError(f"edge {name!r} references unknown vertex {missing!r}", lineno, 1)
+        (src, kind_s), (tgt, kind_t) = declared_s, declared_t
         edges.append(
             EdgeRecord(
-                name=name,
-                source=src,
-                target=tgt,
-                attachment_source=_parse_attachment(img_from, src, vertices[src], lineno),
-                attachment_target=_parse_attachment(img_to, tgt, vertices[tgt], lineno),
+                name,
+                src,
+                tgt,
+                _parse_attachment(img_from, src, kind_s, lineno, shared),
+                _parse_attachment(img_to, tgt, kind_t, lineno, shared),
             )
         )
-    return make_graph(list(vertices.items()), edges)
+    return make_graph(vertices.values(), edges)
 
 
 def _word_str(word: VertexWord) -> str:
@@ -325,7 +339,7 @@ def _cmd_conjgraph(graph: GraphOfGroups, args) -> dict:
             for v, _ in cg.graph.vertices
         ],
         "provenance": {
-            f"{e}.{side}": _word_str(g) for (e, side), (_, _, g) in cls.attachments.items()
+            f"{e}.{side}": _word_str(cls.occurrences[(e, side)][2]) for e, side in cls.members
         },
         "text": text,
     }

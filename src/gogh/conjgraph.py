@@ -44,7 +44,7 @@ def class_of_edge(graph: GraphOfGroups, edge: str) -> EdgeClass:
 @dataclass(eq=False)
 class ConjugacyGraph:
     graph: GraphOfGroups  # the derived graph of 2-ended groups
-    edge_class: EdgeClass  # its attachments hold each occurrence's conjugator
+    edge_class: EdgeClass  # its occurrences hold each member's conjugator
     vertex_origin: dict  # derived vertex -> its GroupoidNode (vertex, root letters),
     # keyed in the order of edge_class.nodes
 
@@ -63,7 +63,7 @@ def build_conjugacy_graph(graph: GraphOfGroups, cls: EdgeClass) -> ConjugacyGrap
     # and the one-letter rule of balance.attachment_data gives it one node per
     # vertex (v.1 or d.r), no conjugators and the input's exponents: its own
     # derived graph.
-    if len(cls.attachments) < 2 * len(graph.edges) or not all(
+    if len(cls.members) < 2 * len(graph.edges) or not all(
         isinstance(kind, DihedralInfinite) or kind.rank == 1 for _, kind in graph.vertices
     ):
         return _derived_conjugacy_graph(graph, cls)
@@ -98,8 +98,8 @@ def _derived_conjugacy_graph(graph: GraphOfGroups, cls: EdgeClass) -> ConjugacyG
 
     edges = []
     for edge in cls.edge_ids():
-        node_s, n_s, _ = cls.attachments[(edge, "source")]
-        node_t, n_t, _ = cls.attachments[(edge, "target")]
+        node_s, n_s, _ = cls.occurrences[(edge, "source")]
+        node_t, n_t, _ = cls.occurrences[(edge, "target")]
         edges.append(
             EdgeRecord(
                 name=edge,
@@ -116,7 +116,8 @@ def provenance_holds(graph: GraphOfGroups, cg: ConjugacyGraph) -> bool:
     """Check u = g * root^n * g^-1 in the original vertex group for every
     derived attachment gen^n, n read off the derived graph itself and g from
     the class."""
-    for (edge, side), (_, _, g) in cg.edge_class.attachments.items():
+    for edge, side in cg.edge_class.members:
+        _, _, g = cg.edge_class.occurrences[(edge, side)]
         e = graph.edge(edge)
         u = e.attachment_source if side == "source" else e.attachment_target
         derived_edge = cg.graph.edge(edge)

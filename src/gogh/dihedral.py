@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .model import DIHEDRAL_R, DIHEDRAL_S, VertexWord
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DihedralElement:
     eps: int  # 0 or 1
     k: int

@@ -15,8 +15,8 @@ Lookups, the spanning tree and tree paths are read from it.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 
 
 class GoghError(Exception):
@@ -30,12 +30,12 @@ class ValidationError(GoghError):
         self.message = message
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Free:
     rank: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DihedralInfinite:
     pass
 
@@ -50,7 +50,7 @@ DIHEDRAL_R = "r"
 DIHEDRAL_S = "s"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VertexWord:
     """A word in one vertex group, as (generator, exponent) letters.
 
@@ -70,7 +70,7 @@ class VertexWord:
         return not self.letters
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeRecord:
     """One oriented edge with the two images of the edge-group generator.
 
@@ -85,13 +85,14 @@ class EdgeRecord:
     attachment_target: VertexWord  # image in the target vertex group
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GraphOfGroups:
     vertices: tuple[tuple[str, VertexGroupKind], ...]  # sorted by id
     edges: tuple[EdgeRecord, ...]  # sorted by id
+    # the GraphIndex that validation builds; not part of the graph's value
+    index: GraphIndex = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        # index: the GraphIndex that validation builds
         object.__setattr__(self, "index", validate(self))
 
     def kind(self, vertex: str) -> VertexGroupKind:
@@ -115,8 +116,8 @@ class GraphOfGroups:
 
 def make_graph(vertices, edges) -> GraphOfGroups:
     """Build a graph with the canonical (sorted) storage order."""
-    vs = tuple(sorted(vertices, key=lambda p: p[0]))
-    es = tuple(sorted(edges, key=lambda e: e.name))
+    vs = tuple(sorted(vertices, key=itemgetter(0)))
+    es = tuple(sorted(edges, key=attrgetter("name")))
     return GraphOfGroups(vs, es)
 
 
@@ -195,14 +196,31 @@ def _attachment_infinite_order(kind: VertexGroupKind, word: VertexWord) -> bool:
     return len(word.letters) == 1 and word.letters[0][0] == DIHEDRAL_R
 
 
-def validate(graph: GraphOfGroups) -> GraphIndex:
-    """Check every model invariant; raise ValidationError on the first failure.
-    Return the graph's index, built during the same walk.
-
-    A one-letter attachment that is valid for its vertex (a generator in
+def _check_attachment(kind: VertexGroupKind, word: VertexWord, edge: str, side: str) -> None:
+    """A one-letter attachment that is valid for its vertex (a generator in
     1..rank of a free group, or the rotation r of a dihedral one, with a
     nonzero int exponent) has infinite order and is accepted at once; every
     other word goes through the general checks."""
+    letters = word.letters
+    if len(letters) == 1:
+        gen, exp = letters[0]
+        if isinstance(exp, int) and exp != 0 and (
+            isinstance(gen, int) and 1 <= gen <= kind.rank
+            if isinstance(kind, Free)
+            else gen == DIHEDRAL_R
+        ):
+            return
+    _check_letters(kind, word)
+    if not _attachment_infinite_order(kind, word):
+        raise ValidationError(
+            "FiniteOrderAttachment", f"edge {edge} {side} attachment has finite order"
+        )
+
+
+def validate(graph: GraphOfGroups) -> GraphIndex:
+    """Check every model invariant; raise ValidationError on the first failure.
+    Return the graph's index, built during the same walk, which reads each
+    edge's fields once."""
     if not graph.vertices:
         raise ValidationError("DisconnectedGraph", "graph has no vertices")
     names = [name for name, _ in graph.vertices]
@@ -215,37 +233,24 @@ def validate(graph: GraphOfGroups) -> GraphIndex:
     edge_names = [e.name for e in graph.edges]
     if any(a >= b for a, b in zip(edge_names, edge_names[1:])):
         raise ValidationError("DuplicateEdge", "edge table not canonical")
-    edges: dict[str, EdgeRecord] = {}
     # the table is sorted: each list is in id order, stored orientation first
-    adj: dict[str, list[tuple[str, SignedEdge]]] = {v: [] for v in kinds}
+    adj: dict[str, list[tuple[str, str, int]]] = {v: [] for v in kinds}
     for e in graph.edges:
-        for v in (e.source, e.target):
-            if v not in kinds:
-                raise ValidationError("UnknownVertex", f"edge {e.name} touches {v!r}")
-        if e.attachment_source.vertex != e.source or e.attachment_target.vertex != e.target:
+        name, source, target = e.name, e.source, e.target
+        kind_s, kind_t = kinds.get(source), kinds.get(target)
+        if kind_s is None or kind_t is None:
+            missing = source if kind_s is None else target
+            raise ValidationError("UnknownVertex", f"edge {name} touches {missing!r}")
+        word_s, word_t = e.attachment_source, e.attachment_target
+        if word_s.vertex != source or word_t.vertex != target:
             raise ValidationError(
-                "UnknownVertex", f"edge {e.name} attachment tagged with wrong vertex"
+                "UnknownVertex", f"edge {name} attachment tagged with wrong vertex"
             )
-        for side, word in (("source", e.attachment_source), ("target", e.attachment_target)):
-            kind = kinds[word.vertex]
-            if len(word.letters) == 1:
-                gen, exp = word.letters[0]
-                if isinstance(exp, int) and exp != 0 and (
-                    isinstance(gen, int) and 1 <= gen <= kind.rank
-                    if isinstance(kind, Free)
-                    else gen == DIHEDRAL_R
-                ):
-                    continue
-            _check_letters(kind, word)
-            if not _attachment_infinite_order(kind, word):
-                raise ValidationError(
-                    "FiniteOrderAttachment",
-                    f"edge {e.name} {side} attachment has finite order",
-                )
-        edges[e.name] = e
-        adj[e.source].append((e.target, (e.name, 1)))
-        adj[e.target].append((e.source, (e.name, -1)))
-    index = GraphIndex(kinds, edges, adj)
+        _check_attachment(kind_s, word_s, name, "source")
+        _check_attachment(kind_t, word_t, name, "target")
+        adj[source].append((target, name, 1))
+        adj[target].append((source, name, -1))
+    index = GraphIndex(kinds, dict(zip(edge_names, graph.edges)), adj)
     if len(index.depth) != len(names):
         raise ValidationError("DisconnectedGraph", "underlying graph is not connected")
     return index
@@ -259,24 +264,24 @@ class GraphIndex:
     it is a pure function of the graph content.  ``parents`` maps each
     non-root vertex reached to (parent vertex, signed edge parent->vertex)
     in BFS order; ``depth`` covers the root too.  ``validate`` builds the
-    maps and the adjacency lists it reads.
+    maps and the adjacency lists it reads, (neighbour, edge, sign) per end.
     """
 
     def __init__(self, kinds, edges, adj):
         self.kinds = kinds
         self.edges = edges
-        self.parents: dict[str, tuple[str, SignedEdge]] = {}
+        self.parents = parents = {}
         root = min(kinds)  # validate rejects an empty graph before indexing it
-        self.depth: dict[str, int] = {root: 0}
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for w, step in adj[v]:
-                if w not in self.depth:
-                    self.depth[w] = self.depth[v] + 1
-                    self.parents[w] = (v, step)
+        self.depth = depth = {root: 0}
+        queue = [root]
+        for v in queue:  # the list grows as it is read: a FIFO queue
+            d = depth[v] + 1
+            for w, name, sign in adj[v]:
+                if w not in depth:
+                    depth[w] = d
+                    parents[w] = (v, (name, sign))
                     queue.append(w)
-        self.tree = frozenset(step[0] for _, step in self.parents.values())
+        self.tree = frozenset(edge for _, (edge, _) in parents.values())
 
 
 def spanning_tree(graph: GraphOfGroups) -> frozenset[str]:

@@ -113,7 +113,6 @@ def _parametrization(
     edge's child to its parent's sign flipped by the edge, so its two sides
     always agree, and the edge needs no lookup in the tree."""
     scale = lcm(*(num for num, _ in potential.values()))
-    magnitude = {v: den * (scale // num) for v, (num, den) in potential.items()}
     negative = {graph.vertices[0][0]: False}  # the tree is rooted at the least vertex
     for vertex, (parent, (edge, _)) in graph.index.parents.items():
         flip = (attachments[(edge, "source")][1] < 0) != (attachments[(edge, "target")][1] < 0)
@@ -121,7 +120,8 @@ def _parametrization(
 
     vertex_images = []
     for v, kind in graph.vertices:
-        k = magnitude[v]
+        num, den = potential[v]
+        k = den * (scale // num)
         rotation = dih.DihedralElement(0, -k if negative[v] else k)
         if isinstance(kind, DihedralInfinite):
             vertex_images.append((v, ((DIHEDRAL_R, rotation), (DIHEDRAL_S, _REFLECTION))))
@@ -214,12 +214,14 @@ def verify_parametrization(graph: GraphOfGroups, phi: LinearParametrization):
     tree = spanning_tree(graph)
     for e in graph.edges:
         t_img = stable.get(e.name, dih.IDENTITY)
-        if not _in_group(t_img):
-            report.append(f"edge {e.name}: stable letter image is not an element of D-infinity")
-            continue
-        conjugate = not t_img.is_identity
-        if conjugate and e.name in tree:
-            report.append(f"edge {e.name}: tree stable letter must map to the identity")
+        conjugate = False
+        if t_img is not dih.IDENTITY:  # the default needs no check
+            if not _in_group(t_img):
+                report.append(f"edge {e.name}: stable letter image is not an element of D-infinity")
+                continue
+            conjugate = not t_img.is_identity
+            if conjugate and e.name in tree:
+                report.append(f"edge {e.name}: tree stable letter must map to the identity")
         if e.source in outside or e.target in outside:
             continue
         try:
@@ -295,5 +297,5 @@ def _class_certificate(graph: GraphOfGroups, cls: EdgeClass) -> Certificate:
     the groupoid pass recorded, verified once on that graph."""
     cg = build_conjugacy_graph(graph, cls)
     potential = dict(zip(cg.vertex_origin, cls.potentials))  # both follow cls.nodes
-    phi = _verified(cg.graph, _parametrization(cg.graph, potential, cls.attachments))
+    phi = _verified(cg.graph, _parametrization(cg.graph, potential, cls.occurrences))
     return Certificate(cls.index, cg, phi)

@@ -114,7 +114,8 @@ def test_every_arc_has_reciprocal_inverse():
 def test_pass_emits_edge_arcs_in_order_and_class_attachments():
     """Two arcs per edge, in edge-id order with the stored orientation
     first: the order the first unbalanced cycle is read in.  Each class
-    carries its members' attachment data and its nodes in groupoid order."""
+    reads its members' attachment data from the groupoid's one map, and
+    carries its nodes in groupoid order."""
     rng = random.Random(73)
     kinds = set()
     for _ in range(50):
@@ -126,8 +127,9 @@ def test_pass_emits_edge_arcs_in_order_and_class_attachments():
         ]
         for cls in g.classes:
             assert list(cls.members) == sorted(cls.members)
-            for occ, data in cls.attachments.items():
-                assert data == attachment_data(graph.edge(occ[0]), occ[1], {})
+            assert cls.occurrences is g.occurrences
+            for occ in cls.members:
+                assert cls.occurrences[occ] == attachment_data(graph.edge(occ[0]), occ[1], {})
             assert cls.nodes == tuple(n for n in g.nodes if g.component[n] == cls.index)
     assert {DihedralInfinite(), Free(1), Free(2)} <= kinds
 
@@ -233,12 +235,12 @@ def _reference_groupoid(graph):
         first_bad[root] = Unbalanced(tuple(cycle), modulus, occurrences)
         if isinstance(verdict, Balanced):
             verdict = first_bad[root]
-    attachments, class_nodes = {}, {}
+    members, class_nodes = {}, {}
     for occ, data in occurrences.items():
-        attachments.setdefault(root_of[data[0]], {})[occ] = data
+        members.setdefault(root_of[data[0]], []).append(occ)
     for node in nodes:
         class_nodes.setdefault(root_of[node], []).append(node)
-    position = {root: i for i, root in enumerate(attachments)}
+    position = {root: i for i, root in enumerate(members)}
     return RatioGroupoid(
         nodes=nodes,
         arcs=tuple(arcs),
@@ -247,14 +249,15 @@ def _reference_groupoid(graph):
         classes=tuple(
             EdgeClass(
                 i,
-                attachments[r],
+                tuple(members[r]),
                 tuple(class_nodes[r]),
                 first_bad.get(r, Balanced()),
                 tuple(
                     (abs(potential[n].numerator), potential[n].denominator) for n in class_nodes[r]
                 ),
+                occurrences,
             )
-            for i, r in enumerate(attachments)
+            for i, r in enumerate(members)
         ),
         verdict=verdict,
     )
@@ -278,6 +281,8 @@ def test_pass_matches_the_reference_pass():
         assert got.occurrences == want.occurrences
         assert got.component == want.component
         assert got.classes == want.classes
+        # the classes' one field outside equality: the groupoid's map, compared above
+        assert all(cls.occurrences is got.occurrences for cls in got.classes)
         assert type(got.verdict) is type(want.verdict)
         if isinstance(want.verdict, Unbalanced):
             assert got.verdict.cycle == want.verdict.cycle

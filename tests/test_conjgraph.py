@@ -49,8 +49,8 @@ def test_conjugacy_graph_of_f2_example(f2_example):
     # the derived vertex points at the class node, and the nontrivial
     # conjugator is b on the target side
     assert list(cg.vertex_origin.values()) == list(cg.edge_class.nodes)
-    assert cg.edge_class.attachments[("e", "target")][2].letters == ((2, 1),)
-    assert cg.edge_class.attachments[("e", "source")][2].letters == ()
+    assert cg.edge_class.occurrences[("e", "target")][2].letters == ((2, 1),)
+    assert cg.edge_class.occurrences[("e", "source")][2].letters == ()
 
 
 def test_conjugacy_graph_of_bs32_is_isomorphic_copy(bs32):

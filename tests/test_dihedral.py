@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError
 from itertools import product
 
 import pytest
@@ -28,6 +29,17 @@ def test_reflection_exponent_is_checked(eps):
     # a raise, not an assert: it holds under `python -O` too
     with pytest.raises(ValueError):
         DihedralElement(eps, 0)
+
+
+def test_elements_are_slotted_and_frozen():
+    x = DihedralElement(1, 3)
+    assert not hasattr(x, "__dict__")
+    with pytest.raises(AttributeError):
+        object.__setattr__(x, "note", 0)
+    for name in ("eps", "k"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(x, name, 0)
+    assert x == DihedralElement(1, 3) and hash(x) == hash(DihedralElement(1, 3))
 
 
 def test_reflections_square_to_identity():

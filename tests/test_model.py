@@ -1,5 +1,6 @@
 import random
 import sys
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -154,6 +155,40 @@ def test_direct_construction_validates():
         with pytest.raises(ValidationError) as err:
             GraphOfGroups((("v", Free(1)),), edges)
         assert err.value.code == "DuplicateEdge"
+
+
+def test_records_are_slotted_and_frozen():
+    """The model's records keep their fields in slots: an instance has no
+    __dict__, so no attribute can be added to it, not even past the frozen
+    __setattr__, and assigning a field raises FrozenInstanceError."""
+    graph = parse(F2_EXAMPLE_TEXT)
+    edge = graph.edges[0]
+    records = [
+        (Free(2), "rank"),
+        (DihedralInfinite(), None),
+        (edge.attachment_target, "letters"),
+        (edge, "attachment_source"),
+        (graph, "edges"),
+        (graph, "index"),
+    ]
+    for record, field in records:
+        assert not hasattr(record, "__dict__"), type(record)
+        with pytest.raises(AttributeError):
+            object.__setattr__(record, "note", None)
+        if field is not None:
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, field, None)
+
+
+def test_the_index_is_no_part_of_the_graphs_value():
+    """index is a declared field outside equality, hashing and repr: two
+    parses of one text build two indexes and are equal graphs that hash
+    alike."""
+    a, b = parse(F2_EXAMPLE_TEXT), parse(F2_EXAMPLE_TEXT)
+    assert a.index is not b.index
+    assert a == b and hash(a) == hash(b)
+    assert "index" not in repr(a)
+    assert parse(TREFOIL_TEXT) != a
 
 
 # a rank-2 loop whose two sides are conjugate: balanced, so HHG
