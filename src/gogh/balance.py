@@ -51,7 +51,7 @@ from math import gcd
 from typing import NamedTuple
 
 from . import freewords as fw
-from .model import EdgeRecord, GoghError, GraphOfGroups, VertexWord
+from .model import EdgeRecord, GoghError, GraphOfGroups, VertexWord, record
 
 SIDES = ("source", "target")
 
@@ -98,7 +98,7 @@ class Unbalanced:
 BalanceVerdict = Balanced | Unbalanced
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class EdgeClass:
     """One groupoid component, as the attachment occurrences landing in it."""
 

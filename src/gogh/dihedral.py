@@ -7,12 +7,10 @@ s^eps r^k with eps in {0, 1} and k an integer, encoded as DihedralElement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .model import DIHEDRAL_R, DIHEDRAL_S, VertexWord
+from .model import DIHEDRAL_R, DIHEDRAL_S, VertexWord, record
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class DihedralElement:
     eps: int  # 0 or 1
     k: int

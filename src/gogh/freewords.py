@@ -35,6 +35,31 @@ def reduce_letters(seq) -> Letters:
     return tuple((g, e) for g, e in out)
 
 
+def extend_reduced(out: list, letters: Letters) -> None:
+    """Multiply the freely reduced list out by the freely reduced letters,
+    in place.  Letters cancel only at the seam, so this takes time in the
+    letters that cancel plus those appended, whatever the length of out.
+
+    >>> out = [(1, 2), (2, 1)]
+    >>> extend_reduced(out, ((2, -1), (1, -2), (2, 5)))
+    >>> out
+    [(2, 5)]
+    """
+    i, n = 0, len(letters)
+    while i < n and out:
+        gen, exp = letters[i]
+        last_gen, last_exp = out[-1]
+        if last_gen != gen:
+            break
+        i += 1
+        total = last_exp + exp
+        if total:
+            out[-1] = (gen, total)
+            break
+        out.pop()
+    out.extend(letters[i:])
+
+
 def inv_letters(letters: Letters) -> Letters:
     return tuple((g, -e) for g, e in reversed(letters))
 

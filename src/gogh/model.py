@@ -15,7 +15,7 @@ Lookups, the spanning tree and tree paths are read from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from operator import attrgetter, itemgetter
 
 
@@ -30,12 +30,36 @@ class ValidationError(GoghError):
         self.message = message
 
 
-@dataclass(frozen=True, slots=True)
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def record(cls):
+    """dataclass(frozen=True, slots=True), where assigning or deleting any
+    name raises FrozenInstanceError.
+
+    slots=True builds a new class, and the __setattr__ that frozen=True
+    generated still names the class it replaced: on Python 3.11 assigning
+    a name that is no field raises TypeError from super().  These two
+    raise as the generated ones do for a field; construction bypasses
+    them, as before.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
+    return cls
+
+
+@record
 class Free:
     rank: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class DihedralInfinite:
     pass
 
@@ -50,7 +74,7 @@ DIHEDRAL_R = "r"
 DIHEDRAL_S = "s"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VertexWord:
     """A word in one vertex group, as (generator, exponent) letters.
 
@@ -70,7 +94,7 @@ class VertexWord:
         return not self.letters
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class EdgeRecord:
     """One oriented edge with the two images of the edge-group generator.
 
@@ -85,7 +109,7 @@ class EdgeRecord:
     attachment_target: VertexWord  # image in the target vertex group
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class GraphOfGroups:
     vertices: tuple[tuple[str, VertexGroupKind], ...]  # sorted by id
     edges: tuple[EdgeRecord, ...]  # sorted by id

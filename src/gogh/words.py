@@ -27,7 +27,6 @@ from .model import (
     VertexWord,
     edge_attachments,
     edge_endpoints,
-    reverse_step,
     tree_steps,
     spanning_tree,
 )
@@ -81,10 +80,17 @@ def tokens_of_vertex_word(w: VertexWord) -> list[Token]:
 
 
 def tokens_of_path(p: PathWord) -> list[Token]:
+    """The tokens of a path word; the stable-letter tokens of one step are
+    one object."""
     out = tokens_of_vertex_word(p.head)
+    stable: dict[SignedEdge, Token] = {}
     for step, w in p.tail:
-        out.append(("t", step[0], step[1]))
-        out.extend(tokens_of_vertex_word(w))
+        tok = stable.get(step)
+        if tok is None:
+            tok = stable[step] = ("t", step[0], step[1])
+        out.append(tok)
+        if w.letters:
+            out.extend(tokens_of_vertex_word(w))
     return out
 
 
@@ -104,6 +110,8 @@ def to_path_form(graph: GraphOfGroups, tokens, base: str | None = None) -> PathW
     Spanning-tree stable letters (trivial in the fundamental group) are
     inserted wherever consecutive letters live at different vertices, and
     to close the path back to the base.  Each syllable is normalised once.
+    The empty syllables of one vertex are one object, and so are the
+    (step, empty syllable) pairs of one step.
     """
     tokens = list(tokens)
     if base is None:
@@ -111,21 +119,31 @@ def to_path_form(graph: GraphOfGroups, tokens, base: str | None = None) -> PathW
     kinds = graph.index.kinds
     if base not in kinds:
         raise GoghError(f"UnknownVertex: {base!r}")
-    words: list[VertexWord] = []
-    steps: list[SignedEdge] = []
+    pairs: list[tuple] = []  # (step into the syllable, syllable); None at the head
+    step_in = None
     current = base
     letters: list[tuple] = []  # the raw letters of the syllable at current
+    empty_words: dict[str, VertexWord] = {}
+    empty_pairs: dict[SignedEdge | None, tuple] = {}
 
     def close() -> None:
-        word = VertexWord(current, tuple(letters))
-        words.append(vw_normalize(kinds[current], word) if letters else word)
-        letters.clear()
+        if letters:
+            pairs.append((step_in, vw_normalize(kinds[current], VertexWord(current, tuple(letters)))))
+            letters.clear()
+            return
+        pair = empty_pairs.get(step_in)
+        if pair is None:
+            word = empty_words.get(current)
+            if word is None:
+                word = empty_words[current] = VertexWord(current, ())
+            pair = empty_pairs[step_in] = (step_in, word)
+        pairs.append(pair)
 
     def walk(path) -> None:
-        nonlocal current
+        nonlocal current, step_in
         for step in path:
             close()
-            steps.append(step)
+            step_in = step
             current = edge_endpoints(graph, step)[1]
 
     for tok in tokens:
@@ -144,7 +162,7 @@ def to_path_form(graph: GraphOfGroups, tokens, base: str | None = None) -> PathW
                 walk(tree_steps(graph, current, source) + (step,))
     walk(tree_steps(graph, current, base))
     close()
-    return PathWord(base, words[0], tuple(zip(steps, words[1:])))
+    return PathWord(base, pairs[0][1], tuple(pairs[1:]))
 
 
 def _infer_base(graph: GraphOfGroups, tokens) -> str:
@@ -159,32 +177,57 @@ def _infer_base(graph: GraphOfGroups, tokens) -> str:
 def pinch_membership(graph: GraphOfGroups, edge: str, g: VertexWord, sign: int = 1) -> int | None:
     """The exponent k with g = attachment^k, if g lies in the edge image.
 
-    The attachment is the target-side image of the signed edge.  Free
-    vertices use primitive-root data (length divisibility plus repetition);
-    dihedral vertices reduce to divisibility of rotation exponents.
+    The attachment is the target-side image of the signed edge, and g a
+    word of its vertex in normal form.  Free vertices use primitive-root
+    data (length divisibility plus repetition); dihedral vertices reduce to
+    divisibility of rotation exponents.  Britton reduction applies the same
+    two steps, _image_data and _exponent_in_image.
     """
     att = edge_attachments(graph, (edge, sign))[1]
-    kind = graph.kind(att.vertex)
+    data = _image_data(graph.kind(att.vertex), att)
+    return _exponent_in_image(data, dih.word_to_element(g) if isinstance(data, int) else g.letters)
+
+
+def _image_data(kind: VertexGroupKind, att: VertexWord):
+    """What membership in the cyclic subgroup <att> needs, read once.
+
+    A dihedral attachment gives its rotation exponent, an int (validation
+    admits only r^k).  A free one gives its primitive-root data as a tuple
+    (c^-1, c, root, n) of letters and the exponent, att = c root^n c^-1.
+    """
     if isinstance(kind, DihedralInfinite):
-        el = dih.word_to_element(g)
-        base = dih.word_to_element(att)
-        if el.is_identity:
-            return 0
-        if el.eps or el.k % base.k:
-            return None
-        return el.k // base.k
-    if g.is_identity:
-        return 0
+        return dih.word_to_element(att).k
     rd = fw.primitive_root(att)
-    inner = fw.mul_letters(fw.inv_letters(rd.conjugator.letters), g.letters, rd.conjugator.letters)
-    q = _power_of(inner, rd.root.letters)
-    if q is None or q % rd.exponent:
+    c = rd.conjugator.letters
+    return fw.inv_letters(c), c, rd.root.letters, rd.exponent
+
+
+def _exponent_in_image(data, g) -> int | None:
+    """k with g = att^k for the attachment that data (from _image_data)
+    describes, else None.  g is a DihedralElement when data is a rotation
+    exponent, else the freely reduced letters of a free word, a tuple or a
+    list.  Against a one-letter root, a g of more than 2|c| + 1 letters is
+    rejected before any letter is read.  Otherwise g is compared block by
+    block with root^q when c is empty, and c^-1 g c is built, in time
+    linear in g, when it is not."""
+    if isinstance(data, int):
+        if g.eps or g.k % data:
+            return None
+        return g.k // data
+    if not g:
+        return 0
+    cinv, c, root, n = data
+    if len(root) == 1 and len(g) > 2 * len(c) + 1:
+        return None  # c^-1 g c is one letter only if g has at most 2|c| + 1
+    q = _power_of(fw.mul_letters(cinv, g, c) if c else g, root)
+    if q is None or q % n:
         return None
-    return q // rd.exponent
+    return q // n
 
 
-def _power_of(letters: fw.Letters, root: fw.Letters) -> int | None:
-    """q with letters == root^q as reduced words, else None."""
+def _power_of(letters, root: fw.Letters) -> int | None:
+    """q with letters == root^q as reduced words, else None.  letters is a
+    tuple or a list; a mismatch stops the comparison at its block."""
     if not letters:
         return 0
     if len(root) == 1:
@@ -199,12 +242,32 @@ def _power_of(letters: fw.Letters, root: fw.Letters) -> int | None:
     if rem:
         return None
     width = len(root)
-    if all(letters[i * width : (i + 1) * width] == root for i in range(n)):
+    if all(tuple(letters[i * width : (i + 1) * width]) == root for i in range(n)):
         return n
     iroot = fw.inv_letters(root)
-    if all(letters[i * width : (i + 1) * width] == iroot for i in range(n)):
+    if all(tuple(letters[i * width : (i + 1) * width]) == iroot for i in range(n)):
         return -n
     return None
+
+
+def _pinch_entry(graph: GraphOfGroups, step: SignedEdge) -> tuple:
+    """(image data of the step's target attachment, its source attachment)
+    for a pinch across the signed edge.  The source attachment is kept as
+    its letters in a free vertex and as its element in a dihedral one."""
+    source, target = edge_attachments(graph, step)
+    kinds = graph.index.kinds
+    data = _image_data(kinds[target.vertex], target)
+    if isinstance(kinds[source.vertex], Free):
+        return data, source.letters
+    return data, dih.word_to_element(source)
+
+
+def _freeze(vertex: str, body) -> VertexWord:
+    """The normal form of an open syllable: a list of free letters or a
+    dihedral element."""
+    if type(body) is list:
+        return VertexWord(vertex, tuple(body))
+    return dih.element_to_word(vertex, body)
 
 
 def britton_reduce(graph: GraphOfGroups, w: PathWord) -> PathWord:
@@ -217,22 +280,61 @@ def britton_reduce(graph: GraphOfGroups, w: PathWord) -> PathWord:
     incoming syllable into the syllable below.  The output contains no
     pinch, so by the normal-form property it is the identity only if it is
     a single trivial vertex syllable.
+
+    The syllables of w are in normal form, as to_path_form builds them.
+    The three parts of a merge are each in normal form, so free letters
+    cancel only where two parts meet, and dihedral syllables combine as
+    elements s^eps r^k.  A syllable that receives a merge stays open (a
+    list of letters or an element) until the pass ends.  Each signed edge's
+    pinch data is read once per call.  So the pass takes time linear in
+    the steps, the letters of the input and of the replacing powers, and
+    the letters that cancel.  The one exception is a pinch test against a
+    conjugated multi-letter root (see _exponent_in_image): it reads the
+    whole syllable, so a syllable that grows by merges and is tested after
+    each costs its length each time.  The output does not depend on where
+    letters cancel, since free reduction and s^eps r^k are unique.
     """
-    stack: list[tuple[SignedEdge | None, VertexWord]] = [(None, w.head)]
-    for step, syllable in w.tail:
+    entries: dict[SignedEdge, tuple] = {}  # signed edge -> _pinch_entry
+    # the input's (step, syllable) pairs, or (step, open syllable) after a merge
+    stack: list[tuple] = [(None, w.head)]
+    for pair in w.tail:
+        step = pair[0]
         top_step, top = stack[-1]
-        k = None
-        if top_step == reverse_step(step):
-            k = pinch_membership(graph, top_step[0], top, top_step[1])
+        if top_step is None or top_step[0] != step[0] or top_step[1] == step[1]:
+            stack.append(pair)
+            continue
+        entry = entries.get(top_step)
+        if entry is None:
+            entry = entries[top_step] = _pinch_entry(graph, top_step)
+        data, replace = entry
+        if type(top) is VertexWord:
+            top = dih.word_to_element(top) if isinstance(data, int) else top.letters
+        k = _exponent_in_image(data, top)
         if k is None:
-            stack.append((step, syllable))
+            stack.append(pair)
             continue
         stack.pop()
-        att = edge_attachments(graph, top_step)[0]
-        kind = graph.kind(att.vertex)
         below_step, below = stack[-1]
-        stack[-1] = (below_step, vw_mul(kind, below, vw_pow(kind, att, k), syllable))
-    return PathWord(w.base, stack[0][1], tuple(stack[1:]))
+        if type(replace) is tuple:
+            if type(below) is VertexWord:
+                below = list(below.letters)
+                stack[-1] = (below_step, below)
+            fw.extend_reduced(below, fw.pow_letters(replace, k))
+            fw.extend_reduced(below, pair[1].letters)
+        else:
+            if type(below) is VertexWord:
+                below = dih.word_to_element(below)
+            below = dih.dmul(dih.dmul(below, dih.dpow(replace, k)), dih.word_to_element(pair[1]))
+            stack[-1] = (below_step, below)
+    head = stack[0][1]
+    if type(head) is not VertexWord:
+        head = _freeze(w.head.vertex, head)
+    tail = tuple(
+        pair if type(pair[1]) is VertexWord
+        else (pair[0], _freeze(edge_endpoints(graph, pair[0])[1], pair[1]))
+        for pair in stack[1:]
+    )
+    return PathWord(w.base, head, tail)
 
 
 def _as_path(graph: GraphOfGroups, w) -> PathWord:
@@ -260,18 +362,20 @@ def display_tokens(graph: GraphOfGroups, tokens) -> str:
     """Render tokens in the input letter syntax; tree stable letters are
     display-trivial and dropped."""
     tree = spanning_tree(graph)
+    rendered: dict[Token, str] = {}  # each distinct token is rendered once
     parts = []
     for tok in tokens:
-        if tok[0] == "g":
-            _, v, g, e = tok
-            if e == 0:
-                continue
-            parts.append(f"{v}.{letter_str(g, e)}")
-        else:
-            _, edge, e = tok
-            if e == 0 or edge in tree:
-                continue
-            parts.append(f"{edge}.{letter_str('t', e)}")
+        text = rendered.get(tok)
+        if text is None:
+            if tok[0] == "g":
+                _, v, g, e = tok
+                text = f"{v}.{letter_str(g, e)}" if e else ""
+            else:
+                _, edge, e = tok
+                text = "" if e == 0 or edge in tree else f"{edge}.{letter_str('t', e)}"
+            rendered[tok] = text
+        if text:
+            parts.append(text)
     return " ".join(parts)
 
 

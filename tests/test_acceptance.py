@@ -26,6 +26,7 @@ from gogh.balance import (
     group_balanced,
 )
 from gogh.certify import almost_bs_witness, distortion_certificate, relation_tokens
+from gogh import cli
 from gogh.cli import parse, render_json, serialize
 from gogh.conjgraph import build_conjugacy_graph, class_of_edge
 from gogh.dihedral import DihedralElement, dinv, dmul, dpow
@@ -219,6 +220,37 @@ def test_criterion_7_distortion():
         ratios = [row.ratio for row in cert.rows]
         for a, b in zip(ratios[1:], ratios[2:]):
             assert a > b
+
+
+def test_criterion_7_merge_is_linear(tmp_path):
+    """m pinches that all merge into one growing syllable.
+
+    With t v^2 t^-1 = v^3, (v.2 e.t v.1^2 e.t^-1)^m reduces to
+    (v.2 v.1^3)^m, each pinch merging at the seam of the head.  With
+    t (v.2 v.1^2 v.2^-1) t^-1 = v^3, e.t v.2 (e.t^-1 v.1^3 e.t v.2)^m e.t^-1
+    grows the syllable after the first e.t, and each e.t^-1 that arrives
+    tests it for a pinch that never applies."""
+    plain = tmp_path / "merge.gog"
+    plain.write_text('vertex v free 2\nedge e from=v to=v img_from="v.1^3" img_to="v.1^2"\n')
+    conjugated = tmp_path / "conjugated.gog"
+    conjugated.write_text(
+        'vertex v free 2\nedge e from=v to=v img_from="v.1^3" img_to="v.2 v.1^2 v.2^-1"\n'
+    )
+    m = 4000
+    cases = [
+        (plain, " ".join(["v.2 e.t v.1^2 e.t^-1"] * m), " ".join(["v.2 v.1^3"] * m)),
+        (
+            conjugated,
+            "e.t v.2 " + " ".join(["e.t^-1 v.1^3 e.t v.2"] * m) + " e.t^-1",
+            " ".join(["e.t v.2^2 v.1^2"] + ["v.2 v.1^2"] * (m - 1) + ["e.t^-1"]),
+        ),
+    ]
+    with Clock("7 merge at the seam", 1.0):
+        for path, word, reduced in cases:
+            code, payload = cli.run(["reduce", str(path), "--word", word])
+            assert code == 0
+            assert payload["reduced"] == reduced
+            assert payload["trivial"] is False
 
 
 def _mutations(rng, graph, phi):

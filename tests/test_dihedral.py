@@ -36,9 +36,11 @@ def test_elements_are_slotted_and_frozen():
     assert not hasattr(x, "__dict__")
     with pytest.raises(AttributeError):
         object.__setattr__(x, "note", 0)
-    for name in ("eps", "k"):
-        with pytest.raises(FrozenInstanceError):
+    for name in ("eps", "k", "note"):
+        with pytest.raises(FrozenInstanceError, match=f"cannot assign to field {name!r}"):
             setattr(x, name, 0)
+        with pytest.raises(FrozenInstanceError, match=f"cannot delete field {name!r}"):
+            delattr(x, name)
     assert x == DihedralElement(1, 3) and hash(x) == hash(DihedralElement(1, 3))
 
 

@@ -1,19 +1,39 @@
-"""Memory of the decision on a large input, per edge.
+"""Memory of the decision on a large input, per edge, and of the
+reduction of a long word, per stable letter.
 
 A balanced cycle of n rank-1 vertices, its edge ratios alternating 3:2
 and 2:3, is HHG with one class: every layer from the text to the
 verified certificate runs on it once, and holds each of its per-edge
-facts.
+facts.  The word e.t^N v.1^2 e.t^-N in BS(3, 2) pinches once and then
+sticks, so the reduce command holds a path word, its reduction and their
+rendering of about 2N stable letters each.
 """
 
 import gc
 import tracemalloc
 
+from conftest import BS32_TEXT
+from gogh import cli
 from gogh.cli import parse
 from gogh.parametrize import hhg_verdict
 
 EDGES = 5000
 PEAK_BYTES_PER_EDGE = 2550  # 2040 measured, plus 25%
+
+
+def _traced_peak(fn):
+    """fn's result and the peak of the traced heap while it runs."""
+    enabled = gc.isenabled()
+    gc.disable()  # as cli.run does; the pass leaves no cycles to collect
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    return result, peak
 
 
 def balanced_cycle(n: int) -> str:
@@ -35,15 +55,29 @@ def test_peak_bytes_per_edge_of_the_decision():
     0.8-1.8 s on a shared 2-core host."""
     text = balanced_cycle(EDGES)
     hhg_verdict(parse(balanced_cycle(4)))  # one-time set-up (imports, caches) stays out
-    enabled = gc.isenabled()
-    gc.disable()  # as cli.run does; the pass leaves no cycles to collect
-    tracemalloc.start()
-    try:
-        verdict = hhg_verdict(parse(text))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-        if enabled:
-            gc.enable()
+    verdict, peak = _traced_peak(lambda: hhg_verdict(parse(text)))
     assert verdict.status == "HHG" and len(verdict.certificates) == 1
     assert peak / EDGES <= PEAK_BYTES_PER_EDGE, peak / EDGES
+
+
+STABLE_LETTERS = 20000
+PEAK_BYTES_PER_STABLE_LETTER = 52  # 41.2 measured, plus 25%
+
+
+def test_peak_bytes_per_stable_letter_of_a_reduction(tmp_path):
+    """The peak of the traced Python heap per stable letter over cli.run +
+    render_json of reduce on e.t^N v.1^2 e.t^-N, N = 10000, in BS(3, 2).
+
+    Measured at 40.8-41.2 bytes per stable letter on Python 3.11.7,
+    x86-64, with and without -O (3.10 and 3.12 not measured), and at 307
+    when each step built its own pair, empty syllable, stack pair, token
+    and string.  The bound is the highest measured value plus 25%."""
+    path = tmp_path / "bs32.gog"
+    path.write_text(BS32_TEXT)
+    n = STABLE_LETTERS // 2
+    argv = ["reduce", str(path), "--word", f"e.t^{n} v.1^2 e.t^-{n}"]
+    cli.render_json(cli.run(["reduce", str(path), "--word", "e.t v.1^2 e.t^-1"])[1])
+    out, peak = _traced_peak(lambda: cli.render_json(cli.run(argv)[1]))
+    stuck = " ".join(["e.t"] * (n - 1) + ["v.1^3"] + ["e.t^-1"] * (n - 1))
+    assert out == cli.render_json({"input": argv[-1], "reduced": stuck, "trivial": False})
+    assert peak / STABLE_LETTERS <= PEAK_BYTES_PER_STABLE_LETTER, peak / STABLE_LETTERS

@@ -7,6 +7,7 @@ import pytest
 
 import gogh.model
 from conftest import F2_EXAMPLE_TEXT, TREFOIL_TEXT, random_graph, random_tree_graph
+from gogh.balance import build_groupoid
 from gogh.cli import parse, run, serialize
 from gogh.model import (
     DihedralInfinite,
@@ -158,9 +159,10 @@ def test_direct_construction_validates():
 
 
 def test_records_are_slotted_and_frozen():
-    """The model's records keep their fields in slots: an instance has no
-    __dict__, so no attribute can be added to it, not even past the frozen
-    __setattr__, and assigning a field raises FrozenInstanceError."""
+    """The model's records and the groupoid's edge classes keep their fields
+    in slots: an instance has no __dict__, so no attribute can be added to
+    it, not even past the frozen __setattr__.  Assigning or deleting a
+    field, or any other name, raises FrozenInstanceError."""
     graph = parse(F2_EXAMPLE_TEXT)
     edge = graph.edges[0]
     records = [
@@ -170,14 +172,17 @@ def test_records_are_slotted_and_frozen():
         (edge, "attachment_source"),
         (graph, "edges"),
         (graph, "index"),
+        (build_groupoid(graph).classes[0], "members"),
     ]
     for record, field in records:
         assert not hasattr(record, "__dict__"), type(record)
         with pytest.raises(AttributeError):
             object.__setattr__(record, "note", None)
-        if field is not None:
-            with pytest.raises(FrozenInstanceError):
-                setattr(record, field, None)
+        for name in ("note", field) if field else ("note",):
+            with pytest.raises(FrozenInstanceError, match=f"cannot assign to field {name!r}"):
+                setattr(record, name, None)
+            with pytest.raises(FrozenInstanceError, match=f"cannot delete field {name!r}"):
+                delattr(record, name)
 
 
 def test_the_index_is_no_part_of_the_graphs_value():

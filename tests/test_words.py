@@ -17,7 +17,9 @@ from gogh.model import (
     GoghError,
     ValidationError,
     VertexWord,
+    edge_attachments,
     edge_endpoints,
+    reverse_step,
     tree_steps,
 )
 from gogh.words import (
@@ -31,7 +33,10 @@ from gogh.words import (
     pinch_membership,
     to_path_form,
     tokens_of_path,
+    tokens_of_vertex_word,
     invert_tokens,
+    vw_mul,
+    vw_pow,
 )
 from oracles import SearchBudgetExceeded, bounded_conjugator_search, has_pinch
 
@@ -257,6 +262,103 @@ def test_exponent_compression_survives_reduction(bs32):
         + [("g", "v", 1, -(3**41) + 1)]
     )
     assert not is_trivial(bs32, off_by_one)
+
+
+def reference_britton_reduce(graph, w):
+    """Britton reduction as one stack pass in which every pinch asks
+    pinch_membership and re-normalises the whole syllable it merges into:
+    below * attachment^k * incoming, concatenated and normalised."""
+    stack = [(None, w.head)]
+    for step, syllable in w.tail:
+        top_step, top = stack[-1]
+        k = None
+        if top_step == reverse_step(step):
+            k = pinch_membership(graph, top_step[0], top, top_step[1])
+        if k is None:
+            stack.append((step, syllable))
+            continue
+        stack.pop()
+        att = edge_attachments(graph, top_step)[0]
+        kind = graph.kind(att.vertex)
+        below_step, below = stack[-1]
+        stack[-1] = (below_step, vw_mul(kind, below, vw_pow(kind, att, k), syllable))
+    return PathWord(w.base, stack[0][1], tuple(stack[1:]))
+
+
+def _pinch_heavy_tokens(rng, graph, depth=3):
+    """Random letters around sandwiches t g t^-1 whose middle g is a power
+    of the edge's target attachment times nested sandwiches, so pinches
+    chain and merge into the syllables below them."""
+    tokens = random_word_tokens(rng, graph, syllables=4)
+    if depth == 0 or not graph.edges:
+        return tokens
+    for _ in range(rng.randint(1, 3)):
+        step = (rng.choice(graph.edge_ids()), rng.choice((1, -1)))
+        target = edge_attachments(graph, step)[1]
+        middle = tokens_of_vertex_word(vw_pow(graph.kind(target.vertex), target, rng.randint(-3, 3)))
+        if rng.random() < 0.5:
+            inner = _pinch_heavy_tokens(rng, graph, depth - 1)
+            middle += inner + invert_tokens(inner)
+        if rng.random() < 0.3:  # a stray letter: the sandwich may not pinch
+            middle += random_word_tokens(rng, graph, syllables=1)
+        sandwich = [("t", step[0], step[1])] + middle + [("t", step[0], -step[1])]
+        at = rng.randint(0, len(tokens))
+        tokens[at:at] = sandwich
+    return tokens
+
+
+def _reduce_both(graph, tokens, base=None):
+    p = to_path_form(graph, tokens, base)
+    reduced = britton_reduce(graph, p)
+    assert reduced == reference_britton_reduce(graph, p)
+    assert not has_pinch(graph, reduced)
+    return p, reduced
+
+
+def test_reduction_matches_the_reference_on_random_words():
+    rng = random.Random(53)
+    kinds, shapes, pinched = set(), set(), 0
+    for _ in range(320):
+        g = random_graph(rng, v_max=3, e_max=4, rank2_prob=0.4)
+        kinds.update(type(k) if isinstance(k, DihedralInfinite) else k.rank for _, k in g.vertices)
+        shapes.update(
+            len(e.attachment_target.letters) for e in g.edges if isinstance(g.kind(e.target), Free)
+        )
+        tokens = _pinch_heavy_tokens(rng, g)
+        p, reduced = _reduce_both(g, tokens, rng.choice([None, rng.choice(g.vertex_ids())]))
+        pinched += len(reduced.tail) < len(p.tail)
+    assert {DihedralInfinite, 1, 2} <= kinds
+    assert {1, 3} <= shapes and max(shapes) >= 4  # conjugated and multi-letter attachments
+    assert pinched >= 200
+
+
+def test_reduction_matches_the_reference_on_the_merge_family():
+    g = parse('vertex v free 2\nedge e from=v to=v img_from="v.1^3" img_to="v.1^2"\n')
+    piece = [("g", "v", 2, 1), ("t", "e", 1), ("g", "v", 1, 2), ("t", "e", -1)]
+    for m in range(1, 61):
+        _, reduced = _reduce_both(g, piece * m, "v")
+        assert not reduced.tail and reduced.head.letters == ((2, 1), (1, 3)) * m
+    # a growing syllable that each incoming e.t^-1 tests and leaves in place
+    piece = [("t", "e", -1), ("g", "v", 1, 3), ("t", "e", 1), ("g", "v", 2, 1)]
+    for img_to in ("v.1^2", "v.2 v.1^2 v.2^-1", "v.2 v.1^2 v.2^-1 v.1", "v.2 v.1 v.2 v.1^2 v.2^-1"):
+        g = parse(f'vertex v free 2\nedge e from=v to=v img_from="v.1^3" img_to="{img_to}"\n')
+        for m in range(61):
+            tokens = [("t", "e", 1), ("g", "v", 2, 1)] + piece * m + [("t", "e", -1)]
+            _, reduced = _reduce_both(g, tokens, "v")
+            assert len(reduced.tail) == 2
+
+
+def test_reduction_matches_the_reference_on_bs_towers():
+    values = [x for x in range(-6, 7) if x]
+    for m in values:
+        for n in values:
+            if abs(m) == abs(n):
+                continue
+            g = parse(f'vertex v free 1\nedge e from=v to=v img_from="v.1^{m}" img_to="v.1^{n}"\n')
+            for big_n in range(41):
+                for x in {n, n**big_n, m * n**big_n + 1}:
+                    tokens = [("t", "e", big_n), ("g", "v", 1, x), ("t", "e", -big_n)]
+                    _reduce_both(g, tokens, "v")
 
 
 # -- word problem --------------------------------------------------------------------
