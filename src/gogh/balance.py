@@ -1,25 +1,29 @@
 """Balance decisions through a rational-weighted commensurability groupoid.
 
 Every attachment image of an edge-group generator is a conjugate power of a
-canonical root inside its vertex group.  One rule covers one-letter images:
-g^k is k times its own root g, unconjugated, since validation admits only
-r^k as a dihedral attachment and a free basis letter is primitive and its
-own least rotation.  Nodes are (vertex, canonical root) pairs; an edge arc
-carries the ratio of the two root exponents and the orientation in which it
-crosses its edge, nothing more (the conjugator and entry exponent of a
-crossing are witness data, which ``certify`` derives for the arcs of the one
-cycle it reads).  A cycle of weight with absolute value != 1 pumps
-conjugation ratios without bound, which is exactly the unbalanced
-phenomenon.  Conjugation by a dihedral reflection inverts the root, a loop
-of weight -1; balance compares absolute weights only, so such loops can
-never unbalance a cycle, join components or shift a potential, and the
-groupoid carries none.  Reflections enter only through the stable-letter
-images of the parametrization.
+canonical root inside its vertex group: the least rotation of its primitive
+root or of that root's inverse, which this module computes.  Canonical
+roots take O(L) letter comparisons in a root of L letters: the least
+rotation is found by Booth's algorithm, once on the root and once on its
+inverse.  One rule covers one-letter images: g^k is k times its own root
+g, unconjugated, since validation admits only r^k as a dihedral attachment
+and a free basis letter is primitive and its own least rotation.  Nodes
+are (vertex, canonical root) pairs; an edge arc carries the ratio of the
+two root exponents and the orientation in which it crosses its edge,
+nothing more (the conjugator and entry exponent of a crossing are witness
+data, which ``certify`` derives for the arcs of the one cycle it reads).
+A cycle of weight with absolute value != 1 pumps conjugation ratios
+without bound, which is exactly the unbalanced phenomenon.  Conjugation by
+a dihedral reflection inverts the root, a loop of weight -1; balance
+compares absolute weights only, so such loops can never unbalance a cycle,
+join components or shift a potential, and the groupoid carries none.
+Reflections enter only through the stable-letter images of the
+parametrization.
 
-This module owns the groupoid and everything read off it in one pass:
-spanning-forest potentials, the connected components (which are the
-edge-image equivalence classes), and per component either its first
-unbalanced cycle in arc order or balance.  The pass reads each edge once
+This module owns the canonical roots, the groupoid and everything read off
+it in one pass: spanning-forest potentials, the connected components
+(which are the edge-image equivalence classes), and per component either
+its first unbalanced cycle in arc order or balance.  The pass reads each edge once
 and runs on integer ids: a node is numbered when it is first seen, an edge
 becomes its two end ids and its two absolute root exponents, and
 adjacency, potentials, tree arcs and component roots are lists indexed by
@@ -134,6 +138,67 @@ class RatioGroupoid:
         return self.classes[self.component[self.occurrences[(edge, "target")][0]]]
 
 
+def _letter_key(letter: tuple[int, int]):
+    g, e = letter
+    return (g, 0 if e > 0 else 1, abs(e))
+
+
+def _least_rotation(keys: list) -> int:
+    """Start of the lexicographically least rotation of nonempty keys, by
+    Booth's algorithm (K. S. Booth, IPL 10(4), 1980): a KMP failure function
+    over the doubled sequence, O(len(keys)) comparisons.  On a sequence with
+    several least rotations it returns the first start.
+
+    >>> _least_rotation([3, 1, 2, 1, 1])
+    3
+    """
+    n = len(keys)
+    fail = [-1] * (2 * n)
+    k = 0
+    for j in range(1, 2 * n):
+        c = keys[j % n]
+        i = fail[j - k - 1]
+        while i != -1 and c != keys[(k + i + 1) % n]:
+            if c < keys[(k + i + 1) % n]:
+                k = j - i - 1
+            i = fail[i]
+        if i == -1 and c != keys[k % n]:
+            if c < keys[k % n]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k % n
+
+
+def canonical_root(word: VertexWord) -> tuple[VertexWord, VertexWord, int]:
+    """(canonical root R, conjugator g, signed exponent p) with w = g R^p g^-1.
+
+    R is the lexicographically least rotation of the primitive root or of
+    its inverse, ordered by (generator, exponent sign, exponent size), so
+    commensurable words share the same R.  Booth's least rotation runs once
+    on the root and once on its inverse, so this is O(L) in the root's
+    letters.  The two never tie: no nontrivial free word is conjugate to
+    its inverse.
+    """
+    rd = fw.primitive_root(word)
+    best = None
+    for source, flip in ((rd.root.letters, 1), (fw.inv_letters(rd.root.letters), -1)):
+        keys = [_letter_key(l) for l in source]
+        i = _least_rotation(keys)
+        key = keys[i:] + keys[:i]
+        if best is None or key < best[0]:
+            best = (key, source[i:] + source[:i], flip, source[:i])
+    _, rot, flip, prefix = best
+    # source = prefix * rot * prefix^-1, and root = source^flip
+    conj = fw.mul_letters(rd.conjugator.letters, prefix)
+    return (
+        VertexWord(word.vertex, rot),
+        VertexWord(word.vertex, conj),
+        rd.exponent * flip,
+    )
+
+
 def attachment_data(edge: EdgeRecord, side: str, shared: dict):
     """(node, signed root exponent n, conjugator c) with image = c root^n c^-1,
     for the image on one side of an edge: a one-letter g^k, free or
@@ -151,7 +216,7 @@ def attachment_data(edge: EdgeRecord, side: str, shared: dict):
             root = shared.setdefault(g, ((g, 1),))
             found = shared[key] = GroupoidNode(word.vertex, root), VertexWord(word.vertex, ())
         return found[0], k, found[1]
-    root, conj, n = fw.canonical_root(word)
+    root, conj, n = canonical_root(word)
     return GroupoidNode(word.vertex, root.letters), n, conj
 
 

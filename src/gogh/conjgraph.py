@@ -13,6 +13,8 @@ class with integer attachment exponents over the representative roots.
 Each derived vertex points at its class node, and the conjugators recording
 how each derived attachment sits inside the original group are read from
 the class itself, so the derived graph copies no fact the class holds.
+This module builds the derived graphs; ``checks.provenance_holds``
+re-verifies their provenance in the original vertex groups.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .model import (
     VertexWord,
     make_graph,
 )
-from .words import vw_inv, vw_mul, vw_pow
 
 
 def edge_classes(graph: GraphOfGroups) -> list[EdgeClass]:
@@ -110,25 +111,3 @@ def _derived_conjugacy_graph(graph: GraphOfGroups, cls: EdgeClass) -> ConjugacyG
             )
         )
     return ConjugacyGraph(make_graph(vertices, edges), cls, vertex_origin)
-
-
-def provenance_holds(graph: GraphOfGroups, cg: ConjugacyGraph) -> bool:
-    """Check u = g * root^n * g^-1 in the original vertex group for every
-    derived attachment gen^n, n read off the derived graph itself and g from
-    the class."""
-    for edge, side in cg.edge_class.members:
-        _, _, g = cg.edge_class.occurrences[(edge, side)]
-        e = graph.edge(edge)
-        u = e.attachment_source if side == "source" else e.attachment_target
-        derived_edge = cg.graph.edge(edge)
-        if side == "source":
-            dv, derived = derived_edge.source, derived_edge.attachment_source
-        else:
-            dv, derived = derived_edge.target, derived_edge.attachment_target
-        ((_, n),) = derived.letters  # a validated 2-ended attachment: one letter
-        root = VertexWord(*cg.vertex_origin[dv])
-        kind = graph.kind(u.vertex)
-        rebuilt = vw_mul(kind, g, vw_pow(kind, root, n), vw_inv(kind, g))
-        if vw_mul(kind, rebuilt, vw_inv(kind, u)).letters:
-            return False
-    return True

@@ -2,9 +2,10 @@
 
 Words are tuples of (generator, exponent) letters with merged exponents, so
 a huge power is a single letter.  All functions assume the letters of their
-inputs belong to one free vertex group.  Canonical roots take O(L) letter
-comparisons in a root of L letters: the least rotation is found by Booth's
-algorithm, once on the root and once on its inverse.
+inputs belong to one free vertex group.  The module holds the free word
+algebra that producers and checkers share: free and cyclic reduction,
+products, powers, inverses and primitive roots.  The canonical root, which
+names a groupoid node, is a producer's choice and lives in ``balance``.
 """
 
 from __future__ import annotations
@@ -149,64 +150,3 @@ def primitive_root(word: VertexWord) -> RootData:
         if all(letters[i] == letters[(i + m) % n] for i in range(n)):
             return RootData(VertexWord(word.vertex, letters[:m]), conj, n // m)
     raise AssertionError("unreachable")
-
-
-def _letter_key(letter: tuple[int, int]):
-    g, e = letter
-    return (g, 0 if e > 0 else 1, abs(e))
-
-
-def _least_rotation(keys: list) -> int:
-    """Start of the lexicographically least rotation of nonempty keys, by
-    Booth's algorithm (K. S. Booth, IPL 10(4), 1980): a KMP failure function
-    over the doubled sequence, O(len(keys)) comparisons.  On a sequence with
-    several least rotations it returns the first start.
-
-    >>> _least_rotation([3, 1, 2, 1, 1])
-    3
-    """
-    n = len(keys)
-    fail = [-1] * (2 * n)
-    k = 0
-    for j in range(1, 2 * n):
-        c = keys[j % n]
-        i = fail[j - k - 1]
-        while i != -1 and c != keys[(k + i + 1) % n]:
-            if c < keys[(k + i + 1) % n]:
-                k = j - i - 1
-            i = fail[i]
-        if i == -1 and c != keys[k % n]:
-            if c < keys[k % n]:
-                k = j
-            fail[j - k] = -1
-        else:
-            fail[j - k] = i + 1
-    return k % n
-
-
-def canonical_root(word: VertexWord) -> tuple[VertexWord, VertexWord, int]:
-    """(canonical root R, conjugator g, signed exponent p) with w = g R^p g^-1.
-
-    R is the lexicographically least rotation of the primitive root or of
-    its inverse, ordered by (generator, exponent sign, exponent size), so
-    commensurable words share the same R.  Booth's least rotation runs once
-    on the root and once on its inverse, so this is O(L) in the root's
-    letters.  The two never tie: no nontrivial free word is conjugate to
-    its inverse.
-    """
-    rd = primitive_root(word)
-    best = None
-    for source, flip in ((rd.root.letters, 1), (inv_letters(rd.root.letters), -1)):
-        keys = [_letter_key(l) for l in source]
-        i = _least_rotation(keys)
-        key = keys[i:] + keys[:i]
-        if best is None or key < best[0]:
-            best = (key, source[i:] + source[:i], flip, source[:i])
-    _, rot, flip, prefix = best
-    # source = prefix * rot * prefix^-1, and root = source^flip
-    conj = mul_letters(rd.conjugator.letters, prefix)
-    return (
-        VertexWord(word.vertex, rot),
-        VertexWord(word.vertex, conj),
-        rd.exponent * flip,
-    )

@@ -8,7 +8,8 @@ reciprocal of its node's potential, which the pass keeps as a reduced
 integer pair, cleared to the primitive positive vector by one lcm; the
 signs come from one walk over the spanning tree in BFS order.
 The result is never trusted but re-verified relation by relation, once, by
-a checker that reads nothing from the pass.  The global verdict reads
+``checks.verify_parametrization``, which reads nothing from the pass; this
+module builds certificates and checks none itself.  The global verdict reads
 balance and the edge-image classes off that one pass and assembles one
 verified parametrization per class, or reports an unbalanced edge plus an
 explicit almost Baumslag-Solitar witness.  A connected graph of 2-ended
@@ -24,6 +25,7 @@ from typing import TYPE_CHECKING
 
 from . import dihedral as dih
 from .balance import EdgeClass, Unbalanced, build_groupoid
+from .checks import verify_parametrization
 from .conjgraph import ConjugacyGraph, build_conjugacy_graph
 from .model import (
     DIHEDRAL_R,
@@ -32,8 +34,6 @@ from .model import (
     Free,
     GoghError,
     GraphOfGroups,
-    VertexWord,
-    spanning_tree,
 )
 
 if TYPE_CHECKING:  # certify is imported only where a NotHHG is built
@@ -143,100 +143,6 @@ def _verified(graph: GraphOfGroups, phi: LinearParametrization) -> LinearParamet
     if not ok:
         raise GoghError(f"internal contradiction: certificate failed verification: {report}")
     return phi
-
-
-def _in_group(x) -> bool:
-    """Whether x is the normal form s^eps r^k of an element of D-infinity."""
-    return (
-        isinstance(x, dih.DihedralElement)
-        and isinstance(x.eps, int)
-        and x.eps in (0, 1)
-        and isinstance(x.k, int)
-    )
-
-
-def _image(images: dict, word: VertexWord) -> dih.DihedralElement:
-    """The image of a word under its vertex's generator images."""
-    if len(word.letters) == 1:
-        ((gen, exp),) = word.letters
-        return dih.dpow(images[gen], exp)
-    out = dih.IDENTITY
-    for gen, exp in word.letters:
-        out = dih.dmul(out, dih.dpow(images[gen], exp))
-    return out
-
-
-def verify_parametrization(graph: GraphOfGroups, phi: LinearParametrization):
-    """(ok, report): every image is an element of the infinite dihedral
-    group, every edge relation holds under dihedral multiplication and every
-    vertex restriction has finite kernel and finite-index image.
-
-    phi's images are read into maps once; a relation touching a vertex or
-    stable letter whose image is not a group element is not evaluated."""
-    report: list[str] = []
-    maps = {vertex: dict(images) for vertex, images in phi.vertex_images}
-    stable = dict(phi.stable_images)
-    outside: set[str] = set()  # vertices with an image outside the group
-    for vertex, kind in graph.vertices:
-        images = maps.get(vertex)
-        if images is None:
-            report.append(f"vertex {vertex}: no images assigned")
-            continue
-        for gen, x in images.items():
-            if not _in_group(x):
-                report.append(f"vertex {vertex}: image of {gen} is not an element of D-infinity")
-                outside.add(vertex)
-        if vertex in outside:
-            continue
-        if isinstance(kind, DihedralInfinite):
-            r_img = images.get(DIHEDRAL_R)
-            s_img = images.get(DIHEDRAL_S)
-            if r_img is None or s_img is None:
-                report.append(f"vertex {vertex}: dihedral generators not assigned")
-                continue
-            if not r_img.infinite_order:
-                report.append(f"vertex {vertex}: rotation image has finite order (infinite kernel)")
-                continue
-            if s_img.eps != 1:
-                report.append(f"vertex {vertex}: reflection image is not a reflection")
-                continue
-            if dih.dmul(dih.dmul(s_img, r_img), s_img) != dih.dinv(r_img):
-                report.append(f"vertex {vertex}: defining relation srs = r^-1 broken")
-        elif kind.rank == 1:
-            g_img = images.get(1)
-            if g_img is None:
-                report.append(f"vertex {vertex}: generator not assigned")
-                continue
-            if not g_img.infinite_order:
-                report.append(f"vertex {vertex}: generator image has finite order (infinite kernel)")
-        else:
-            report.append(f"vertex {vertex}: free rank {kind.rank} admits no quasi-isometric map")
-    tree = spanning_tree(graph)
-    for e in graph.edges:
-        t_img = stable.get(e.name, dih.IDENTITY)
-        conjugate = False
-        if t_img is not dih.IDENTITY:  # the default needs no check
-            if not _in_group(t_img):
-                report.append(f"edge {e.name}: stable letter image is not an element of D-infinity")
-                continue
-            conjugate = not t_img.is_identity
-            if conjugate and e.name in tree:
-                report.append(f"edge {e.name}: tree stable letter must map to the identity")
-        if e.source in outside or e.target in outside:
-            continue
-        try:
-            lhs = _image(maps[e.target], e.attachment_target)
-            if conjugate:
-                lhs = dih.dmul(dih.dmul(t_img, lhs), dih.dinv(t_img))
-            rhs = _image(maps[e.source], e.attachment_source)
-        except KeyError:
-            report.append(f"edge {e.name}: relation references unassigned generators")
-            continue
-        if lhs != rhs:
-            report.append(
-                f"edge {e.name}: relation image ({lhs.eps},{lhs.k}) != ({rhs.eps},{rhs.k})"
-            )
-    return (not report, report)
 
 
 # -- global verdict -----------------------------------------------------------

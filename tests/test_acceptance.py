@@ -27,6 +27,7 @@ from gogh.balance import (
 )
 from gogh.certify import almost_bs_witness, distortion_certificate, relation_tokens
 from gogh import cli
+from gogh.checks import verify_parametrization
 from gogh.cli import parse, render_json, serialize
 from gogh.conjgraph import build_conjugacy_graph, class_of_edge
 from gogh.dihedral import DihedralElement, dinv, dmul, dpow
@@ -37,7 +38,6 @@ from gogh.parametrize import (
     NotHHG,
     hhg_verdict,
     parametrize,
-    verify_parametrization,
 )
 from gogh.words import invert_tokens, is_trivial, to_path_form, are_equal
 from oracles import OracleUnbalanced, brute_force_balance_oracle

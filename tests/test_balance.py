@@ -17,11 +17,11 @@ from gogh.balance import (
     Unbalanced,
     attachment_data,
     build_groupoid,
+    canonical_root,
     edge_balanced,
     group_balanced,
 )
 from gogh.dihedral import word_to_element
-from gogh.freewords import canonical_root
 from gogh.model import (
     DIHEDRAL_R,
     DihedralInfinite,

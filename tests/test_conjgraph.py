@@ -2,13 +2,13 @@ import random
 
 from conftest import random_graph, random_tree_graph
 from gogh.balance import Unbalanced, edge_balanced, group_balanced
+from gogh.checks import provenance_holds
 from gogh.cli import parse, serialize
 from gogh.conjgraph import (
     _derived_conjugacy_graph,
     build_conjugacy_graph,
     class_of_edge,
     edge_classes,
-    provenance_holds,
 )
 from gogh.model import DihedralInfinite, Free, validate
 

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gogh.balance import canonical_root
 from gogh.freewords import (
     TrivialWord,
-    canonical_root,
     cyclic_reduce,
     free_reduce,
     inv_letters,

@@ -11,9 +11,10 @@ import random
 from itertools import count
 
 from conftest import random_graph
+from gogh.checks import verify_parametrization
 from gogh.cli import run, serialize
 from gogh.model import DIHEDRAL_R, DIHEDRAL_S, DihedralInfinite, EdgeRecord, Free, VertexWord, make_graph
-from gogh.parametrize import HHG, hhg_verdict, verify_parametrization
+from gogh.parametrize import HHG, hhg_verdict
 from gogh.words import vw_inv, vw_mul, vw_pow
 
 

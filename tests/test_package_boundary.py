@@ -3,13 +3,15 @@
 The package ships producers and checkers; the brute-force oracles live in
 ``tests/oracles.py``.  No module keeps an import it does not use, none
 defines or re-exports an oracle name, and the groupoid module does not
-depend on the word layer.
+depend on the word layer.  The checkers' module reaches no producer: its
+import closure holds no producer module and defines no producer name.
 """
 
 import ast
 from pathlib import Path
 
 import gogh
+from test_separation import PRODUCERS
 
 PACKAGE = Path(gogh.__file__).parent
 MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
@@ -25,6 +27,8 @@ MOVED = {
     "SearchBudgetExceeded",
     "has_pinch",
 }
+
+PRODUCER_MODULES = {"balance", "conjgraph", "parametrize", "certify", "cli"}
 
 
 def _imported(tree: ast.Module) -> set[str]:
@@ -93,3 +97,46 @@ def test_balance_does_not_import_words():
             assert not any(alias.name == "words" for alias in node.names), ast.dump(node)
         elif isinstance(node, ast.Import):
             assert all(alias.name != "gogh.words" for alias in node.names), ast.dump(node)
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The package modules the module imports, at any depth."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            # from .x import ..., or from . import x
+            found.update([node.module] if node.module else (alias.name for alias in node.names))
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            found.add(node.module.removeprefix("gogh."))
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.removeprefix("gogh.") for alias in node.names)
+    return found & set(MODULES)
+
+
+def _closure(module: str) -> set[str]:
+    seen, todo = set(), [module]
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(_package_imports(MODULES[name]))
+    return seen
+
+
+def test_checks_imports_no_producer_module():
+    closure = _closure("checks")
+    assert "words" in closure  # the walk follows imports
+    assert not closure & PRODUCER_MODULES, sorted(closure & PRODUCER_MODULES)
+
+
+def test_checks_closure_defines_no_producer_name():
+    defined = {}
+    for name in _closure("checks"):
+        tree = MODULES[name]
+        names = _bound_at_top(tree) | {
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        }
+        defined[name] = sorted(names & PRODUCERS)
+    assert not any(defined.values()), defined

@@ -12,6 +12,7 @@ import gogh.parametrize
 from conftest import KLEIN_TEXT, random_graph, relabel_graph
 from gogh import dihedral as dih
 from gogh.balance import Balanced, Unbalanced, edge_balanced, group_balanced
+from gogh.checks import verify_parametrization
 from gogh.cli import parse, run
 from gogh.dihedral import DihedralElement, dinv, dmul, dpow
 from gogh.model import (
@@ -33,7 +34,6 @@ from gogh.parametrize import (
     NotTwoEnded,
     hhg_verdict,
     parametrize,
-    verify_parametrization,
 )
 
 
@@ -548,7 +548,8 @@ _FORGED_REFLECTION = """\
 import sys
 from gogh.cli import parse
 from gogh.dihedral import DihedralElement
-from gogh.parametrize import LinearParametrization, verify_parametrization
+from gogh.checks import verify_parametrization
+from gogh.parametrize import LinearParametrization
 
 try:
     DihedralElement(3, 0)

@@ -10,16 +10,16 @@ join the walk.
 import types
 
 import oracles
-from gogh import balance, certify, cli, conjgraph, dihedral, freewords, model, parametrize, words
+from gogh import balance, certify, checks, cli, conjgraph, dihedral, freewords, model, parametrize, words
 
 MODULES = {
     module.__name__.rpartition(".")[2]: module
-    for module in (balance, certify, cli, conjgraph, dihedral, freewords, model, parametrize, words)
+    for module in (balance, certify, checks, cli, conjgraph, dihedral, freewords, model, parametrize, words)
 }
 
 CHECKERS = (
-    MODULES["parametrize"].verify_parametrization,
-    MODULES["conjgraph"].provenance_holds,
+    MODULES["checks"].verify_parametrization,
+    MODULES["checks"].provenance_holds,
     MODULES["words"].britton_reduce,
     MODULES["words"].pinch_membership,
     oracles.has_pinch,
@@ -32,6 +32,8 @@ PRODUCERS = {
     "_decide",
     "attachment_data",
     "canonical_root",
+    "_least_rotation",
+    "_letter_key",
     "group_balanced",
     "edge_balanced",
     "edge_classes",

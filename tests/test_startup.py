@@ -23,9 +23,11 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 ONE_VERTEX_TEXT = "vertex v free 1\n"
 
 CLI = {"cli", "model", "words", "freewords", "dihedral"}
+# the checkers and all they import: the files to read to trust a certificate
+CHECKS = {"checks", "model", "dihedral", "freewords", "words"}
 BALANCE = CLI | {"balance"}
 CONJGRAPH = BALANCE | {"conjgraph"}
-HHG_VERDICT = CONJGRAPH | {"parametrize"}
+HHG_VERDICT = CONJGRAPH | {"parametrize", "checks"}
 NOT_HHG_VERDICT = HHG_VERDICT | {"certify"}
 WITNESS = BALANCE | {"certify"}
 
@@ -73,6 +75,12 @@ def test_bare_import_loads_no_submodule(files):
 def test_cli_import_loads_the_text_layer_only(files):
     loaded = _fresh("import gogh.cli", files)
     assert set(loaded["gogh"]) == CLI
+    assert loaded["stdlib"] == []
+
+
+def test_checks_import_loads_no_producer(files):
+    loaded = _fresh("import gogh.checks", files)
+    assert set(loaded["gogh"]) == CHECKS
     assert loaded["stdlib"] == []
 
 
