@@ -135,6 +135,13 @@ class RatioGroupoid:
     verdict: BalanceVerdict  # the whole graph: first unbalanced cycle in arc order
 
     def class_of(self, edge: str) -> EdgeClass:
+        """The component of an edge, whose verdict is the edge's balance.
+
+        Conjugation ratios between powers of the two attachment images are
+        the path weights of the component containing the edge's arc,
+        composable with any cycle there; the edge is unbalanced exactly when
+        that component has a cycle of absolute weight != 1.  This matches the
+        balance of the conjugacy graph of the edge's equivalence class."""
         return self.classes[self.component[self.occurrences[(edge, "target")][0]]]
 
 
@@ -374,21 +381,4 @@ def _decide(nodes, order, arcs, ends, occurrences) -> RatioGroupoid:
         ),
         verdict=verdict,
     )
-
-
-def group_balanced(graph: GraphOfGroups) -> BalanceVerdict:
-    """Balanced iff every groupoid cycle has weight of absolute value one."""
-    return build_groupoid(graph).verdict
-
-
-def edge_balanced(graph: GraphOfGroups, edge: str) -> BalanceVerdict:
-    """Balance of one edge, decided on its commensurability component.
-
-    Conjugation ratios between powers of the two attachment images are the
-    path weights of the component containing the edge's arc, composable with
-    any cycle there; the edge is unbalanced exactly when that component has
-    a cycle of absolute weight != 1.  This matches the balance of the
-    conjugacy graph of the edge's equivalence class.
-    """
-    return build_groupoid(graph).class_of(graph.edge(edge).name).verdict
 

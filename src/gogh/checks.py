@@ -18,6 +18,7 @@ from .model import (
     DIHEDRAL_R,
     DIHEDRAL_S,
     DihedralInfinite,
+    Free,
     GraphOfGroups,
     VertexWord,
     spanning_tree,
@@ -128,13 +129,27 @@ def provenance_holds(graph: GraphOfGroups, cg) -> bool:
     graph, and root the root of the derived vertex's origin node, which
     must lie in u's vertex.
 
+    The derived graph must hold nothing else: its edges are exactly the
+    class's edges, both sides of each a member, and each derived vertex has
+    an origin node at a vertex of graph, of the 2-ended kind that vertex
+    yields (dihedral for a dihedral vertex, free of rank one otherwise).
+
     cg is read by its ``graph``, ``edge_class`` and ``vertex_origin``, as a
     ``conjgraph.ConjugacyGraph`` holds them.  Evidence that does not fit the
-    class (a member edge missing from either graph, no conjugator for a
-    member, a derived attachment of more than one letter, a derived vertex
-    with no origin, a root or conjugator letter that is no generator of a
-    dihedral vertex) fails the check instead of raising."""
+    class (a member edge missing from either graph, a derived edge or side
+    that is no member, no conjugator for a member, a derived attachment of
+    more than one letter, a derived vertex with no origin or of the wrong
+    kind, a root or conjugator letter that is no generator of a dihedral
+    vertex) fails the check instead of raising."""
     original, derived_edges = graph.index.edges, cg.graph.index.edges
+    members = [(e, side) for e in cg.graph.edge_ids() for side in ("source", "target")]
+    if sorted(cg.edge_class.members) != members:
+        return False
+    for dv, kind in cg.graph.vertices:
+        origin = cg.vertex_origin.get(dv)
+        at = None if origin is None else graph.index.kinds.get(origin.vertex)
+        if at is None or kind != (at if isinstance(at, DihedralInfinite) else Free(1)):
+            return False
     occurrences = cg.edge_class.occurrences
     for edge, side in cg.edge_class.members:
         e, derived_edge = original.get(edge), derived_edges.get(edge)

@@ -322,9 +322,11 @@ def _cmd_balance(graph: GraphOfGroups, args) -> dict:
 
 
 def _cmd_conjgraph(graph: GraphOfGroups, args) -> dict:
-    from .conjgraph import build_conjugacy_graph, class_of_edge
+    from .balance import build_groupoid
+    from .conjgraph import build_conjugacy_graph
 
-    cls = class_of_edge(graph, args.class_of)
+    name = graph.edge(args.class_of).name
+    cls = build_groupoid(graph).class_of(name)
     cg = build_conjugacy_graph(graph, cls)
     origin = cg.vertex_origin
     text = serialize(cg.graph)
@@ -345,22 +347,17 @@ def _cmd_conjgraph(graph: GraphOfGroups, args) -> dict:
     }
 
 
+def _hhg_json(certificates) -> dict:
+    """The HHG object of (class index, parametrization) pairs."""
+    phis = [{"class": index, "phi": _phi_json(phi)} for index, phi in certificates]
+    return {"status": "HHG", "certificates": phis, "verified": True}
+
+
 def _verdict_json(graph: GraphOfGroups, verdict) -> dict:
     if verdict.status == "HHG":
-        return {
-            "status": "HHG",
-            "certificates": [
-                {"class": c.class_index, "phi": _phi_json(c.phi)}
-                for c in verdict.certificates
-            ],
-            "verified": True,
-        }
-    return {
-        "status": "NotHHG",
-        "edge": verdict.edge,
-        "witness": _witness_json(graph, verdict.witness),
-        "verified": True,
-    }
+        return _hhg_json((c.conjugacy_graph.edge_class.index, c.phi) for c in verdict.certificates)
+    witness = _witness_json(graph, verdict.witness)
+    return {"status": "NotHHG", "edge": verdict.edge, "witness": witness, "verified": True}
 
 
 def _cmd_verdict(graph: GraphOfGroups, args) -> dict:
@@ -370,43 +367,46 @@ def _cmd_verdict(graph: GraphOfGroups, args) -> dict:
 
 
 def _cmd_parametrize(graph: GraphOfGroups, args) -> dict:
-    from .parametrize import hhg_verdict, parametrize, require_two_ended
+    from .balance import Unbalanced
+    from .parametrize import parametrize
 
-    require_two_ended(graph)
-    if not graph.edges:  # a lone vertex has no edge class to certify
-        phi = _phi_json(parametrize(graph))
-        return {"status": "HHG", "certificates": [{"class": 0, "phi": phi}], "verified": True}
-    out = _verdict_json(graph, hhg_verdict(graph))  # verdict's object without "edge"
-    out.pop("edge", None)
-    return out
+    result = parametrize(graph)  # a lone vertex, with no edge class, is class 0 too
+    if isinstance(result, Unbalanced):
+        from .certify import almost_bs_witness  # loaded only where a witness is built
+
+        witness = _witness_json(graph, almost_bs_witness(graph, result))
+        return {"status": "NotHHG", "witness": witness, "verified": True}
+    return _hhg_json([(0, result)])
+
+
+def _unbalanced_witness(graph: GraphOfGroups):
+    """(the graph's unbalanced verdict, its almost Baumslag-Solitar witness),
+    or None when the graph is balanced."""
+    from .balance import Balanced, build_groupoid
+    from .certify import almost_bs_witness
+
+    verdict = build_groupoid(graph).verdict
+    return None if isinstance(verdict, Balanced) else (verdict, almost_bs_witness(graph, verdict))
 
 
 def _cmd_witness(graph: GraphOfGroups, args) -> dict:
-    from .balance import Balanced, group_balanced
-    from .certify import almost_bs_witness
-
-    verdict = group_balanced(graph)
-    if isinstance(verdict, Balanced):
+    found = _unbalanced_witness(graph)
+    if found is None:
         return {"status": "Balanced"}
-    witness = almost_bs_witness(graph, verdict)
-    out = _witness_json(graph, witness)
-    out["edge"] = verdict.edge
-    return out
+    return {**_witness_json(graph, found[1]), "edge": found[0].edge}
 
 
 def _cmd_distortion(graph: GraphOfGroups, args) -> dict:
-    from .balance import Balanced, group_balanced
-    from .certify import almost_bs_witness, distortion_certificate
+    from .certify import distortion_certificate
 
     if args.depth < 1:
         raise GoghError(f"--depth must be at least 1, got {args.depth}")
-    verdict = group_balanced(graph)
-    if isinstance(verdict, Balanced):
+    found = _unbalanced_witness(graph)
+    if found is None:
         return {"status": "Balanced"}
-    witness = almost_bs_witness(graph, verdict)
-    cert = distortion_certificate(graph, witness, args.depth)
+    cert = distortion_certificate(graph, found[1], args.depth)
     return {
-        "witness": _witness_json(graph, witness),
+        "witness": _witness_json(graph, cert.witness),
         "table": [
             {
                 "k": row.k,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .balance import EdgeClass, GroupoidNode, build_groupoid
+from .balance import EdgeClass, GroupoidNode
 from .model import (
     DIHEDRAL_R,
     DihedralInfinite,
@@ -31,15 +31,6 @@ from .model import (
     VertexWord,
     make_graph,
 )
-
-
-def edge_classes(graph: GraphOfGroups) -> list[EdgeClass]:
-    """Partition of the attachment occurrences into equivalence classes."""
-    return list(build_groupoid(graph).classes)
-
-
-def class_of_edge(graph: GraphOfGroups, edge: str) -> EdgeClass:
-    return build_groupoid(graph).class_of(graph.edge(edge).name)
 
 
 @dataclass(eq=False)

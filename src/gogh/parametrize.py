@@ -150,7 +150,6 @@ def _verified(graph: GraphOfGroups, phi: LinearParametrization) -> LinearParamet
 
 @dataclass(eq=False)
 class Certificate:
-    class_index: int
     conjugacy_graph: ConjugacyGraph
     phi: LinearParametrization
 
@@ -204,4 +203,4 @@ def _class_certificate(graph: GraphOfGroups, cls: EdgeClass) -> Certificate:
     cg = build_conjugacy_graph(graph, cls)
     potential = dict(zip(cg.vertex_origin, cls.potentials))  # both follow cls.nodes
     phi = _verified(cg.graph, _parametrization(cg.graph, potential, cls.occurrences))
-    return Certificate(cls.index, cg, phi)
+    return Certificate(cg, phi)

@@ -22,14 +22,12 @@ from gogh.balance import (
     Balanced,
     Unbalanced,
     build_groupoid,
-    edge_balanced,
-    group_balanced,
 )
 from gogh.certify import almost_bs_witness, distortion_certificate, relation_tokens
 from gogh import cli
 from gogh.checks import verify_parametrization
 from gogh.cli import parse, render_json, serialize
-from gogh.conjgraph import build_conjugacy_graph, class_of_edge
+from gogh.conjgraph import build_conjugacy_graph
 from gogh.dihedral import DihedralElement, dinv, dmul, dpow
 from gogh.model import Free, VertexWord
 from gogh.parametrize import (
@@ -70,7 +68,7 @@ def test_criterion_1_worked_example_end_to_end():
     with Clock("1 worked-example", 1.0):
         g = parse(F2_EXAMPLE_TEXT)
         # derived graph: one rank-one vertex, one loop, exponents {2, 3}
-        cg = build_conjugacy_graph(g, class_of_edge(g, "e"))
+        cg = build_conjugacy_graph(g, build_groupoid(g).class_of("e"))
         assert len(cg.graph.vertices) == 1
         assert cg.graph.vertices[0][1] == Free(1)
         (loop,) = cg.graph.edges
@@ -122,7 +120,7 @@ def test_criterion_3_tree_theorem():
         rng = random.Random(555)
         for _ in range(200):
             g = random_tree_graph(rng, v_max=6, exp_max=9)
-            assert isinstance(group_balanced(g), Balanced)
+            assert isinstance(build_groupoid(g).verdict, Balanced)
             assert isinstance(hhg_verdict(g), HHG)
 
 
@@ -165,6 +163,7 @@ def test_criterion_4_balance_oracle_agreement(small_instances):
 
         conclusive = inconclusive = 0
         for g in small_instances:
+            groupoid = build_groupoid(g)
             for e in g.edge_ids():
                 try:
                     out = brute_force_balance_oracle(g, e, 4, 4, node_cap=4000)
@@ -173,7 +172,7 @@ def test_criterion_4_balance_oracle_agreement(small_instances):
                     continue
                 if isinstance(out, OracleUnbalanced):
                     conclusive += 1
-                    assert isinstance(edge_balanced(g, e), Unbalanced)
+                    assert isinstance(groupoid.class_of(e).verdict, Unbalanced)
                     ratio = Fraction(abs(out.j), abs(out.i))
                     assert ratio in _cycle_moduli_closure(g), (serialize(g), e, out)
         # the sample must actually exercise the unbalanced side
@@ -201,17 +200,18 @@ def test_criterion_5_word_problem_oracle():
 def test_criterion_6_conjugacy_graph_transfer(small_instances):
     with Clock("6 conjugacy-transfer", 60.0):
         for g in small_instances:
+            groupoid = build_groupoid(g)
             for e in g.edge_ids():
-                cg = build_conjugacy_graph(g, class_of_edge(g, e))
-                per_edge = isinstance(edge_balanced(g, e), Unbalanced)
-                derived = isinstance(group_balanced(cg.graph), Unbalanced)
+                cg = build_conjugacy_graph(g, groupoid.class_of(e))
+                per_edge = isinstance(groupoid.class_of(e).verdict, Unbalanced)
+                derived = isinstance(build_groupoid(cg.graph).verdict, Unbalanced)
                 assert per_edge == derived, (serialize(g), e)
 
 
 def test_criterion_7_distortion():
     with Clock("7 distortion", 1.0):
         g = parse(BS32_TEXT)
-        w = almost_bs_witness(g, group_balanced(g))
+        w = almost_bs_witness(g, build_groupoid(g).verdict)
         assert (w.i, w.j) == (2, 3)
         cert = distortion_certificate(g, w, 10)
         for row in cert.rows:

@@ -18,8 +18,6 @@ from gogh.balance import (
     attachment_data,
     build_groupoid,
     canonical_root,
-    edge_balanced,
-    group_balanced,
 )
 from gogh.dihedral import word_to_element
 from gogh.model import (
@@ -94,7 +92,7 @@ def test_f2_groupoid_collapses_to_one_class(f2_example):
     (node,) = g.nodes
     assert node.root == ((1, 1),)
     # composed cycle modulus 3/2, from the exponent pair (3, 2)
-    verdict = group_balanced(f2_example)
+    verdict = g.verdict
     assert isinstance(verdict, Unbalanced)
     assert abs(verdict.modulus) == Fraction(3, 2)
 
@@ -366,7 +364,7 @@ def test_pass_builds_only_the_arcs_it_reports(monkeypatch):
 
 
 def test_bs32_unbalanced(bs32):
-    verdict = group_balanced(bs32)
+    verdict = build_groupoid(bs32).verdict
     assert isinstance(verdict, Unbalanced)
     assert verdict.modulus == Fraction(3, 2)
     assert cycle_is_consistent(verdict)
@@ -384,11 +382,11 @@ def test_unbalanced_verdict_carries_the_pass_data(f2_example):
 
 
 def test_inverting_loop_balanced(klein):
-    assert isinstance(group_balanced(klein), Balanced)
+    assert isinstance(build_groupoid(klein).verdict, Balanced)
 
 
 def test_dihedral_flip_never_unbalances(dihedral_loop):
-    assert isinstance(group_balanced(dihedral_loop), Balanced)
+    assert isinstance(build_groupoid(dihedral_loop).verdict, Balanced)
 
 
 def test_inverting_square_loop_balanced():
@@ -396,7 +394,7 @@ def test_inverting_square_loop_balanced():
     from gogh.cli import parse
 
     g = parse('vertex v free 1\nedge e from=v to=v img_from="v.1^-2" img_to="v.1^2"\n')
-    assert isinstance(group_balanced(g), Balanced)
+    assert isinstance(build_groupoid(g).verdict, Balanced)
     assert isinstance(brute_force_balance_oracle(g, "e", 3, 4), OracleBalancedWithinBounds)
 
 
@@ -404,24 +402,25 @@ def test_trees_always_balanced():
     rng = random.Random(43)
     for _ in range(50):
         g = random_tree_graph(rng)
-        assert isinstance(group_balanced(g), Balanced)
+        assert isinstance(build_groupoid(g).verdict, Balanced)
 
 
 # -- per-edge balance ---------------------------------------------------------------
 
 
 def test_edge_verdicts_on_fixtures(bs32, trefoil, f2_example):
-    assert isinstance(edge_balanced(bs32, "e"), Unbalanced)
-    assert isinstance(edge_balanced(trefoil, "e"), Balanced)
-    assert isinstance(edge_balanced(f2_example, "e"), Unbalanced)
+    assert isinstance(build_groupoid(bs32).class_of("e").verdict, Unbalanced)
+    assert isinstance(build_groupoid(trefoil).class_of("e").verdict, Balanced)
+    assert isinstance(build_groupoid(f2_example).class_of("e").verdict, Unbalanced)
 
 
 def test_group_unbalanced_iff_some_edge_unbalanced():
     rng = random.Random(47)
     for _ in range(60):
         g = random_graph(rng)
-        group = isinstance(group_balanced(g), Unbalanced)
-        edges = any(isinstance(edge_balanced(g, e), Unbalanced) for e in g.edge_ids())
+        groupoid = build_groupoid(g)
+        group = isinstance(groupoid.verdict, Unbalanced)
+        edges = any(isinstance(groupoid.class_of(e).verdict, Unbalanced) for e in g.edge_ids())
         assert group == edges
 
 
@@ -433,12 +432,11 @@ def test_verdict_invariant_under_edge_reversal():
         for e in g.edge_ids():
             if rng.random() < 0.5:
                 flipped = flip_edge(flipped, e)
-        assert isinstance(group_balanced(g), Balanced) == isinstance(
-            group_balanced(flipped), Balanced
-        )
+        before, after = build_groupoid(g), build_groupoid(flipped)
+        assert isinstance(before.verdict, Balanced) == isinstance(after.verdict, Balanced)
         for e in g.edge_ids():
-            assert isinstance(edge_balanced(g, e), Balanced) == isinstance(
-                edge_balanced(flipped, e), Balanced
+            assert isinstance(before.class_of(e).verdict, Balanced) == isinstance(
+                after.class_of(e).verdict, Balanced
             )
 
 
@@ -451,7 +449,9 @@ def test_verdict_invariant_under_relabeling():
         rng.shuffle(shuffled)
         vmap = dict(zip(ids, (f"w{s}" for s in shuffled)))
         h = relabel_graph(g, vmap)
-        assert isinstance(group_balanced(g), Balanced) == isinstance(group_balanced(h), Balanced)
+        assert isinstance(build_groupoid(g).verdict, Balanced) == isinstance(
+            build_groupoid(h).verdict, Balanced
+        )
 
 
 def test_amalgam_closure():
@@ -461,9 +461,9 @@ def test_amalgam_closure():
     while built < 20:
         g1 = random_graph(rng, v_max=3, e_max=3)
         g2 = random_graph(rng, v_max=3, e_max=3)
-        if not isinstance(group_balanced(g1), Balanced):
+        if not isinstance(build_groupoid(g1).verdict, Balanced):
             continue
-        if not isinstance(group_balanced(g2), Balanced):
+        if not isinstance(build_groupoid(g2).verdict, Balanced):
             continue
         vmap = {v: f"l_{v}" for v in g1.vertex_ids()}
         g1r = relabel_graph(g1, vmap)
@@ -493,7 +493,7 @@ def test_amalgam_closure():
             )
         )
         joined = make_graph(list(g1r.vertices) + list(g2r.vertices), edges)
-        assert isinstance(group_balanced(joined), Balanced)
+        assert isinstance(build_groupoid(joined).verdict, Balanced)
         built += 1
 
 
@@ -535,10 +535,11 @@ def test_oracle_agreement_small_sample():
     rng = random.Random(67)
     for _ in range(25):
         g = random_graph(rng, v_max=3, e_max=4, rank2_prob=0.1)
+        groupoid = build_groupoid(g)
         for e in g.edge_ids():
             try:
                 out = brute_force_balance_oracle(g, e, 4, 4, node_cap=3000)
             except SearchBudgetExceeded:
                 continue
             if isinstance(out, OracleUnbalanced):
-                assert isinstance(edge_balanced(g, e), Unbalanced)
+                assert isinstance(groupoid.class_of(e).verdict, Unbalanced)

@@ -8,7 +8,7 @@ import pytest
 
 import gogh.balance
 from conftest import BS32_TEXT, F2_EXAMPLE_TEXT, random_graph
-from gogh.balance import Balanced, build_groupoid, group_balanced
+from gogh.balance import Balanced, build_groupoid
 from gogh.certify import (
     BSWitness,
     NoWitness,
@@ -25,7 +25,7 @@ from gogh.words import invert_tokens, is_trivial
 
 
 def test_bs32_witness(bs32):
-    w = almost_bs_witness(bs32, group_balanced(bs32))
+    w = almost_bs_witness(bs32, build_groupoid(bs32).verdict)
     assert w.a == VertexWord("v", ((1, 1),))
     assert list(w.s) == [("t", "e", 1)]
     assert (w.i, w.j) == (2, 3)
@@ -33,7 +33,7 @@ def test_bs32_witness(bs32):
 
 
 def test_f2_witness(f2_example):
-    w = almost_bs_witness(f2_example, group_balanced(f2_example))
+    w = almost_bs_witness(f2_example, build_groupoid(f2_example).verdict)
     assert w.a == VertexWord("v", ((1, 1),))
     assert {abs(w.i), abs(w.j)} == {2, 3}
     # the emitted relation and the one written with the inverse conjugator
@@ -44,7 +44,7 @@ def test_f2_witness(f2_example):
 
 def test_balanced_graph_has_no_witness(trefoil):
     with pytest.raises(NoWitness):
-        almost_bs_witness(trefoil, group_balanced(trefoil))
+        almost_bs_witness(trefoil, build_groupoid(trefoil).verdict)
 
 
 def test_every_arc_crossing_conjugates_root_powers():
@@ -92,7 +92,7 @@ def test_minimal_base_power_matches_the_fraction_reference():
         graph = random_graph(
             rng, v_max=3 + k % 5, e_max=4 + k % 6, exp_max=(3, 12, 60)[k % 3], rank2_prob=0.3
         )
-        verdict = group_balanced(graph)
+        verdict = build_groupoid(graph).verdict
         if isinstance(verdict, Balanced):
             continue
         crossings = [_crossing(arc, verdict.occurrences) for arc in verdict.cycle]
@@ -150,7 +150,7 @@ def test_witness_exponents_normalized():
     found = 0
     while found < 25:
         g = random_graph(rng)
-        verdict = group_balanced(g)
+        verdict = build_groupoid(g).verdict
         if isinstance(verdict, Balanced):
             continue
         found += 1
@@ -169,7 +169,7 @@ def test_witness_reverifies_from_scratch():
     found = 0
     while found < 25:
         g = random_graph(rng)
-        verdict = group_balanced(g)
+        verdict = build_groupoid(g).verdict
         if isinstance(verdict, Balanced):
             continue
         found += 1
@@ -178,7 +178,7 @@ def test_witness_reverifies_from_scratch():
 
 
 def test_power_compatibility_of_relation(bs32):
-    w = almost_bs_witness(bs32, group_balanced(bs32))
+    w = almost_bs_witness(bs32, build_groupoid(bs32).verdict)
     rng = random.Random(113)
     for _ in range(5):
         m = rng.randint(1, 10)
@@ -186,7 +186,7 @@ def test_power_compatibility_of_relation(bs32):
 
 
 def test_distortion_depth_one(bs32):
-    w = almost_bs_witness(bs32, group_balanced(bs32))
+    w = almost_bs_witness(bs32, build_groupoid(bs32).verdict)
     cert = distortion_certificate(bs32, w, 1)
     row = cert.rows[0]
     assert row.exponent == 3
@@ -194,14 +194,14 @@ def test_distortion_depth_one(bs32):
 
 
 def test_distortion_depth_three(bs32):
-    w = almost_bs_witness(bs32, group_balanced(bs32))
+    w = almost_bs_witness(bs32, build_groupoid(bs32).verdict)
     cert = distortion_certificate(bs32, w, 3)
     assert cert.rows[2].exponent == 27
     assert cert.rows[2].length_bound == 2 * 3 + 2**3
 
 
 def test_distortion_big_depth_and_monotone_ratios(bs32):
-    w = almost_bs_witness(bs32, group_balanced(bs32))
+    w = almost_bs_witness(bs32, build_groupoid(bs32).verdict)
     cert = distortion_certificate(bs32, w, 10)
     assert cert.rows[-1].exponent == 3**10 == 59049
     assert cert.rows[-1].length_bound == 2 * 10 + 2**10 == 1044
@@ -210,7 +210,7 @@ def test_distortion_big_depth_and_monotone_ratios(bs32):
 
 
 def test_distortion_swaps_shrinking_witness(bs32):
-    w = almost_bs_witness(bs32, group_balanced(bs32))
+    w = almost_bs_witness(bs32, build_groupoid(bs32).verdict)
     flipped = BSWitness(
         a=w.a, s=tuple(invert_tokens(w.s)), i=w.j, j=w.i, transcript=w.transcript
     )
@@ -219,7 +219,7 @@ def test_distortion_swaps_shrinking_witness(bs32):
 
 
 def test_distortion_on_f2_example(f2_example):
-    w = almost_bs_witness(f2_example, group_balanced(f2_example))
+    w = almost_bs_witness(f2_example, build_groupoid(f2_example).verdict)
     cert = distortion_certificate(f2_example, w, 6)
     ratios = [row.ratio for row in cert.rows]
     assert all(a > b for a, b in zip(ratios, ratios[1:]))

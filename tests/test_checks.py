@@ -1,15 +1,24 @@
 """The provenance checker on evidence the producers did not build.
 
 ``provenance_holds`` must reject provenance that names the wrong original
-vertex, and return False, not raise, on evidence that does not fit its
-class.  The certificates the program builds pass it: see
-``tests/test_conjgraph.py``.
+vertex or a derived graph that holds more than its class, and return
+False, not raise, on evidence that does not fit its class.  Every
+conjugacy graph the program builds passes it.
 """
 
+import random
+
+from conftest import fixture_graphs, random_graph, random_tree_graph
 from gogh.balance import GroupoidNode, build_groupoid
 from gogh.checks import provenance_holds
-from gogh.cli import parse
-from gogh.conjgraph import ConjugacyGraph, build_conjugacy_graph
+from gogh.cli import parse, serialize
+from gogh.conjgraph import ConjugacyGraph, _derived_conjugacy_graph, build_conjugacy_graph
+
+TWO_RANK_TWO_TEXT = (
+    "vertex u free 2\n"
+    "vertex v free 2\n"
+    'edge e from=u to=v img_from="u.1^2" img_to="v.1^3"\n'
+)
 
 
 def _only_class_graph(graph):
@@ -18,11 +27,7 @@ def _only_class_graph(graph):
 
 
 def test_provenance_naming_the_wrong_original_vertex_fails():
-    g = parse(
-        "vertex u free 2\n"
-        "vertex v free 2\n"
-        'edge e from=u to=v img_from="u.1^2" img_to="v.1^3"\n'
-    )
+    g = parse(TWO_RANK_TWO_TEXT)
     cg = _only_class_graph(g)
     assert provenance_holds(g, cg)
     origin = cg.vertex_origin
@@ -67,3 +72,52 @@ def test_provenance_with_a_root_outside_the_vertex_group_fails(dihedral_loop):
     (name,) = cg.vertex_origin
     free_root = {name: GroupoidNode("d", ((1, 1),))}
     assert not provenance_holds(dihedral_loop, ConjugacyGraph(cg.graph, cg.edge_class, free_root))
+
+
+def test_provenance_with_a_derived_vertex_or_edge_outside_the_class_fails():
+    g = parse(TWO_RANK_TWO_TEXT)
+    cg = _only_class_graph(g)
+    assert provenance_holds(g, cg)
+    text = serialize(cg.graph)
+    # a dihedral vertex w with no origin and an edge f that is no member
+    outside = parse(text + 'vertex w dihedral\nedge f from=v to=w img_from="v.1" img_to="w.r"\n')
+    assert not provenance_holds(g, ConjugacyGraph(outside, cg.edge_class, cg.vertex_origin))
+    # an origin for w does not help: u and v yield free vertices of rank one
+    origin = {**cg.vertex_origin, "w": cg.vertex_origin["v"]}
+    assert not provenance_holds(g, ConjugacyGraph(outside, cg.edge_class, origin))
+    # an extra edge between the class's own vertices
+    extra = parse(text + 'edge f from=v to=u img_from="v.1" img_to="u.1"\n')
+    assert not provenance_holds(g, ConjugacyGraph(extra, cg.edge_class, cg.vertex_origin))
+
+
+def test_provenance_with_a_derived_vertex_of_the_wrong_kind_fails():
+    g = parse(TWO_RANK_TWO_TEXT)
+    cg = _only_class_graph(g)
+    # u.r^2 has the exponent of u.1^2, so only the kind of u is wrong
+    dihedral_u = parse(
+        "vertex u dihedral\nvertex v free 1\n"
+        'edge e from=u to=v img_from="u.r^2" img_to="v.1^3"\n'
+    )
+    assert not provenance_holds(g, ConjugacyGraph(dihedral_u, cg.edge_class, cg.vertex_origin))
+
+
+def test_every_built_conjugacy_graph_passes():
+    """Both the 2-ended shortcut and the general construction, on the
+    fixtures and on the seeded graphs ``tests/test_conjgraph.py`` walks."""
+    graphs = list(fixture_graphs().values())
+    for seed, count in ((71, 40), (73, 40), (79, 25), (83, 50), (89, 30)):
+        rng = random.Random(seed)
+        graphs += [random_graph(rng) for _ in range(count)]
+    rng = random.Random(97)
+    graphs += [
+        random_tree_graph(rng) if i % 4 == 0 else random_graph(rng, rank2_prob=0.0)
+        for i in range(240)
+    ]
+    shortcuts = 0
+    for g in graphs:
+        for cls in build_groupoid(g).classes:
+            cg = build_conjugacy_graph(g, cls)
+            shortcuts += cg.graph is g
+            assert provenance_holds(g, cg), serialize(g)
+            assert provenance_holds(g, _derived_conjugacy_graph(g, cls)), serialize(g)
+    assert shortcuts >= 200

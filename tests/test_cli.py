@@ -304,6 +304,46 @@ def test_distortion_depth_below_one_rejected(tmp_path):
             assert "--depth" in out["error"]
 
 
+@pytest.mark.parametrize("text", [BS32_TEXT, TREFOIL_TEXT, F2_EXAMPLE_TEXT])
+def test_each_command_builds_the_groupoid_once(tmp_path, monkeypatch, text):
+    """Graph, edge and class verdicts are read off one groupoid pass: each
+    command that needs one builds it exactly once, and check and reduce
+    build none.  parametrize on the rank-2 F2 example stops with exit 2
+    before any pass."""
+    import gogh.balance
+    import gogh.certify
+    import gogh.conjgraph
+    import gogh.parametrize
+
+    real = gogh.balance.build_groupoid
+    calls = []
+
+    def counted(graph):
+        calls.append(graph)
+        return real(graph)
+
+    # every module that imported the name holds its own reference
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gogh") and getattr(module, "build_groupoid", None) is real:
+            monkeypatch.setattr(module, "build_groupoid", counted)
+    path = write(tmp_path, "g.gog", text)
+    two_ended = text != F2_EXAMPLE_TEXT
+    for argv, code, builds in (
+        (["check", path], 0, 0),
+        (["reduce", path, "--word", "e.t e.t^-1"], 0, 0),
+        (["balance", path], 0, 1),
+        (["balance", path, "--edge", "e"], 0, 1),
+        (["conjgraph", path, "--class-of", "e"], 0, 1),
+        (["parametrize", path], 0 if two_ended else 2, 1 if two_ended else 0),
+        (["verdict", path], 0, 1),
+        (["witness", path], 0, 1),
+        (["distortion", path, "--depth", "3"], 0, 1),
+    ):
+        calls.clear()
+        assert run(argv)[0] == code, argv
+        assert len(calls) == builds, argv
+
+
 def test_malformed_input_exit_code(tmp_path):
     code, out = run(["check", write(tmp_path, "bad.gog", "vertex broken\n")])
     assert code == 2

@@ -1,26 +1,21 @@
 import random
 
 from conftest import random_graph, random_tree_graph
-from gogh.balance import Unbalanced, edge_balanced, group_balanced
+from gogh.balance import Unbalanced, build_groupoid
 from gogh.checks import provenance_holds
 from gogh.cli import parse, serialize
-from gogh.conjgraph import (
-    _derived_conjugacy_graph,
-    build_conjugacy_graph,
-    class_of_edge,
-    edge_classes,
-)
+from gogh.conjgraph import _derived_conjugacy_graph, build_conjugacy_graph
 from gogh.model import DihedralInfinite, Free, validate
 
 
 def test_single_edge_single_class(bs32):
-    classes = edge_classes(bs32)
+    classes = build_groupoid(bs32).classes
     assert len(classes) == 1
     assert classes[0].members == (("e", "source"), ("e", "target"))
 
 
 def test_f2_sides_commensurable_one_class(f2_example):
-    classes = edge_classes(f2_example)
+    classes = build_groupoid(f2_example).classes
     assert len(classes) == 1
 
 
@@ -30,14 +25,14 @@ def test_two_independent_loops_two_classes():
         'edge e1 from=v to=v img_from="v.1^2" img_to="v.1^3"\n'
         'edge e2 from=v to=v img_from="v.2^2" img_to="v.2^5"\n'
     )
-    classes = edge_classes(g)
+    classes = build_groupoid(g).classes
     assert len(classes) == 2
     assert classes[0].edge_ids() == ("e1",)
     assert classes[1].edge_ids() == ("e2",)
 
 
 def test_conjugacy_graph_of_f2_example(f2_example):
-    cg = build_conjugacy_graph(f2_example, edge_classes(f2_example)[0])
+    cg = build_conjugacy_graph(f2_example, build_groupoid(f2_example).classes[0])
     derived = cg.graph
     assert len(derived.vertices) == 1
     name, kind = derived.vertices[0]
@@ -54,12 +49,12 @@ def test_conjugacy_graph_of_f2_example(f2_example):
 
 
 def test_conjugacy_graph_of_bs32_is_isomorphic_copy(bs32):
-    cg = build_conjugacy_graph(bs32, edge_classes(bs32)[0])
+    cg = build_conjugacy_graph(bs32, build_groupoid(bs32).classes[0])
     assert serialize(cg.graph) == serialize(bs32)
 
 
 def test_conjugacy_graph_of_trefoil(trefoil):
-    cg = build_conjugacy_graph(trefoil, edge_classes(trefoil)[0])
+    cg = build_conjugacy_graph(trefoil, build_groupoid(trefoil).classes[0])
     derived = cg.graph
     assert [k for _, k in derived.vertices] == [Free(1), Free(1)]
     (edge,) = derived.edges
@@ -75,7 +70,7 @@ def test_class_spanning_two_loops_through_conjugation():
         'edge e1 from=v to=v img_from="v.1^2" img_to="v.2 v.1^3 v.2^-1"\n'
         'edge e2 from=v to=v img_from="v.2 v.1^4 v.2^-1" img_to="v.1^6"\n'
     )
-    (cls,) = edge_classes(g)
+    (cls,) = build_groupoid(g).classes
     assert cls.edge_ids() == ("e1", "e2")
     cg = build_conjugacy_graph(g, cls)
     assert serialize(cg.graph) == (
@@ -87,7 +82,7 @@ def test_class_spanning_two_loops_through_conjugation():
 
 
 def test_dihedral_vertices_stay_dihedral(dihedral_loop):
-    cg = build_conjugacy_graph(dihedral_loop, edge_classes(dihedral_loop)[0])
+    cg = build_conjugacy_graph(dihedral_loop, build_groupoid(dihedral_loop).classes[0])
     assert [k for _, k in cg.graph.vertices] == [DihedralInfinite()]
 
 
@@ -95,7 +90,7 @@ def test_derived_graphs_validate_and_are_two_ended():
     rng = random.Random(71)
     for _ in range(40):
         g = random_graph(rng)
-        for cls in edge_classes(g):
+        for cls in build_groupoid(g).classes:
             cg = build_conjugacy_graph(g, cls)
             validate(cg.graph)
             for _, kind in cg.graph.vertices:
@@ -106,7 +101,7 @@ def test_provenance_identities_hold():
     rng = random.Random(73)
     for _ in range(40):
         g = random_graph(rng)
-        for cls in edge_classes(g):
+        for cls in build_groupoid(g).classes:
             cg = build_conjugacy_graph(g, cls)
             assert provenance_holds(g, cg)
 
@@ -115,7 +110,7 @@ def test_rebuild_is_deterministic():
     rng = random.Random(79)
     for _ in range(25):
         g = random_graph(rng)
-        for cls in edge_classes(g):
+        for cls in build_groupoid(g).classes:
             first = build_conjugacy_graph(g, cls)
             second = build_conjugacy_graph(g, cls)
             assert first.graph == second.graph
@@ -127,10 +122,12 @@ def test_balance_transfers_to_conjugacy_graph():
     rng = random.Random(83)
     for _ in range(50):
         g = random_graph(rng)
+        groupoid = build_groupoid(g)
         for e in g.edge_ids():
-            cg = build_conjugacy_graph(g, class_of_edge(g, e))
-            lhs = isinstance(edge_balanced(g, e), Unbalanced)
-            rhs = isinstance(group_balanced(cg.graph), Unbalanced)
+            cls = groupoid.class_of(e)
+            cg = build_conjugacy_graph(g, cls)
+            lhs = isinstance(cls.verdict, Unbalanced)
+            rhs = isinstance(build_groupoid(cg.graph).verdict, Unbalanced)
             assert lhs == rhs
 
 
@@ -139,7 +136,7 @@ def test_classes_partition_occurrences():
     for _ in range(30):
         g = random_graph(rng)
         seen = []
-        for cls in edge_classes(g):
+        for cls in build_groupoid(g).classes:
             seen.extend(cls.members)
         expected = sorted((e, side) for e in g.edge_ids() for side in ("source", "target"))
         assert sorted(seen) == expected
@@ -156,7 +153,7 @@ def test_two_ended_graph_is_its_own_derived_graph():
         g = random_tree_graph(rng) if i % 4 == 0 else random_graph(rng, rank2_prob=0.0)
         if not g.edges:
             continue
-        (cls,) = edge_classes(g)
+        (cls,) = build_groupoid(g).classes
         cg = build_conjugacy_graph(g, cls)
         general = _derived_conjugacy_graph(g, cls)
         assert cg.graph is g
@@ -170,7 +167,7 @@ def test_two_ended_graph_is_its_own_derived_graph():
 
 
 def test_rank_two_vertex_gets_a_new_derived_graph(f2_example):
-    (cls,) = edge_classes(f2_example)
+    (cls,) = build_groupoid(f2_example).classes
     cg = build_conjugacy_graph(f2_example, cls)
     assert cg.graph is not f2_example
     assert cg.graph == _derived_conjugacy_graph(f2_example, cls).graph

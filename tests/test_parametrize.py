@@ -11,7 +11,7 @@ import pytest
 import gogh.parametrize
 from conftest import KLEIN_TEXT, random_graph, relabel_graph
 from gogh import dihedral as dih
-from gogh.balance import Balanced, Unbalanced, edge_balanced, group_balanced
+from gogh.balance import Balanced, Unbalanced, build_groupoid
 from gogh.checks import verify_parametrization
 from gogh.cli import parse, run
 from gogh.dihedral import DihedralElement, dinv, dmul, dpow
@@ -218,9 +218,10 @@ def test_three_way_agreement():
     for _ in range(60):
         g = random_graph(rng, rank2_prob=0.0)
         phi = parametrize(g)
-        balanced = isinstance(group_balanced(g), Balanced)
+        groupoid = build_groupoid(g)
+        balanced = isinstance(groupoid.verdict, Balanced)
         no_bad_edge = not any(
-            isinstance(edge_balanced(g, e), Unbalanced) for e in g.edge_ids()
+            isinstance(groupoid.class_of(e).verdict, Unbalanced) for e in g.edge_ids()
         )
         assert isinstance(phi, LinearParametrization) == balanced == no_bad_edge
         if isinstance(phi, LinearParametrization):

@@ -34,10 +34,6 @@ PRODUCERS = {
     "canonical_root",
     "_least_rotation",
     "_letter_key",
-    "group_balanced",
-    "edge_balanced",
-    "edge_classes",
-    "class_of_edge",
     "_class_certificate",
     "_parametrization",
 }
