@@ -23,27 +23,27 @@ parametrization.
 This module owns the canonical roots, the groupoid and everything read off
 it in one pass: spanning-forest potentials, the connected components
 (which are the edge-image equivalence classes), and per component either
-its first unbalanced cycle in arc order or balance.  The pass reads each edge once
-and runs on integer ids: a node is numbered when it is first seen, an edge
-becomes its two end ids and its two absolute root exponents, and
-adjacency, potentials, tree arcs and component roots are lists indexed by
-id.  All one-letter images g^k at a vertex share one node and one identity
-conjugator, so the pass allocates per node, not per occurrence.  The nodes
-come out in vertex-table order, sorted by root only within a vertex; that
-is the order of ``GroupoidNode.sort_key``, whose first component is the
-vertex.  Arcs, with their ``Fraction`` weights, are built when read: the
-pass builds only those of the cycles it reports.  A potential is the
-absolute value of a product of arc weights, kept as a gcd-reduced pair of
-positive integers, and an arc is balanced when cross-multiplying it with
-the potentials of its ends agrees; each class keeps its nodes' potentials,
-from which ``parametrize`` builds its certificate.  The two arcs of an
-edge are reciprocal, so they are balanced together: each non-tree edge is
-tested once, and an unbalanced one closes its cycle through its +1 arc,
-the arc met first in arc order.  Each fact is stored once: the pass's
-attachment data lives in its one occurrence map, a class holds its verdict
-and its member keys over that map, and an unbalanced verdict holds the
-map, which ``certify`` reads.  Graph, edge and class verdicts are all
-lookups into that pass.
+its first unbalanced cycle in arc order or balance.  Each edge adds one
+relation t a_t^(n_t) t^-1 = a_s^(n_s), so the pass keeps one record per
+edge, the attachment data of its source and target sides.  It numbers the
+nodes once, in vertex-table order and by root within a vertex (the order
+of ``GroupoidNode.sort_key``); an edge becomes its two end ids and its two
+absolute root exponents, and adjacency, potentials, tree arcs and
+component roots are lists indexed by id.  All one-letter images g^k at a
+vertex share one node and one identity conjugator, so the pass allocates
+per node, not per occurrence.  Arcs, with their ``Fraction`` weights, are
+built when read: the pass builds only those of the cycles it reports.  A
+potential is the absolute value of a product of arc weights, kept as a
+gcd-reduced pair of positive integers, and an arc is balanced when
+cross-multiplying it with the potentials of its ends agrees; each class
+keeps its nodes' potentials, from which ``parametrize`` builds its
+certificate.  The two arcs of an edge are reciprocal, so they are balanced
+together: each non-tree edge is tested once, and an unbalanced one closes
+its cycle through its +1 arc, the arc met first in arc order.  Each fact
+is stored once: the attachment data lives in the pass's one map from edge
+to record, a class holds its verdict and its edges, and an unbalanced
+verdict holds the map, which ``certify`` reads.  Graph, edge and class
+verdicts are all lookups into that pass.
 """
 
 from __future__ import annotations
@@ -55,11 +55,9 @@ from math import gcd
 from typing import NamedTuple
 
 from . import freewords as fw
-from .model import EdgeRecord, GoghError, GraphOfGroups, VertexWord, record
+from .model import GraphOfGroups, VertexWord, record
 
-SIDES = ("source", "target")
-
-Occurrence = tuple[str, str]  # (edge id, "source"|"target")
+SIDES = ("source", "target")  # the sides of an edge, in the order of its record
 
 
 class GroupoidNode(NamedTuple):
@@ -90,7 +88,7 @@ class Balanced:
 class Unbalanced:
     cycle: tuple[GroupoidArc, ...]
     modulus: Fraction
-    # the pass's attachment data, (edge, side) -> (node, exponent, conjugator)
+    # the pass's attachment data, edge -> (source data, target data)
     occurrences: dict = field(compare=False, repr=False)
 
     @property
@@ -104,23 +102,19 @@ BalanceVerdict = Balanced | Unbalanced
 
 @record
 class EdgeClass:
-    """One groupoid component, as the attachment occurrences landing in it."""
+    """One groupoid component, as the edges whose attachments land in it."""
 
     index: int
-    members: tuple[Occurrence, ...]  # its occurrences, sorted
+    edges: tuple[str, ...]  # its edge ids, sorted
     nodes: tuple[GroupoidNode, ...]  # the component's nodes, in groupoid order
     verdict: BalanceVerdict  # the component's first unbalanced cycle, or balance
     # |potential| of each node, aligned with nodes, as a reduced pair (num, den)
     # of positive ints: the product of |arc weights| along the pass's tree path
     # from the component's least node
     potentials: tuple[tuple[int, int], ...]
-    # the pass's attachment data of every occurrence of the graph (the
-    # groupoid's one map), (edge, side) -> (node, exponent, conjugator)
+    # the groupoid's one map of attachment data, edge -> (source, target),
+    # each side (node, signed root exponent, conjugator)
     occurrences: dict = field(compare=False, repr=False)
-
-    def edge_ids(self) -> tuple[str, ...]:
-        # an edge's two occurrences share a component, and members are sorted
-        return tuple(e for e, side in self.members if side == "source")
 
 
 @dataclass(eq=False)
@@ -129,9 +123,9 @@ class RatioGroupoid:
     # per edge in id order: sign +1, then -1; each arc is built when read, and
     # the length is known without building any
     arcs: Sequence[GroupoidArc]
-    occurrences: dict  # (edge, side) -> (node, exponent, conjugator VertexWord)
+    occurrences: dict  # edge -> (source, target) attachment data, in id order
     component: dict  # node -> index of its component in classes
-    classes: tuple[EdgeClass, ...]  # components, ordered by least member
+    classes: tuple[EdgeClass, ...]  # components, ordered by least edge
     verdict: BalanceVerdict  # the whole graph: first unbalanced cycle in arc order
 
     def class_of(self, edge: str) -> EdgeClass:
@@ -142,7 +136,7 @@ class RatioGroupoid:
         composable with any cycle there; the edge is unbalanced exactly when
         that component has a cycle of absolute weight != 1.  This matches the
         balance of the conjugacy graph of the edge's equivalence class."""
-        return self.classes[self.component[self.occurrences[(edge, "target")][0]]]
+        return self.classes[self.component[self.occurrences[edge][1][0]]]
 
 
 def _letter_key(letter: tuple[int, int]):
@@ -206,15 +200,14 @@ def canonical_root(word: VertexWord) -> tuple[VertexWord, VertexWord, int]:
     )
 
 
-def attachment_data(edge: EdgeRecord, side: str, shared: dict):
-    """(node, signed root exponent n, conjugator c) with image = c root^n c^-1,
-    for the image on one side of an edge: a one-letter g^k, free or
-    dihedral, is root g, n = k, c = 1 (see above).  Every one-letter image
+def attachment_data(word: VertexWord, shared: dict):
+    """(node, signed root exponent n, conjugator c) with word = c root^n c^-1,
+    for the attachment word on one side of an edge: a one-letter g^k, free
+    or dihedral, is root g, n = k, c = 1 (see above).  Every one-letter image
     at a vertex with root g gets the node and identity conjugator that
     ``shared`` holds for (vertex, g), and every node of root g the letters
     ``shared`` holds for g, all immutable, so a pass builds them once per
     root."""
-    word = edge.attachment_source if side == "source" else edge.attachment_target
     if len(word.letters) == 1:
         ((g, k),) = word.letters
         key = (word.vertex, g)
@@ -232,8 +225,8 @@ class _Arcs(Sequence):
     arc 2k runs from its target-side node with weight n_s/n_t and sign +1,
     and arc 2k+1 = 2k ^ 1 is its inverse."""
 
-    def __init__(self, labels: list[str], occurrences: dict):
-        self._labels = labels
+    def __init__(self, occurrences: dict):
+        self._labels = list(occurrences)
         self._occurrences = occurrences
 
     def __len__(self) -> int:
@@ -241,8 +234,7 @@ class _Arcs(Sequence):
 
     def __getitem__(self, a):
         label = self._labels[a >> 1]  # arithmetic shift: negative indices work too
-        node_t, n_t, _ = self._occurrences[(label, "target")]
-        node_s, n_s, _ = self._occurrences[(label, "source")]
+        (node_s, n_s, _), (node_t, n_t, _) = self._occurrences[label]
         if a & 1:
             return GroupoidArc(node_s, node_t, Fraction(n_t, n_s), label, -1)
         return GroupoidArc(node_t, node_s, Fraction(n_s, n_t), label, 1)
@@ -255,45 +247,41 @@ def build_groupoid(graph: GraphOfGroups) -> RatioGroupoid:
     """The ratio groupoid of the graph, split into components and decided.
 
     Each edge is read once, in id order (a validated graph stores its edges
-    sorted): its two attachment data are computed and its integer ends
-    recorded, a node taking the next id when it is first seen.  The nodes
-    are then listed in vertex-table order, sorting only the roots within
-    one vertex.  No arc is built here: ``arcs`` builds each when it is read,
-    per edge in id order with the stored orientation first, the order in
-    which the first unbalanced cycle is taken.
+    sorted), into its record; the nodes are numbered once, in vertex-table
+    order, and edge k becomes ends[k] = (target id, source id, |n_t|, |n_s|).
+    A BFS forest with potentials roots each component at its least node;
+    then the first non-tree edge of each component, in id order, whose
+    |weight| disagrees with the potentials closes its first unbalanced
+    cycle, and the first of those decides the graph.  ``arcs`` builds each
+    arc when read: arc 2k runs from edge k's target node with weight
+    n_s/n_t, and arc 2k+1 = 2k ^ 1 is its inverse.
     """
     shared: dict = {}
-    occurrences: dict = {}
-    ids: dict[GroupoidNode, int] = {}
-    ends: list[tuple[int, int, int, int]] = []
-    for e in graph.edges:
-        node_s, n_s, _ = occurrences[(e.name, "source")] = attachment_data(e, "source", shared)
-        node_t, n_t, _ = occurrences[(e.name, "target")] = attachment_data(e, "target", shared)
-        t, s = ids.setdefault(node_t, len(ids)), ids.setdefault(node_s, len(ids))
-        ends.append((t, s, abs(n_t), abs(n_s)))
+    occurrences = {
+        e.name: (
+            attachment_data(e.attachment_source, shared),
+            attachment_data(e.attachment_target, shared),
+        )
+        for e in graph.edges
+    }
+    index: dict[GroupoidNode, int] = {}  # node -> id, numbered below
     at_vertex: dict[str, list[GroupoidNode]] = {}
-    for node in ids:
-        at_vertex.setdefault(node.vertex, []).append(node)
+    for pair in occurrences.values():
+        for node, _, _ in pair:
+            if node not in index:
+                index[node] = -1
+                at_vertex.setdefault(node.vertex, []).append(node)
     nodes: list[GroupoidNode] = []
     for v, _ in graph.vertices:
-        roots = at_vertex.get(v)
-        if roots:
-            nodes += sorted(roots, key=GroupoidNode.sort_key) if len(roots) > 1 else roots
-    arcs = _Arcs([e.name for e in graph.edges], occurrences)
-    return _decide(tuple(nodes), [ids[node] for node in nodes], arcs, ends, occurrences)
+        roots = at_vertex.get(v, ())
+        nodes += sorted(roots, key=GroupoidNode.sort_key) if len(roots) > 1 else roots
+    index.update(zip(nodes, range(len(nodes))))
+    ends = [
+        (index[node_t], index[node_s], abs(n_t), abs(n_s))
+        for (node_s, n_s, _), (node_t, n_t, _) in occurrences.values()
+    ]
+    arcs = _Arcs(occurrences)
 
-
-def _decide(nodes, order, arcs, ends, occurrences) -> RatioGroupoid:
-    """One pass: a BFS forest with potentials (each component rooted at its
-    least node), then one scan of the edges in order.  A non-tree edge whose
-    weight disagrees in absolute value with the potentials closes the
-    component's first unbalanced cycle; the first of those overall decides
-    the graph.
-
-    Nodes carry the ids of the edge ends; order[i] is the id of nodes[i].
-    Edge k comes in as ends[k] = (target id, source id, |n_t|, |n_s|): arc
-    2k runs from the target node with weight n_s/n_t, arc 2k+1 = 2k ^ 1 is
-    its inverse."""
     adj: list[list[tuple[int, int, int, int]]] = [[] for _ in nodes]
     for k, (t, s, n_t, n_s) in enumerate(ends):
         # (arc, head, |weight| numerator, |weight| denominator), in arc order
@@ -304,7 +292,7 @@ def _decide(nodes, order, arcs, ends, occurrences) -> RatioGroupoid:
     tree_arc = [-1] * len(nodes)  # arc index into the node, -1 at a root
     parent = [-1] * len(nodes)
     root_of = [-1] * len(nodes)
-    for start in order:
+    for start in range(len(nodes)):
         if root_of[start] >= 0:
             continue
         root_of[start] = start
@@ -343,35 +331,34 @@ def _decide(nodes, order, arcs, ends, occurrences) -> RatioGroupoid:
             bottom *= arc.weight.denominator
         modulus = Fraction(top, bottom)
         if abs(modulus) == 1:
-            raise GoghError(f"internal: cycle through arc {arcs[2 * k].label} is balanced")
+            raise RuntimeError(f"cycle through arc {arcs[2 * k].label} is balanced")
         first_bad[root] = Unbalanced(cycle, modulus, occurrences)
         if isinstance(verdict, Balanced):
             verdict = first_bad[root]
 
-    # occurrences are keyed in sorted order, two per edge, and an edge's two
-    # occurrences share its component: so each component's members come out
-    # sorted and the components come out ordered by least member
-    keys = iter(occurrences)
-    members: dict[int, list[Occurrence]] = {}
-    for t, _, _, _ in ends:
-        members.setdefault(root_of[t], []).extend((next(keys), next(keys)))
-    position = {root: i for i, root in enumerate(members)}
+    # edges come in sorted, and an edge's two ends share its component: so
+    # each component's edges come out sorted and the components come out
+    # ordered by least edge
+    edges: dict[int, list[str]] = {}
+    for name, (t, _, _, _) in zip(occurrences, ends):
+        edges.setdefault(root_of[t], []).append(name)
+    position = {root: i for i, root in enumerate(edges)}
     component = {}
-    class_nodes: list[list[GroupoidNode]] = [[] for _ in members]
-    class_potentials: list[list[tuple[int, int]]] = [[] for _ in members]
-    for node, i in zip(nodes, order):
+    class_nodes: list[list[GroupoidNode]] = [[] for _ in edges]
+    class_potentials: list[list[tuple[int, int]]] = [[] for _ in edges]
+    for i, node in enumerate(nodes):
         c = component[node] = position[root_of[i]]
         class_nodes[c].append(node)
         class_potentials[c].append((num[i], den[i]))
     return RatioGroupoid(
-        nodes=nodes,
+        nodes=tuple(nodes),
         arcs=arcs,
         occurrences=occurrences,
         component=component,
         classes=tuple(
             EdgeClass(
                 i,
-                tuple(members[r]),
+                tuple(edges[r]),
                 tuple(class_nodes[i]),
                 first_bad.get(r, Balanced()),
                 tuple(class_potentials[i]),
@@ -381,4 +368,3 @@ def _decide(nodes, order, arcs, ends, occurrences) -> RatioGroupoid:
         ),
         verdict=verdict,
     )
-

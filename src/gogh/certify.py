@@ -63,9 +63,8 @@ def _crossing(arc: GroupoidArc, occurrences: dict) -> tuple[int, list]:
     """(n, kappa) for one arc: n is the root exponent of the attachment on
     the near (src) side and kappa = g_far^-1 t^sign g_near, so that
     kappa R_src^(n*m) kappa^-1 = R_dst^(n*m*weight) for every integer m."""
-    near, far = ("target", "source") if arc.sign > 0 else ("source", "target")
-    _, n, g_near = occurrences[(arc.label, near)]
-    _, _, g_far = occurrences[(arc.label, far)]
+    source, target = occurrences[arc.label]
+    (_, n, g_near), (_, _, g_far) = (target, source) if arc.sign > 0 else (source, target)
     kappa = invert_tokens(tokens_of_vertex_word(g_far)) + [("t", arc.label, arc.sign)]
     return n, kappa + tokens_of_vertex_word(g_near)
 
@@ -112,7 +111,7 @@ def almost_bs_witness(graph: GraphOfGroups, verdict) -> BSWitness:
         graph, to_path_form(graph, relation_tokens(a, s_tokens, i, j), base.vertex)
     )
     if reduced.tail or not reduced.head.is_identity:
-        raise GoghError("internal: witness relation failed Britton verification")
+        raise RuntimeError("witness relation failed Britton verification")
     return BSWitness(a=a, s=tuple(s_tokens), i=i, j=j, transcript=reduced)
 
 
@@ -150,7 +149,7 @@ def distortion_certificate(graph: GraphOfGroups, witness: BSWitness, depth: int)
         ik, jk = i**k, j**k
         tokens = relation_tokens(a, s * k, ik, jk)
         if not is_trivial(graph, to_path_form(graph, tokens, a.vertex)):
-            raise GoghError(f"internal: distortion identity failed at depth {k}")
+            raise RuntimeError(f"distortion identity failed at depth {k}")
         bound = 2 * k * s_len + abs(ik) * a_len
         rows.append(DistortionRow(k=k, exponent=jk, length_bound=bound, ratio=Fraction(bound, abs(jk))))
     return DistortionCertificate(witness=witness, rows=tuple(rows))

@@ -123,57 +123,57 @@ def verify_parametrization(graph: GraphOfGroups, phi):
 
 
 def provenance_holds(graph: GraphOfGroups, cg) -> bool:
-    """Check u = g * root^n * g^-1 in the original vertex group for every
-    member of the class: u is the member's attachment in graph, g the
-    conjugator the class holds for it, gen^n its attachment in the derived
-    graph, and root the root of the derived vertex's origin node, which
-    must lie in u's vertex.
+    """Check u = g * root^n * g^-1 in the original vertex group for both
+    sides of every class edge: u is the side's attachment in graph, g the
+    conjugator of that side in the class's record of the edge, gen^n its
+    derived attachment, and root the root of the derived vertex's origin
+    node, which must lie in u's vertex.
 
     The derived graph must hold nothing else: its edges are exactly the
-    class's edges, both sides of each a member, and each derived vertex has
-    an origin node at a vertex of graph, of the 2-ended kind that vertex
+    class's edges, in the same sorted order, and each derived vertex has an
+    origin node at a vertex of graph, of the 2-ended kind that vertex
     yields (dihedral for a dihedral vertex, free of rank one otherwise).
 
     cg is read by its ``graph``, ``edge_class`` and ``vertex_origin``, as a
     ``conjgraph.ConjugacyGraph`` holds them.  Evidence that does not fit the
-    class (a member edge missing from either graph, a derived edge or side
-    that is no member, no conjugator for a member, a derived attachment of
-    more than one letter, a derived vertex with no origin or of the wrong
-    kind, a root or conjugator letter that is no generator of a dihedral
-    vertex) fails the check instead of raising."""
+    class (a class edge missing from either graph, repeated or out of
+    order, a derived edge that is no class edge, an edge with no record or
+    a record that is no (source, target) pair of attachment data, a derived
+    attachment of more than one letter, a derived vertex with no origin or
+    of the wrong kind, a root or conjugator letter that is no generator of a
+    dihedral vertex) fails the check instead of raising."""
     original, derived_edges = graph.index.edges, cg.graph.index.edges
-    members = [(e, side) for e in cg.graph.edge_ids() for side in ("source", "target")]
-    if sorted(cg.edge_class.members) != members:
+    edges, occurrences = cg.edge_class.edges, cg.edge_class.occurrences
+    if list(edges) != list(cg.graph.edge_ids()):
         return False
     for dv, kind in cg.graph.vertices:
         origin = cg.vertex_origin.get(dv)
         at = None if origin is None else graph.index.kinds.get(origin.vertex)
         if at is None or kind != (at if isinstance(at, DihedralInfinite) else Free(1)):
             return False
-    occurrences = cg.edge_class.occurrences
-    for edge, side in cg.edge_class.members:
+    for edge in edges:
         e, derived_edge = original.get(edge), derived_edges.get(edge)
-        data = occurrences.get((edge, side))
-        if e is None or derived_edge is None or data is None:
-            return False
-        if side == "source":
-            u = e.attachment_source
-            dv, derived = derived_edge.source, derived_edge.attachment_source
-        else:
-            u = e.attachment_target
-            dv, derived = derived_edge.target, derived_edge.attachment_target
-        origin = cg.vertex_origin.get(dv)
-        if len(derived.letters) != 1 or origin is None or origin.vertex != u.vertex:
-            return False
-        ((_, n),) = derived.letters
-        g = data[2]
-        root = VertexWord(u.vertex, origin.root)
-        kind = graph.kind(u.vertex)
         try:
-            rebuilt = vw_mul(kind, g, vw_pow(kind, root, n), vw_inv(kind, g))
-            rest = vw_mul(kind, rebuilt, vw_inv(kind, u))
-        except ValueError:  # a letter of root or g is no generator of a dihedral u
+            (_, _, g_s), (_, _, g_t) = occurrences.get(edge)
+        except (TypeError, ValueError):  # no record, or not a pair of triples
             return False
-        if rest.letters:
+        if e is None or derived_edge is None:
             return False
+        for u, dv, derived, g in (
+            (e.attachment_source, derived_edge.source, derived_edge.attachment_source, g_s),
+            (e.attachment_target, derived_edge.target, derived_edge.attachment_target, g_t),
+        ):
+            origin = cg.vertex_origin.get(dv)
+            if len(derived.letters) != 1 or origin is None or origin.vertex != u.vertex:
+                return False
+            ((_, n),) = derived.letters
+            root = VertexWord(u.vertex, origin.root)
+            kind = graph.kind(u.vertex)
+            try:
+                rebuilt = vw_mul(kind, g, vw_pow(kind, root, n), vw_inv(kind, g))
+                rest = vw_mul(kind, rebuilt, vw_inv(kind, u))
+            except ValueError:  # a letter of root or g is no generator of a dihedral u
+                return False
+            if rest.letters:
+                return False
     return True

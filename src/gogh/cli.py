@@ -322,7 +322,7 @@ def _cmd_balance(graph: GraphOfGroups, args) -> dict:
 
 
 def _cmd_conjgraph(graph: GraphOfGroups, args) -> dict:
-    from .balance import build_groupoid
+    from .balance import SIDES, build_groupoid
     from .conjgraph import build_conjugacy_graph
 
     name = graph.edge(args.class_of).name
@@ -335,13 +335,14 @@ def _cmd_conjgraph(graph: GraphOfGroups, args) -> dict:
             fh.write(text)
     return {
         "class": cls.index,
-        "members": [[e, side] for e, side in cls.members],
+        "members": [[e, side] for e in cls.edges for side in SIDES],
         "vertices": [
             {"id": v, "origin": origin[v].vertex, "root": _word_str(VertexWord(*origin[v]))}
             for v, _ in cg.graph.vertices
         ],
         "provenance": {
-            f"{e}.{side}": _word_str(cls.occurrences[(e, side)][2]) for e, side in cls.members
+            f"{e}.{side}": _word_str(data[2])
+            for e in cls.edges for side, data in zip(SIDES, cls.occurrences[e])
         },
         "text": text,
     }

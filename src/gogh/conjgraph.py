@@ -1,11 +1,12 @@
 """Equivalence classes of edge images and their conjugacy graphs.
 
-Two attachment occurrences are equivalent when they are the two sides of
-one edge, or commensurable inside one vertex group (same canonical root in
-a free vertex; always, between infinite-order elements of a dihedral
+Two attachment images are equivalent when they are the two sides of one
+edge, or commensurable inside one vertex group (same canonical root in a
+free vertex; always, between infinite-order elements of a dihedral
 vertex).  The classes are the connected components of the ratio groupoid,
-taken from its single pass in ``balance`` together with each member's
-attachment data (node, root exponent, conjugator).  Each class yields a
+taken from its single pass in ``balance`` as the edges whose images land
+in them, together with each edge's record: the attachment data (node,
+root exponent, conjugator) of its source and target sides.  Each class yields a
 derived graph of 2-ended groups: one vertex per commensurability class of
 roots inside each original vertex, carrying the maximal 2-ended subgroup
 around the representative root, and one edge per original edge of the
@@ -36,7 +37,7 @@ from .model import (
 @dataclass(eq=False)
 class ConjugacyGraph:
     graph: GraphOfGroups  # the derived graph of 2-ended groups
-    edge_class: EdgeClass  # its occurrences hold each member's conjugator
+    edge_class: EdgeClass  # its occurrences hold each edge's conjugators
     vertex_origin: dict  # derived vertex -> its GroupoidNode (vertex, root letters),
     # keyed in the order of edge_class.nodes
 
@@ -44,18 +45,18 @@ class ConjugacyGraph:
 def build_conjugacy_graph(graph: GraphOfGroups, cls: EdgeClass) -> ConjugacyGraph:
     """Derived graph for one class, with provenance into the original group.
 
-    For every occurrence u = g * root^n * g^-1 the derived attachment is the
-    n-th power of the derived vertex generator standing for the root; the
-    representative root is the canonical root shared by the class members at
-    that vertex, so rebuilding is deterministic.  The attachment data and
+    For every attachment u = g * root^n * g^-1 of a class edge the derived
+    attachment is the n-th power of the derived vertex generator standing
+    for the root; the representative root is the canonical root shared by
+    the class's attachments at that vertex, so rebuilding is deterministic.  The attachment data and
     the nodes are the ones the groupoid pass recorded on the class.
     """
     # A connected graph of 2-ended groups with an edge has one class, holding
-    # all 2|E| occurrences (a smaller class needs no scan of the vertex table),
+    # all |E| edges (a smaller class needs no scan of the vertex table),
     # and the one-letter rule of balance.attachment_data gives it one node per
     # vertex (v.1 or d.r), no conjugators and the input's exponents: its own
     # derived graph.
-    if len(cls.members) < 2 * len(graph.edges) or not all(
+    if len(cls.edges) < len(graph.edges) or not all(
         isinstance(kind, DihedralInfinite) or kind.rank == 1 for _, kind in graph.vertices
     ):
         return _derived_conjugacy_graph(graph, cls)
@@ -89,9 +90,8 @@ def _derived_conjugacy_graph(graph: GraphOfGroups, cls: EdgeClass) -> ConjugacyG
         return VertexWord(names[node], ((gen, n),))
 
     edges = []
-    for edge in cls.edge_ids():
-        node_s, n_s, _ = cls.occurrences[(edge, "source")]
-        node_t, n_t, _ = cls.occurrences[(edge, "target")]
+    for edge in cls.edges:
+        (node_s, n_s, _), (node_t, n_t, _) = cls.occurrences[edge]
         edges.append(
             EdgeRecord(
                 name=edge,

@@ -95,28 +95,28 @@ def _parametrization(
     """The primitive linear parametrization of a balanced connected graph of
     2-ended groups, in integers.
 
-    ``potential`` maps each vertex to the |potential| of its groupoid node
-    as a reduced pair (num, den), ``attachments`` each (edge, side) to the
-    pass's (node, signed root exponent, conjugator).  Along the arc
-    target -> source of weight n_s/n_t the potential scales by |n_s/n_t|,
-    while the tree relation E_s * n_s = E_t * n_t scales the rotation
-    exponent by n_t/n_s: so |E_v| is proportional to 1/|potential_v|,
+    ``potential`` maps each vertex to the |potential| of its groupoid node as a
+    reduced pair (num, den), ``attachments`` each edge to the pass's (source,
+    target) record, each side (node, signed root exponent, conjugator).  Along
+    the arc target -> source of weight n_s/n_t the potential scales by
+    |n_s/n_t|, while the tree relation E_s * n_s = E_t * n_t scales the
+    rotation exponent by n_t/n_s: so |E_v| is proportional to 1/|potential_v|,
     cleared to integers by L = lcm of the numerators.  The result is already
     primitive.  The class root has potential (1, 1), hence magnitude L, so a
     prime p dividing every magnitude divides L; but the node whose numerator
-    holds the highest power of p has magnitude den * (L // num) with
-    neither factor divisible by p (den is prime to num).  The root of the
-    spanning tree is positive, and one walk over the tree parents in BFS
-    order flips the sign across each edge whose two exponents have opposite
-    signs.  A stable letter maps to the reflection exactly when its relation
-    needs a sign flip.  No tree edge does: the walk sets the sign of a tree
-    edge's child to its parent's sign flipped by the edge, so its two sides
-    always agree, and the edge needs no lookup in the tree."""
+    holds the highest power of p has magnitude den * (L // num) with neither
+    factor divisible by p (den is prime to num).  The root of the spanning tree
+    is positive, and one walk over the tree parents in BFS order flips the sign
+    across each edge whose two exponents have opposite signs.  A stable letter
+    maps to the reflection exactly when its relation needs a sign flip.  No
+    tree edge does: the walk sets the sign of a tree edge's child to its
+    parent's sign flipped by the edge, so its two sides always agree, and the
+    edge needs no lookup in the tree."""
     scale = lcm(*(num for num, _ in potential.values()))
     negative = {graph.vertices[0][0]: False}  # the tree is rooted at the least vertex
     for vertex, (parent, (edge, _)) in graph.index.parents.items():
-        flip = (attachments[(edge, "source")][1] < 0) != (attachments[(edge, "target")][1] < 0)
-        negative[vertex] = negative[parent] != flip
+        (_, n_s, _), (_, n_t, _) = attachments[edge]  # a flip when their signs differ
+        negative[vertex] = negative[parent] != ((n_s < 0) != (n_t < 0))
 
     vertex_images = []
     for v, kind in graph.vertices:
@@ -131,9 +131,8 @@ def _parametrization(
     stable_images = []
     for e in graph.edges:
         # E_t * n_t and E_s * n_s agree in absolute value; compare their signs
-        target = negative[e.target] != (attachments[(e.name, "target")][1] < 0)
-        source = negative[e.source] != (attachments[(e.name, "source")][1] < 0)
-        if target != source:
+        (_, n_s, _), (_, n_t, _) = attachments[e.name]
+        if (negative[e.target] != (n_t < 0)) != (negative[e.source] != (n_s < 0)):
             stable_images.append((e.name, _REFLECTION))
     return LinearParametrization(tuple(vertex_images), tuple(stable_images))
 
@@ -141,7 +140,7 @@ def _parametrization(
 def _verified(graph: GraphOfGroups, phi: LinearParametrization) -> LinearParametrization:
     ok, report = verify_parametrization(graph, phi)
     if not ok:
-        raise GoghError(f"internal contradiction: certificate failed verification: {report}")
+        raise RuntimeError(f"certificate failed verification: {report}")
     return phi
 
 

@@ -112,8 +112,8 @@ def test_every_arc_has_reciprocal_inverse():
 def test_pass_emits_edge_arcs_in_order_and_class_attachments():
     """Two arcs per edge, in edge-id order with the stored orientation
     first: the order the first unbalanced cycle is read in.  Each class
-    reads its members' attachment data from the groupoid's one map, and
-    carries its nodes in groupoid order."""
+    reads its edges' records from the groupoid's one map, and carries its
+    nodes in groupoid order."""
     rng = random.Random(73)
     kinds = set()
     for _ in range(50):
@@ -124,10 +124,14 @@ def test_pass_emits_edge_arcs_in_order_and_class_attachments():
             (e, s) for e in graph.edge_ids() for s in (1, -1)
         ]
         for cls in g.classes:
-            assert list(cls.members) == sorted(cls.members)
+            assert list(cls.edges) == sorted(cls.edges)
             assert cls.occurrences is g.occurrences
-            for occ in cls.members:
-                assert cls.occurrences[occ] == attachment_data(graph.edge(occ[0]), occ[1], {})
+            for name in cls.edges:
+                e = graph.edge(name)
+                assert cls.occurrences[name] == (
+                    attachment_data(e.attachment_source, {}),
+                    attachment_data(e.attachment_target, {}),
+                )
             assert cls.nodes == tuple(n for n in g.nodes if g.component[n] == cls.index)
     assert {DihedralInfinite(), Free(1), Free(2)} <= kinds
 
@@ -148,8 +152,9 @@ def test_dihedral_exponent_is_the_rotation_of_the_attachment():
         data = build_groupoid(graph).occurrences
         found = 0
         for e in graph.edges:
-            for side, word in zip(SIDES, (e.attachment_source, e.attachment_target)):
-                node, k, conj = data[(e.name, side)]
+            for side, word, (node, k, conj) in zip(
+                SIDES, (e.attachment_source, e.attachment_target), data[e.name]
+            ):
                 assert node.vertex == word.vertex
                 kind = graph.kind(word.vertex)
                 if isinstance(kind, DihedralInfinite):
@@ -176,18 +181,24 @@ def _reference_groupoid(graph):
     """The groupoid pass written with node-keyed dicts and Fraction
     potentials, testing both arcs of every edge: the reference the
     id-indexed pass must reproduce field for field."""
-    occurrences = {
-        (e.name, side): attachment_data(e, side, {}) for e in graph.edges for side in SIDES
-    }
-    nodes = tuple(sorted({node for node, _, _ in occurrences.values()}, key=GroupoidNode.sort_key))
+    occurrences = {}
+    for e in graph.edges:
+        occurrences[e.name] = tuple(
+            attachment_data(word, {}) for word in (e.attachment_source, e.attachment_target)
+        )
+    nodes = tuple(
+        sorted(
+            {node for pair in occurrences.values() for node, _, _ in pair},
+            key=GroupoidNode.sort_key,
+        )
+    )
 
     def invert(arc):
         return GroupoidArc(arc.dst, arc.src, 1 / arc.weight, arc.label, -arc.sign)
 
     arcs = []
     for e in graph.edges:
-        node_t, n_t, _ = occurrences[(e.name, "target")]
-        node_s, n_s, _ = occurrences[(e.name, "source")]
+        (node_s, n_s, _), (node_t, n_t, _) = occurrences[e.name]
         fwd = GroupoidArc(node_t, node_s, Fraction(n_s, n_t), e.name, 1)
         arcs += [fwd, invert(fwd)]
     adj = {n: [] for n in nodes}
@@ -233,12 +244,13 @@ def _reference_groupoid(graph):
         first_bad[root] = Unbalanced(tuple(cycle), modulus, occurrences)
         if isinstance(verdict, Balanced):
             verdict = first_bad[root]
-    members, class_nodes = {}, {}
-    for occ, data in occurrences.items():
-        members.setdefault(root_of[data[0]], []).append(occ)
+    class_edges, class_nodes = {}, {}
+    for edge, pair in occurrences.items():
+        for node, _, _ in pair:  # both sides land in one component
+            class_edges.setdefault(root_of[node], {})[edge] = None
     for node in nodes:
         class_nodes.setdefault(root_of[node], []).append(node)
-    position = {root: i for i, root in enumerate(members)}
+    position = {root: i for i, root in enumerate(class_edges)}
     return RatioGroupoid(
         nodes=nodes,
         arcs=tuple(arcs),
@@ -247,7 +259,7 @@ def _reference_groupoid(graph):
         classes=tuple(
             EdgeClass(
                 i,
-                tuple(members[r]),
+                tuple(class_edges[r]),
                 tuple(class_nodes[r]),
                 first_bad.get(r, Balanced()),
                 tuple(
@@ -255,7 +267,7 @@ def _reference_groupoid(graph):
                 ),
                 occurrences,
             )
-            for i, r in enumerate(members)
+            for i, r in enumerate(class_edges)
         ),
         verdict=verdict,
     )
@@ -347,7 +359,7 @@ def test_pass_builds_only_the_arcs_it_reports(monkeypatch):
     assert built == {"Fraction": 800, "GroupoidArc": 800}
     assert [(a.label, a.sign) for a in arcs] == [(f"e{i:04d}", s) for i in range(400) for s in (1, -1)]
     # the one-letter images at a vertex share one node and one identity conjugator
-    one_letter = [data for data in g.occurrences.values() if data[2].is_identity]
+    one_letter = [data for pair in g.occurrences.values() for data in pair if data[2].is_identity]
     assert len(one_letter) == 800 - 80
     assert len({id(node) for node, _, _ in one_letter}) == len({node for node, _, _ in one_letter})
     assert len({id(conj) for _, _, conj in one_letter}) == len({node for node, _, _ in one_letter})

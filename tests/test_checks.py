@@ -7,6 +7,9 @@ conjugacy graph the program builds passes it.
 """
 
 import random
+from dataclasses import replace
+
+import pytest
 
 from conftest import fixture_graphs, random_graph, random_tree_graph
 from gogh.balance import GroupoidNode, build_groupoid
@@ -99,6 +102,54 @@ def test_provenance_with_a_derived_vertex_of_the_wrong_kind_fails():
         'edge e from=u to=v img_from="u.r^2" img_to="v.1^3"\n'
     )
     assert not provenance_holds(g, ConjugacyGraph(dihedral_u, cg.edge_class, cg.vertex_origin))
+
+
+# one class of two edges: both attachments at u are conjugate powers of u.1
+TWO_EDGE_CLASS_TEXT = (
+    "vertex u free 2\n"
+    "vertex v free 2\n"
+    'edge e from=u to=v img_from="u.1^2" img_to="v.1^3"\n'
+    'edge f from=v to=u img_from="v.1^2" img_to="u.2 u.1^3 u.2^-1"\n'
+)
+
+
+@pytest.mark.parametrize(
+    "edges", [("e", "e", "f"), ("e", "f", "f"), ("e",), ("f",), ("f", "e"), ()],
+    ids=["repeat-e", "repeat-f", "omit-f", "omit-e", "out-of-order", "empty"],
+)
+def test_provenance_with_malformed_class_edges_fails(edges):
+    """The class's edges must be the derived graph's, each once and sorted."""
+    g = parse(TWO_EDGE_CLASS_TEXT)
+    cg = _only_class_graph(g)
+    assert cg.edge_class.edges == ("e", "f") and provenance_holds(g, cg)
+    cls = replace(cg.edge_class, edges=edges)
+    assert not provenance_holds(g, ConjugacyGraph(cg.graph, cls, cg.vertex_origin))
+
+
+@pytest.mark.parametrize(
+    "record", ["missing", None, "one side", "three sides", "source alone", "sides of two", "string"]
+)
+def test_provenance_with_a_malformed_edge_record_fails(record):
+    """An edge with no record, or a record that is no (source, target) pair
+    of attachment data, fails the check instead of raising."""
+    g = parse(TWO_EDGE_CLASS_TEXT)
+    cg = _only_class_graph(g)
+    occurrences = dict(cg.edge_class.occurrences)
+    source, target = occurrences["f"]
+    bad = {
+        None: None,
+        "one side": (source,),
+        "three sides": (source, target, target),
+        "source alone": source,
+        "sides of two": (source[:2], target[:2]),
+        "string": "st",
+    }
+    if record == "missing":
+        del occurrences["f"]
+    else:
+        occurrences["f"] = bad[record]
+    cls = replace(cg.edge_class, occurrences=occurrences)
+    assert not provenance_holds(g, ConjugacyGraph(cg.graph, cls, cg.vertex_origin))
 
 
 def test_every_built_conjugacy_graph_passes():

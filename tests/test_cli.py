@@ -436,6 +436,52 @@ def test_internal_error_exit_3(tmp_path, monkeypatch, capsys):
     assert "RuntimeError: boom" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "target, replacement, argv, text, message",
+    [
+        (
+            "gogh.balance.Fraction",
+            lambda *args: Fraction(1),
+            ["verdict"],
+            BS32_TEXT,
+            "cycle through arc e is balanced",
+        ),
+        (
+            "gogh.parametrize.verify_parametrization",
+            lambda graph, phi: (False, ["forced"]),
+            ["verdict"],
+            TREFOIL_TEXT,
+            "certificate failed verification: ['forced']",
+        ),
+        (
+            "gogh.certify.britton_reduce",
+            lambda graph, path: path,
+            ["witness"],
+            BS32_TEXT,
+            "witness relation failed Britton verification",
+        ),
+        (
+            "gogh.certify.is_trivial",
+            lambda graph, path: False,
+            ["distortion", "--depth", "1"],
+            BS32_TEXT,
+            "distortion identity failed at depth 1",
+        ),
+    ],
+    ids=["balance", "parametrize", "britton", "distortion"],
+)
+def test_failed_self_check_exits_3(tmp_path, monkeypatch, capsys, target, replacement, argv, text, message):
+    """A producer whose own result fails its check is an internal error, not
+    bad input: exit 3 and one JSON error object on stdout."""
+    monkeypatch.setattr(target, replacement)
+    code = main([argv[0], write(tmp_path, "g.gog", text), *argv[1:]])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out.count("\n") == 1
+    assert json.loads(out) == {"error": f"internal: RuntimeError: {message}", "line": 0, "column": 0}
+    assert message in err
+
+
 # -- the collector pause -------------------------------------------------------------
 
 

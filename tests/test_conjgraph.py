@@ -11,7 +11,7 @@ from gogh.model import DihedralInfinite, Free, validate
 def test_single_edge_single_class(bs32):
     classes = build_groupoid(bs32).classes
     assert len(classes) == 1
-    assert classes[0].members == (("e", "source"), ("e", "target"))
+    assert classes[0].edges == ("e",)
 
 
 def test_f2_sides_commensurable_one_class(f2_example):
@@ -27,8 +27,8 @@ def test_two_independent_loops_two_classes():
     )
     classes = build_groupoid(g).classes
     assert len(classes) == 2
-    assert classes[0].edge_ids() == ("e1",)
-    assert classes[1].edge_ids() == ("e2",)
+    assert classes[0].edges == ("e1",)
+    assert classes[1].edges == ("e2",)
 
 
 def test_conjugacy_graph_of_f2_example(f2_example):
@@ -44,8 +44,9 @@ def test_conjugacy_graph_of_f2_example(f2_example):
     # the derived vertex points at the class node, and the nontrivial
     # conjugator is b on the target side
     assert list(cg.vertex_origin.values()) == list(cg.edge_class.nodes)
-    assert cg.edge_class.occurrences[("e", "target")][2].letters == ((2, 1),)
-    assert cg.edge_class.occurrences[("e", "source")][2].letters == ()
+    (_, _, conj_s), (_, _, conj_t) = cg.edge_class.occurrences["e"]
+    assert conj_t.letters == ((2, 1),)
+    assert conj_s.letters == ()
 
 
 def test_conjugacy_graph_of_bs32_is_isomorphic_copy(bs32):
@@ -71,7 +72,7 @@ def test_class_spanning_two_loops_through_conjugation():
         'edge e2 from=v to=v img_from="v.2 v.1^4 v.2^-1" img_to="v.1^6"\n'
     )
     (cls,) = build_groupoid(g).classes
-    assert cls.edge_ids() == ("e1", "e2")
+    assert cls.edges == ("e1", "e2")
     cg = build_conjugacy_graph(g, cls)
     assert serialize(cg.graph) == (
         "vertex v free 1\n"
@@ -137,7 +138,7 @@ def test_classes_partition_occurrences():
         g = random_graph(rng)
         seen = []
         for cls in build_groupoid(g).classes:
-            seen.extend(cls.members)
+            seen.extend((e, side) for e in cls.edges for side in ("source", "target"))
         expected = sorted((e, side) for e in g.edge_ids() for side in ("source", "target"))
         assert sorted(seen) == expected
 

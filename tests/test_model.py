@@ -172,7 +172,7 @@ def test_records_are_slotted_and_frozen():
         (edge, "attachment_source"),
         (graph, "edges"),
         (graph, "index"),
-        (build_groupoid(graph).classes[0], "members"),
+        (build_groupoid(graph).classes[0], "edges"),
     ]
     for record, field in records:
         assert not hasattr(record, "__dict__"), type(record)

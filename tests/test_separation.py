@@ -29,7 +29,6 @@ CHECKERS = (
 
 PRODUCERS = {
     "build_groupoid",
-    "_decide",
     "attachment_data",
     "canonical_root",
     "_least_rotation",
