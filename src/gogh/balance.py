@@ -21,37 +21,32 @@ Reflections enter only through the stable-letter images of the
 parametrization.
 
 This module owns the canonical roots, the groupoid and everything read off
-it in one pass: spanning-forest potentials, the connected components
-(which are the edge-image equivalence classes), and per component either
-its first unbalanced cycle in arc order or balance.  Each edge adds one
-relation t a_t^(n_t) t^-1 = a_s^(n_s), so the pass keeps one record per
-edge, the attachment data of its source and target sides.  It numbers the
-nodes once, in vertex-table order and by root within a vertex (the order
-of ``GroupoidNode.sort_key``); an edge becomes its two end ids and its two
-absolute root exponents, and adjacency, potentials, tree arcs and
-component roots are lists indexed by id.  All one-letter images g^k at a
-vertex share one node and one identity conjugator, so the pass allocates
-per node, not per occurrence.  Arcs, with their ``Fraction`` weights, are
-built when read: the pass builds only those of the cycles it reports.  A
-potential is the absolute value of a product of arc weights, kept as a
-gcd-reduced pair of positive integers, and an arc is balanced when
-cross-multiplying it with the potentials of its ends agrees; each class
-keeps its nodes' potentials, from which ``parametrize`` builds its
-certificate.  The two arcs of an edge are reciprocal, so they are balanced
-together: each non-tree edge is tested once, and an unbalanced one closes
-its cycle through its +1 arc, the arc met first in arc order.  Each fact
-is stored once: the attachment data lives in the pass's one map from edge
-to record, a class holds its verdict and its edges, and an unbalanced
-verdict holds the map, which ``certify`` reads.  Graph, edge and class
-verdicts are all lookups into that pass.
+it in one pass: the connected components (which are the edge-image
+equivalence classes), their potentials, and per component either balance
+or one unbalanced cycle.  Each edge adds one relation
+t a_t^(n_t) t^-1 = a_s^(n_s), so the pass keeps one record per edge, the
+attachment data of its two sides; all one-letter images g^k at a vertex
+share one node and one identity conjugator.  A potential is the absolute
+value of a product of arc weights, kept as a gcd-reduced pair of positive
+integers.  A union-find with path compression (Galler-Fischer, CACM 7(5),
+1964; Tarjan, JACM 22(2), 1975) keeps each node's potential relative to
+its parent and makes the lesser node id the root, so a balanced class's
+potentials are relative to its least node, whatever path set them, and
+``parametrize`` builds its certificate from them.  The first edge that
+disagrees with the potentials of its component closes a cycle with the
+fewest arcs back through earlier edges, which are balanced among
+themselves, so the cycle visits no node twice; arcs, with their
+``Fraction`` weights, are built for those cycles only.  Each fact is
+stored once: the attachment data lives in the pass's one map from edge to
+record, a class holds its verdict and its edges, and an unbalanced verdict
+holds the map, which ``certify`` reads.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import NamedTuple
 
 from . import freewords as fw
@@ -108,9 +103,9 @@ class EdgeClass:
     edges: tuple[str, ...]  # its edge ids, sorted
     nodes: tuple[GroupoidNode, ...]  # the component's nodes, in groupoid order
     verdict: BalanceVerdict  # the component's first unbalanced cycle, or balance
-    # |potential| of each node, aligned with nodes, as a reduced pair (num, den)
-    # of positive ints: the product of |arc weights| along the pass's tree path
-    # from the component's least node
+    # |potential| of each node relative to the component's least node, aligned
+    # with nodes, as a reduced pair (num, den) of positive ints; in an
+    # unbalanced class it depends on the path the pass read it along
     potentials: tuple[tuple[int, int], ...]
     # the groupoid's one map of attachment data, edge -> (source, target),
     # each side (node, signed root exponent, conjugator)
@@ -120,13 +115,16 @@ class EdgeClass:
 @dataclass(eq=False)
 class RatioGroupoid:
     nodes: tuple[GroupoidNode, ...]  # in vertex-table order, then by sort_key
-    # per edge in id order: sign +1, then -1; each arc is built when read, and
-    # the length is known without building any
-    arcs: Sequence[GroupoidArc]
     occurrences: dict  # edge -> (source, target) attachment data, in id order
     component: dict  # node -> index of its component in classes
     classes: tuple[EdgeClass, ...]  # components, ordered by least edge
-    verdict: BalanceVerdict  # the whole graph: first unbalanced cycle in arc order
+    verdict: BalanceVerdict  # the whole graph: the cycle closed first in id order
+
+    @property
+    def arcs(self) -> tuple[GroupoidArc, ...]:
+        """The arcs the pass built: those of its classes' unbalanced cycles."""
+        cycles = (cls.verdict.cycle for cls in self.classes if isinstance(cls.verdict, Unbalanced))
+        return tuple(arc for cycle in cycles for arc in cycle)
 
     def class_of(self, edge: str) -> EdgeClass:
         """The component of an edge, whose verdict is the edge's balance.
@@ -220,41 +218,25 @@ def attachment_data(word: VertexWord, shared: dict):
     return GroupoidNode(word.vertex, root.letters), n, conj
 
 
-class _Arcs(Sequence):
-    """The arcs of a groupoid, each built when it is read: for the k-th edge,
-    arc 2k runs from its target-side node with weight n_s/n_t and sign +1,
-    and arc 2k+1 = 2k ^ 1 is its inverse."""
-
-    def __init__(self, occurrences: dict):
-        self._labels = list(occurrences)
-        self._occurrences = occurrences
-
-    def __len__(self) -> int:
-        return 2 * len(self._labels)
-
-    def __getitem__(self, a):
-        label = self._labels[a >> 1]  # arithmetic shift: negative indices work too
-        (node_s, n_s, _), (node_t, n_t, _) = self._occurrences[label]
-        if a & 1:
-            return GroupoidArc(node_s, node_t, Fraction(n_t, n_s), label, -1)
+def _arc(occurrences: dict, label: str, sign: int) -> GroupoidArc:
+    """An arc of an edge, from its record: sign +1 runs from the target-side
+    node with weight n_s/n_t, and sign -1 is its inverse."""
+    (node_s, n_s, _), (node_t, n_t, _) = occurrences[label]
+    if sign > 0:
         return GroupoidArc(node_t, node_s, Fraction(n_s, n_t), label, 1)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Sequence) and tuple(self) == tuple(other)
+    return GroupoidArc(node_s, node_t, Fraction(n_t, n_s), label, -1)
 
 
 def build_groupoid(graph: GraphOfGroups) -> RatioGroupoid:
     """The ratio groupoid of the graph, split into components and decided.
 
-    Each edge is read once, in id order (a validated graph stores its edges
-    sorted), into its record; the nodes are numbered once, in vertex-table
-    order, and edge k becomes ends[k] = (target id, source id, |n_t|, |n_s|).
-    A BFS forest with potentials roots each component at its least node;
-    then the first non-tree edge of each component, in id order, whose
-    |weight| disagrees with the potentials closes its first unbalanced
-    cycle, and the first of those decides the graph.  ``arcs`` builds each
-    arc when read: arc 2k runs from edge k's target node with weight
-    n_s/n_t, and arc 2k+1 = 2k ^ 1 is its inverse.
+    Each edge is read into its record in id order (a validated graph stores
+    its edges sorted) and the nodes are numbered in vertex-table order, by
+    ``GroupoidNode.sort_key`` within a vertex.  One union-find loop over the
+    edges in id order then unites components and tests the edges inside
+    one.  Each unbalanced class's cycle is its first failing edge's +1 arc,
+    then the fewest arcs back by a BFS through earlier edges; the graph's
+    verdict is the class whose cycle closed first.
     """
     shared: dict = {}
     occurrences = {
@@ -276,83 +258,100 @@ def build_groupoid(graph: GraphOfGroups) -> RatioGroupoid:
         roots = at_vertex.get(v, ())
         nodes += sorted(roots, key=GroupoidNode.sort_key) if len(roots) > 1 else roots
     index.update(zip(nodes, range(len(nodes))))
-    ends = [
-        (index[node_t], index[node_s], abs(n_t), abs(n_s))
-        for (node_s, n_s, _), (node_t, n_t, _) in occurrences.values()
-    ]
-    arcs = _Arcs(occurrences)
+    del at_vertex  # freed before the pass, whose peak it would raise
 
-    adj: list[list[tuple[int, int, int, int]]] = [[] for _ in nodes]
-    for k, (t, s, n_t, n_s) in enumerate(ends):
-        # (arc, head, |weight| numerator, |weight| denominator), in arc order
-        adj[t].append((2 * k, s, n_s, n_t))
-        adj[s].append((2 * k + 1, t, n_t, n_s))
-    num = [1] * len(nodes)  # |potential| = num / den
-    den = [1] * len(nodes)
-    tree_arc = [-1] * len(nodes)  # arc index into the node, -1 at a root
-    parent = [-1] * len(nodes)
-    root_of = [-1] * len(nodes)
-    for start in range(len(nodes)):
-        if root_of[start] >= 0:
+    # |potential of v| = num[v] / den[v] times parent[v]'s; a root is its own parent
+    parent = list(range(len(nodes)))
+    num, den = [1] * len(nodes), [1] * len(nodes)
+
+    def find(v: int) -> int:
+        """v's root, pointing v and the nodes above it straight at it."""
+        root = parent[v]
+        if parent[root] == root:
+            return root
+        path = []
+        while parent[root] != root:
+            path.append(v)
+            v, root = root, parent[root]
+        for u in reversed(path):  # each points at a node that points at root
+            w = parent[u]
+            p, q = num[u] * num[w], den[u] * den[w]
+            g = gcd(p, q)
+            num[u], den[u], parent[u] = p // g, q // g, root
+        return root
+
+    closing: dict[int, int] = {}  # root -> position of its first failing edge
+    tails = []  # each edge's target-side node id
+    for k, ((node_s, n_s, _), (node_t, n_t, _)) in enumerate(occurrences.values()):
+        t, s = index[node_t], index[node_s]
+        tails.append(t)
+        r_t, r_s = find(t), find(s)
+        # the arc t -> s scales the potential by |n_s/n_t|: it agrees iff x == y
+        x = num[t] * den[s] * abs(n_s)
+        y = num[s] * den[t] * abs(n_t)
+        if r_t == r_s:
+            if x != y:
+                closing.setdefault(r_t, k)
             continue
-        root_of[start] = start
-        queue = [start]
-        for u in queue:  # the list grows as it is read: a FIFO queue
-            for a, v, p, q in adj[u]:
-                if root_of[v] < 0:
-                    x, y = num[u] * p, den[u] * q
-                    g = gcd(x, y)
-                    num[v], den[v] = x // g, y // g
-                    tree_arc[v], parent[v], root_of[v] = a, u, start
-                    queue.append(v)
+        if r_s < r_t:
+            r_t, r_s, x, y = r_s, r_t, y, x
+        g = gcd(x, y)  # |potential of r_s| / |potential of r_t| = x / y
+        parent[r_s], num[r_s], den[r_s] = r_t, x // g, y // g
+        if r_s in closing:
+            closing[r_t] = min(closing.pop(r_s), closing.get(r_t, k))
 
-    def path_from_root(v: int) -> list[int]:
-        chain = []
-        while tree_arc[v] >= 0:
-            chain.append(tree_arc[v])
-            v = parent[v]
-        chain.reverse()
-        return chain
-
-    first_bad: dict[int, Unbalanced] = {}
-    verdict: BalanceVerdict = Balanced()
-    for k, (t, s, n_t, n_s) in enumerate(ends):
-        root = root_of[t]
-        # a tree edge agrees with the potential it set
-        if root in first_bad or tree_arc[s] == 2 * k or tree_arc[t] == 2 * k + 1:
-            continue
-        if num[t] * n_s * den[s] == num[s] * n_t * den[t]:
-            continue
-        walk = path_from_root(t) + [2 * k] + [a ^ 1 for a in reversed(path_from_root(s))]
-        cycle = tuple(arcs[a] for a in walk)
-        top = bottom = 1
-        for arc in cycle:
-            top *= arc.weight.numerator
-            bottom *= arc.weight.denominator
-        modulus = Fraction(top, bottom)
-        if abs(modulus) == 1:
-            raise RuntimeError(f"cycle through arc {arcs[2 * k].label} is balanced")
-        first_bad[root] = Unbalanced(cycle, modulus, occurrences)
-        if isinstance(verdict, Balanced):
-            verdict = first_bad[root]
-
+    for v in range(len(nodes)):
+        find(v)  # from here on, parent[v] is v's root
     # edges come in sorted, and an edge's two ends share its component: so
     # each component's edges come out sorted and the components come out
     # ordered by least edge
     edges: dict[int, list[str]] = {}
-    for name, (t, _, _, _) in zip(occurrences, ends):
-        edges.setdefault(root_of[t], []).append(name)
+    adj: dict[int, list[tuple[int, int, int]]] = {}  # of the unbalanced components
+    for k, (name, t) in enumerate(zip(occurrences, tails)):
+        r = parent[t]
+        edges.setdefault(r, []).append(name)
+        if r in closing:
+            s = index[occurrences[name][0][0]]
+            adj.setdefault(t, []).append((k, s, 1))
+            adj.setdefault(s, []).append((k, t, -1))
+    first_bad: dict[int, Unbalanced] = {}
+    labels = list(occurrences)
+    for r, k in closing.items():
+        label = labels[k]
+        (node_s, _, _), (node_t, _, _) = occurrences[label]
+        t, s = index[node_t], index[node_s]
+        # the fewest arcs from s back to t over edges before the closing one:
+        # these join s and t in a balanced part, and a shortest path repeats no node
+        back = {s: None}
+        queue = [s]
+        for u in queue:  # the list grows as it is read: a FIFO queue
+            for j, v, sign in adj[u]:
+                if j < k and v not in back:
+                    back[v] = (u, j, sign)
+                    queue.append(v)
+        steps = []
+        while t != s:
+            t, j, sign = back[t]
+            steps.append(_arc(occurrences, labels[j], sign))
+        cycle = (_arc(occurrences, label, 1), *reversed(steps))
+        modulus = Fraction(
+            prod(a.weight.numerator for a in cycle), prod(a.weight.denominator for a in cycle)
+        )
+        if abs(modulus) == 1:
+            raise RuntimeError(f"cycle through arc {label} is balanced")
+        first_bad[r] = Unbalanced(cycle, modulus, occurrences)
+    verdict = first_bad[min(closing, key=closing.get)] if closing else Balanced()
+
     position = {root: i for i, root in enumerate(edges)}
     component = {}
     class_nodes: list[list[GroupoidNode]] = [[] for _ in edges]
     class_potentials: list[list[tuple[int, int]]] = [[] for _ in edges]
     for i, node in enumerate(nodes):
-        c = component[node] = position[root_of[i]]
+        c = component[node] = position[parent[i]]
         class_nodes[c].append(node)
         class_potentials[c].append((num[i], den[i]))
     return RatioGroupoid(
         nodes=tuple(nodes),
-        arcs=arcs,
         occurrences=occurrences,
         component=component,
         classes=tuple(

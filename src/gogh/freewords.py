@@ -73,6 +73,8 @@ def mul_letters(*parts: Letters) -> Letters:
 
 
 def pow_letters(letters: Letters, n: int) -> Letters:
+    """The reduced n-th power.  A reduced c u c^-1 has n-th power c u^n c^-1,
+    so when u is one letter the power takes O(|c|) letters whatever n."""
     if n < 0:
         return pow_letters(inv_letters(letters), -n)
     if n == 0:
@@ -80,7 +82,13 @@ def pow_letters(letters: Letters, n: int) -> Letters:
     if len(letters) == 1:
         g, e = letters[0]
         return ((g, e * n),)
-    return reduce_letters(letters * n)
+    letters = reduce_letters(letters)
+    k = 0  # letters = c u c^-1 with |c| = k
+    while len(letters) - 2 * k > 1 and letters[k] == (letters[-1 - k][0], -letters[-1 - k][1]):
+        k += 1
+    core = letters[k : len(letters) - k]
+    power = pow_letters(core, n) if len(core) == 1 else reduce_letters(core * n)
+    return letters[:k] + power + letters[len(letters) - k :]
 
 
 def free_reduce(word: VertexWord) -> VertexWord:

@@ -5,7 +5,10 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from collections import deque
+from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
@@ -80,6 +83,91 @@ def fixture_graphs():
         "klein": parse(KLEIN_TEXT),
         "dihedral_loop": parse(DIHEDRAL_LOOP_TEXT),
     }
+
+
+class Clock:
+    def __init__(self, label, budget):
+        self.label = label
+        self.budget = budget
+
+    def __enter__(self):
+        self.start = time.monotonic()
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        elapsed = time.monotonic() - self.start
+        status = "PASS" if exc_type is None else "FAIL"
+        print(f"ACCEPTANCE {self.label}: {status} ({elapsed:.2f}s)", flush=True)
+        if exc_type is None:
+            assert elapsed < self.budget, f"{self.label} exceeded {self.budget}s ({elapsed:.2f}s)"
+
+
+def lollipop(length: int, path_conjugated=False, triangle_conjugated=False) -> str:
+    """A path of rank-2 vertices p000000 .. joined by `length` balanced
+    edges, ending in a triangle q1 q2 q3 through x and y whose modulus is
+    3/2.  Conjugated images read c.2 c.1^k c.2^-1 instead of c.1^k.  The
+    path's vertices and edges come first in id order."""
+
+    def image(v, k, conjugated):
+        power = f"{v}.1^{k}" if k != 1 else f"{v}.1"
+        return f"{v}.2 {power} {v}.2^-1" if conjugated else power
+
+    names = [f"p{i:06d}" for i in range(length + 1)]
+    lines = [f"vertex {v} free 2" for v in names + ["x", "y"]]
+    for a, b in zip(names, names[1:]):
+        src = image(a, 1, path_conjugated)
+        lines.append(f'edge {a} from={a} to={b} img_from="{src}" img_to="{b}.1"')
+    p = names[-1]
+    for edge, a, b, k, l in (("q1", p, "x", 3, 2), ("q2", "x", "y", 1, 1), ("q3", "y", p, 1, 1)):
+        src, dst = image(a, k, triangle_conjugated), image(b, l, False)
+        lines.append(f'edge {edge} from={a} to={b} img_from="{src}" img_to="{dst}"')
+    return "\n".join(lines) + "\n"
+
+
+# -- groupoid arcs and the reported cycle ----------------------------------------
+
+
+class Arc(NamedTuple):
+    """A groupoid arc written out here; equal to the pass's GroupoidArc."""
+
+    src: object
+    dst: object
+    weight: Fraction
+    label: str
+    sign: int
+
+
+def edge_arc(occurrences: dict, label: str, sign: int) -> Arc:
+    """An arc of an edge, from the edge's record: sign +1 runs from the
+    target-side node with weight n_s/n_t, sign -1 is its inverse."""
+    (node_s, n_s, _), (node_t, n_t, _) = occurrences[label]
+    if sign > 0:
+        return Arc(node_t, node_s, Fraction(n_s, n_t), label, 1)
+    return Arc(node_s, node_t, Fraction(n_t, n_s), label, -1)
+
+
+def all_arcs(occurrences: dict) -> list[Arc]:
+    """Both arcs of every edge, in id order, +1 first."""
+    return [edge_arc(occurrences, label, sign) for label in occurrences for sign in (1, -1)]
+
+
+def check_cycle_contract(verdict) -> None:
+    """The reported unbalanced cycle is a closed chain of its edges' arcs
+    that visits no node twice; it holds the edge it names (its least edge
+    id) and so the witness base, its first node; and its modulus is the
+    product of its arc weights, never +-1."""
+    cycle = verdict.cycle
+    assert cycle
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        assert a.dst == b.src, (a, b)
+    product = Fraction(1)
+    for arc in cycle:
+        assert arc == edge_arc(verdict.occurrences, arc.label, arc.sign), arc
+        product *= arc.weight
+    nodes = [arc.src for arc in cycle]
+    assert len(set(nodes)) == len(nodes), nodes
+    assert verdict.edge in {arc.label for arc in cycle}
+    assert product == verdict.modulus and abs(product) != 1, (product, verdict.modulus)
 
 
 # -- random instances ----------------------------------------------------------

@@ -2,14 +2,15 @@
 its runtime and enforcing the stated budget."""
 
 import random
-import time
 from fractions import Fraction
 
 import pytest
 
 from conftest import (
     BS32_TEXT,
+    Clock,
     F2_EXAMPLE_TEXT,
+    all_arcs,
     fixture_graphs,
     canonical_relabel,
     random_graph,
@@ -39,23 +40,6 @@ from gogh.parametrize import (
 )
 from gogh.words import invert_tokens, is_trivial, to_path_form, are_equal
 from oracles import OracleUnbalanced, brute_force_balance_oracle
-
-
-class Clock:
-    def __init__(self, label, budget):
-        self.label = label
-        self.budget = budget
-
-    def __enter__(self):
-        self.start = time.monotonic()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        elapsed = time.monotonic() - self.start
-        status = "PASS" if exc_type is None else "FAIL"
-        print(f"ACCEPTANCE {self.label}: {status} ({elapsed:.2f}s)", flush=True)
-        if exc_type is None:
-            assert elapsed < self.budget, f"{self.label} exceeded {self.budget}s ({elapsed:.2f}s)"
 
 
 @pytest.fixture(scope="module")
@@ -129,7 +113,7 @@ def _cycle_moduli_closure(graph, depth=6):
     of the fundamental-cycle moduli."""
     groupoid = build_groupoid(graph)
     adjacency = {}
-    for arc in groupoid.arcs:
+    for arc in all_arcs(groupoid.occurrences):
         adjacency.setdefault(arc.src, []).append(arc)
     potential, basis = {}, set()
     for start in groupoid.nodes:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_graph, random_tree_graph, relabel_graph
+from conftest import check_cycle_contract, edge_arc, random_graph, random_tree_graph, relabel_graph
 import gogh.balance
 import oracles
 from gogh.balance import (
@@ -55,31 +55,21 @@ def flip_edge(graph, name):
     return make_graph(graph.vertices, edges)
 
 
-def cycle_is_consistent(verdict):
-    prod = Fraction(1)
-    for a, b in zip(verdict.cycle, verdict.cycle[1:]):
-        assert a.dst == b.src
-    assert verdict.cycle[-1].dst == verdict.cycle[0].src
-    for arc in verdict.cycle:
-        prod *= arc.weight
-    return prod == verdict.modulus
-
-
 # -- groupoid construction -------------------------------------------------------
 
 
 def test_bs32_groupoid(bs32):
     g = build_groupoid(bs32)
     assert len(g.nodes) == 1
-    edge_arcs = [a for a in g.arcs if a.sign == 1]
-    assert len(edge_arcs) == 1
-    assert edge_arcs[0].weight == Fraction(3, 2)
+    # the one arc the pass builds: the loop that is its unbalanced cycle
+    (arc,) = g.arcs
+    assert arc.sign == 1 and arc.weight == Fraction(3, 2)
 
 
 def test_trefoil_groupoid(trefoil):
     g = build_groupoid(trefoil)
-    assert len(g.nodes) == 2
-    arc = next(a for a in g.arcs if a.sign == 1)
+    assert len(g.nodes) == 2 and g.arcs == ()
+    arc = edge_arc(g.occurrences, "e", 1)
     # from the target-side root to the source-side root
     assert arc.src.vertex == "v" and arc.dst.vertex == "u"
     assert arc.weight == Fraction(2, 3)
@@ -98,31 +88,39 @@ def test_f2_groupoid_collapses_to_one_class(f2_example):
 
 
 def test_every_arc_has_reciprocal_inverse():
+    """Each arc the pass builds is its edge's arc, and the edge's other arc
+    runs back with the reciprocal weight."""
     rng = random.Random(41)
+    seen = 0
     for _ in range(25):
         graph = random_graph(rng)
         g = build_groupoid(graph)
-        weights = {}
         for arc in g.arcs:
-            weights[(arc.label, arc.sign, arc.src, arc.dst)] = arc.weight
-        for (label, sign, src, dst), w in weights.items():
-            assert weights[(label, -sign, dst, src)] == 1 / w
+            assert arc == edge_arc(g.occurrences, arc.label, arc.sign)
+            back = edge_arc(g.occurrences, arc.label, -arc.sign)
+            assert (back.src, back.dst, back.weight) == (arc.dst, arc.src, 1 / arc.weight)
+            seen += 1
+    assert seen >= 20, seen
 
 
 def test_pass_emits_edge_arcs_in_order_and_class_attachments():
-    """Two arcs per edge, in edge-id order with the stored orientation
-    first: the order the first unbalanced cycle is read in.  Each class
-    reads its edges' records from the groupoid's one map, and carries its
-    nodes in groupoid order."""
+    """The pass emits the arcs of its unbalanced classes' cycles, in class
+    order; each cycle opens with the +1 arc of the edge that closed it, and
+    runs back through edges before that one in id order.  Each class reads
+    its edges' records from the groupoid's one map, and carries its nodes in
+    groupoid order."""
     rng = random.Random(73)
     kinds = set()
     for _ in range(50):
         graph = random_graph(rng, rank2_prob=0.3)
         kinds.update(kind for _, kind in graph.vertices)
         g = build_groupoid(graph)
-        assert [(a.label, a.sign) for a in g.arcs] == [
-            (e, s) for e in graph.edge_ids() for s in (1, -1)
-        ]
+        position = {e: k for k, e in enumerate(graph.edge_ids())}
+        cycles = [cls.verdict.cycle for cls in g.classes if isinstance(cls.verdict, Unbalanced)]
+        assert g.arcs == tuple(arc for cycle in cycles for arc in cycle)
+        for first, *back in cycles:
+            assert first.sign == 1
+            assert all(position[arc.label] < position[first.label] for arc in back)
         for cls in g.classes:
             assert list(cls.edges) == sorted(cls.edges)
             assert cls.occurrences is g.occurrences
@@ -177,34 +175,14 @@ def test_dihedral_exponent_is_the_rotation_of_the_attachment():
     assert min(seen.values()) >= 50 and len(seen) == 5, seen
 
 
-def _reference_groupoid(graph):
-    """The groupoid pass written with node-keyed dicts and Fraction
-    potentials, testing both arcs of every edge: the reference the
-    id-indexed pass must reproduce field for field."""
-    occurrences = {}
-    for e in graph.edges:
-        occurrences[e.name] = tuple(
-            attachment_data(word, {}) for word in (e.attachment_source, e.attachment_target)
-        )
-    nodes = tuple(
-        sorted(
-            {node for pair in occurrences.values() for node, _, _ in pair},
-            key=GroupoidNode.sort_key,
-        )
-    )
-
-    def invert(arc):
-        return GroupoidArc(arc.dst, arc.src, 1 / arc.weight, arc.label, -arc.sign)
-
-    arcs = []
-    for e in graph.edges:
-        (node_s, n_s, _), (node_t, n_t, _) = occurrences[e.name]
-        fwd = GroupoidArc(node_t, node_s, Fraction(n_s, n_t), e.name, 1)
-        arcs += [fwd, invert(fwd)]
+def _bfs_potentials(nodes, arcs):
+    """BFS from each node in turn, in the order given: Fraction potentials,
+    the start each node was reached from, and the arcs that disagree with
+    the potentials."""
     adj = {n: [] for n in nodes}
     for arc in arcs:
         adj[arc.src].append(arc)
-    potential, tree_arc, root_of = {}, {}, {}
+    potential, root_of = {}, {}
     for start in nodes:
         if start in potential:
             continue
@@ -216,67 +194,80 @@ def _reference_groupoid(graph):
             for arc in adj[u]:
                 if arc.dst not in potential:
                     potential[arc.dst] = potential[u] * arc.weight
-                    tree_arc[arc.dst] = arc
                     root_of[arc.dst] = start
                     queue.append(arc.dst)
+    bad = [a for a in arcs if abs(potential[a.src] * a.weight) != abs(potential[a.dst])]
+    return potential, root_of, bad
 
-    def path_from_root(node):
-        chain = []
-        while node in tree_arc:
-            chain.append(tree_arc[node])
-            node = tree_arc[node].src
-        return chain[::-1]
 
-    first_bad = {}
-    verdict = Balanced()
-    for arc in arcs:
-        root = root_of[arc.src]
-        if root in first_bad or tree_arc.get(arc.dst) is arc:
-            continue
-        if abs(potential[arc.src] * arc.weight) == abs(potential[arc.dst]):
-            continue
-        cycle = (
-            path_from_root(arc.src) + [arc] + [invert(a) for a in reversed(path_from_root(arc.dst))]
+def _reference_groupoid(graph):
+    """The groupoid pass written as a BFS with node-keyed dicts and Fraction
+    potentials, testing both arcs of every edge: the reference the
+    union-find pass must reproduce.  Each class holds its edges, its nodes,
+    its potentials and, when unbalanced, its closing edge (the first edge in
+    id order with which the class's edges so far are unbalanced) and the
+    fewest arcs that join that edge's ends through earlier edges.  The
+    potentials of an unbalanced class depend on the path they are read
+    along, so the pass's are not compared."""
+    occurrences = {}
+    for e in graph.edges:
+        occurrences[e.name] = tuple(
+            attachment_data(word, {}) for word in (e.attachment_source, e.attachment_target)
         )
-        modulus = Fraction(1)
-        for a in cycle:
-            modulus *= a.weight
-        first_bad[root] = Unbalanced(tuple(cycle), modulus, occurrences)
-        if isinstance(verdict, Balanced):
-            verdict = first_bad[root]
+    nodes = tuple(
+        sorted(
+            {node for pair in occurrences.values() for node, _, _ in pair},
+            key=GroupoidNode.sort_key,
+        )
+    )
+    arcs = [edge_arc(occurrences, name, sign) for name in occurrences for sign in (1, -1)]
+    potential, root_of, _ = _bfs_potentials(nodes, arcs)
     class_edges, class_nodes = {}, {}
     for edge, pair in occurrences.items():
         for node, _, _ in pair:  # both sides land in one component
             class_edges.setdefault(root_of[node], {})[edge] = None
     for node in nodes:
         class_nodes.setdefault(root_of[node], []).append(node)
-    position = {root: i for i, root in enumerate(class_edges)}
-    return RatioGroupoid(
-        nodes=nodes,
-        arcs=tuple(arcs),
-        occurrences=occurrences,
-        component={node: position[root_of[node]] for node in nodes},
-        classes=tuple(
-            EdgeClass(
-                i,
-                tuple(class_edges[r]),
-                tuple(class_nodes[r]),
-                first_bad.get(r, Balanced()),
-                tuple(
+    classes = []
+    for r, edges in class_edges.items():
+        closing, length = None, None
+        for k, edge in enumerate(edges):
+            before = [a for a in arcs if a.label in list(edges)[:k]]
+            if not _bfs_potentials(class_nodes[r], before + [a for a in arcs if a.label == edge])[2]:
+                continue
+            # the fewest arcs back from the closing edge's source-side end
+            closing = edge_arc(occurrences, edge, 1)
+            distance = {closing.dst: 0}
+            queue = deque([closing.dst])
+            while queue:
+                u = queue.popleft()
+                for arc in before:
+                    if arc.src == u and arc.dst not in distance:
+                        distance[arc.dst] = distance[u] + 1
+                        queue.append(arc.dst)
+            length = 1 + distance[closing.src]
+            break
+        classes.append(
+            {
+                "edges": tuple(edges),
+                "nodes": tuple(class_nodes[r]),
+                "potentials": tuple(
                     (abs(potential[n].numerator), potential[n].denominator) for n in class_nodes[r]
                 ),
-                occurrences,
-            )
-            for i, r in enumerate(class_edges)
-        ),
-        verdict=verdict,
-    )
+                "closing": closing,
+                "length": length,
+            }
+        )
+    return nodes, occurrences, {node: root_of[node] for node in nodes}, classes
 
 
 def test_pass_matches_the_reference_pass():
-    """Equal nodes, arcs, occurrences, components, classes (with their
-    verdicts and potentials) and graph verdict, on seeded graphs with dihedral, rank-1 and
-    rank-2 vertices, balanced and unbalanced components side by side."""
+    """Equal nodes, occurrences, components, class edges and nodes, and
+    verdict types; equal potentials in balanced classes.  An unbalanced
+    class's cycle keeps the contract, opens with the reference's closing
+    edge and has the reference's fewest arcs; the graph's verdict is the
+    class closed first.  On seeded graphs with dihedral, rank-1 and rank-2
+    vertices, balanced and unbalanced components side by side."""
     rng = random.Random(97)
     kinds = set()
     seen = {"unbalanced": 0, "balanced": 0, "mixed": 0, "long cycle": 0}
@@ -285,24 +276,37 @@ def test_pass_matches_the_reference_pass():
             rng, v_max=4 + i % 5, e_max=5 + i % 6, exp_max=(1, 2, 5)[i % 3], rank2_prob=0.3
         )
         kinds.update(kind for _, kind in graph.vertices)
-        got, want = build_groupoid(graph), _reference_groupoid(graph)
-        assert got.nodes == want.nodes
-        assert got.arcs == want.arcs
-        assert got.occurrences == want.occurrences
-        assert got.component == want.component
-        assert got.classes == want.classes
-        # the classes' one field outside equality: the groupoid's map, compared above
+        got = build_groupoid(graph)
+        nodes, occurrences, root_of, classes = _reference_groupoid(graph)
+        assert got.nodes == nodes
+        assert got.occurrences == occurrences
         assert all(cls.occurrences is got.occurrences for cls in got.classes)
-        assert type(got.verdict) is type(want.verdict)
-        if isinstance(want.verdict, Unbalanced):
-            assert got.verdict.cycle == want.verdict.cycle
-            assert got.verdict.modulus == want.verdict.modulus
-            assert cycle_is_consistent(got.verdict)
-            seen["long cycle"] += len(want.verdict.cycle) >= 3
-        verdicts = {type(cls.verdict) for cls in want.classes}
-        seen["unbalanced"] += Unbalanced in verdicts
-        seen["balanced"] += Balanced in verdicts
-        seen["mixed"] += verdicts == {Balanced, Unbalanced}
+        assert len(got.classes) == len(classes)
+        for cls, want in zip(got.classes, classes):
+            assert (cls.edges, cls.nodes) == (want["edges"], want["nodes"])
+            assert {got.component[n] for n in cls.nodes} == {cls.index}
+            assert len({root_of[n] for n in cls.nodes}) == 1
+            if want["closing"] is None:
+                assert cls.verdict == Balanced()
+                assert cls.potentials == want["potentials"]
+                continue
+            check_cycle_contract(cls.verdict)
+            assert cls.verdict.cycle[0] == want["closing"]
+            assert len(cls.verdict.cycle) == want["length"]
+            seen["long cycle"] += want["length"] >= 3
+        position = {e: k for k, e in enumerate(graph.edge_ids())}
+        closed = sorted(
+            (position[want["closing"].label], cls.index)
+            for cls, want in zip(got.classes, classes)
+            if want["closing"] is not None
+        )
+        if closed:
+            assert got.verdict is got.classes[closed[0][1]].verdict
+        else:
+            assert got.verdict == Balanced()
+        seen["unbalanced"] += bool(closed)
+        seen["balanced"] += len(closed) < len(classes)
+        seen["mixed"] += 0 < len(closed) < len(classes)
     assert {DihedralInfinite(), Free(1), Free(2)} <= kinds
     assert min(seen.values()) >= 20, seen
 
@@ -338,9 +342,8 @@ def _ratio_cycle(n, unbalanced):
 
 def test_pass_builds_only_the_arcs_it_reports(monkeypatch):
     """The pass builds an arc, and its Fraction weight, only for the cycle it
-    reports; the groupoid's arcs are built when they are read, and their
-    count is known without building them.  One-letter images share their
-    node and conjugator objects."""
+    reports, and the groupoid's arcs are those.  One-letter images share
+    their node and conjugator objects."""
     built = Counter()
 
     def counting(name, make):
@@ -354,10 +357,7 @@ def test_pass_builds_only_the_arcs_it_reports(monkeypatch):
     monkeypatch.setattr(gogh.balance, "GroupoidArc", counting("GroupoidArc", GroupoidArc))
     g = build_groupoid(_ratio_cycle(400, unbalanced=False))
     assert isinstance(g.verdict, Balanced) and len(g.nodes) == 400
-    assert len(g.arcs) == 800 and not built
-    arcs = list(g.arcs)
-    assert built == {"Fraction": 800, "GroupoidArc": 800}
-    assert [(a.label, a.sign) for a in arcs] == [(f"e{i:04d}", s) for i in range(400) for s in (1, -1)]
+    assert g.arcs == () and not built
     # the one-letter images at a vertex share one node and one identity conjugator
     one_letter = [data for pair in g.occurrences.values() for data in pair if data[2].is_identity]
     assert len(one_letter) == 800 - 80
@@ -367,7 +367,8 @@ def test_pass_builds_only_the_arcs_it_reports(monkeypatch):
     built.clear()
     g = build_groupoid(_ratio_cycle(400, unbalanced=True))
     assert isinstance(g.verdict, Unbalanced) and abs(g.verdict.modulus) == 4
-    assert len(g.verdict.cycle) == 400 and cycle_is_consistent(g.verdict)
+    assert len(g.verdict.cycle) == 400 and g.arcs == g.verdict.cycle
+    check_cycle_contract(g.verdict)
     # one weight per cycle arc, and the modulus
     assert built == {"Fraction": 401, "GroupoidArc": 400}
 
@@ -379,7 +380,7 @@ def test_bs32_unbalanced(bs32):
     verdict = build_groupoid(bs32).verdict
     assert isinstance(verdict, Unbalanced)
     assert verdict.modulus == Fraction(3, 2)
-    assert cycle_is_consistent(verdict)
+    check_cycle_contract(verdict)
 
 
 def test_unbalanced_verdict_carries_the_pass_data(f2_example):

@@ -20,6 +20,7 @@ from conftest import (
     F2_EXAMPLE_TEXT,
     KLEIN_TEXT,
     TREFOIL_TEXT,
+    lollipop,
     random_graph,
 )
 import gogh.cli
@@ -186,6 +187,23 @@ def test_balance_command(tmp_path):
     assert edge["id"] == "e"
     assert edge["verdict"] == "Unbalanced"
     assert edge["modulus"] == edge["cycle"][0]["weight"]
+
+
+@pytest.mark.parametrize("length", [10, 100, 1000])
+def test_lollipop_reports_the_triangle(tmp_path, length):
+    """A path of balanced edges ending in an unbalanced triangle: the
+    reported cycle is the triangle, whichever edge is asked about, and the
+    verdict names a triangle edge.  With conjugated images along the path,
+    the witness conjugator carries none of them."""
+    for conjugated in (False, True):
+        path = write(tmp_path, "lollipop.gog", lollipop(length, path_conjugated=conjugated))
+        _, out = run(["balance", path, "--edge", "q1"])
+        (edge,) = out["edges"]
+        assert len(edge["cycle"]) == 3
+        assert {arc["via"].split(".")[0] for arc in edge["cycle"]} == {"q1", "q2", "q3"}
+        _, out = run(["verdict", path])
+        assert out["edge"] in {"q1", "q2", "q3"}
+        assert len(out["witness"]["s"].split()) == 1
 
 
 def test_verdict_matches_balance(tmp_path):

@@ -9,7 +9,10 @@ from pathlib import Path
 import pytest
 
 import record_golden
-from gogh.cli import render_json, run
+from conftest import check_cycle_contract
+from gogh.balance import Unbalanced, build_groupoid
+from gogh.cli import parse, render_json, run
+from gogh.model import GoghError
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).parents[1] / "src"
@@ -55,6 +58,28 @@ def test_golden_replay(tmp_path):
             if (got_code, got) != (code, stdout):
                 mismatches.append((case.stem, args, code, stdout, got_code, got))
     assert not mismatches, mismatches[:3]
+
+
+def test_golden_unbalanced_cycles_keep_the_contract():
+    """Every unbalanced class of every golden graph reports a simple cycle
+    that holds the edge it names, with the product of its arc weights as
+    modulus; the graph's verdict names that edge."""
+    seen = 0
+    for case in CASES:
+        data = _load(case)
+        try:
+            graph = parse(data["text"])
+        except GoghError:
+            continue
+        groupoid = build_groupoid(graph)
+        for cls in groupoid.classes:
+            if isinstance(cls.verdict, Unbalanced):
+                check_cycle_contract(cls.verdict)
+                seen += 1
+        for args, _, stdout in data["runs"]:
+            if args == ["verdict"] and isinstance(groupoid.verdict, Unbalanced):
+                assert json.loads(stdout)["edge"] == groupoid.verdict.edge
+    assert seen >= 150, seen
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,7 @@ from gogh.cli import parse
 from gogh.parametrize import hhg_verdict
 
 EDGES = 5000
-PEAK_BYTES_PER_EDGE = 2550  # 2040 measured before the per-edge records, plus 25%
+PEAK_BYTES_PER_EDGE = 2117  # 1693 measured, plus 25%
 
 
 def _traced_peak(fn):
@@ -48,12 +48,13 @@ def balanced_cycle(n: int) -> str:
 def test_peak_bytes_per_edge_of_the_decision():
     """The peak of the traced Python heap per edge over parse + hhg_verdict.
 
-    Measured at 1845-1923 bytes per edge on Python 3.11.7, x86-64 (3.10 and
-    3.12 not measured), at 1965-2040 before the groupoid kept one record
-    per edge instead of one per edge side, and at 2700-2730 before the
-    records were slotted and each class read the groupoid's one occurrence
-    map.  The bound is the highest value measured before the per-edge
-    records, plus 25%.  Under tracemalloc the test takes
+    Measured at 1616-1693 bytes per edge on Python 3.11.7, x86-64, with and
+    without -O (3.10 and 3.12 not measured); at 1849-1923 while the
+    groupoid pass built a BFS forest over adjacency lists of all its nodes,
+    at 1965-2040 before the groupoid kept one record per edge instead of
+    one per edge side, and at 2700-2730 before the records were slotted and
+    each class read the groupoid's one occurrence map.  The bound is the
+    highest measured value plus 25%.  Under tracemalloc the test takes
     0.8-1.8 s on a shared 2-core host."""
     text = balanced_cycle(EDGES)
     hhg_verdict(parse(balanced_cycle(4)))  # one-time set-up (imports, caches) stays out

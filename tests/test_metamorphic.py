@@ -10,7 +10,7 @@ after a move carries its own checked evidence.
 import random
 from itertools import count
 
-from conftest import random_graph
+from conftest import check_cycle_contract, random_graph
 from gogh.checks import verify_parametrization
 from gogh.cli import run, serialize
 from gogh.model import DIHEDRAL_R, DIHEDRAL_S, DihedralInfinite, EdgeRecord, Free, VertexWord, make_graph
@@ -159,8 +159,9 @@ def chain_of_moves(graph, rng):
 
 
 def _checked_status(graph, tmp_path) -> str:
-    """The verdict's status, once its evidence is checked and the CLI reads
-    the same status off the serialized text."""
+    """The verdict's status, once its evidence is checked (a certificate,
+    or a witness and the contract of the cycle it was built from) and the
+    CLI reads the same status off the serialized text."""
     verdict = hhg_verdict(graph)
     if isinstance(verdict, HHG):
         for cert in verdict.certificates:
@@ -169,6 +170,7 @@ def _checked_status(graph, tmp_path) -> str:
     else:
         transcript = verdict.witness.transcript
         assert not transcript.tail and transcript.head.is_identity
+        check_cycle_contract(verdict.verdict)
     path = tmp_path / "g.gog"
     path.write_text(serialize(graph), encoding="utf-8")
     code, out = run(["verdict", str(path)])
