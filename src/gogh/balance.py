@@ -206,12 +206,15 @@ def attachment_data(word: VertexWord, shared: dict):
     ``shared`` holds for (vertex, g), and every node of root g the letters
     ``shared`` holds for g, all immutable, so a pass builds them once per
     root."""
-    if len(word.letters) == 1:
-        ((g, k),) = word.letters
+    letters = word.letters
+    if len(letters) == 1:
+        ((g, k),) = letters
         key = (word.vertex, g)
         found = shared.get(key)
         if found is None:
-            root = shared.setdefault(g, ((g, 1),))
+            root = shared.get(g)
+            if root is None:
+                root = shared[g] = ((g, 1),)
             found = shared[key] = GroupoidNode(word.vertex, root), VertexWord(word.vertex, ())
         return found[0], k, found[1]
     root, conj, n = canonical_root(word)
@@ -231,34 +234,40 @@ def build_groupoid(graph: GraphOfGroups) -> RatioGroupoid:
     """The ratio groupoid of the graph, split into components and decided.
 
     Each edge is read into its record in id order (a validated graph stores
-    its edges sorted) and the nodes are numbered in vertex-table order, by
-    ``GroupoidNode.sort_key`` within a vertex.  One union-find loop over the
-    edges in id order then unites components and tests the edges inside
-    one.  Each unbalanced class's cycle is its first failing edge's +1 arc,
-    then the fewest arcs back by a BFS through earlier edges; the graph's
-    verdict is the class whose cycle closed first.
+    its edges sorted), and each node is hashed once per edge side, to number
+    it in order of first sight.  The nodes are then numbered in vertex-table
+    order, by ``GroupoidNode.sort_key`` within a vertex.  One union-find
+    loop over the edges in id order unites components and tests the edges
+    inside one.  Each unbalanced class's cycle is its first failing edge's
+    +1 arc, then the fewest arcs back by a BFS through the class's earlier
+    edges; the graph's verdict is the class whose cycle closed first.
     """
     shared: dict = {}
-    occurrences = {
-        e.name: (
+    occurrences = {}
+    seen: dict[GroupoidNode, int] = {}  # node -> its number in order of first sight
+    heads: list[int] = []  # each edge's source node, by first-sight number
+    tails: list[int] = []  # each edge's target node, likewise
+    for e in graph.edges:
+        (node_s, _, _), (node_t, _, _) = occurrences[e.name] = (
             attachment_data(e.attachment_source, shared),
             attachment_data(e.attachment_target, shared),
         )
-        for e in graph.edges
-    }
-    index: dict[GroupoidNode, int] = {}  # node -> id, numbered below
+        heads.append(seen.setdefault(node_s, len(seen)))
+        tails.append(seen.setdefault(node_t, len(seen)))
     at_vertex: dict[str, list[GroupoidNode]] = {}
-    for pair in occurrences.values():
-        for node, _, _ in pair:
-            if node not in index:
-                index[node] = -1
-                at_vertex.setdefault(node.vertex, []).append(node)
+    for node in seen:
+        at_vertex.setdefault(node.vertex, []).append(node)
     nodes: list[GroupoidNode] = []
     for v, _ in graph.vertices:
         roots = at_vertex.get(v, ())
         nodes += sorted(roots, key=GroupoidNode.sort_key) if len(roots) > 1 else roots
-    index.update(zip(nodes, range(len(nodes))))
     del at_vertex  # freed before the pass, whose peak it would raise
+    renumber = [0] * len(nodes)  # first-sight number -> number
+    for i, node in enumerate(nodes):
+        renumber[seen[node]] = i
+    del seen
+    heads = [renumber[i] for i in heads]
+    tails = [renumber[i] for i in tails]
 
     # |potential of v| = num[v] / den[v] times parent[v]'s; a root is its own parent
     parent = list(range(len(nodes)))
@@ -267,8 +276,6 @@ def build_groupoid(graph: GraphOfGroups) -> RatioGroupoid:
     def find(v: int) -> int:
         """v's root, pointing v and the nodes above it straight at it."""
         root = parent[v]
-        if parent[root] == root:
-            return root
         path = []
         while parent[root] != root:
             path.append(v)
@@ -281,11 +288,13 @@ def build_groupoid(graph: GraphOfGroups) -> RatioGroupoid:
         return root
 
     closing: dict[int, int] = {}  # root -> position of its first failing edge
-    tails = []  # each edge's target-side node id
-    for k, ((node_s, n_s, _), (node_t, n_t, _)) in enumerate(occurrences.values()):
-        t, s = index[node_t], index[node_s]
-        tails.append(t)
-        r_t, r_s = find(t), find(s)
+    pairs = zip(occurrences.values(), heads, tails)
+    for k, (((_, n_s, _), (_, n_t, _)), s, t) in enumerate(pairs):
+        r_t, r_s = parent[t], parent[s]
+        if parent[r_t] != r_t:
+            r_t = find(t)
+        if parent[r_s] != r_s:
+            r_s = find(s)
         # the arc t -> s scales the potential by |n_s/n_t|: it agrees iff x == y
         x = num[t] * den[s] * abs(n_s)
         y = num[s] * den[t] * abs(n_t)
@@ -301,34 +310,42 @@ def build_groupoid(graph: GraphOfGroups) -> RatioGroupoid:
             closing[r_t] = min(closing.pop(r_s), closing.get(r_t, k))
 
     for v in range(len(nodes)):
-        find(v)  # from here on, parent[v] is v's root
+        if parent[parent[v]] != parent[v]:
+            find(v)  # from here on, parent[v] is v's root
     # edges come in sorted, and an edge's two ends share its component: so
     # each component's edges come out sorted and the components come out
     # ordered by least edge
     edges: dict[int, list[str]] = {}
-    adj: dict[int, list[tuple[int, int, int]]] = {}  # of the unbalanced components
-    for k, (name, t) in enumerate(zip(occurrences, tails)):
-        r = parent[t]
-        edges.setdefault(r, []).append(name)
-        if r in closing:
-            s = index[occurrences[name][0][0]]
-            adj.setdefault(t, []).append((k, s, 1))
-            adj.setdefault(s, []).append((k, t, -1))
+    for name, t in zip(occurrences, tails):
+        members = edges.get(parent[t])
+        if members is None:
+            members = edges[parent[t]] = []
+        members.append(name)
+    # the arcs of each unbalanced component's edges before its closing edge
+    adj: dict[int, list[tuple[int, int, int]]] = {}
+    if closing:
+        for k, (s, t) in enumerate(zip(heads, tails)):
+            if k < closing.get(parent[t], 0):
+                adj.setdefault(t, []).append((k, s, 1))
+                adj.setdefault(s, []).append((k, t, -1))
     first_bad: dict[int, Unbalanced] = {}
     labels = list(occurrences)
     for r, k in closing.items():
         label = labels[k]
-        (node_s, _, _), (node_t, _, _) = occurrences[label]
-        t, s = index[node_t], index[node_s]
+        s, t = heads[k], tails[k]
         # the fewest arcs from s back to t over edges before the closing one:
-        # these join s and t in a balanced part, and a shortest path repeats no node
+        # these join s and t in a balanced part, and a shortest path repeats
+        # no node.  The search stops when it reaches t: back holds the nodes
+        # found before t, among them every node of t's chain.
         back = {s: None}
         queue = [s]
         for u in queue:  # the list grows as it is read: a FIFO queue
-            for j, v, sign in adj[u]:
-                if j < k and v not in back:
+            for j, v, sign in adj.get(u, ()):
+                if v not in back:
                     back[v] = (u, j, sign)
                     queue.append(v)
+            if t in back:
+                break
         steps = []
         while t != s:
             t, j, sign = back[t]
@@ -343,17 +360,16 @@ def build_groupoid(graph: GraphOfGroups) -> RatioGroupoid:
     verdict = first_bad[min(closing, key=closing.get)] if closing else Balanced()
 
     position = {root: i for i, root in enumerate(edges)}
-    component = {}
+    of_node = [position[root] for root in parent]
     class_nodes: list[list[GroupoidNode]] = [[] for _ in edges]
     class_potentials: list[list[tuple[int, int]]] = [[] for _ in edges]
-    for i, node in enumerate(nodes):
-        c = component[node] = position[parent[i]]
+    for node, c, potential in zip(nodes, of_node, zip(num, den)):
         class_nodes[c].append(node)
-        class_potentials[c].append((num[i], den[i]))
+        class_potentials[c].append(potential)
     return RatioGroupoid(
         nodes=tuple(nodes),
         occurrences=occurrences,
-        component=component,
+        component=dict(zip(nodes, of_node)),
         classes=tuple(
             EdgeClass(
                 i,

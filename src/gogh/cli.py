@@ -65,13 +65,15 @@ class ParseError(GoghError):
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _VERTEX_RE = re.compile(rf"^vertex\s+({_NAME})\s+(free\s+(\d+)|dihedral)\s*$")
+# An attachment text, captured whole.  When the whole text is one letter
+# `v.k^e` or `v.r^e`, padding allowed, its owner, generator and exponent
+# are captured too (each None otherwise): the common case, which parse
+# builds without the general word path.
+_ATTACHMENT = rf'((?:\s*({_NAME})\.(\d+|r)(?:\^(-?\d+))?\s*(?=")|[^"]*))'
 _EDGE_RE = re.compile(
-    rf'^edge\s+({_NAME})\s+from=({_NAME})\s+to=({_NAME})\s+img_from="([^"]*)"\s+img_to="([^"]*)"\s*$'
+    rf'^edge\s+({_NAME})\s+from=({_NAME})\s+to=({_NAME})\s+img_from="{_ATTACHMENT}"\s+img_to="{_ATTACHMENT}"\s*$'
 )
 _LETTER_RE = re.compile(rf"^({_NAME})\.(\d+|r|s|t)(\^(-?\d+))?$")
-# A whole attachment text that is one letter `v.k^e` or `v.r^e`, padding
-# allowed: the common case, built without the general word path.
-_ONE_LETTER_RE = re.compile(rf"\s*({_NAME})\.(\d+|r)(?:\^(-?\d+))?\s*")
 # The text before the first "#" outside double quotes; an unterminated
 # quote runs to the end of the line.
 _CODE_RE = re.compile(r'[^"#]*(?:"[^"]*"?[^"#]*)*')
@@ -98,23 +100,24 @@ def _scan_letters(text: str, line: int):
         yield piece, column, parse_letter(piece, line, column)
 
 
-def _parse_attachment(text: str, vertex: str, kind, line: int, shared: dict) -> VertexWord:
-    m = _ONE_LETTER_RE.fullmatch(text)
-    if m is not None:
-        owner, gen, exp = m.groups()
-        # a free generator in a free vertex or r in a dihedral one, with a
-        # nonzero exponent, is already the normal form vw_normalize returns;
-        # every other one-letter text takes the general path below.  Its
-        # letters are immutable, so one tuple serves every vertex: shared
-        # maps (generator, exponent) texts to it, or to () for exponent 0.
-        if owner == vertex and (gen == DIHEDRAL_R) == isinstance(kind, DihedralInfinite):
-            letters = shared.get((gen, exp))
-            if letters is None:
-                exponent = parse_int(exp) if exp is not None else 1
-                generator = gen if gen == DIHEDRAL_R else parse_int(gen)
-                letters = shared[(gen, exp)] = ((generator, exponent),) if exponent else ()
-            if letters:
-                return VertexWord(vertex, letters)
+def _parse_attachment(
+    text: str, owner, gen, exp, vertex: str, kind, line: int, shared: dict
+) -> VertexWord:
+    """The attachment word of text at vertex; owner, gen and exp are the
+    one-letter captures of _EDGE_RE, None unless text is one letter."""
+    # a free generator in a free vertex or r in a dihedral one, with a
+    # nonzero exponent, is already the normal form vw_normalize returns;
+    # every other text takes the general path below.  Its letters are
+    # immutable, so one tuple serves every vertex: shared maps (generator,
+    # exponent) texts to it, or to () for exponent 0.
+    if owner == vertex and (gen == DIHEDRAL_R) == isinstance(kind, DihedralInfinite):
+        letters = shared.get((gen, exp))
+        if letters is None:
+            exponent = parse_int(exp) if exp is not None else 1
+            generator = gen if gen == DIHEDRAL_R else parse_int(gen)
+            letters = shared[(gen, exp)] = ((generator, exponent),) if exponent else ()
+        if letters:
+            return VertexWord(vertex, letters)
     letters = []
     for piece, column, tok in _scan_letters(text, line):
         if tok[0] != "g":
@@ -133,10 +136,12 @@ def parse(text: str) -> GraphOfGroups:
     """Parse a graph description; the graph validates itself on construction.
     Equal declarations share their immutable parts: one kind object per
     rank (and one dihedral), one letters tuple per one-letter image, and
-    each vertex name is the one string of its declaration."""
+    each vertex name is the one string of its declaration.  The declarations
+    are read in two passes, the lines and then the edges, and each pass's
+    input is dropped once it is read."""
     vertices: dict[str, tuple[str, object]] = {}  # name -> its vertex-table entry
     kinds: dict[str | None, object] = {}  # rank numeral, or None -> kind
-    pending_edges = []
+    pending_edges = []  # (line number, _EDGE_RE match) of each edge line
     # lines end only at \n, \r\n and \r: str.splitlines() also ends them at
     # \v, \f, \x1c-\x1e, \x85, U+2028 and U+2029, inside comments and words too
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
@@ -159,48 +164,55 @@ def parse(text: str) -> GraphOfGroups:
             m = _EDGE_RE.match(line)
             if not m:
                 raise ParseError("malformed edge declaration", lineno, 1)
-            pending_edges.append((lineno, m.groups()))
+            pending_edges.append((lineno, m))
         else:
             raise ParseError(f"unrecognized declaration {line.split()[0]!r}", lineno, 1)
-    edges = []
-    seen = set()
+    del lines
+    edges: dict[str, EdgeRecord] = {}
     shared: dict = {}
-    for lineno, (name, src, tgt, img_from, img_to) in pending_edges:
-        if name in seen:
+    for lineno, m in pending_edges:
+        name, src, tgt, text_s, owner_s, gen_s, exp_s, text_t, owner_t, gen_t, exp_t = m.groups()
+        if name in edges:
             raise ParseError(f"duplicate edge {name!r}", lineno, 1)
-        seen.add(name)
         declared_s, declared_t = vertices.get(src), vertices.get(tgt)
         if declared_s is None or declared_t is None:
             missing = src if declared_s is None else tgt
             raise ParseError(f"edge {name!r} references unknown vertex {missing!r}", lineno, 1)
         (src, kind_s), (tgt, kind_t) = declared_s, declared_t
-        edges.append(
-            EdgeRecord(
-                name,
-                src,
-                tgt,
-                _parse_attachment(img_from, src, kind_s, lineno, shared),
-                _parse_attachment(img_to, tgt, kind_t, lineno, shared),
-            )
+        edges[name] = EdgeRecord(
+            name,
+            src,
+            tgt,
+            _parse_attachment(text_s, owner_s, gen_s, exp_s, src, kind_s, lineno, shared),
+            _parse_attachment(text_t, owner_t, gen_t, exp_t, tgt, kind_t, lineno, shared),
         )
-    return make_graph(vertices.values(), edges)
+    del pending_edges
+    return make_graph(vertices.values(), edges.values())
 
 
-def _word_str(word: VertexWord) -> str:
-    return " ".join(f"{word.vertex}.{letter_str(g, e)}" for g, e in word.letters)
+def _word_str(vertex: str, letters, rendered: dict) -> str:
+    """A word of vertex in the input syntax.  rendered maps each letters
+    tuple to the texts of its letters after their owner, dot included
+    (".1^3"), so a caller that passes one map renders each distinct tuple
+    once."""
+    texts = rendered.get(letters)
+    if texts is None:
+        texts = rendered[letters] = tuple(f".{letter_str(g, e)}" for g, e in letters)
+    return vertex + f" {vertex}".join(texts) if texts else ""
 
 
 def serialize(graph: GraphOfGroups) -> str:
-    lines = []
-    for name, kind in graph.vertices:
-        if isinstance(kind, Free):
-            lines.append(f"vertex {name} free {kind.rank}")
-        else:
-            lines.append(f"vertex {name} dihedral")
+    rendered: dict = {}
+    lines = [
+        f"vertex {name} free {kind.rank}" if isinstance(kind, Free) else f"vertex {name} dihedral"
+        for name, kind in graph.vertices
+    ]
     for e in graph.edges:
+        ws, wt = e.attachment_source, e.attachment_target
         lines.append(
-            f'edge {e.name} from={e.source} to={e.target} '
-            f'img_from="{_word_str(e.attachment_source)}" img_to="{_word_str(e.attachment_target)}"'
+            f"edge {e.name} from={e.source} to={e.target} "
+            f'img_from="{_word_str(ws.vertex, ws.letters, rendered)}" '
+            f'img_to="{_word_str(wt.vertex, wt.letters, rendered)}"'
         )
     return "\n".join(lines) + "\n"
 
@@ -273,7 +285,7 @@ def _phi_json(phi) -> dict:
 
 def _witness_json(graph: GraphOfGroups, witness) -> dict:
     return {
-        "a": _word_str(witness.a),
+        "a": _word_str(witness.a.vertex, witness.a.letters, {}),
         "s": display_tokens(graph, witness.s),
         "i": _num(witness.i),
         "j": _num(witness.j),
@@ -333,17 +345,22 @@ def _cmd_conjgraph(graph: GraphOfGroups, args) -> dict:
     if args.emit:
         with open(args.emit, "w", encoding="utf-8") as fh:
             fh.write(text)
+    rendered: dict = {}
+    vertices = []
+    for v, _ in cg.graph.vertices:
+        node = origin[v]
+        root = _word_str(node.vertex, node.root, rendered)
+        vertices.append({"id": v, "origin": node.vertex, "root": root})
+    provenance = {}
+    for e in cls.edges:
+        (_, _, conj_s), (_, _, conj_t) = cls.occurrences[e]
+        provenance[f"{e}.source"] = _word_str(conj_s.vertex, conj_s.letters, rendered)
+        provenance[f"{e}.target"] = _word_str(conj_t.vertex, conj_t.letters, rendered)
     return {
         "class": cls.index,
         "members": [[e, side] for e in cls.edges for side in SIDES],
-        "vertices": [
-            {"id": v, "origin": origin[v].vertex, "root": _word_str(VertexWord(*origin[v]))}
-            for v, _ in cg.graph.vertices
-        ],
-        "provenance": {
-            f"{e}.{side}": _word_str(data[2])
-            for e in cls.edges for side, data in zip(SIDES, cls.occurrences[e])
-        },
+        "vertices": vertices,
+        "provenance": provenance,
         "text": text,
     }
 
@@ -479,8 +496,8 @@ def run(argv) -> tuple[int, dict]:
     try:
         args = build_arg_parser().parse_args(argv)
         with open(args.file, encoding="utf-8") as fh:
-            text = fh.read()
-        return 0, args.fn(parse(text), args)
+            graph = parse(fh.read())  # the text is freed once parsed
+        return 0, args.fn(graph, args)
     except _Help as exc:
         return 0, {"usage": exc.args[0]}
     except (GoghError, OSError, UnicodeDecodeError) as exc:

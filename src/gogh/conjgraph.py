@@ -64,41 +64,47 @@ def build_conjugacy_graph(graph: GraphOfGroups, cls: EdgeClass) -> ConjugacyGrap
 
 
 def _derived_conjugacy_graph(graph: GraphOfGroups, cls: EdgeClass) -> ConjugacyGraph:
-    """The derived graph of any class, built node by node."""
-    names: dict[GroupoidNode, str] = {}
-    taken: set[str] = set()
+    """The derived graph of any class, built node by node: each node's
+    derived vertex name and generator are found once and read for both
+    sides of every edge, and equal attachment letters share one tuple,
+    which validation then checks once per kind."""
+    kinds = graph.index.kinds
     by_vertex: dict[str, list[GroupoidNode]] = {}
     for node in cls.nodes:
         by_vertex.setdefault(node.vertex, []).append(node)
+    taken: set[str] = set()
+    derived: dict[GroupoidNode, tuple[str, object]] = {}  # node -> (name, generator)
+    vertices = []
+    vertex_origin = {}
+    rank_one = Free(1)
     for vertex, group in by_vertex.items():  # nodes come sorted by vertex
+        kind = kinds[vertex]
+        dihedral = isinstance(kind, DihedralInfinite)
         for i, node in enumerate(group):
             proposal = vertex if len(group) == 1 else f"{vertex}_{i}"
             while proposal in taken:
                 proposal += "_"
             taken.add(proposal)
-            names[node] = proposal
+            derived[node] = (proposal, DIHEDRAL_R if dihedral else 1)
+            vertices.append((proposal, kind if dihedral else rank_one))
+            vertex_origin[proposal] = node
 
-    vertices = []
-    vertex_origin = {}
-    for node in cls.nodes:
-        kind = graph.kind(node.vertex)
-        vertices.append((names[node], kind if isinstance(kind, DihedralInfinite) else Free(1)))
-        vertex_origin[names[node]] = node
+    letters: dict[tuple, tuple] = {}  # (generator, exponent) -> one shared letters tuple
 
-    def derived_attachment(node: GroupoidNode, n: int) -> VertexWord:
-        gen = DIHEDRAL_R if isinstance(graph.kind(node.vertex), DihedralInfinite) else 1
-        return VertexWord(names[node], ((gen, n),))
+    def attachment(vertex: str, gen, n: int) -> VertexWord:
+        key = (gen, n)
+        found = letters.get(key)
+        if found is None:
+            found = letters[key] = (key,)
+        return VertexWord(vertex, found)
 
     edges = []
     for edge in cls.edges:
         (node_s, n_s, _), (node_t, n_t, _) = cls.occurrences[edge]
+        (source, gen_s), (target, gen_t) = derived[node_s], derived[node_t]
         edges.append(
             EdgeRecord(
-                name=edge,
-                source=names[node_s],
-                target=names[node_t],
-                attachment_source=derived_attachment(node_s, n_s),
-                attachment_target=derived_attachment(node_t, n_t),
+                edge, source, target, attachment(source, gen_s, n_s), attachment(target, gen_t, n_t)
             )
         )
     return ConjugacyGraph(make_graph(vertices, edges), cls, vertex_origin)

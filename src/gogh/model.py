@@ -16,7 +16,7 @@ Lookups, the spanning tree and tree paths are read from it.
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass, field
-from operator import attrgetter, itemgetter
+from operator import attrgetter, ge, itemgetter
 
 
 class GoghError(Exception):
@@ -46,12 +46,34 @@ def record(cls):
     generated still names the class it replaced: on Python 3.11 assigning
     a name that is no field raises TypeError from super().  These two
     raise as the generated ones do for a field; construction bypasses
-    them, as before.
+    them, as before, and stores each field through its slot's descriptor
+    (see _slot_init).
     """
     cls = dataclass(frozen=True, slots=True)(cls)
     cls.__setattr__ = _frozen_setattr
     cls.__delattr__ = _frozen_delattr
+    cls.__init__ = _slot_init(cls)
     return cls
+
+
+def _slot_init(cls):
+    """An __init__ with the parameters of the one dataclass generates, the
+    fields in order but those with init=False, which stores each through
+    its slot's descriptor and then runs __post_init__, if the class has
+    one.  The generated one calls object.__setattr__ once per field, since
+    the class is frozen; a descriptor store takes about two thirds of that
+    time, and the parser and the certificates build records by the
+    thousand.  A record field takes no default."""
+    names = cls.__match_args__
+    namespace = {f"_set_{name}": cls.__dict__[name].__set__ for name in names}
+    lines = [f"def __init__(self, {', '.join(names)}):", "    pass"]
+    lines += [f"    _set_{name}(self, {name})" for name in names]
+    if hasattr(cls, "__post_init__"):
+        lines.append("    self.__post_init__()")
+    exec("\n".join(lines), namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
 
 
 @record
@@ -244,19 +266,27 @@ def _check_attachment(kind: VertexGroupKind, word: VertexWord, edge: str, side: 
 def validate(graph: GraphOfGroups) -> GraphIndex:
     """Check every model invariant; raise ValidationError on the first failure.
     Return the graph's index, built during the same walk, which reads each
-    edge's fields once."""
+    edge's fields once.
+
+    An attachment's check reads only its vertex kind and its letters, so a
+    letters tuple that passed at one kind object passes there again: the
+    parser gives each one-letter image text one tuple and each rank one
+    kind, and the walk checks such a pair once.  ``passed`` maps the id of
+    a letters tuple to the kind it last passed at; ids, unlike values, tell
+    1 from 1.0, and every tuple lives in the graph for the whole walk."""
     if not graph.vertices:
         raise ValidationError("DisconnectedGraph", "graph has no vertices")
     names = [name for name, _ in graph.vertices]
-    if any(a >= b for a, b in zip(names, names[1:])):
+    if any(map(ge, names, names[1:])):
         raise ValidationError("DuplicateVertex", "vertex table not canonical")
     kinds = dict(graph.vertices)
     for name, kind in graph.vertices:
         if isinstance(kind, Free) and kind.rank < 1:
             raise ValidationError("RankZero", f"vertex {name} has rank {kind.rank}")
     edge_names = [e.name for e in graph.edges]
-    if any(a >= b for a, b in zip(edge_names, edge_names[1:])):
+    if any(map(ge, edge_names, edge_names[1:])):
         raise ValidationError("DuplicateEdge", "edge table not canonical")
+    passed: dict[int, VertexGroupKind] = {}
     # the table is sorted: each list is in id order, stored orientation first
     adj: dict[str, list[tuple[str, str, int]]] = {v: [] for v in kinds}
     for e in graph.edges:
@@ -270,8 +300,12 @@ def validate(graph: GraphOfGroups) -> GraphIndex:
             raise ValidationError(
                 "UnknownVertex", f"edge {name} attachment tagged with wrong vertex"
             )
-        _check_attachment(kind_s, word_s, name, "source")
-        _check_attachment(kind_t, word_t, name, "target")
+        if passed.get(id(word_s.letters)) is not kind_s:
+            _check_attachment(kind_s, word_s, name, "source")
+            passed[id(word_s.letters)] = kind_s
+        if passed.get(id(word_t.letters)) is not kind_t:
+            _check_attachment(kind_t, word_t, name, "target")
+            passed[id(word_t.letters)] = kind_t
         adj[source].append((target, name, 1))
         adj[target].append((source, name, -1))
     index = GraphIndex(kinds, dict(zip(edge_names, graph.edges)), adj)

@@ -118,15 +118,22 @@ def _parametrization(
         (_, n_s, _), (_, n_t, _) = attachments[edge]  # a flip when their signs differ
         negative[vertex] = negative[parent] != ((n_s < 0) != (n_t < 0))
 
+    # (dihedral, signed exponent) -> a vertex's image pairs: vertices of one
+    # kind and exponent share one element and one tuple
+    shared: dict[tuple[bool, int], tuple] = {}
     vertex_images = []
     for v, kind in graph.vertices:
         num, den = potential[v]
         k = den * (scale // num)
-        rotation = dih.DihedralElement(0, -k if negative[v] else k)
-        if isinstance(kind, DihedralInfinite):
-            vertex_images.append((v, ((DIHEDRAL_R, rotation), (DIHEDRAL_S, _REFLECTION))))
-        else:
-            vertex_images.append((v, ((1, rotation),)))
+        key = (isinstance(kind, DihedralInfinite), -k if negative[v] else k)
+        images = shared.get(key)
+        if images is None:
+            rotation = dih.DihedralElement(0, key[1])
+            if key[0]:
+                images = shared[key] = ((DIHEDRAL_R, rotation), (DIHEDRAL_S, _REFLECTION))
+            else:
+                images = shared[key] = ((1, rotation),)
+        vertex_images.append((v, images))
 
     stable_images = []
     for e in graph.edges:

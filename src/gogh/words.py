@@ -208,8 +208,8 @@ def _exponent_in_image(data, g) -> int | None:
     exponent, else the freely reduced letters of a free word, a tuple or a
     list.  Against a one-letter root, a g of more than 2|c| + 1 letters is
     rejected before any letter is read.  Otherwise g is compared block by
-    block with root^q when c is empty, and c^-1 g c is built, in time
-    linear in g, when it is not."""
+    block with root^q when c is empty, and c^-1 g c is compared so when it
+    is not (see _conjugate_power_of)."""
     if isinstance(data, int):
         if g.eps or g.k % data:
             return None
@@ -219,10 +219,36 @@ def _exponent_in_image(data, g) -> int | None:
     cinv, c, root, n = data
     if len(root) == 1 and len(g) > 2 * len(c) + 1:
         return None  # c^-1 g c is one letter only if g has at most 2|c| + 1
-    q = _power_of(fw.mul_letters(cinv, g, c) if c else g, root)
+    q = _conjugate_power_of(cinv, g, c, root) if c else _power_of(g, root)
     if q is None or q % n:
         return None
     return q // n
+
+
+def _conjugate_power_of(cinv: fw.Letters, g, c: fw.Letters, root: fw.Letters) -> int | None:
+    """q with c^-1 g c == root^q as reduced words, else None, for reduced
+    nonempty letters g and c.
+
+    Free reduction of c^-1 g c cancels only at g's two seams, within |c| + 1
+    letters of each end: so once g has |root| letters more than 2(|c| + 1),
+    the product is head + the middle of g + tail, each seam computed from
+    |c| + 1 letters of g.  Its length and its first and last blocks are
+    read first, and the middle is copied and compared block by block only
+    when both blocks fit.  A syllable that grows by merges and is tested
+    after each is then read in time linear in |c| and |root| per test, as
+    long as its ends are no power of the root."""
+    h, width = len(c) + 1, len(root)
+    if len(g) < 2 * h + width:
+        return _power_of(fw.mul_letters(cinv, g, c), root)
+    stop = len(g) - h
+    head, tail = fw.mul_letters(cinv, g[:h]), fw.mul_letters(g[stop:], c)
+    if (len(head) + stop - h + len(tail)) % width:
+        return None
+    first = (head + tuple(g[h : h + width]))[:width]
+    last = (tuple(g[stop - width : stop]) + tail)[-width:]
+    if first != last or first not in (root, fw.inv_letters(root)):
+        return None
+    return _power_of(head + tuple(g[h:stop]) + tail, root)
 
 
 def _power_of(letters, root: fw.Letters) -> int | None:
@@ -288,11 +314,11 @@ def britton_reduce(graph: GraphOfGroups, w: PathWord) -> PathWord:
     list of letters or an element) until the pass ends.  Each signed edge's
     pinch data is read once per call.  So the pass takes time linear in
     the steps, the letters of the input and of the replacing powers, and
-    the letters that cancel.  The one exception is a pinch test against a
-    conjugated multi-letter root (see _exponent_in_image): it reads the
-    whole syllable, so a syllable that grows by merges and is tested after
-    each costs its length each time.  The output does not depend on where
-    letters cancel, since free reduction and s^eps r^k are unique.
+    the letters that cancel; a pinch test against a conjugated multi-letter
+    root reads the whole syllable only when its two ends are blocks of a
+    power of the root (see _conjugate_power_of).  The output does not
+    depend on where letters cancel, since free reduction and s^eps r^k are
+    unique.
     """
     entries: dict[SignedEdge, tuple] = {}  # signed edge -> _pinch_entry
     # the input's (step, syllable) pairs, or (step, open syllable) after a merge

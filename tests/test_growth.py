@@ -9,6 +9,7 @@ import random
 from conftest import Clock, lollipop
 from gogh import cli
 from gogh.freewords import inv_letters, pow_letters, reduce_letters
+from gogh.words import britton_reduce, to_path_form
 
 
 def conjugated_cycle(n: int) -> str:
@@ -66,3 +67,25 @@ def test_pow_letters_matches_the_letter_by_letter_power():
         assert pow_letters(word, n) == reduce_letters(written_out), (word, n)
         seen += len(reduce_letters(word)) > 1 and abs(n) > 1
     assert seen > 5000, seen
+
+
+def test_reduction_against_a_conjugated_root_grows_linearly():
+    """e.t v.2 (e.t^-1 v.1^3 e.t v.2)^m e.t^-1, where e's target image
+    v.2 v.1 v.2 v.1^2 v.2^-1 is c root c^-1 with c = v.2 v.1^-2 and root
+    v.1^3 v.2: every pinch merges into one syllable, which each incoming
+    e.t^-1 tests and leaves in place.  It took 0.61 / 2.46 / 13.44 s at
+    m = 1000 / 2000 / 4000 when each test multiplied c^-1 g c out in full
+    (Python 3.11.7, a shared 2-core x86-64 host)."""
+    m = 4000
+    graph = cli.parse(
+        'vertex v free 2\nedge e from=v to=v img_from="v.1^3" img_to="v.2 v.1 v.2 v.1^2 v.2^-1"\n'
+    )
+    piece = [("t", "e", -1), ("g", "v", 1, 3), ("t", "e", 1), ("g", "v", 2, 1)]
+    tokens = [("t", "e", 1), ("g", "v", 2, 1)] + piece * m + [("t", "e", -1)]
+    path = to_path_form(graph, tokens, "v")
+    with Clock("growth conjugated root reduce m=4000", 1.0):
+        reduced = britton_reduce(graph, path)
+    (_, syllable), (_, last) = reduced.tail
+    block = ((2, 1), (1, 1), (2, 1), (1, 2))
+    assert not reduced.head.letters and not last.letters
+    assert syllable.letters == ((2, 2),) + block[1:] + block * (m - 1)

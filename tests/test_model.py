@@ -137,6 +137,26 @@ def test_one_letter_attachments_get_the_general_verdict(kind, letter, valid, sid
     assert (want is None) == valid
 
 
+def test_a_letters_tuple_that_passed_is_checked_again_where_it_may_fail():
+    """validate checks one letters object once per kind object it meets:
+    ((2, 3),) passes at a rank-2 vertex and is checked again, and rejected,
+    at a rank-1 vertex; ((1.0, 3),), equal to a tuple that passed, is
+    checked, and rejected, too."""
+    rank2 = Free(2)
+    letters = ((2, 3),)
+    loop = EdgeRecord("e", "a", "a", VertexWord("a", letters), VertexWord("a", letters))
+    make_graph([("a", rank2)], [loop])
+    across = EdgeRecord("f", "a", "b", VertexWord("a", letters), VertexWord("b", letters))
+    with pytest.raises(ValidationError) as err:
+        make_graph([("a", rank2), ("b", Free(1))], [loop, across])
+    assert err.value.code == "UnknownGenerator"
+    ints, floats = VertexWord("a", ((1, 3),)), VertexWord("a", ((1.0, 3),))
+    with pytest.raises(ValidationError) as err:
+        edges = [EdgeRecord("e", "a", "a", ints, ints), EdgeRecord("f", "a", "a", floats, ints)]
+        make_graph([("a", rank2)], edges)
+    assert err.value.code == "UnknownGenerator"
+
+
 # -- validation at construction ----------------------------------------------------
 
 

@@ -100,7 +100,8 @@ def reference_parse(text: str):
             m = _EDGE_RE.match(line)
             if not m:
                 raise ParseError("malformed edge declaration", lineno, 1)
-            pending_edges.append((lineno, m.groups()))
+            # the edge's name, its ends and its two attachment texts
+            pending_edges.append((lineno, m.group(1, 2, 3, 4, 8)))
         else:
             raise ParseError(f"unrecognized declaration {line.split()[0]!r}", lineno, 1)
     edges = []

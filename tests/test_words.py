@@ -348,6 +348,36 @@ def test_reduction_matches_the_reference_on_the_merge_family():
             assert len(reduced.tail) == 2
 
 
+def test_reduction_matches_the_reference_against_a_conjugated_root():
+    """Syllables against e's target image v.2 v.1 v.2 v.1^2 v.2^-1, which is
+    c root c^-1 with c = v.2 v.1^-2 and root v.1^3 v.2: its powers, which
+    pinch, and its powers times one letter at the start, in the middle or
+    at the end, which mostly do not.  Most are long enough that the pinch
+    test reads the two ends of c^-1 g c before its middle.  pinch_membership
+    agrees with the powers written out, and reduction with the reference."""
+    g = parse(
+        'vertex v free 2\nedge e from=v to=v img_from="v.1^3" img_to="v.2 v.1 v.2 v.1^2 v.2^-1"\n'
+    )
+    kind = g.kind("v")
+    att = g.edge("e").attachment_target
+    powers = {vw_pow(kind, att, k).letters: k for k in range(-40, 41)}
+    rng = random.Random(29)
+    pinched = 0
+    for q in range(-30, 31):
+        for where in ("none", "start", "middle", "end"):
+            letters = list(vw_pow(kind, att, q).letters)
+            at = {"none": None, "start": 0, "middle": len(letters) // 2, "end": len(letters)}[where]
+            if at is not None:
+                letters[at:at] = [(rng.choice((1, 2)), rng.choice((-1, 1)))]
+            word = vw_mul(kind, VertexWord("v", tuple(letters)))
+            assert pinch_membership(g, "e", word, 1) == powers.get(word.letters), (q, where)
+            sandwich = [("t", "e", 1)] + tokens_of_vertex_word(word) + [("t", "e", -1)]
+            tokens = sandwich + [("g", "v", 2, 1)]
+            p, reduced = _reduce_both(g, tokens, "v")
+            pinched += len(reduced.tail) < len(p.tail)
+    assert pinched >= 61
+
+
 def test_reduction_matches_the_reference_on_bs_towers():
     values = [x for x in range(-6, 7) if x]
     for m in values:
