@@ -35,8 +35,12 @@ potentials are relative to its least node, whatever path set them, and
 ``parametrize`` builds its certificate from them.  The first edge that
 disagrees with the potentials of its component closes a cycle with the
 fewest arcs back through earlier edges, which are balanced among
-themselves, so the cycle visits no node twice; arcs, with their
-``Fraction`` weights, are built for those cycles only.  Each fact is
+themselves, so the cycle visits no node twice.  A breadth-first search
+finds them on the integer node ids, with each arc an integer too (edge
+position and orientation) and a list from node id to the arc that
+reached it; it reads each node's arcs in edge order, so ties between
+shortest paths break by edge order.  Arcs, with their ``Fraction``
+weights, are built for the cycles found only.  Each fact is
 stored once: the attachment data lives in the pass's one map from edge to
 record, a class holds its verdict and its edges, and an unbalanced verdict
 holds the map, which ``certify`` reads.
@@ -221,13 +225,71 @@ def attachment_data(word: VertexWord, shared: dict):
     return GroupoidNode(word.vertex, root.letters), n, conj
 
 
-def _arc(occurrences: dict, label: str, sign: int) -> GroupoidArc:
-    """An arc of an edge, from its record: sign +1 runs from the target-side
-    node with weight n_s/n_t, and sign -1 is its inverse."""
-    (node_s, n_s, _), (node_t, n_t, _) = occurrences[label]
-    if sign > 0:
-        return GroupoidArc(node_t, node_s, Fraction(n_s, n_t), label, 1)
-    return GroupoidArc(node_s, node_t, Fraction(n_t, n_s), label, -1)
+def _close_cycles(occurrences: dict, heads: list, tails: list, parent: list, closing: dict) -> dict:
+    """The unbalanced verdict of each class in closing (its root -> the
+    position k of its closing edge): the cycle is edge k's +1 arc, from
+    t = tails[k] to s = heads[k], then the fewest arcs from s back to t over
+    the class's edges before k.  Those edges join s and t in a balanced
+    part, so a shortest path repeats no node.
+
+    An arc is an int: 2j is edge j's +1 arc, from tails[j] to heads[j], and
+    2j + 1 its -1 arc, so arc a runs from ends[a ^ 1] to ends[a].  Each node
+    lists its arcs out in edge order, and the breadth-first search reads
+    them in that order, so of several shortest paths it keeps the one that
+    reaches each node by its first arc.  back[v] is the arc that first
+    reached v (for s, the closing arc), and a search stops once it has
+    reached t.  Classes share no node, so they share one back list.  Arcs,
+    with their ``Fraction`` weights, are built for the cycle only, and the
+    modulus, their product, is one ``Fraction`` of the products of the two
+    sides of their exponent ratios.
+    """
+    stop = max(closing.values())
+    ends = [0] * (2 * stop)
+    ends[0::2], ends[1::2] = heads[:stop], tails[:stop]
+    arcs_out: list[list[int]] = [[] for _ in parent]
+    for k in range(stop):
+        t = tails[k]
+        if k < closing.get(parent[t], 0):
+            arcs_out[t].append(2 * k)
+            arcs_out[heads[k]].append(2 * k + 1)
+    back = [-1] * len(parent)
+    labels = list(occurrences)
+    found = {}
+    for r, k in closing.items():
+        s = heads[k]
+        t = tails[k]
+        back[s] = 2 * k
+        queue = [s]
+        for u in queue:  # the list grows as it is read: a FIFO queue
+            for a in arcs_out[u]:
+                v = ends[a]
+                if back[v] < 0:
+                    back[v] = a
+                    queue.append(v)
+            if back[t] >= 0:
+                break
+        steps = []
+        while t != s:
+            a = back[t]
+            steps.append(a)
+            t = ends[a ^ 1]
+        cycle, tops, bottoms = [], [], []
+        for a in (2 * k, *reversed(steps)):
+            label = labels[a >> 1]
+            (node_s, n_s, _), (node_t, n_t, _) = occurrences[label]
+            if a & 1:
+                cycle.append(GroupoidArc(node_s, node_t, Fraction(n_t, n_s), label, -1))
+                tops.append(n_t)
+                bottoms.append(n_s)
+            else:
+                cycle.append(GroupoidArc(node_t, node_s, Fraction(n_s, n_t), label, 1))
+                tops.append(n_s)
+                bottoms.append(n_t)
+        modulus = Fraction(prod(tops), prod(bottoms))
+        if abs(modulus) == 1:
+            raise RuntimeError(f"cycle through arc {labels[k]} is balanced")
+        found[r] = Unbalanced(tuple(cycle), modulus, occurrences)
+    return found
 
 
 def build_groupoid(graph: GraphOfGroups) -> RatioGroupoid:
@@ -321,42 +383,7 @@ def build_groupoid(graph: GraphOfGroups) -> RatioGroupoid:
         if members is None:
             members = edges[parent[t]] = []
         members.append(name)
-    # the arcs of each unbalanced component's edges before its closing edge
-    adj: dict[int, list[tuple[int, int, int]]] = {}
-    if closing:
-        for k, (s, t) in enumerate(zip(heads, tails)):
-            if k < closing.get(parent[t], 0):
-                adj.setdefault(t, []).append((k, s, 1))
-                adj.setdefault(s, []).append((k, t, -1))
-    first_bad: dict[int, Unbalanced] = {}
-    labels = list(occurrences)
-    for r, k in closing.items():
-        label = labels[k]
-        s, t = heads[k], tails[k]
-        # the fewest arcs from s back to t over edges before the closing one:
-        # these join s and t in a balanced part, and a shortest path repeats
-        # no node.  The search stops when it reaches t: back holds the nodes
-        # found before t, among them every node of t's chain.
-        back = {s: None}
-        queue = [s]
-        for u in queue:  # the list grows as it is read: a FIFO queue
-            for j, v, sign in adj.get(u, ()):
-                if v not in back:
-                    back[v] = (u, j, sign)
-                    queue.append(v)
-            if t in back:
-                break
-        steps = []
-        while t != s:
-            t, j, sign = back[t]
-            steps.append(_arc(occurrences, labels[j], sign))
-        cycle = (_arc(occurrences, label, 1), *reversed(steps))
-        modulus = Fraction(
-            prod(a.weight.numerator for a in cycle), prod(a.weight.denominator for a in cycle)
-        )
-        if abs(modulus) == 1:
-            raise RuntimeError(f"cycle through arc {label} is balanced")
-        first_bad[r] = Unbalanced(cycle, modulus, occurrences)
+    first_bad = _close_cycles(occurrences, heads, tails, parent, closing) if closing else {}
     verdict = first_bad[min(closing, key=closing.get)] if closing else Balanced()
 
     position = {root: i for i, root in enumerate(edges)}

@@ -264,13 +264,26 @@ def _node_str(node) -> str:
     return f"{node.vertex}|" + " ".join(letter_str(g, e) for g, e in node.root)
 
 
-def _arc_json(arc) -> dict:
-    return {
-        "from": _node_str(arc.src),
-        "to": _node_str(arc.dst),
-        "weight": _ratio(arc.weight),
-        "via": f"{arc.label}.t" + ("^-1" if arc.sign < 0 else ""),
-    }
+def _cycle_json(cycle) -> list:
+    """The arcs of a cycle, each node's string rendered once: a node is the
+    target of one arc and the source of the next."""
+    rendered: dict = {}
+    out = []
+    for arc in cycle:
+        src, dst = rendered.get(arc.src), rendered.get(arc.dst)
+        if src is None:
+            src = rendered[arc.src] = _node_str(arc.src)
+        if dst is None:
+            dst = rendered[arc.dst] = _node_str(arc.dst)
+        out.append(
+            {
+                "from": src,
+                "to": dst,
+                "weight": _ratio(arc.weight),
+                "via": f"{arc.label}.t" + ("^-1" if arc.sign < 0 else ""),
+            }
+        )
+    return out
 
 
 def _phi_json(phi) -> dict:
@@ -327,7 +340,7 @@ def _cmd_balance(graph: GraphOfGroups, args) -> dict:
                     "id": name,
                     "verdict": "Unbalanced",
                     "modulus": _ratio(verdict.modulus),
-                    "cycle": [_arc_json(a) for a in verdict.cycle],
+                    "cycle": _cycle_json(verdict.cycle),
                 }
             )
     return {"edges": edges}

@@ -311,6 +311,109 @@ def test_pass_matches_the_reference_pass():
     assert min(seen.values()) >= 20, seen
 
 
+def _reference_cycles(graph):
+    """Each unbalanced class's cycle, by the search written with node-keyed
+    dicts and (edge, node, sign) tuples: the closing edge's +1 arc, then
+    the fewest arcs back by a breadth-first search over the class's edges
+    before it, each node's arcs read in edge order, +1 before -1.  The
+    closing edges are the reference pass's."""
+    _, occurrences, _, classes = _reference_groupoid(graph)
+    labels = list(occurrences)
+    position = {label: k for k, label in enumerate(labels)}
+    cycles = []
+    for cls in classes:
+        if cls["closing"] is None:
+            cycles.append(None)
+            continue
+        closing = cls["closing"].label
+        adj = {}
+        for label in cls["edges"]:
+            if position[label] < position[closing]:
+                (s, _, _), (t, _, _) = occurrences[label]
+                adj.setdefault(t, []).append((label, s, 1))
+                adj.setdefault(s, []).append((label, t, -1))
+        (s, _, _), (t, _, _) = occurrences[closing]
+        back = {s: None}
+        queue = deque([s])
+        while queue and t not in back:
+            u = queue.popleft()
+            for label, v, sign in adj.get(u, ()):
+                if v not in back:
+                    back[v] = (u, label, sign)
+                    queue.append(v)
+        steps = []
+        while t != s:
+            t, label, sign = back[t]
+            steps.append(edge_arc(occurrences, label, sign))
+        cycles.append((edge_arc(occurrences, closing, 1), *reversed(steps)))
+    return cycles
+
+
+def _tied_paths(rng, paths, length):
+    """Balanced paths of equal length between vertices x and y, each edge
+    named, oriented and given its ratio at random, then a bad edge x -> y
+    named after all of them: every path is a shortest way back."""
+    kinds = {"x": Free(1), "y": DihedralInfinite()}
+    chains = []
+    for p in range(paths):
+        inner = [f"p{p}m{i}" for i in range(length - 1)]
+        for v in inner:
+            kinds[v] = rng.choice((Free(1), DihedralInfinite()))
+        chains.append(["x", *inner, "y"])
+
+    def image(v, k):
+        return VertexWord(v, ((DIHEDRAL_R if isinstance(kinds[v], DihedralInfinite) else 1, k),))
+
+    names = [f"e{i:03d}" for i in range(paths * length)]
+    rng.shuffle(names)
+    edges = []
+    for chain in chains:
+        for a, b in zip(chain, chain[1:]):
+            k = rng.choice((1, -1, 2, -2))  # |n_s| == |n_t|: every path has weight +-1
+            a, b = (a, b) if rng.random() < 0.5 else (b, a)
+            edges.append(EdgeRecord(names.pop(), a, b, image(a, k), image(b, -k)))
+        if rng.random() < 0.3:  # a balanced loop on the way adds a self-arc
+            v = rng.choice(chain)
+            edges.append(EdgeRecord(f"loop{len(edges)}", v, v, image(v, 2), image(v, -2)))
+    edges.append(EdgeRecord("z", "x", "y", image("x", 3), image("y", 1)))
+    return make_graph(list(kinds.items()), edges)
+
+
+def test_cycle_search_matches_the_reference_search():
+    """Every unbalanced class's cycle equals the reference search's arc for
+    arc: on seeded graphs with rank-2 and dihedral vertices, and on graphs
+    where several shortest paths tie, where the choice among them must
+    follow edge order the same way."""
+    rng = random.Random(2028)
+    kinds, cycles = set(), Counter()
+    for i in range(600):
+        graph = random_graph(
+            rng, v_max=4 + i % 5, e_max=5 + i % 6, exp_max=(1, 2, 5)[i % 3], rank2_prob=0.3
+        )
+        kinds.update(kind for _, kind in graph.vertices)
+        got = [cls.verdict for cls in build_groupoid(graph).classes]
+        for verdict, want in zip(got, _reference_cycles(graph), strict=True):
+            if want is None:
+                assert verdict == Balanced()
+                continue
+            assert verdict.cycle == want
+            check_cycle_contract(verdict)
+            cycles["long" if len(want) >= 3 else "short"] += 1
+    assert {DihedralInfinite(), Free(1), Free(2)} <= kinds, kinds
+    assert min(cycles.values()) >= 50, cycles
+    chosen = Counter()
+    for i in range(200):
+        graph = _tied_paths(rng, paths=2 + i % 3, length=2 + i % 4)
+        (verdict,) = [cls.verdict for cls in build_groupoid(graph).classes]
+        assert verdict.cycle == _reference_cycles(graph)[0]
+        check_cycle_contract(verdict)
+        # the path the search kept, by its first inner vertex
+        chosen[(2 + i % 3, verdict.cycle[1].dst.vertex)] += 1
+    # each tie size sees more than one of its paths chosen
+    for paths in (2, 3, 4):
+        assert len([v for p, v in chosen if p == paths]) > 1, chosen
+
+
 def _ratio_cycle(n, unbalanced):
     """A cycle of n (even) vertices whose edge ratios n_s/n_t alternate
     -2/3 and 3/2, so that they multiply to 1, or to 4 when unbalanced.

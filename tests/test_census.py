@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import product
 
 from conftest import Clock, check_cycle_contract
-from gogh.checks import verify_parametrization
+from gogh.checks import provenance_holds, verify_parametrization
 from gogh.model import DIHEDRAL_R, DihedralInfinite, EdgeRecord, Free, VertexWord, make_graph
 from gogh.parametrize import HHG, hhg_verdict
 
@@ -65,8 +65,9 @@ def _balanced(edges) -> bool:
 
 def test_census_of_two_ended_graphs():
     """The status equals the oracle's on every graph of the stratum, every
-    certificate verifies, every witness Britton-reduces to the empty word,
-    and every reported cycle keeps its contract."""
+    certificate verifies, every HHG class's derived graph keeps its
+    provenance, every witness Britton-reduces to the empty word, and every
+    reported cycle keeps its contract."""
     counts = Counter()
     with Clock("census 2-ended stratum", 20.0):
         for vertices, edges in _stratum():
@@ -85,6 +86,7 @@ def test_census_of_two_ended_graphs():
                 for cert in verdict.certificates:
                     ok, report = verify_parametrization(cert.conjugacy_graph.graph, cert.phi)
                     assert ok, (vertices, edges, report)
+                    assert provenance_holds(graph, cert.conjugacy_graph), (vertices, edges)
             else:
                 transcript = verdict.witness.transcript
                 assert not transcript.tail and transcript.head.is_identity, (vertices, edges)

@@ -5,9 +5,13 @@ of a conjugated one-letter root costs the conjugator's letters, not the
 exponent's size."""
 
 import random
+from fractions import Fraction
 
-from conftest import Clock, lollipop
+import pytest
+
+from conftest import Clock, check_cycle_contract, lollipop
 from gogh import cli
+from gogh.balance import build_groupoid
 from gogh.freewords import inv_letters, pow_letters, reduce_letters
 from gogh.words import britton_reduce, to_path_form
 
@@ -50,6 +54,69 @@ def test_conjugated_distortion_grows_polynomially(tmp_path):
     assert code == 0
     table = out["table"]
     assert len(table) == 40 and table[-1]["exponent"] == str(3**40)
+
+
+def unbalanced_cycle(n: int, conjugated: bool) -> str:
+    """An n-cycle (n even) whose edge ratios n_s/n_t alternate 2/3 and 3/2,
+    except that the last edge's is 6/2: modulus 2.  The last edge closes
+    the one cycle, so the reported cycle is the whole graph.  Every third
+    vertex is dihedral; with conjugated, every fifth is free of rank 2 and
+    attaches its outgoing edge by v.2 v.1^k v.2^-1 instead."""
+    names = [f"v{i:04d}" for i in range(n)]
+    kinds = ["f2" if conjugated and i % 5 == 0 else "d" if i % 3 == 0 else "f1" for i in range(n)]
+    lines = [
+        f"vertex {v} " + {"f1": "free 1", "f2": "free 2", "d": "dihedral"}[kind]
+        for v, kind in zip(names, kinds)
+    ]
+
+    def image(i, k, outgoing):
+        v = names[i]
+        if kinds[i] == "d":
+            return f"{v}.r^{k}"
+        if kinds[i] == "f2" and outgoing:
+            return f"{v}.2 {v}.1^{k} {v}.2^-1"
+        return f"{v}.1^{k}"
+
+    for i in range(n):
+        n_s, n_t = (2, 3) if i % 2 == 0 else (3, 2)
+        if i == n - 1:
+            n_s *= 2
+        j = (i + 1) % n
+        lines.append(
+            f'edge e{i:04d} from={names[i]} to={names[j]} '
+            f'img_from="{image(i, n_s, True)}" img_to="{image(j, n_t, False)}"'
+        )
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("conjugated", [False, True], ids=["plain", "conjugated"])
+def test_unbalanced_cycle_commands_grow_linearly(tmp_path, conjugated):
+    """verdict, witness and balance --edge on a 4000-vertex unbalanced
+    cycle, whose reported cycle is all 4000 arcs: a per-arc cost that grew
+    with the cycle (a search or a rendering pass quadratic in it) would
+    take minutes here."""
+    n = 4000
+    text = unbalanced_cycle(n, conjugated)
+    path = tmp_path / "cycle.gog"
+    path.write_text(text)
+    family = "conjugated" if conjugated else "plain"
+    with Clock(f"growth {family} unbalanced cycle verdict n=4000", 1.0):
+        code, verdict = cli.run(["verdict", str(path)])
+        cli.render_json(verdict)
+    assert code == 0 and verdict["status"] == "NotHHG" and verdict["edge"] == "e0000"
+    with Clock(f"growth {family} unbalanced cycle witness n=4000", 1.0):
+        code, witness = cli.run(["witness", str(path)])
+        cli.render_json(witness)
+    assert code == 0 and witness["transcript"] == "" and witness == {**verdict["witness"], "edge": "e0000"}
+    with Clock(f"growth {family} unbalanced cycle balance n=4000", 1.0):
+        code, balance = cli.run(["balance", str(path), "--edge", "e0000"])
+        cli.render_json(balance)
+    (edge,) = balance["edges"]
+    assert code == 0 and edge["verdict"] == "Unbalanced" and len(edge["cycle"]) == n
+    assert edge["modulus"] in ("2/1", "-2/1", "1/2", "-1/2"), edge["modulus"]
+    cycle = build_groupoid(cli.parse(text)).verdict
+    check_cycle_contract(cycle)
+    assert len(cycle.cycle) == n and abs(cycle.modulus) in (2, Fraction(1, 2))
 
 
 def test_pow_letters_matches_the_letter_by_letter_power():
