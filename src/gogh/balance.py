@@ -48,7 +48,6 @@ holds the map, which ``certify`` reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, prod
 from typing import NamedTuple
@@ -78,17 +77,17 @@ class GroupoidArc(NamedTuple):
     sign: int  # traversal orientation: +1 from the target-side node
 
 
-@dataclass(frozen=True)
+@record
 class Balanced:
     pass
 
 
-@dataclass(frozen=True)
+@record(uncompared=("occurrences",))
 class Unbalanced:
     cycle: tuple[GroupoidArc, ...]
     modulus: Fraction
     # the pass's attachment data, edge -> (source data, target data)
-    occurrences: dict = field(compare=False, repr=False)
+    occurrences: dict
 
     @property
     def edge(self) -> str:
@@ -99,7 +98,7 @@ class Unbalanced:
 BalanceVerdict = Balanced | Unbalanced
 
 
-@record
+@record(uncompared=("occurrences",))
 class EdgeClass:
     """One groupoid component, as the edges whose attachments land in it."""
 
@@ -113,10 +112,10 @@ class EdgeClass:
     potentials: tuple[tuple[int, int], ...]
     # the groupoid's one map of attachment data, edge -> (source, target),
     # each side (node, signed root exponent, conjugator)
-    occurrences: dict = field(compare=False, repr=False)
+    occurrences: dict
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class RatioGroupoid:
     nodes: tuple[GroupoidNode, ...]  # in vertex-table order, then by sort_key
     occurrences: dict  # edge -> (source, target) attachment data, in id order

@@ -12,13 +12,12 @@ through Britton reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from .balance import Balanced, GroupoidArc, Unbalanced
 from .freewords import pow_letters
-from .model import GoghError, GraphOfGroups, VertexWord
+from .model import GoghError, GraphOfGroups, VertexWord, record
 from .words import (
     PathWord,
     invert_tokens,
@@ -34,7 +33,7 @@ class NoWitness(GoghError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class BSWitness:
     """a, s with s a^i s^-1 = a^j, a of infinite order and |i| != |j|.
 
@@ -120,7 +119,7 @@ def almost_bs_witness(graph: GraphOfGroups, verdict) -> BSWitness:
     return BSWitness(a=a, s=tuple(s_tokens), i=i, j=j, transcript=reduced)
 
 
-@dataclass(frozen=True)
+@record
 class DistortionRow:
     k: int
     exponent: int  # j^k, the power of a reached
@@ -128,7 +127,7 @@ class DistortionRow:
     ratio: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class DistortionCertificate:
     witness: BSWitness
     rows: tuple[DistortionRow, ...]

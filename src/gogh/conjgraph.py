@@ -20,8 +20,6 @@ re-verifies their provenance in the original vertex groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .balance import EdgeClass, GroupoidNode
 from .model import (
     DIHEDRAL_R,
@@ -31,10 +29,11 @@ from .model import (
     EdgeRecord,
     VertexWord,
     make_graph,
+    record,
 )
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class ConjugacyGraph:
     graph: GraphOfGroups  # the derived graph of 2-ended groups
     edge_class: EdgeClass  # its occurrences hold each edge's conjugators

@@ -10,10 +10,9 @@ names a groupoid node, is a producer's choice and lives in ``balance``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .model import GoghError, VertexWord
+from .model import GoghError, VertexWord, record
 
 Letters = tuple[tuple[int, int], ...]
 
@@ -126,7 +125,7 @@ def cyclic_reduce(word: VertexWord) -> tuple[VertexWord, VertexWord]:
     )
 
 
-@dataclass(frozen=True)
+@record
 class RootData:
     """w = conjugator * root^exponent * conjugator^-1, root primitive."""
 

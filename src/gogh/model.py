@@ -15,7 +15,7 @@ Lookups, the spanning tree and tree paths are read from it.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, field
+from functools import partial
 from operator import attrgetter, ge, itemgetter
 
 
@@ -31,49 +31,84 @@ class ValidationError(GoghError):
 
 
 def _frozen_setattr(self, name, value):
+    from dataclasses import FrozenInstanceError
+
     raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
 def _frozen_delattr(self, name):
+    from dataclasses import FrozenInstanceError
+
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def record(cls):
-    """dataclass(frozen=True, slots=True), where assigning or deleting any
-    name raises FrozenInstanceError.
+def record(cls=None, /, *, eq=True, uncompared=(), derived=()):
+    """A frozen record with slots, built from the class's field annotations.
 
-    slots=True builds a new class, and the __setattr__ that frozen=True
-    generated still names the class it replaced: on Python 3.11 assigning
-    a name that is no field raises TypeError from super().  These two
-    raise as the generated ones do for a field; construction bypasses
-    them, as before, and stores each field through its slot's descriptor
-    (see _slot_init).
+    The class is rebuilt with ``__slots__`` (so an instance has no
+    ``__dict__``), ``__match_args__`` and these methods, written by one
+    ``exec``:
+
+    - ``__init__`` takes the fields in order, stores each through its
+      slot's descriptor and then runs ``__post_init__``, if the class has
+      one.  A descriptor store takes about two thirds of the time of an
+      ``object.__setattr__``, and the parser and the certificates build
+      records by the thousand.  A record field takes no default.
+    - ``__eq__`` compares the tuples of the compared fields of two
+      instances of one class, and ``__hash__`` hashes that tuple; with
+      ``eq=False`` neither is written, and instances compare by identity.
+    - ``__repr__`` reads ``Name(field=value, ...)``.
+    - ``__reduce__`` rebuilds an instance through ``__init__``, so pickle
+      and ``copy`` work and a derived field is built again.
+
+    Assigning or deleting any name raises ``dataclasses.FrozenInstanceError``,
+    imported only then.  Two kinds of field stay outside the record's
+    value, and so out of ``==``, ``hash`` and ``repr``: those named in
+    ``uncompared``, which ``__init__`` still takes, and those named in
+    ``derived``, which it does not and ``__post_init__`` sets.
     """
-    cls = dataclass(frozen=True, slots=True)(cls)
-    cls.__setattr__ = _frozen_setattr
-    cls.__delattr__ = _frozen_delattr
-    cls.__init__ = _slot_init(cls)
+    if cls is None:
+        return partial(record, eq=eq, uncompared=uncompared, derived=derived)
+    fields = tuple(cls.__dict__.get("__annotations__", ()))
+    params = tuple(name for name in fields if name not in derived)
+    compared = tuple(name for name in params if name not in uncompared)
+    value = _tuple("self.", compared)
+    shown = ", ".join(f"{name}={{self.{name}!r}}" for name in compared)
+    lines = [
+        f"def __init__(self{''.join(f', {name}' for name in params)}):",
+        "    pass",
+        *(f"    _set_{name}(self, {name})" for name in params),
+        *(["    self.__post_init__()"] if hasattr(cls, "__post_init__") else []),
+        "def __repr__(self):",
+        f"    return f'{{self.__class__.__qualname__}}({shown})'",
+        "def __reduce__(self):",
+        f"    return self.__class__, {_tuple('self.', params)}",
+    ]
+    if eq:
+        lines += [
+            "def __eq__(self, other):",
+            "    if other.__class__ is self.__class__:",
+            f"        return {value} == {_tuple('other.', compared)}",
+            "    return NotImplemented",
+            "def __hash__(self):",
+            f"    return hash({value})",
+        ]
+    namespace, methods = {}, {}  # the methods' globals, and the methods
+    exec("\n".join(lines), namespace, methods)
+    body = {k: v for k, v in cls.__dict__.items() if k not in ("__dict__", "__weakref__")}
+    for name, method in methods.items():
+        method.__qualname__ = f"{cls.__qualname__}.{name}"
+    body.update(methods, __slots__=fields, __match_args__=params)
+    body.update(__setattr__=_frozen_setattr, __delattr__=_frozen_delattr)
+    cls = type(cls)(cls.__name__, cls.__bases__, body)
+    namespace.update((f"_set_{name}", cls.__dict__[name].__set__) for name in params)
     return cls
 
 
-def _slot_init(cls):
-    """An __init__ with the parameters of the one dataclass generates, the
-    fields in order but those with init=False, which stores each through
-    its slot's descriptor and then runs __post_init__, if the class has
-    one.  The generated one calls object.__setattr__ once per field, since
-    the class is frozen; a descriptor store takes about two thirds of that
-    time, and the parser and the certificates build records by the
-    thousand.  A record field takes no default."""
-    names = cls.__match_args__
-    namespace = {f"_set_{name}": cls.__dict__[name].__set__ for name in names}
-    lines = [f"def __init__(self, {', '.join(names)}):", "    pass"]
-    lines += [f"    _set_{name}(self, {name})" for name in names]
-    if hasattr(cls, "__post_init__"):
-        lines.append("    self.__post_init__()")
-    exec("\n".join(lines), namespace)
-    init = namespace["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    return init
+def _tuple(prefix: str, names) -> str:
+    """Source of the tuple of the named attributes of one object."""
+    items = [prefix + name for name in names]
+    return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
 
 
 @record
@@ -131,12 +166,12 @@ class EdgeRecord:
     attachment_target: VertexWord  # image in the target vertex group
 
 
-@record
+@record(derived=("index",))
 class GraphOfGroups:
     vertices: tuple[tuple[str, VertexGroupKind], ...]  # sorted by id
     edges: tuple[EdgeRecord, ...]  # sorted by id
     # the GraphIndex that validation builds; not part of the graph's value
-    index: GraphIndex = field(init=False, compare=False, repr=False)
+    index: GraphIndex
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "index", validate(self))

@@ -19,7 +19,6 @@ parametrization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 from typing import TYPE_CHECKING
 
@@ -34,6 +33,7 @@ from .model import (
     Free,
     GoghError,
     GraphOfGroups,
+    record,
 )
 
 if TYPE_CHECKING:  # certify is imported only where a NotHHG is built
@@ -44,7 +44,7 @@ class NotTwoEnded(GoghError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class LinearParametrization:
     """Images of vertex generators and of non-tree stable letters.
 
@@ -154,20 +154,20 @@ def _verified(graph: GraphOfGroups, phi: LinearParametrization) -> LinearParamet
 # -- global verdict -----------------------------------------------------------
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class Certificate:
     conjugacy_graph: ConjugacyGraph
     phi: LinearParametrization
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class HHG:
     certificates: tuple[Certificate, ...]
 
     status = "HHG"
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class NotHHG:
     witness: BSWitness
     verdict: Unbalanced

@@ -13,8 +13,6 @@ Tokens are the flat exchange format:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import dihedral as dih
 from . import freewords as fw
 from .model import (
@@ -28,6 +26,7 @@ from .model import (
     edge_attachments,
     edge_endpoints,
     tree_steps,
+    record,
     spanning_tree,
 )
 
@@ -63,7 +62,7 @@ def vw_pow(kind: VertexGroupKind, w: VertexWord, n: int) -> VertexWord:
 # -- path words ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class PathWord:
     """g_0 t_1 g_1 ... t_n g_n with the edge steps forming a closed path."""
 

@@ -7,12 +7,11 @@ conjugacy graph the program builds passes it.
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 
 from conftest import fixture_graphs, random_graph, random_tree_graph
-from gogh.balance import GroupoidNode, build_groupoid
+from gogh.balance import EdgeClass, GroupoidNode, build_groupoid
 from gogh.checks import provenance_holds
 from gogh.cli import parse, serialize
 from gogh.conjgraph import ConjugacyGraph, _derived_conjugacy_graph, build_conjugacy_graph
@@ -122,7 +121,8 @@ def test_provenance_with_malformed_class_edges_fails(edges):
     g = parse(TWO_EDGE_CLASS_TEXT)
     cg = _only_class_graph(g)
     assert cg.edge_class.edges == ("e", "f") and provenance_holds(g, cg)
-    cls = replace(cg.edge_class, edges=edges)
+    c = cg.edge_class
+    cls = EdgeClass(c.index, edges, c.nodes, c.verdict, c.potentials, c.occurrences)
     assert not provenance_holds(g, ConjugacyGraph(cg.graph, cls, cg.vertex_origin))
 
 
@@ -148,7 +148,8 @@ def test_provenance_with_a_malformed_edge_record_fails(record):
         del occurrences["f"]
     else:
         occurrences["f"] = bad[record]
-    cls = replace(cg.edge_class, occurrences=occurrences)
+    c = cg.edge_class
+    cls = EdgeClass(c.index, c.edges, c.nodes, c.verdict, c.potentials, occurrences)
     assert not provenance_holds(g, ConjugacyGraph(cg.graph, cls, cg.vertex_origin))
 
 
