@@ -183,9 +183,9 @@ def canonical_root(word: VertexWord) -> tuple[VertexWord, VertexWord, int]:
     letters.  The two never tie: no nontrivial free word is conjugate to
     its inverse.
     """
-    rd = fw.primitive_root(word)
+    rd = fw.primitive_root(word.letters)
     best = None
-    for source, flip in ((rd.root.letters, 1), (fw.inv_letters(rd.root.letters), -1)):
+    for source, flip in ((rd.root, 1), (fw.inv_letters(rd.root), -1)):
         keys = [_letter_key(l) for l in source]
         i = _least_rotation(keys)
         key = keys[i:] + keys[:i]
@@ -193,7 +193,7 @@ def canonical_root(word: VertexWord) -> tuple[VertexWord, VertexWord, int]:
             best = (key, source[i:] + source[:i], flip, source[:i])
     _, rot, flip, prefix = best
     # source = prefix * rot * prefix^-1, and root = source^flip
-    conj = fw.mul_letters(rd.conjugator.letters, prefix)
+    conj = fw.mul_letters(rd.conjugator, prefix)
     return (
         VertexWord(word.vertex, rot),
         VertexWord(word.vertex, conj),

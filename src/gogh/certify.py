@@ -61,14 +61,9 @@ def tokens_of_vertex_word_power(word: VertexWord, n: int) -> list:
 def _crossing(arc: GroupoidArc, occurrences: dict) -> tuple[int, list]:
     """(n, kappa) for one arc: n is the root exponent of the attachment on
     the near (src) side and kappa = g_far^-1 t^sign g_near, so that
-    kappa R_src^(n*m) kappa^-1 = R_dst^(n*m*weight) for every integer m.
-    When both conjugators are empty, as for every one-letter image, kappa
-    is the one stable-letter token: the general build concatenates the
-    tokens of g_far^-1 and g_near around it, and both are empty lists."""
+    kappa R_src^(n*m) kappa^-1 = R_dst^(n*m*weight) for every integer m."""
     source, target = occurrences[arc.label]
     (_, n, g_near), (_, _, g_far) = (target, source) if arc.sign > 0 else (source, target)
-    if not g_near.letters and not g_far.letters:
-        return n, [("t", arc.label, arc.sign)]
     kappa = invert_tokens(tokens_of_vertex_word(g_far)) + [("t", arc.label, arc.sign)]
     return n, kappa + tokens_of_vertex_word(g_near)
 

@@ -4,13 +4,13 @@ Words are tuples of (generator, exponent) letters with merged exponents, so
 a huge power is a single letter.  All functions assume the letters of their
 inputs belong to one free vertex group.  The module holds the free word
 algebra that producers and checkers share: free and cyclic reduction,
-products, powers, inverses and primitive roots.  The canonical root, which
+products, powers, inverses and primitive roots.  One linear split of the
+letters into conjugator and cyclic core serves both powers and roots, and
+a root's data (``RootData``) is letter tuples.  The canonical root, which
 names a groupoid node, is a producer's choice and lives in ``balance``.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .model import GoghError, VertexWord, record
 
@@ -72,8 +72,9 @@ def mul_letters(*parts: Letters) -> Letters:
 
 
 def pow_letters(letters: Letters, n: int) -> Letters:
-    """The reduced n-th power.  A reduced c u c^-1 has n-th power c u^n c^-1,
-    so when u is one letter the power takes O(|c|) letters whatever n."""
+    """The reduced n-th power.  A reduced c u c^-1 with u cyclically reduced
+    has n-th power c u^n c^-1, reduced only at its two seams, so when u is
+    one letter the power takes O(|c|) letters whatever n."""
     if n < 0:
         return pow_letters(inv_letters(letters), -n)
     if n == 0:
@@ -81,13 +82,11 @@ def pow_letters(letters: Letters, n: int) -> Letters:
     if len(letters) == 1:
         g, e = letters[0]
         return ((g, e * n),)
-    letters = reduce_letters(letters)
-    k = 0  # letters = c u c^-1 with |c| = k
-    while len(letters) - 2 * k > 1 and letters[k] == (letters[-1 - k][0], -letters[-1 - k][1]):
-        k += 1
-    core = letters[k : len(letters) - k]
-    power = pow_letters(core, n) if len(core) == 1 else reduce_letters(core * n)
-    return letters[:k] + power + letters[len(letters) - k :]
+    conj, core = cyclic_reduce(reduce_letters(letters))
+    out = list(conj)
+    extend_reduced(out, pow_letters(core, n) if len(core) == 1 else core * n)
+    extend_reduced(out, inv_letters(conj))
+    return tuple(out)
 
 
 def free_reduce(word: VertexWord) -> VertexWord:
@@ -99,61 +98,60 @@ def free_reduce(word: VertexWord) -> VertexWord:
     return VertexWord(word.vertex, reduce_letters(word.letters))
 
 
-def cyclic_reduce(word: VertexWord) -> tuple[VertexWord, VertexWord]:
-    """Split a freely reduced word as conjugator * core * conjugator^-1.
+def cyclic_reduce(letters: Letters) -> tuple[Letters, Letters]:
+    """Split freely reduced letters as conjugator * core * conjugator^-1,
+    in time linear in the letters.
 
     The core is cyclically reduced and in wrap-normal position: its first
     and last letters use distinct generators (so the cyclic run structure
     coincides with the letter list), unless it has at most one letter.
+
+    >>> cyclic_reduce(((1, 2), (2, 1), (3, 1), (1, 3)))
+    (((1, -3),), ((1, 5), (2, 1), (3, 1)))
     """
-    letters = list(word.letters)
-    conj: list[tuple[int, int]] = []
-    while len(letters) >= 2 and letters[0][0] == letters[-1][0]:
-        g, p = letters[0]
-        _, q = letters[-1]
-        if p + q == 0:
-            conj.append((g, p))
-            letters = letters[1:-1]
-        else:
+    i, j = 0, len(letters) - 1
+    while i < j and letters[i][0] == letters[j][0]:
+        g, p = letters[i]
+        q = letters[j][1]
+        if p + q:
             # w = g^p mid g^q  ->  g^-q (g^(p+q) mid) g^q
-            conj.append((g, -q))
-            letters = [(g, p + q)] + letters[1:-1]
-            break
-    return (
-        VertexWord(word.vertex, reduce_letters(conj)),
-        VertexWord(word.vertex, tuple(letters)),
-    )
+            return letters[:i] + ((g, -q),), ((g, p + q),) + letters[i + 1 : j]
+        i += 1
+        j -= 1
+    return letters[:i], letters[i : j + 1]
 
 
 @record
 class RootData:
-    """w = conjugator * root^exponent * conjugator^-1, root primitive."""
+    """w = conjugator * root^exponent * conjugator^-1 as letters, root primitive."""
 
-    root: VertexWord
-    conjugator: VertexWord
+    root: Letters
+    conjugator: Letters
     exponent: int
 
 
-@lru_cache(maxsize=4096)
-def primitive_root(word: VertexWord) -> RootData:
-    """Primitive root of a nontrivial freely reduced word.
+def primitive_root(letters: Letters) -> RootData:
+    """Primitive root of nontrivial freely reduced letters.
 
-    >>> primitive_root(VertexWord("v", ((1, 6),))).exponent
-    6
+    A one-letter g^k has root g, exponent k and no conjugator; a longer
+    word has the root of its cyclic core, conjugated as cyclic_reduce
+    splits it.
+
+    >>> primitive_root(((2, 1), (1, 6), (2, -1)))
+    RootData(root=((1, 1),), conjugator=((2, 1),), exponent=6)
     """
-    if word.is_identity:
+    if not letters:
         raise TrivialWord("the identity has no primitive root")
-    conj, core = cyclic_reduce(word)
-    letters = core.letters
-    n = len(letters)
+    conj, core = cyclic_reduce(letters)
+    n = len(core)
     if n == 1:
-        g, k = letters[0]
-        return RootData(VertexWord(word.vertex, ((g, 1),)), conj, k)
+        ((g, k),) = core
+        return RootData(((g, 1),), conj, k)
     # the run structure of the cyclic word is rotation-invariant, so any
     # proper-power period aligns with whole letters
     for m in range(1, n + 1):
         if n % m:
             continue
-        if all(letters[i] == letters[(i + m) % n] for i in range(n)):
-            return RootData(VertexWord(word.vertex, letters[:m]), conj, n // m)
+        if all(core[i] == core[(i + m) % n] for i in range(n)):
+            return RootData(core[:m], conj, n // m)
     raise AssertionError("unreachable")

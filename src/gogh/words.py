@@ -193,20 +193,12 @@ def _image_data(kind: VertexGroupKind, att: VertexWord):
     A dihedral attachment gives its rotation exponent, an int (validation
     admits only r^k).  A free one gives its primitive-root data as a tuple
     (c^-1, c, root, n) of letters and the exponent, att = c root^n c^-1.
-    A one-letter free g^k gives ((), (), ((g, 1),), k) with no root
-    search, exactly fw.primitive_root's data for it: the word is cyclically
-    reduced, so c is empty, and its root is the basis letter g, which is
-    primitive, so n = k.
     """
     if isinstance(kind, DihedralInfinite):
         return dih.word_to_element(att).k
-    letters = att.letters
-    if len(letters) == 1:
-        ((g, k),) = letters
-        return (), (), ((g, 1),), k
-    rd = fw.primitive_root(att)
-    c = rd.conjugator.letters
-    return fw.inv_letters(c), c, rd.root.letters, rd.exponent
+    rd = fw.primitive_root(att.letters)
+    c = rd.conjugator
+    return fw.inv_letters(c), c, rd.root, rd.exponent
 
 
 def _exponent_in_image(data, g) -> int | None:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gogh.balance import canonical_root
 from gogh.freewords import (
+    RootData,
     TrivialWord,
     cyclic_reduce,
     free_reduce,
@@ -103,40 +104,44 @@ def test_mul_inverse_cancels(a, b):
     ],
 )
 def test_cyclic_reduce_examples(word, conjugator, core):
-    g, c = cyclic_reduce(W(*word))
-    assert g.letters == conjugator
-    assert c.letters == core
+    assert cyclic_reduce(word) == (conjugator, core)
 
 
 @given(letters_strategy)
 def test_cyclic_reduce_reconstructs(letters):
     w = free_reduce(VertexWord("v", letters))
-    g, core = cyclic_reduce(w)
-    assert conj(g, core) == w
-    if len(core.letters) >= 2:
-        assert core.letters[0][0] != core.letters[-1][0]
+    g, core = cyclic_reduce(w.letters)
+    assert conj(W(*g), W(*core)) == w
+    if len(core) >= 2:
+        assert core[0][0] != core[-1][0]
 
 
 # -- primitive roots ---------------------------------------------------------------
 
 
 def test_power_of_generator():
-    rd = primitive_root(W((1, 6)))
-    assert rd.root.letters == ((1, 1),)
+    """g^k has root g, exponent k and no conjugator: for generators 1..3,
+    exponents +-1..+-7 and exponents past 2^64."""
+    rd = primitive_root(((1, 6),))
+    assert rd.root == ((1, 1),)
     assert rd.exponent == 6
+    for g in (1, 2, 3):
+        for k in [*range(1, 8), 2**64 + 1, 3**41, 2**100]:
+            for exp in (k, -k):
+                assert primitive_root(((g, exp),)) == RootData(((g, 1),), (), exp)
 
 
 def test_two_letter_square():
-    rd = primitive_root(W((1, 1), (2, 1), (1, 1), (2, 1)))
-    assert rd.root.letters == ((1, 1), (2, 1))
+    rd = primitive_root(((1, 1), (2, 1), (1, 1), (2, 1)))
+    assert rd.root == ((1, 1), (2, 1))
     assert rd.exponent == 2
 
 
 def test_conjugated_square():
     # b a^2 b^-1: conjugator b, inner root a, exponent 2
-    rd = primitive_root(W((2, 1), (1, 2), (2, -1)))
-    assert rd.conjugator.letters == ((2, 1),)
-    assert rd.root.letters == ((1, 1),)
+    rd = primitive_root(((2, 1), (1, 2), (2, -1)))
+    assert rd.conjugator == ((2, 1),)
+    assert rd.root == ((1, 1),)
     assert rd.exponent == 2
     # the expanded core has period 1, checked over all divisors
     assert brute_period(((1, 2),)) == 1
@@ -144,7 +149,7 @@ def test_conjugated_square():
 
 def test_trivial_word_raises():
     with pytest.raises(TrivialWord):
-        primitive_root(W())
+        primitive_root(())
 
 
 @given(letters_strategy)
@@ -152,15 +157,15 @@ def test_root_reconstruction_and_primitivity(letters):
     w = free_reduce(VertexWord("v", letters))
     if w.is_identity:
         return
-    rd = primitive_root(w)
-    assert conj(rd.conjugator, W(*pow_letters(rd.root.letters, rd.exponent))) == w
+    rd = primitive_root(w.letters)
+    assert conj(W(*rd.conjugator), W(*pow_letters(rd.root, rd.exponent))) == w
     # the root itself has a trivial period: its primitive root is itself
     again = primitive_root(rd.root)
     assert abs(again.exponent) == 1
     # cross-check |exponent| against the brute-force period of the core
-    _, core = cyclic_reduce(w)
-    period = brute_period(core.letters)
-    assert len(expand(core.letters)) // period == abs(rd.exponent)
+    _, core = cyclic_reduce(w.letters)
+    period = brute_period(core)
+    assert len(expand(core)) // period == abs(rd.exponent)
 
 
 def test_root_of_powers_is_stable():
@@ -273,16 +278,16 @@ def quadratic_canonical_root(word):
     """Every rotation of the primitive root and of its inverse, keyed letter by
     letter by (generator, sign, size), the least kept, the root first on a tie:
     O(L^2), the reference for Booth's least rotation."""
-    rd = primitive_root(word)
+    rd = primitive_root(word.letters)
     best = None
-    for source, flip in ((rd.root.letters, 1), (inv_letters(rd.root.letters), -1)):
+    for source, flip in ((rd.root, 1), (inv_letters(rd.root), -1)):
         for i in range(len(source)):
             rot = source[i:] + source[:i]
             key = tuple((g, 0 if e > 0 else 1, abs(e)) for g, e in rot)
             if best is None or key < best[0]:
                 best = (key, rot, flip, source[:i])
     _, rot, flip, prefix = best
-    return W(*rot), W(*mul_letters(rd.conjugator.letters, prefix)), rd.exponent * flip
+    return W(*rot), W(*mul_letters(rd.conjugator, prefix)), rd.exponent * flip
 
 
 def _random_reduced(rng, length, gens=3, exp_max=3):
@@ -339,7 +344,7 @@ def test_canonical_root_matches_the_quadratic_scan():
         if word.is_identity:
             continue
         assert canonical_root(word) == quadratic_canonical_root(word), word
-        root = primitive_root(word).root.letters
+        root = primitive_root(word.letters).root
         inverse = inv_letters(root)
         assert all(inverse[i:] + inverse[:i] != root for i in range(len(root)))
         count += 1

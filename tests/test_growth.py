@@ -1,10 +1,12 @@
 """Growth gates: inputs whose witnesses raise conjugated roots to powers
-exponential in the graph's size or in the depth, with answers known by
-construction.  A reduced c u c^-1 has n-th power c u^n c^-1, so each power
-of a conjugated one-letter root costs the conjugator's letters, not the
-exponent's size."""
+exponential in the graph's size or in the depth, or whose attachments carry
+long conjugators, with answers known by construction.  A reduced c u c^-1
+has n-th power c u^n c^-1, so each power of a conjugated one-letter root
+costs the conjugator's letters, not the exponent's size, and splitting off
+c costs its letters once."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,7 @@ import pytest
 from conftest import Clock, check_cycle_contract, lollipop
 from gogh import cli
 from gogh.balance import build_groupoid
-from gogh.freewords import inv_letters, pow_letters, reduce_letters
+from gogh.freewords import cyclic_reduce, inv_letters, pow_letters, reduce_letters
 from gogh.words import britton_reduce, to_path_form
 
 
@@ -134,6 +136,67 @@ def test_pow_letters_matches_the_letter_by_letter_power():
         assert pow_letters(word, n) == reduce_letters(written_out), (word, n)
         seen += len(reduce_letters(word)) > 1 and abs(n) > 1
     assert seen > 5000, seen
+
+
+def test_long_conjugator_split_grows_linearly(tmp_path):
+    """verdict and conjgraph --class-of e on one edge whose image is
+    c v.2^3 c^-1, c 32,000 alternating letters.  It took 5.4 s when each
+    peeled letter copied the rest of the word (Python 3.11.7, a shared
+    2-core x86-64 host)."""
+    c = " ".join(["v.2", "v.1"] * 16000)
+    cinv = " ".join(["v.1^-1", "v.2^-1"] * 16000)
+    path = tmp_path / "long.gog"
+    path.write_text(
+        "vertex v free 2\nvertex u free 1\n"
+        f'edge e from=v to=u img_from="{c} v.2^3 {cinv}" img_to="u.1^2"\n'
+    )
+    with Clock("growth conjugator split |c|=32000", 1.0):
+        code, verdict = cli.run(["verdict", str(path)])
+        cli.render_json(verdict)
+        code_class, members = cli.run(["conjgraph", str(path), "--class-of", "e"])
+        cli.render_json(members)
+    assert code == code_class == 0 and verdict["status"] == "HHG"
+    assert members["members"] == [["e", "source"], ["e", "target"]]
+
+
+def _list_split(letters):
+    """The split as a list that is copied on every peel: the reference."""
+    letters = list(letters)
+    conj = []
+    while len(letters) >= 2 and letters[0][0] == letters[-1][0]:
+        g, p = letters[0]
+        _, q = letters[-1]
+        if p + q == 0:
+            conj.append((g, p))
+            letters = letters[1:-1]
+        else:
+            conj.append((g, -q))
+            letters = [(g, p + q)] + letters[1:-1]
+            break
+    return reduce_letters(conj), tuple(letters)
+
+
+def test_cyclic_reduce_matches_the_list_split():
+    """Seeded reduced words c u c^-1, some with u = g^p mid g^q: partial
+    merges, full cancellations and one-letter words all occur."""
+    rng = random.Random(2030)
+
+    def letters(k):
+        return [(rng.randint(1, 3), rng.choice((-3, -2, -1, 1, 2, 3))) for _ in range(k)]
+
+    seen = Counter()
+    for _ in range(3000):
+        core = letters(rng.randint(0, 6))
+        if core and rng.random() < 0.5:
+            core.append((core[0][0], rng.choice((-3, -2, -1, 1, 2, 3))))
+        c = tuple(letters(rng.randint(0, 5)))
+        word = reduce_letters(c + tuple(core) + inv_letters(c))
+        want = _list_split(word)
+        assert cyclic_reduce(word) == want, word
+        conj, split_core = want
+        partial = bool(conj) and conj[-1][0] == split_core[0][0]
+        seen["one letter" if len(word) == 1 else "partial" if partial else "full" if conj else "none"] += 1
+    assert min(seen.values()) >= 100 and len(seen) == 4, seen
 
 
 def test_reduction_against_a_conjugated_root_grows_linearly():

@@ -39,7 +39,7 @@ def _values():
     certificate = distortion_certificate(bs32, witness, 2)
     trefoil = parse(TREFOIL_TEXT)
     path = to_path_form(bs32, [("t", "e", 1), ("g", "v", 1, 2)])
-    root = primitive_root(_vw("v", (1, 2), (2, 1), (1, 2), (2, 1)))
+    root = primitive_root(((1, 2), (2, 1), (1, 2), (2, 1)))
     v5 = _vw("v", (1, 5))
     return [
         (Free(2), {"rank": 3}),
@@ -57,7 +57,7 @@ def _values():
             },
         ),
         (DihedralElement(1, 3), {"eps": 0, "k": 4}),
-        (root, {"root": v5, "conjugator": v5, "exponent": 7}),
+        (root, {"root": ((1, 5),), "conjugator": ((1, 5),), "exponent": 7}),
         (path, {"base": "w", "head": v5, "tail": ()}),
         (Balanced(), {}),
         (unbalanced, {"cycle": (), "modulus": Fraction(5, 2)}),

@@ -114,20 +114,19 @@ def test_check_loads_no_fraction_decimal_or_traceback(files):
     assert _fresh("from gogh.cli import main\nmain(['check', 'one.gog'])", files)["stdlib"] == []
 
 
-def test_every_cache_lives_in_a_module_the_cli_loads(files):
-    """A cache the benchmark clears between ops is collected right after
-    ``from gogh import cli``; one in a module loaded later is never cleared."""
-    at_start = {f"gogh.{name}" for name in _fresh("import gogh.cli", files)["gogh"]}
-    homes = {}
+def test_no_module_keeps_a_cache():
+    """After every submodule is imported, no module binds a functools
+    cache or a module-level ``*_CACHE`` dict: each call of the library
+    starts as a fresh `gogh` process does."""
+    caches = []
     for info in pkgutil.iter_modules(gogh.__path__):
         module = importlib.import_module(f"gogh.{info.name}")
         for name, value in vars(module).items():
-            if callable(getattr(value, "cache_clear", None)):
-                homes[f"{module.__name__}.{name}"] = value.__module__
-            elif isinstance(value, dict) and name.upper().endswith("_CACHE"):
-                homes[f"{module.__name__}.{name}"] = module.__name__
-    assert homes  # freewords.primitive_root at least
-    assert {name: home for name, home in homes.items() if home not in at_start} == {}
+            if callable(getattr(value, "cache_clear", None)) or (
+                isinstance(value, dict) and name.upper().endswith("_CACHE")
+            ):
+                caches.append(f"{module.__name__}.{name}")
+    assert caches == []
 
 
 # -- the package root ----------------------------------------------------------
