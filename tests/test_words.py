@@ -24,6 +24,7 @@ from gogh.model import (
 )
 from gogh.words import (
     PathWord,
+    _image_data,
     are_equal,
     britton_reduce,
     display_tokens,
@@ -192,6 +193,22 @@ def test_membership_multi_letter_attachment():
     assert pinch_membership(g, "e", VertexWord("v", ((1, 1),))) is None
     inv = VertexWord("v", ((2, -1), (1, -1)))
     assert pinch_membership(g, "e", inv) == -1
+
+
+def test_one_letter_image_data_is_the_primitive_root_data():
+    """_image_data reads a one-letter free g^k as ((), (), ((g, 1),), k),
+    which must be what the primitive-root route gives: for generators 1..3
+    of a rank-3 vertex, exponents +-1..+-7 and exponents past 2^64."""
+    big = [2**64 + 1, 3**41, 2**100]
+    for g in (1, 2, 3):
+        for k in [*range(1, 8), *big]:
+            for exp in (k, -k):
+                att = VertexWord("v", ((g, exp),))
+                rd = fw.primitive_root(att.letters)
+                c = rd.conjugator
+                want = (fw.inv_letters(c), c, rd.root, rd.exponent)
+                assert _image_data(Free(3), att) == want, att
+                assert want == ((), (), ((g, 1),), exp)
 
 
 def test_membership_dihedral(dihedral_loop):
