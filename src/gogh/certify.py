@@ -6,8 +6,9 @@ root.  Since a has infinite order, <a, s> is a non-Euclidean almost
 Baumslag-Solitar subgroup; the relation certifies that the cyclic subgroup
 <a> is distorted, so the ambient group has no hierarchically hyperbolic
 structure.  The attachment data is the groupoid pass's, stored on the
-verdict, but nothing is trusted: every emitted identity is re-verified
-through Britton reduction.
+verdict, but nothing is trusted: every witness is re-verified arc by arc
+by ``checks.witness_holds``, whose lemmas compose to the relation without
+writing it out, and every distortion identity through Britton reduction.
 """
 
 from __future__ import annotations
@@ -15,14 +16,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .balance import Balanced, GroupoidArc, Unbalanced
+from .balance import Balanced, Unbalanced
+from .checks import witness_holds
 from .freewords import pow_letters
 from .model import GoghError, GraphOfGroups, VertexWord, record
 from .words import (
     PathWord,
     invert_tokens,
     is_trivial,
-    britton_reduce,
     to_path_form,
     tokens_of_vertex_word,
     vw_pow,
@@ -37,8 +38,11 @@ class NoWitness(GoghError):
 class BSWitness:
     """a, s with s a^i s^-1 = a^j, a of infinite order and |i| != |j|.
 
-    The transcript is the Britton-reduced form of s a^i s^-1 a^-j, kept as
-    evidence that the relation holds; it must be the empty word.
+    The transcript is the empty path word at a's vertex, the reduced form
+    of s a^i s^-1 a^-j: a witness is built only once
+    ``checks.witness_holds`` has checked the arc lemmas that compose to the
+    relation, so it records their outcome.  The relation itself is never
+    written out; ``relation_tokens`` writes it for an independent check.
     """
 
     a: VertexWord
@@ -58,28 +62,20 @@ def tokens_of_vertex_word_power(word: VertexWord, n: int) -> list:
     return tokens_of_vertex_word(VertexWord(word.vertex, pow_letters(word.letters, n)))
 
 
-def _crossing(arc: GroupoidArc, occurrences: dict) -> tuple[int, list]:
-    """(n, kappa) for one arc: n is the root exponent of the attachment on
-    the near (src) side and kappa = g_far^-1 t^sign g_near, so that
-    kappa R_src^(n*m) kappa^-1 = R_dst^(n*m*weight) for every integer m."""
-    source, target = occurrences[arc.label]
-    (_, n, g_near), (_, _, g_far) = (target, source) if arc.sign > 0 else (source, target)
-    kappa = invert_tokens(tokens_of_vertex_word(g_far)) + [("t", arc.label, arc.sign)]
-    return n, kappa + tokens_of_vertex_word(g_near)
-
-
-def _minimal_base_power(cycle: tuple[GroupoidArc, ...], crossings: list, i: int) -> int:
+def _minimal_base_power(crossings: list, i: int) -> int:
     """Least m so that carrying root^(m*i) around the cycle stays integral:
     the carried exponent must be a multiple of each arc's entry exponent.
+    crossings holds each arc's (entry exponent, exit exponent), in cycle
+    order.
 
-    The carried exponent per unit of m is top/bottom, a gcd-reduced pair
-    with bottom > 0; on entering an arc with exponent n, m must be a
-    multiple of the denominator of top/(bottom*n), |n*bottom| / gcd."""
+    The carried exponent per unit of m is top/bottom, a gcd-reduced pair;
+    on entering an arc with exponent n, m must be a multiple of the
+    denominator of top/(bottom*n), |n*bottom| / gcd."""
     m, top, bottom = 1, i, 1
-    for arc, (n, _) in zip(cycle, crossings):
+    for n, exit_exponent in crossings:
         entry = n * bottom
         m = lcm(m, abs(entry) // gcd(top, entry))
-        top, bottom = top * arc.weight.numerator, bottom * arc.weight.denominator
+        top, bottom = top * exit_exponent, entry
         g = gcd(top, bottom)
         top, bottom = top // g, bottom // g
     return m
@@ -88,30 +84,41 @@ def _minimal_base_power(cycle: tuple[GroupoidArc, ...], crossings: list, i: int)
 def almost_bs_witness(graph: GraphOfGroups, verdict) -> BSWitness:
     """Assemble and verify a witness from an unbalanced cycle.
 
-    Each cycle arc's crossing (entry exponent and conjugator kappa) is
-    derived from the attachment data of its edge; the kappas compose to s,
+    Each arc crosses its edge from its near side (the target for sign +1)
+    to its far side; with the records (node, n, g) of the two sides, its
+    conjugator kappa = g_far^-1 t^sign g_near carries R_near^n_near to
+    R_far^n_far.  The kappas compose to s, last arc first, in one list;
     the base root is raised to the minimal power that keeps every arc
-    transition integral, and (i, j) is the reduced modulus.  The relation
-    is then Britton-reduced, and anything but the empty word is an error.
+    transition integral, and (i, j) is the reduced modulus.  The witness is
+    then checked by ``checks.witness_holds``, and a failure is an error.
     """
     if isinstance(verdict, Balanced):
         raise NoWitness("the graph is balanced")
     assert isinstance(verdict, Unbalanced)
-    cycle = verdict.cycle
+    cycle, occurrences = verdict.cycle, verdict.occurrences
     modulus = verdict.modulus
     i, j = modulus.denominator, modulus.numerator
-    crossings = [_crossing(arc, verdict.occurrences) for arc in cycle]
-    m = _minimal_base_power(cycle, crossings, i)
+    s: list = []
+    crossings = []  # (entry exponent, exit exponent) of each arc, last arc first
+    for arc in reversed(cycle):
+        source, target = occurrences[arc.label]
+        (_, n, g_near), (_, n_far, g_far) = (target, source) if arc.sign > 0 else (source, target)
+        if g_far.letters:
+            s += [("g", g_far.vertex, x, -y) for x, y in reversed(g_far.letters)]
+        s.append(("t", arc.label, arc.sign))
+        if g_near.letters:
+            s += [("g", g_near.vertex, x, y) for x, y in g_near.letters]
+        crossings.append((n, n_far))
+    crossings.reverse()
+    m = _minimal_base_power(crossings, i)
     base = cycle[0].src
-    kind = graph.kind(base.vertex)
-    a = vw_pow(kind, VertexWord(base.vertex, base.root), m)
-    s_tokens = [tok for _, kappa in reversed(crossings) for tok in kappa]
-    reduced = britton_reduce(
-        graph, to_path_form(graph, relation_tokens(a, s_tokens, i, j), base.vertex)
-    )
-    if reduced.tail or not reduced.head.is_identity:
-        raise RuntimeError("witness relation failed Britton verification")
-    return BSWitness(a=a, s=tuple(s_tokens), i=i, j=j, transcript=reduced)
+    a = vw_pow(graph.kind(base.vertex), VertexWord(base.vertex, base.root), m)
+    empty = VertexWord(base.vertex, ())
+    witness = BSWitness(a=a, s=tuple(s), i=i, j=j, transcript=PathWord(base.vertex, empty, ()))
+    ok, report = witness_holds(graph, witness, cycle, occurrences)
+    if not ok:
+        raise RuntimeError(f"witness failed verification: {report}")
+    return witness
 
 
 @record

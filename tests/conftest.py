@@ -124,6 +124,22 @@ def lollipop(length: int, path_conjugated=False, triangle_conjugated=False) -> s
     return "\n".join(lines) + "\n"
 
 
+def multi_letter_cycle(n: int) -> str:
+    """An n-cycle of rank-2 vertices whose edges read
+    t (w.1 w.2)^2 t^-1 = (v.1 v.2)^3, written out letter by letter: every
+    root is the two-letter v.1 v.2, the modulus is (3/2)^n and the witness
+    exponents are 2^n and 3^n, so the witness relation written out in
+    letters has about 2 (2^n + 3^n) letters."""
+    names = [f"v{i:04d}" for i in range(n)]
+    lines = [f"vertex {v} free 2" for v in names]
+    for i, a in enumerate(names):
+        b = names[(i + 1) % n]
+        img_from = " ".join([f"{a}.1 {a}.2"] * 3)
+        img_to = " ".join([f"{b}.1 {b}.2"] * 2)
+        lines.append(f'edge e{i:04d} from={a} to={b} img_from="{img_from}" img_to="{img_to}"')
+    return "\n".join(lines) + "\n"
+
+
 # -- groupoid arcs and the reported cycle ----------------------------------------
 
 
@@ -144,6 +160,16 @@ def edge_arc(occurrences: dict, label: str, sign: int) -> Arc:
     if sign > 0:
         return Arc(node_t, node_s, Fraction(n_s, n_t), label, 1)
     return Arc(node_s, node_t, Fraction(n_t, n_s), label, -1)
+
+
+def arc_conjugator(occurrences: dict, arc) -> list:
+    """The tokens of the arc's conjugator g_far^-1 t^sign g_near, from its
+    edge's record: it carries the near (src) root's power n_near to the far
+    (dst) root's power n_far."""
+    source, target = occurrences[arc.label]
+    (_, _, g_near), (_, _, g_far) = (target, source) if arc.sign > 0 else (source, target)
+    inverse = [("g", g_far.vertex, x, -y) for x, y in reversed(g_far.letters)]
+    return inverse + [("t", arc.label, arc.sign)] + [("g", g_near.vertex, x, y) for x, y in g_near.letters]
 
 
 def all_arcs(occurrences: dict) -> list[Arc]:

@@ -19,9 +19,11 @@ from fractions import Fraction
 from itertools import product
 
 from conftest import Clock, check_cycle_contract
-from gogh.checks import provenance_holds, verify_parametrization
+from gogh.certify import relation_tokens
+from gogh.checks import provenance_holds, verify_parametrization, witness_holds
 from gogh.model import DIHEDRAL_R, DihedralInfinite, EdgeRecord, Free, VertexWord, make_graph
 from gogh.parametrize import HHG, hhg_verdict
+from gogh.words import is_trivial
 
 KINDS = (Free(1), DihedralInfinite())
 EXPONENTS = (1, 2, 3, -1, -2, -3)
@@ -66,7 +68,8 @@ def _balanced(edges) -> bool:
 def test_census_of_two_ended_graphs():
     """The status equals the oracle's on every graph of the stratum, every
     certificate verifies, every HHG class's derived graph keeps its
-    provenance, every witness Britton-reduces to the empty word, and every
+    provenance, every witness passes the arc-lemma checker and its relation,
+    written out in letters, Britton-reduces to the empty word, and every
     reported cycle keeps its contract."""
     counts = Counter()
     with Clock("census 2-ended stratum", 20.0):
@@ -88,8 +91,9 @@ def test_census_of_two_ended_graphs():
                     assert ok, (vertices, edges, report)
                     assert provenance_holds(graph, cert.conjugacy_graph), (vertices, edges)
             else:
-                transcript = verdict.witness.transcript
-                assert not transcript.tail and transcript.head.is_identity, (vertices, edges)
-                check_cycle_contract(verdict.verdict)
+                w, cycle = verdict.witness, verdict.verdict
+                assert witness_holds(graph, w, cycle.cycle, cycle.occurrences)[0], (vertices, edges)
+                assert is_trivial(graph, relation_tokens(w.a, w.s, w.i, w.j)), (vertices, edges)
+                check_cycle_contract(cycle)
             counts[verdict.status] += 1
     assert counts == COUNTS, counts

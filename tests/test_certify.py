@@ -7,12 +7,11 @@ from math import lcm
 import pytest
 
 import gogh.balance
-from conftest import BS32_TEXT, F2_EXAMPLE_TEXT, all_arcs, random_graph
+from conftest import BS32_TEXT, F2_EXAMPLE_TEXT, all_arcs, arc_conjugator, random_graph
 from gogh.balance import Balanced, build_groupoid
 from gogh.certify import (
     BSWitness,
     NoWitness,
-    _crossing,
     _minimal_base_power,
     almost_bs_witness,
     distortion_certificate,
@@ -47,9 +46,21 @@ def test_balanced_graph_has_no_witness(trefoil):
         almost_bs_witness(trefoil, build_groupoid(trefoil).verdict)
 
 
+def _entry_exponents(cycle, occurrences) -> list:
+    """(entry exponent, exit exponent) of each arc: the near (src) and far
+    (dst) side's root exponents in its edge's record."""
+    out = []
+    for arc in cycle:
+        (_, n_s, _), (_, n_t, _) = occurrences[arc.label]
+        out.append((n_t, n_s) if arc.sign > 0 else (n_s, n_t))
+    return out
+
+
 def test_every_arc_crossing_conjugates_root_powers():
     """kappa R_src^n kappa^-1 = R_dst^(n*weight) for every groupoid arc, in
-    both orientations, not only for the arcs of witness cycles."""
+    both orientations, not only for the arcs of witness cycles: the arc
+    lemma that the witness checker reads off the records holds in the
+    fundamental group, checked by Britton reduction."""
     rng = random.Random(131)
     kinds = set()
     for _ in range(50):
@@ -57,8 +68,10 @@ def test_every_arc_crossing_conjugates_root_powers():
         kinds.update(kind for _, kind in graph.vertices)
         groupoid = build_groupoid(graph)
         for arc in all_arcs(groupoid.occurrences):
-            n, kappa = _crossing(arc, groupoid.occurrences)
+            ((n, far),) = _entry_exponents([arc], groupoid.occurrences)
+            kappa = arc_conjugator(groupoid.occurrences, arc)
             exit_exp = n * arc.weight
+            assert exit_exp == far
             assert exit_exp.denominator == 1
             src = VertexWord(arc.src.vertex, arc.src.root)
             dst = VertexWord(arc.dst.vertex, arc.dst.root)
@@ -73,7 +86,8 @@ def test_every_arc_crossing_conjugates_root_powers():
 
 
 def _reference_minimal_base_power(cycle, crossings, i):
-    """certify._minimal_base_power in Fractions: the reference."""
+    """certify._minimal_base_power in Fractions, with the arcs' weights: the
+    reference."""
     constraints = []
     prefix = Fraction(i)
     for arc, (n, _) in zip(cycle, crossings):
@@ -95,9 +109,9 @@ def test_minimal_base_power_matches_the_fraction_reference():
         verdict = build_groupoid(graph).verdict
         if isinstance(verdict, Balanced):
             continue
-        crossings = [_crossing(arc, verdict.occurrences) for arc in verdict.cycle]
+        crossings = _entry_exponents(verdict.cycle, verdict.occurrences)
         for i in (verdict.modulus.denominator, 1, 6, 35, 2**70 + 1):
-            got = _minimal_base_power(verdict.cycle, crossings, i)
+            got = _minimal_base_power(crossings, i)
             assert got == _reference_minimal_base_power(verdict.cycle, crossings, i)
             seen["m > 1"] += got > 1
         seen["cycles"] += 1

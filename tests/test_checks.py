@@ -1,20 +1,38 @@
-"""The provenance checker on evidence the producers did not build.
+"""The provenance and witness checkers on evidence the producers did not
+build.
 
 ``provenance_holds`` must reject provenance that names the wrong original
 vertex or a derived graph that holds more than its class, and return
 False, not raise, on evidence that does not fit its class.  Every
-conjugacy graph the program builds passes it.
+conjugacy graph the program builds passes it.  ``witness_holds`` must
+accept every witness the program builds, and the valid witnesses derived
+from one, and reject each single mutation of one, reporting it, not
+raising.
 """
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
-from conftest import fixture_graphs, random_graph, random_tree_graph
-from gogh.balance import EdgeClass, GroupoidNode, build_groupoid
-from gogh.checks import provenance_holds
+from conftest import (
+    BS32_TEXT,
+    F2_EXAMPLE_TEXT,
+    arc_conjugator,
+    fixture_graphs,
+    multi_letter_cycle,
+    random_graph,
+    random_tree_graph,
+)
+from gogh.balance import EdgeClass, GroupoidNode, Unbalanced, build_groupoid
+from gogh.certify import BSWitness, almost_bs_witness, relation_tokens
+from gogh.checks import provenance_holds, witness_holds
 from gogh.cli import parse, serialize
 from gogh.conjgraph import ConjugacyGraph, _derived_conjugacy_graph, build_conjugacy_graph
+from gogh.freewords import inv_letters
+from gogh.model import DihedralInfinite, EdgeRecord, Free, GoghError, VertexWord, make_graph
+from gogh.words import is_trivial, vw_mul, vw_pow
 
 TWO_RANK_TWO_TEXT = (
     "vertex u free 2\n"
@@ -173,3 +191,289 @@ def test_every_built_conjugacy_graph_passes():
             assert provenance_holds(g, cg), serialize(g)
             assert provenance_holds(g, _derived_conjugacy_graph(g, cls)), serialize(g)
     assert shortcuts >= 200
+
+
+# -- the witness checker -----------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# a 3-cycle of rank-2 vertices, each attached by v.1^k and v.2 v.1^k v.2^-1
+RANK2_CYCLE_TEXT = """\
+vertex a free 2
+vertex b free 2
+vertex c free 2
+edge e0 from=a to=b img_from="a.2 a.1^3 a.2^-1" img_to="b.1^2"
+edge e1 from=b to=c img_from="b.2 b.1 b.2^-1" img_to="c.1"
+edge e2 from=c to=a img_from="c.2 c.1^5 c.2^-1" img_to="a.1^5"
+"""
+
+# a 3-cycle through two dihedral vertices, modulus 3/2 up to sign
+DIHEDRAL_CYCLE_TEXT = """\
+vertex d dihedral
+vertex v free 1
+vertex w dihedral
+edge e0 from=d to=v img_from="d.r^3" img_to="v.1^-2"
+edge e1 from=v to=w img_from="v.1" img_to="w.r"
+edge e2 from=w to=d img_from="w.r^2" img_to="d.r^2"
+"""
+
+WITNESS_TEXTS = {
+    "bs32": BS32_TEXT,
+    "f2_example": F2_EXAMPLE_TEXT,
+    "rank2_cycle": RANK2_CYCLE_TEXT,
+    "dihedral_cycle": DIHEDRAL_CYCLE_TEXT,
+    "multi_letter_cycle": multi_letter_cycle(3),
+}
+
+
+def _evidence(text):
+    """(graph, witness, cycle, occurrences) of the graph's verdict."""
+    graph = parse(text)
+    verdict = build_groupoid(graph).verdict
+    return graph, almost_bs_witness(graph, verdict), verdict.cycle, verdict.occurrences
+
+
+def _conjugator(cycle, occurrences) -> tuple:
+    """s rebuilt test-side from the records: each arc's conjugator, last
+    arc first."""
+    return tuple(tok for arc in reversed(cycle) for tok in arc_conjugator(occurrences, arc))
+
+
+def _with_record(occurrences, label, side, **change) -> dict:
+    """occurrences with one side's (node, n, g) record changed."""
+    out = dict(occurrences)
+    sides = list(out[label])
+    node, n, g = sides[side]
+    sides[side] = (change.get("node", node), change.get("n", n), change.get("g", g))
+    out[label] = tuple(sides)
+    return out
+
+
+def _replaced(w, **change) -> BSWitness:
+    """The witness w with the named fields changed."""
+    fields = {"a": w.a, "s": w.s, "i": w.i, "j": w.j, "transcript": w.transcript}
+    return BSWitness(**{**fields, **change})
+
+
+def _near(arc) -> int:
+    """The index of an arc's near side in its edge's (source, target) record."""
+    return 1 if arc.sign > 0 else 0
+
+
+def _relation_fits(witness) -> bool:
+    """Whether s a^i s^-1 a^-j written out in letters is small enough to
+    Britton-reduce here."""
+    return (abs(witness.i) + abs(witness.j)) * len(witness.a.letters) <= 20_000
+
+
+def test_the_checker_accepts_every_golden_witness():
+    """Every unbalanced class of every golden graph, the letter-level relation
+    Britton-reducing to the identity too where it fits."""
+    seen = oracle = 0
+    for case in sorted(GOLDEN.glob("*.json")):
+        try:
+            graph = parse(json.loads(case.read_text(encoding="utf-8"))["text"])
+        except GoghError:
+            continue
+        for cls in build_groupoid(graph).classes:
+            if not isinstance(cls.verdict, Unbalanced):
+                continue
+            w = almost_bs_witness(graph, cls.verdict)
+            ok, report = witness_holds(graph, w, cls.verdict.cycle, cls.verdict.occurrences)
+            assert ok, (case.stem, report)
+            seen += 1
+            if _relation_fits(w):
+                assert is_trivial(graph, relation_tokens(w.a, w.s, w.i, w.j)), case.stem
+                oracle += 1
+    assert seen >= 150 and oracle >= 150, (seen, oracle)
+
+
+@pytest.mark.parametrize("name", WITNESS_TEXTS)
+def test_the_checker_accepts_the_valid_witnesses_derived_from_one(name):
+    """The witness as built, its s rebuilt from the records, a replaced by
+    a power of itself, (i, j) scaled, and every record's conjugator
+    multiplied by a power of its root, with s rebuilt to match: each is a
+    valid witness of the same cycle."""
+    graph, w, cycle, occurrences = _evidence(WITNESS_TEXTS[name])
+    assert witness_holds(graph, w, cycle, occurrences) == (True, [])
+    assert w.s == _conjugator(cycle, occurrences)
+    kind = graph.kind(w.a.vertex)
+    derived = [_replaced(w, a=vw_pow(kind, w.a, k)) for k in (2, -1)]
+    derived.append(_replaced(w, i=3 * w.i, j=3 * w.j))
+    for v in derived:
+        assert witness_holds(graph, v, cycle, occurrences) == (True, []), (name, v)
+        assert is_trivial(graph, relation_tokens(v.a, v.s, v.i, v.j)), (name, v)
+    shifted = dict(occurrences)
+    for label, sides in occurrences.items():
+        new_sides = []
+        for node, n, g in sides:
+            side_kind = graph.kind(node.vertex)
+            root = VertexWord(node.vertex, node.root)
+            new_sides.append((node, n, vw_mul(side_kind, g, vw_pow(side_kind, root, 2))))
+        shifted[label] = tuple(new_sides)
+    moved = _replaced(w, s=_conjugator(cycle, shifted))
+    assert moved.s != w.s or name == "bs32"
+    assert witness_holds(graph, moved, cycle, shifted) == (True, []), name
+    assert is_trivial(graph, relation_tokens(moved.a, moved.s, moved.i, moved.j)), name
+
+
+def _with_attachment(graph, label, side):
+    """graph with one side of an edge attached by another word: a one-letter
+    image squared, a longer one inverted."""
+    edges = []
+    for e in graph.edges:
+        if e.name == label:
+            att = (e.attachment_source, e.attachment_target)[side]
+            if len(att.letters) == 1:
+                ((x, k),) = att.letters
+                other = VertexWord(att.vertex, ((x, 2 * k),))
+            else:
+                other = VertexWord(att.vertex, inv_letters(att.letters))
+            sides = (other, e.attachment_target) if side == 0 else (e.attachment_source, other)
+            e = EdgeRecord(e.name, e.source, e.target, *sides)
+        edges.append(e)
+    return make_graph(graph.vertices, edges)
+
+
+def _mutations(graph, w, cycle, occurrences):
+    """(name, graph, witness, cycle, occurrences): each one change to valid
+    evidence that leaves it no certificate of its relation.  A mutated
+    record, and a mutated order of arcs, comes with s rebuilt to match, so
+    that the lemma or the chain is what fails."""
+    for mutation in _evidence_mutations(graph, w, cycle, occurrences):
+        yield mutation[0], graph, *mutation[1:]
+    near = _near(cycle[0])
+    yield "an attachment of the graph", _with_attachment(graph, cycle[0].label, near), w, cycle, occurrences
+
+
+def _evidence_mutations(graph, w, cycle, occurrences):
+    """The mutations of _mutations that keep the graph, without it."""
+    first, last = cycle[0], cycle[-1]
+    for position in sorted({0, len(cycle) - 1}):
+        arc = cycle[position]
+        flipped = cycle[:position] + (arc._replace(sign=-arc.sign),) + cycle[position + 1 :]
+        yield f"arc {position} sign flipped", w, flipped, occurrences
+    for delta in (1, -1):
+        near = _near(first)
+        n = occurrences[first.label][near][1]
+        changed = _with_record(occurrences, first.label, near, n=n + delta)
+        yield f"entry exponent {delta:+d}", w, cycle, changed
+        far = 1 - near
+        n = occurrences[last.label][far][1]
+        changed = _with_record(occurrences, last.label, far, n=n + delta)
+        yield f"exit exponent {delta:+d}", w, cycle, changed
+    s = list(w.s)
+    for k in range(len(s)):
+        yield f"s token {k} dropped", _replaced(w, s=tuple(s[:k] + s[k + 1 :])), cycle, occurrences
+        if k + 1 < len(s) and s[k] != s[k + 1]:
+            swapped = s[:k] + [s[k + 1], s[k]] + s[k + 2 :]
+            yield f"s tokens {k}, {k + 1} swapped", _replaced(w, s=tuple(swapped)), cycle, occurrences
+        tok = s[k]
+        inverse = ("t", tok[1], -tok[2]) if tok[0] == "t" else ("g", tok[1], tok[2], -tok[3])
+        inverted = tuple(s[:k] + [inverse] + s[k + 1 :])
+        yield f"s token {k} inverted", _replaced(w, s=inverted), cycle, occurrences
+    kind = graph.kind(w.a.vertex)
+    yield "a trivial", _replaced(w, a=VertexWord(w.a.vertex, ())), cycle, occurrences
+    yield "a at another vertex", _replaced(w, a=VertexWord("elsewhere", w.a.letters)), cycle, occurrences
+    if kind == Free(2):
+        other = 2 if w.a.letters[-1][0] == 1 else 1
+        a = vw_mul(kind, w.a, VertexWord(w.a.vertex, ((other, 1),)))
+        yield "a times another generator", _replaced(w, a=a), cycle, occurrences
+    moved = (first._replace(src=GroupoidNode("elsewhere", first.src.root)),) + cycle[1:]
+    yield "arc 0 src moved", w, moved, occurrences
+    yield "i = j = 0", _replaced(w, i=0, j=0), cycle, occurrences
+    yield "j = i", _replaced(w, j=w.i), cycle, occurrences
+    yield "j = -i", _replaced(w, j=-w.i), cycle, occurrences
+    yield "j + 1", _replaced(w, j=w.j + 1), cycle, occurrences
+    yield "i + 1", _replaced(w, i=w.i + 1), cycle, occurrences
+    if len(cycle) > 1:
+        shorter = cycle[:-1]
+        yield "last arc dropped", _replaced(w, s=_conjugator(shorter, occurrences)), shorter, occurrences
+        swapped = (cycle[1], cycle[0]) + cycle[2:]
+        yield "arcs 0, 1 swapped", _replaced(w, s=_conjugator(swapped, occurrences)), swapped, occurrences
+    if len(cycle) > 2:
+        swapped = (cycle[0], cycle[2], cycle[1]) + cycle[3:]
+        yield "arcs 1, 2 swapped", _replaced(w, s=_conjugator(swapped, occurrences)), swapped, occurrences
+    # a conjugator outside the centralizer of its root: another generator
+    # of a rank-2 vertex, or the reflection of a dihedral one
+    for arc in cycle:
+        for side in (0, 1):
+            node, n, g = occurrences[arc.label][side]
+            side_kind = graph.kind(node.vertex)
+            if side_kind == Free(1):
+                continue  # its every conjugator centralizes the root
+            letter = ("s", 1) if side_kind == DihedralInfinite() else (2 if node.root[0][0] == 1 else 1, 1)
+            bad = _with_record(occurrences, arc.label, side, g=VertexWord(node.vertex, g.letters + (letter,)))
+            mutated = _replaced(w, s=_conjugator(cycle, bad))
+            yield f"edge {arc.label} side {side} conjugator", mutated, cycle, bad
+
+
+@pytest.mark.parametrize("name", WITNESS_TEXTS)
+def test_the_checker_rejects_each_single_mutation(name):
+    """Each mutation is reported, not raised, and not accepted."""
+    evidence = _evidence(WITNESS_TEXTS[name])
+    names = []
+    for label, *mutated in _mutations(*evidence):
+        ok, report = witness_holds(*mutated)
+        assert not ok and report, (name, label)
+        names.append(label)
+    assert any("conjugator" in label for label in names) or name == "bs32", names
+    assert len(names) >= 16, names
+
+
+def test_the_checker_rejects_letters_that_are_no_generators(f2_example):
+    """The loop's one node and both its records conjugated by v.3, which a
+    rank-2 vertex does not have, with a, s and the arc rebuilt to match:
+    every record still rebuilds its attachment as a free word, but s and a
+    are no elements of the fundamental group."""
+    graph, w, cycle, occurrences = _evidence(F2_EXAMPLE_TEXT)
+    ((label, ((node, n_s, g_s), (_, n_t, g_t))),) = occurrences.items()
+    outside = ((3, 1),)
+    root = GroupoidNode(node.vertex, inv_letters(outside) + node.root + outside)
+    records = tuple((root, n, VertexWord(g.vertex, g.letters + outside)) for n, g in ((n_s, g_s), (n_t, g_t)))
+    moved = {label: records}
+    (arc,) = cycle
+    arcs = (arc._replace(src=root, dst=root),)
+    a = VertexWord(w.a.vertex, inv_letters(outside) + w.a.letters + outside)
+    ok, report = witness_holds(graph, _replaced(w, a=a, s=_conjugator(arcs, moved)), arcs, moved)
+    assert not ok and report
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda w, cycle, occ: (w, (), occ),
+        lambda w, cycle, occ: (w, (None,) + cycle[1:], occ),
+        lambda w, cycle, occ: (w, cycle, {}),
+        lambda w, cycle, occ: (w, cycle, {label: None for label in occ}),
+        lambda w, cycle, occ: (w, cycle, {label: ((1, 2), (3, 4)) for label in occ}),
+        lambda w, cycle, occ: (w, (cycle[0]._replace(label="no such edge"),) + cycle[1:], occ),
+        lambda w, cycle, occ: (w, (cycle[0]._replace(sign=2),) + cycle[1:], occ),
+        lambda w, cycle, occ: (_replaced(w, i=2.0), cycle, occ),
+        lambda w, cycle, occ: (_replaced(w, a=VertexWord(w.a.vertex, (("x", 1),))), cycle, occ),
+        lambda w, cycle, occ: (w, cycle, _with_record(occ, cycle[0].label, 0, n="2")),
+        lambda w, cycle, occ: (w, cycle, _with_record(occ, cycle[0].label, 0, node=None)),
+        lambda w, cycle, occ: (w, cycle, _with_record(occ, cycle[0].label, 0, n=10**12)),
+    ],
+    ids=[
+        "no arcs",
+        "an arc that is none",
+        "no records",
+        "records that are none",
+        "records of no triples",
+        "an unknown edge",
+        "sign 2",
+        "a float exponent",
+        "a letter of no generator",
+        "an exponent that is a string",
+        "a node that is none",
+        "a power too long to write out",
+    ],
+)
+@pytest.mark.parametrize("name", ["rank2_cycle", "multi_letter_cycle"])
+def test_the_checker_reports_evidence_that_does_not_fit(name, change):
+    """Malformed evidence, and a record whose power of a multi-letter root
+    would have 10^12 letters, are reported without raising."""
+    graph, w, cycle, occurrences = _evidence(WITNESS_TEXTS[name])
+    ok, report = witness_holds(graph, *change(w, cycle, occurrences))
+    assert not ok and report

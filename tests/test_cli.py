@@ -472,11 +472,11 @@ def test_internal_error_exit_3(tmp_path, monkeypatch, capsys):
             "certificate failed verification: ['forced']",
         ),
         (
-            "gogh.certify.britton_reduce",
-            lambda graph, path: path,
+            "gogh.certify.witness_holds",
+            lambda graph, witness, cycle, occurrences: (False, ["forced"]),
             ["witness"],
             BS32_TEXT,
-            "witness relation failed Britton verification",
+            "witness failed verification: ['forced']",
         ),
         (
             "gogh.certify.is_trivial",
@@ -486,7 +486,7 @@ def test_internal_error_exit_3(tmp_path, monkeypatch, capsys):
             "distortion identity failed at depth 1",
         ),
     ],
-    ids=["balance", "parametrize", "britton", "distortion"],
+    ids=["balance", "parametrize", "witness", "distortion"],
 )
 def test_failed_self_check_exits_3(tmp_path, monkeypatch, capsys, target, replacement, argv, text, message):
     """A producer whose own result fails its check is an internal error, not

@@ -5,13 +5,18 @@ has n-th power c u^n c^-1, so each power of a conjugated one-letter root
 costs the conjugator's letters, not the exponent's size, and splitting off
 c costs its letters once."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from conftest import Clock, check_cycle_contract, lollipop
+from conftest import Clock, check_cycle_contract, lollipop, multi_letter_cycle
 from gogh import cli
 from gogh.balance import build_groupoid
 from gogh.freewords import cyclic_reduce, inv_letters, pow_letters, reduce_letters
@@ -219,3 +224,47 @@ def test_reduction_against_a_conjugated_root_grows_linearly():
     block = ((2, 1), (1, 1), (2, 1), (1, 2))
     assert not reduced.head.letters and not last.letters
     assert syllable.letters == ((2, 2),) + block[1:] + block * (m - 1)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+ADDRESS_SPACE = 1 << 29  # 512 MiB for the child's whole address space
+
+# one command in a child whose address space is capped, so that a witness
+# written out in letters fails the child with MemoryError, not the host
+CAPPED_RUN = """\
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))
+from gogh import cli
+code, out = cli.run(sys.argv[1:])
+print(json.dumps({{"code": code, "out": cli.render_json(out)}}))
+"""
+
+
+@pytest.mark.parametrize("n", [16, 200])
+@pytest.mark.parametrize("command", ["verdict", "witness"])
+def test_multi_letter_cycle_witness_grows_polynomially(tmp_path, command, n):
+    """verdict and witness on an n-cycle whose roots are the two-letter
+    v.1 v.2: the witness exponents are 2^n and 3^n, so the relation
+    s a^i s^-1 a^-j written out has about 2 (2^n + 3^n) letters.  Checked
+    that way, n = 16 ran out of memory and exited 3 (and n = 12 took 2.2 s
+    at 351 MB; Python 3.11.7, a shared 2-core x86-64 host); checked arc by
+    arc, each run is linear in the cycle."""
+    path = tmp_path / "cycle.gog"
+    path.write_text(multi_letter_cycle(n))
+    with Clock(f"growth multi-letter cycle {command} n={n}", 1.0):
+        child = subprocess.run(
+            [sys.executable, "-c", CAPPED_RUN.format(limit=ADDRESS_SPACE), command, str(path)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=60,
+        )
+    assert child.returncode == 0, child.stderr[-2000:]
+    result = json.loads(child.stdout)
+    assert result["code"] == 0, result
+    out = json.loads(result["out"])
+    witness = out["witness"] if command == "verdict" else out
+    if command == "verdict":
+        assert out["status"] == "NotHHG" and out["verified"] is True
+    assert {abs(int(witness["i"])), abs(int(witness["j"]))} == {2**n, 3**n}
+    assert witness["a"] == "v0000.1 v0000.2" and witness["transcript"] == ""

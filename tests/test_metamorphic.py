@@ -11,11 +11,12 @@ import random
 from itertools import count
 
 from conftest import check_cycle_contract, random_graph
-from gogh.checks import verify_parametrization
+from gogh.certify import relation_tokens
+from gogh.checks import verify_parametrization, witness_holds
 from gogh.cli import run, serialize
 from gogh.model import DIHEDRAL_R, DIHEDRAL_S, DihedralInfinite, EdgeRecord, Free, VertexWord, make_graph
 from gogh.parametrize import HHG, hhg_verdict
-from gogh.words import vw_inv, vw_mul, vw_pow
+from gogh.words import is_trivial, vw_inv, vw_mul, vw_pow
 
 
 def _replace_edge(graph, name, edges, vertices=()):
@@ -168,9 +169,11 @@ def _checked_status(graph, tmp_path) -> str:
             ok, report = verify_parametrization(cert.conjugacy_graph.graph, cert.phi)
             assert ok, report
     else:
-        transcript = verdict.witness.transcript
-        assert not transcript.tail and transcript.head.is_identity
-        check_cycle_contract(verdict.verdict)
+        w, cycle = verdict.witness, verdict.verdict
+        ok, report = witness_holds(graph, w, cycle.cycle, cycle.occurrences)
+        assert ok, report
+        assert is_trivial(graph, relation_tokens(w.a, w.s, w.i, w.j))
+        check_cycle_contract(cycle)
     path = tmp_path / "g.gog"
     path.write_text(serialize(graph), encoding="utf-8")
     code, out = run(["verdict", str(path)])

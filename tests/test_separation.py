@@ -20,6 +20,7 @@ MODULES = {
 CHECKERS = (
     MODULES["checks"].verify_parametrization,
     MODULES["checks"].provenance_holds,
+    MODULES["checks"].witness_holds,
     MODULES["words"].britton_reduce,
     MODULES["words"].pinch_membership,
     oracles.has_pinch,

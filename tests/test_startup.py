@@ -29,7 +29,7 @@ BALANCE = CLI | {"balance"}
 CONJGRAPH = BALANCE | {"conjgraph"}
 HHG_VERDICT = CONJGRAPH | {"parametrize", "checks"}
 NOT_HHG_VERDICT = HHG_VERDICT | {"certify"}
-WITNESS = BALANCE | {"certify"}
+WITNESS = BALANCE | {"certify", "checks"}
 
 # stdlib modules that the text layer and the checkers leave unloaded
 STDLIB = ("fractions", "decimal", "traceback", "dataclasses", "inspect")
