@@ -6,11 +6,13 @@ provenance of a derived graph of 2-ended groups is re-verified identity by
 identity in the original vertex groups, and an almost Baumslag-Solitar
 witness is re-verified lemma by lemma along the cycle it was built from.
 All read their evidence by its attributes and decide with the word
-arithmetic of ``dihedral``, ``freewords`` and ``words`` alone: this module
-imports no module that produces a verdict, an edge class or attachment
-data, so the checkers and what they reach are ``model``, ``dihedral``,
-``freewords``, ``words`` and this file.  Evidence that does not fit is
-reported, not raised.
+arithmetic of ``dihedral``, ``freewords`` and ``words`` alone; the
+parametrization checker reads each distinct image once into the int pair
+(eps, k) of its normal form s^eps r^k and multiplies those pairs itself,
+building no record per product.  This module imports no module that
+produces a verdict, an edge class or attachment data, so the checkers and
+what they reach are ``model``, ``dihedral``, ``freewords``, ``words`` and
+this file.  Evidence that does not fit is reported, not raised.
 """
 
 from __future__ import annotations
@@ -29,24 +31,32 @@ from .model import (
 from .words import vw_inv, vw_mul, vw_pow
 
 
-def _in_group(x) -> bool:
-    """Whether x is the normal form s^eps r^k of an element of D-infinity."""
-    return (
-        isinstance(x, dih.DihedralElement)
-        and isinstance(x.eps, int)
-        and x.eps in (0, 1)
-        and isinstance(x.k, int)
-    )
+def _pair(x):
+    """(eps, k) for the normal form s^eps r^k of an element of D-infinity,
+    or None for anything else.  eps and k must be ints exactly: a bool
+    is not read as 0 or 1."""
+    if isinstance(x, dih.DihedralElement):
+        eps, k = x.eps, x.k
+        if type(eps) is int and eps in (0, 1) and type(k) is int:
+            return eps, k
+    return None
 
 
-def _image(images: dict, word: VertexWord) -> dih.DihedralElement:
-    """The image of a word under its vertex's generator images."""
-    if len(word.letters) == 1:
-        ((gen, exp),) = word.letters
-        return dih.dpow(images[gen], exp)
-    out = dih.IDENTITY
-    for gen, exp in word.letters:
-        out = dih.dmul(out, dih.dpow(images[gen], exp))
+def _mul(x: tuple, y: tuple) -> tuple:
+    # s^a r^m * s^b r^n = s^(a+b) r^((-1)^b m + n), as dihedral.dmul
+    return x[0] ^ y[0], (-x[1] if y[0] else x[1]) + y[1]
+
+
+def _inv(x: tuple) -> tuple:
+    return x if x[0] else (0, -x[1])
+
+
+def _product(images: dict, letters) -> tuple:
+    """The pair of a word of several letters under its vertex's image pairs."""
+    out = (0, 0)
+    for gen, n in letters:
+        eps, k = images[gen]
+        out = _mul(out, (0, k * n) if not eps else (1, k) if n % 2 else (0, 0))
     return out
 
 
@@ -56,23 +66,43 @@ def verify_parametrization(graph: GraphOfGroups, phi):
     vertex restriction has finite kernel and finite-index image.
 
     phi is read by its ``vertex_images`` and ``stable_images`` pairs, as a
-    ``parametrize.LinearParametrization`` holds them; its images are read
-    into maps once, and a relation touching a vertex or stable letter whose
-    image is not a group element is not evaluated."""
+    ``parametrize.LinearParametrization`` holds them.  An element is read
+    as its normal form, an int pair (eps, k) with eps 0 or 1 and no bool
+    for either, and every relation is evaluated and compared on pairs: a
+    one-letter attachment g^n maps to (0, k n), or for a reflection (1, k)
+    to itself or the identity by the parity of n, and only a word of
+    several letters or a conjugation by a stable image multiplies pairs.
+    Each distinct images object is read once, keyed by ``id``: the
+    producer shares one images tuple among the vertices of one kind and
+    exponent.  A key cannot be reused within the call, since the map that
+    holds it also holds its object until the call returns.  A relation
+    touching a vertex or stable letter whose image is not a group element is
+    not evaluated."""
     report: list[str] = []
-    maps = {vertex: dict(images) for vertex, images in phi.vertex_images}
+    read: dict = {}  # id of an images object -> (it, {gen: pair or None}, gens outside)
+    maps: dict = {}  # vertex -> the read entry of its images
+    for vertex, images in phi.vertex_images:
+        entry = read.get(id(images))
+        if entry is None:
+            mapped, bad = {}, []
+            for gen, x in dict(images).items():
+                mapped[gen] = p = _pair(x)
+                if p is None:
+                    bad.append(gen)
+            entry = read[id(images)] = (images, mapped, bad)
+        maps[vertex] = entry
     stable = dict(phi.stable_images)
     outside: set[str] = set()  # vertices with an image outside the group
     for vertex, kind in graph.vertices:
-        images = maps.get(vertex)
-        if images is None:
+        entry = maps.get(vertex)
+        if entry is None:
             report.append(f"vertex {vertex}: no images assigned")
             continue
-        for gen, x in images.items():
-            if not _in_group(x):
+        _, images, bad = entry
+        if bad:
+            for gen in bad:
                 report.append(f"vertex {vertex}: image of {gen} is not an element of D-infinity")
-                outside.add(vertex)
-        if vertex in outside:
+            outside.add(vertex)
             continue
         if isinstance(kind, DihedralInfinite):
             r_img = images.get(DIHEDRAL_R)
@@ -80,48 +110,61 @@ def verify_parametrization(graph: GraphOfGroups, phi):
             if r_img is None or s_img is None:
                 report.append(f"vertex {vertex}: dihedral generators not assigned")
                 continue
-            if not r_img.infinite_order:
+            if r_img[0] or not r_img[1]:
                 report.append(f"vertex {vertex}: rotation image has finite order (infinite kernel)")
                 continue
-            if s_img.eps != 1:
+            if s_img[0] != 1:
                 report.append(f"vertex {vertex}: reflection image is not a reflection")
                 continue
-            if dih.dmul(dih.dmul(s_img, r_img), s_img) != dih.dinv(r_img):
+            if _mul(_mul(s_img, r_img), s_img) != _inv(r_img):
                 report.append(f"vertex {vertex}: defining relation srs = r^-1 broken")
         elif kind.rank == 1:
             g_img = images.get(1)
             if g_img is None:
                 report.append(f"vertex {vertex}: generator not assigned")
                 continue
-            if not g_img.infinite_order:
+            if g_img[0] or not g_img[1]:
                 report.append(f"vertex {vertex}: generator image has finite order (infinite kernel)")
         else:
             report.append(f"vertex {vertex}: free rank {kind.rank} admits no quasi-isometric map")
     tree = spanning_tree(graph)
     for e in graph.edges:
         t_img = stable.get(e.name, dih.IDENTITY)
-        conjugate = False
+        t = None  # the stable image's pair, when it conjugates
         if t_img is not dih.IDENTITY:  # the default needs no check
-            if not _in_group(t_img):
+            t = _pair(t_img)
+            if t is None:
                 report.append(f"edge {e.name}: stable letter image is not an element of D-infinity")
                 continue
-            conjugate = not t_img.is_identity
-            if conjugate and e.name in tree:
+            if t == (0, 0):
+                t = None
+            elif e.name in tree:
                 report.append(f"edge {e.name}: tree stable letter must map to the identity")
-        if e.source in outside or e.target in outside:
+        source, target = e.source, e.target
+        if source in outside or target in outside:
             continue
         try:
-            lhs = _image(maps[e.target], e.attachment_target)
-            if conjugate:
-                lhs = dih.dmul(dih.dmul(t_img, lhs), dih.dinv(t_img))
-            rhs = _image(maps[e.source], e.attachment_source)
+            images, letters = maps[target][1], e.attachment_target.letters
+            if len(letters) == 1:
+                ((gen, n),) = letters
+                eps, k = images[gen]
+                lhs = (0, k * n) if not eps else (1, k) if n % 2 else (0, 0)
+            else:
+                lhs = _product(images, letters)
+            if t is not None:
+                lhs = _mul(_mul(t, lhs), _inv(t))
+            images, letters = maps[source][1], e.attachment_source.letters
+            if len(letters) == 1:
+                ((gen, n),) = letters
+                eps, k = images[gen]
+                rhs = (0, k * n) if not eps else (1, k) if n % 2 else (0, 0)
+            else:
+                rhs = _product(images, letters)
         except KeyError:
             report.append(f"edge {e.name}: relation references unassigned generators")
             continue
         if lhs != rhs:
-            report.append(
-                f"edge {e.name}: relation image ({lhs.eps},{lhs.k}) != ({rhs.eps},{rhs.k})"
-            )
+            report.append(f"edge {e.name}: relation image ({lhs[0]},{lhs[1]}) != ({rhs[0]},{rhs[1]})")
     return (not report, report)
 
 

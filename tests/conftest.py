@@ -6,13 +6,15 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from typing import NamedTuple
 
 import pytest
 
+from gogh.checks import verify_parametrization
 from gogh.cli import parse, serialize
+from gogh.dihedral import DihedralElement
 from gogh.model import (
     DIHEDRAL_R,
     DihedralInfinite,
@@ -22,6 +24,8 @@ from gogh.model import (
     VertexWord,
     make_graph,
 )
+from gogh.parametrize import LinearParametrization
+from oracles import reference_verify_parametrization
 
 BS32_TEXT = """\
 vertex v free 1
@@ -194,6 +198,57 @@ def check_cycle_contract(verdict) -> None:
     assert len(set(nodes)) == len(nodes), nodes
     assert verdict.edge in {arc.label for arc in cycle}
     assert product == verdict.modulus and abs(product) != 1, (product, verdict.modulus)
+
+
+# -- parametrization certificates ---------------------------------------------
+
+FOREIGN_IMAGES = ("r", 1.0, None)  # images that are no element of D-infinity
+
+
+def certificate_mutants(graph: GraphOfGroups, phi):
+    """Every single mutation of a parametrization: at each generator image
+    its k moved by one either way, its eps flipped, the generator dropped or
+    the image replaced by a str, a float or None; each vertex dropped; and at
+    each edge a reflection added (on a tree edge too) or removed, or the
+    stable image replaced by a str, a float or None."""
+    vertex_images, stable = phi.vertex_images, dict(phi.stable_images)
+
+    def at_vertex(i, images):
+        vertex = vertex_images[i][0]
+        return LinearParametrization(
+            vertex_images[:i] + ((vertex, images),) + vertex_images[i + 1 :], phi.stable_images
+        )
+
+    for i, (_, images) in enumerate(vertex_images):
+        yield LinearParametrization(vertex_images[:i] + vertex_images[i + 1 :], phi.stable_images)
+        for j, (gen, x) in enumerate(images):
+            yield at_vertex(i, images[:j] + images[j + 1 :])
+            moved = (
+                DihedralElement(x.eps, x.k + 1),
+                DihedralElement(x.eps, x.k - 1),
+                DihedralElement(1 - x.eps, x.k),
+            )
+            for y in moved + FOREIGN_IMAGES:
+                yield at_vertex(i, images[:j] + ((gen, y),) + images[j + 1 :])
+    for e in graph.edges:
+        changed = dict(stable)
+        if changed.pop(e.name, None) is None:
+            changed[e.name] = DihedralElement(1, 0)
+        yield LinearParametrization(vertex_images, tuple(changed.items()))
+        for y in FOREIGN_IMAGES:
+            yield LinearParametrization(vertex_images, tuple({**stable, e.name: y}.items()))
+
+
+def check_against_reference(graph: GraphOfGroups, phi) -> Counter:
+    """Assert that the checker and the reference checker in ``oracles``
+    give the same (ok, report), report order included, on phi and on each
+    single mutation of it; how many of those each verdict took."""
+    seen = Counter()
+    for candidate in (phi, *certificate_mutants(graph, phi)):
+        got = verify_parametrization(graph, candidate)
+        assert got == reference_verify_parametrization(graph, candidate), (candidate, got)
+        seen[got[0]] += 1
+    return seen
 
 
 # -- random instances ----------------------------------------------------------

@@ -6,6 +6,11 @@ through the edge groups by pinch transitions and bounded vertex-group
 conjugations, and re-verify every hit through the word problem before
 returning it.  Finding nothing within the bounds is inconclusive.
 
+``reference_verify_parametrization`` is the parametrization checker
+evaluated with ``dihedral`` records, element by element: the reference
+that ``checks.verify_parametrization``, which evaluates on int pairs, is
+compared against.
+
 They use only the public names of the package; ``tests/test_separation.py``
 walks them with the other checkers.
 """
@@ -26,6 +31,7 @@ from gogh.model import (
     edge_attachments,
     edge_endpoints,
     reverse_step,
+    spanning_tree,
 )
 from gogh.words import (
     PathWord,
@@ -232,3 +238,98 @@ def brute_force_balance_oracle(
                 raise GoghError("internal: oracle witness failed re-verification")
             return OracleUnbalanced(tuple(toks), i, j)
     return OracleBalancedWithinBounds()
+
+
+# -- reference parametrization checker ----------------------------------------
+
+
+def _in_group(x) -> bool:
+    """Whether x is the normal form s^eps r^k of an element of D-infinity."""
+    return (
+        isinstance(x, dih.DihedralElement)
+        and isinstance(x.eps, int)
+        and x.eps in (0, 1)
+        and isinstance(x.k, int)
+    )
+
+
+def _image(images: dict, word: VertexWord) -> dih.DihedralElement:
+    """The image of a word under its vertex's generator images."""
+    if len(word.letters) == 1:
+        ((gen, exp),) = word.letters
+        return dih.dpow(images[gen], exp)
+    out = dih.IDENTITY
+    for gen, exp in word.letters:
+        out = dih.dmul(out, dih.dpow(images[gen], exp))
+    return out
+
+
+def reference_verify_parametrization(graph: GraphOfGroups, phi):
+    """(ok, report) as ``checks.verify_parametrization`` gives it, with each
+    image kept as a ``DihedralElement`` and each relation evaluated by
+    ``dmul``, ``dpow`` and ``dinv``.  It reads an element by ``isinstance``,
+    so a bool eps or k passes here where the checker rejects it."""
+    report: list[str] = []
+    maps = {vertex: dict(images) for vertex, images in phi.vertex_images}
+    stable = dict(phi.stable_images)
+    outside: set[str] = set()  # vertices with an image outside the group
+    for vertex, kind in graph.vertices:
+        images = maps.get(vertex)
+        if images is None:
+            report.append(f"vertex {vertex}: no images assigned")
+            continue
+        for gen, x in images.items():
+            if not _in_group(x):
+                report.append(f"vertex {vertex}: image of {gen} is not an element of D-infinity")
+                outside.add(vertex)
+        if vertex in outside:
+            continue
+        if isinstance(kind, DihedralInfinite):
+            r_img = images.get(DIHEDRAL_R)
+            s_img = images.get(DIHEDRAL_S)
+            if r_img is None or s_img is None:
+                report.append(f"vertex {vertex}: dihedral generators not assigned")
+                continue
+            if not r_img.infinite_order:
+                report.append(f"vertex {vertex}: rotation image has finite order (infinite kernel)")
+                continue
+            if s_img.eps != 1:
+                report.append(f"vertex {vertex}: reflection image is not a reflection")
+                continue
+            if dih.dmul(dih.dmul(s_img, r_img), s_img) != dih.dinv(r_img):
+                report.append(f"vertex {vertex}: defining relation srs = r^-1 broken")
+        elif kind.rank == 1:
+            g_img = images.get(1)
+            if g_img is None:
+                report.append(f"vertex {vertex}: generator not assigned")
+                continue
+            if not g_img.infinite_order:
+                report.append(f"vertex {vertex}: generator image has finite order (infinite kernel)")
+        else:
+            report.append(f"vertex {vertex}: free rank {kind.rank} admits no quasi-isometric map")
+    tree = spanning_tree(graph)
+    for e in graph.edges:
+        t_img = stable.get(e.name, dih.IDENTITY)
+        conjugate = False
+        if t_img is not dih.IDENTITY:  # the default needs no check
+            if not _in_group(t_img):
+                report.append(f"edge {e.name}: stable letter image is not an element of D-infinity")
+                continue
+            conjugate = not t_img.is_identity
+            if conjugate and e.name in tree:
+                report.append(f"edge {e.name}: tree stable letter must map to the identity")
+        if e.source in outside or e.target in outside:
+            continue
+        try:
+            lhs = _image(maps[e.target], e.attachment_target)
+            if conjugate:
+                lhs = dih.dmul(dih.dmul(t_img, lhs), dih.dinv(t_img))
+            rhs = _image(maps[e.source], e.attachment_source)
+        except KeyError:
+            report.append(f"edge {e.name}: relation references unassigned generators")
+            continue
+        if lhs != rhs:
+            report.append(
+                f"edge {e.name}: relation image ({lhs.eps},{lhs.k}) != ({rhs.eps},{rhs.k})"
+            )
+    return (not report, report)

@@ -18,7 +18,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 
-from conftest import Clock, check_cycle_contract
+from conftest import Clock, check_against_reference, check_cycle_contract
 from gogh.certify import relation_tokens
 from gogh.checks import provenance_holds, verify_parametrization, witness_holds
 from gogh.model import DIHEDRAL_R, DihedralInfinite, EdgeRecord, Free, VertexWord, make_graph
@@ -70,8 +70,10 @@ def test_census_of_two_ended_graphs():
     certificate verifies, every HHG class's derived graph keeps its
     provenance, every witness passes the arc-lemma checker and its relation,
     written out in letters, Britton-reduces to the empty word, and every
-    reported cycle keeps its contract."""
-    counts = Counter()
+    reported cycle keeps its contract.  After the timed census, the
+    checker's (ok, report) on every certificate and on each single mutation
+    of it equals the reference checker's."""
+    counts, certificates = Counter(), []
     with Clock("census 2-ended stratum", 20.0):
         for vertices, edges in _stratum():
             graph = make_graph(
@@ -89,6 +91,7 @@ def test_census_of_two_ended_graphs():
                 for cert in verdict.certificates:
                     ok, report = verify_parametrization(cert.conjugacy_graph.graph, cert.phi)
                     assert ok, (vertices, edges, report)
+                    certificates.append((cert.conjugacy_graph.graph, cert.phi))
                     assert provenance_holds(graph, cert.conjugacy_graph), (vertices, edges)
             else:
                 w, cycle = verdict.witness, verdict.verdict
@@ -97,3 +100,7 @@ def test_census_of_two_ended_graphs():
                 check_cycle_contract(cycle)
             counts[verdict.status] += 1
     assert counts == COUNTS, counts
+    mutants = Counter()
+    for derived, phi in certificates:
+        mutants += check_against_reference(derived, phi)
+    assert mutants[False] > 100_000 and mutants[True] > 5832, mutants

@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -19,8 +20,12 @@ import pytest
 from conftest import Clock, check_cycle_contract, lollipop, multi_letter_cycle
 from gogh import cli
 from gogh.balance import build_groupoid
+from gogh.checks import verify_parametrization
 from gogh.freewords import cyclic_reduce, inv_letters, pow_letters, reduce_letters
+from gogh.parametrize import hhg_verdict
 from gogh.words import britton_reduce, to_path_form
+from oracles import reference_verify_parametrization
+from test_memory import balanced_cycle
 
 
 def conjugated_cycle(n: int) -> str:
@@ -268,3 +273,27 @@ def test_multi_letter_cycle_witness_grows_polynomially(tmp_path, command, n):
         assert out["status"] == "NotHHG" and out["verified"] is True
     assert {abs(int(witness["i"])), abs(int(witness["j"]))} == {2**n, 3**n}
     assert witness["a"] == "v0000.1 v0000.2" and witness["transcript"] == ""
+
+
+def _best_of_3(check, graph, phi) -> float:
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        ok, _ = check(graph, phi)
+        best = min(best, time.perf_counter() - start)
+        assert ok
+    return best
+
+
+def test_parametrization_checker_beats_the_record_reference():
+    """The checker on the certificate of a 20,000-edge balanced cycle,
+    against the record-based reference it replaced.  Evaluated on int pairs
+    it took 0.29x the reference's time at 1600 and 20,000 edges and 0.33x at
+    10^5 (13 ms against 46 ms at 20,000); evaluated with a record per
+    dihedral product, as the reference still is, 0.99-1.02x (Python 3.11.7,
+    a shared 2-core x86-64 host, best of 5)."""
+    (cert,) = hhg_verdict(cli.parse(balanced_cycle(20000))).certificates
+    graph, phi = cert.conjugacy_graph.graph, cert.phi
+    checker = _best_of_3(verify_parametrization, graph, phi)
+    reference = _best_of_3(reference_verify_parametrization, graph, phi)
+    assert checker <= 0.7 * reference, (checker, reference)

@@ -10,7 +10,7 @@ after a move carries its own checked evidence.
 import random
 from itertools import count
 
-from conftest import check_cycle_contract, random_graph
+from conftest import check_against_reference, check_cycle_contract, random_graph
 from gogh.certify import relation_tokens
 from gogh.checks import verify_parametrization, witness_holds
 from gogh.cli import run, serialize
@@ -161,13 +161,16 @@ def chain_of_moves(graph, rng):
 
 def _checked_status(graph, tmp_path) -> str:
     """The verdict's status, once its evidence is checked (a certificate,
-    or a witness and the contract of the cycle it was built from) and the
-    CLI reads the same status off the serialized text."""
+    which the checker and the reference checker also judge alike with each
+    of its single mutations, or a witness and the contract of the cycle it
+    was built from) and the CLI reads the same status off the serialized
+    text."""
     verdict = hhg_verdict(graph)
     if isinstance(verdict, HHG):
         for cert in verdict.certificates:
             ok, report = verify_parametrization(cert.conjugacy_graph.graph, cert.phi)
             assert ok, report
+            check_against_reference(cert.conjugacy_graph.graph, cert.phi)
     else:
         w, cycle = verdict.witness, verdict.verdict
         ok, report = witness_holds(graph, w, cycle.cycle, cycle.occurrences)

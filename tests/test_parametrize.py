@@ -1,7 +1,9 @@
+import json
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import gogh.parametrize
-from conftest import KLEIN_TEXT, random_graph, relabel_graph
+from conftest import KLEIN_TEXT, TREFOIL_TEXT, check_against_reference, random_graph, relabel_graph
 from gogh import dihedral as dih
 from gogh.balance import Balanced, Unbalanced, build_groupoid
 from gogh.checks import verify_parametrization
@@ -21,6 +23,7 @@ from gogh.model import (
     DihedralInfinite,
     EdgeRecord,
     Free,
+    GoghError,
     GraphOfGroups,
     VertexWord,
     make_graph,
@@ -34,6 +37,9 @@ from gogh.parametrize import (
     hhg_verdict,
     parametrize,
 )
+from oracles import reference_verify_parametrization
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def images(phi, vertex):
@@ -490,15 +496,16 @@ def _mutants(rng, graph, phi):
 
 
 def test_checker_matches_the_reference():
-    """The same (ok, report), strings and order, on certificates and their
-    mutants, on random images with vertices and generators missing, and on
-    graphs with rank-2 vertices and multi-letter attachments."""
+    """The same (ok, report), strings and order, as the reference above and
+    the record-based one in ``oracles``, on certificates and their mutants,
+    on random images with vertices and generators missing, and on graphs
+    with rank-2 vertices and multi-letter attachments."""
     rng = random.Random(1402)
     seen = {"ok": 0, "rejected": 0, "lines": set()}
 
     def check(g, phi):
         got = verify_parametrization(g, phi)
-        assert got == _reference_verify(g, phi)
+        assert got == _reference_verify(g, phi) == reference_verify_parametrization(g, phi)
         seen["ok" if got[0] else "rejected"] += 1
         seen["lines"].update(line.split(": ", 1)[1].split(" (")[0] for line in got[1])
 
@@ -527,6 +534,53 @@ def test_checker_matches_the_reference():
         "relation references unassigned generators",
         "relation image",
     }, seen["lines"]
+
+
+def test_checker_matches_the_record_reference_on_the_golden_corpus():
+    """Every certificate of every golden graph and each single mutation of
+    it, and random images on every golden graph with a rank-2 vertex, whose
+    multi-letter attachments the checker multiplies out as pairs: the same
+    (ok, report), report order included, as the record-based reference."""
+    rng = random.Random(3201)
+    seen, multi_letter = Counter(), 0
+    for case in sorted(GOLDEN.glob("*.json")):
+        try:
+            graph = parse(json.loads(case.read_text(encoding="utf-8"))["text"])
+        except GoghError:
+            continue
+        verdict = hhg_verdict(graph)
+        for cert in verdict.certificates if isinstance(verdict, HHG) else ():
+            seen += check_against_reference(cert.conjugacy_graph.graph, cert.phi)
+        if _two_ended(graph):
+            continue
+        for _ in range(10):
+            phi = _random_phi(rng, graph)
+            assert verify_parametrization(graph, phi) == reference_verify_parametrization(graph, phi)
+        multi_letter += any(
+            len(att.letters) > 1 for e in graph.edges for att in (e.attachment_source, e.attachment_target)
+        )
+    assert seen[True] >= 100 and seen[False] >= 1000 and multi_letter >= 20, (seen, multi_letter)
+
+
+@pytest.mark.parametrize("where", ["vertex", "stable"])
+@pytest.mark.parametrize("field", ["eps", "k"])
+def test_verifier_rejects_a_bool_exponent(where, field):
+    """True is an int to isinstance but no exponent of a normal form: with
+    it as eps or k, at a vertex or as a stable image, the element is
+    reported.  The record-based reference reads it as 1, and so verifies
+    u.1 -> r^True outright."""
+    g = parse(TREFOIL_TEXT.replace("u.1^2", "u.1").replace("v.1^3", "v.1"))
+    forged = DihedralElement(True, 1) if field == "eps" else DihedralElement(0, True)
+    one = ((1, DihedralElement(0, 1)),)
+    if where == "vertex":
+        phi = LinearParametrization((("u", ((1, forged),)), ("v", one)), ())
+        want = ["vertex u: image of 1 is not an element of D-infinity"]
+    else:
+        phi = LinearParametrization((("u", one), ("v", one)), (("e", forged),))
+        want = ["edge e: stable letter image is not an element of D-infinity"]
+    assert verify_parametrization(g, phi) == (False, want)
+    if (where, field) == ("vertex", "k"):
+        assert reference_verify_parametrization(g, phi) == (True, [])
 
 
 def test_verifier_rejects_a_rational_rotation(trefoil):

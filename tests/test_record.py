@@ -1,7 +1,7 @@
 """The records that ``model.record`` builds: value, copies and identity.
 
 A record's ``__eq__`` is code inside the trusted base:
-``verify_parametrization`` compares ``DihedralElement``s with ``!=``.  So
+``witness_holds`` compares ``DihedralElement``s with ``==``.  So
 every compared field of every record kind must count, and a field that
 lies outside the value (``GraphOfGroups.index``, the ``occurrences`` maps)
 must count nowhere.  The producers' results compare by identity.
