@@ -13,6 +13,16 @@ are whitespace-separated letters.  `img_to` is the image of the edge-group
 generator in the target vertex group, `img_from` the image in the source,
 and the defining relation reads t_e * img_to * t_e^-1 = img_from.
 
+`parse` reads a file in one compiled scan with one match per line.  The
+scan reads the plain lines itself: the three forms above with single
+spaces between tokens, no padding and no comment, which is how `serialize`
+and most generators write them.  Every other line (comments, tabs or runs
+of whitespace, padding, bad input) is read by the general grammar, one
+line at a time.  A plain line cannot read differently: the general
+grammar keeps its quoted texts through the comment cut, keeps it whole
+through the strip, and matches its single spaces as runs of whitespace,
+so it captures the same name, ends, rank and attachment texts.
+
 All commands print one deterministic JSON object (sorted keys, integers
 beyond 2^53 rendered as decimal strings) and exit 0; malformed input,
 command lines included, exits 2 with a machine-readable error object, and
@@ -64,20 +74,28 @@ class ParseError(GoghError):
 
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+# The general grammar: one stripped line, its comment removed.
 _VERTEX_RE = re.compile(rf"^vertex\s+({_NAME})\s+(free\s+(\d+)|dihedral)\s*$")
-# An attachment text, captured whole.  When the whole text is one letter
-# `v.k^e` or `v.r^e`, padding allowed, its owner, generator and exponent
-# are captured too (each None otherwise): the common case, which parse
-# builds without the general word path.
-_ATTACHMENT = rf'((?:\s*({_NAME})\.(\d+|r)(?:\^(-?\d+))?\s*(?=")|[^"]*))'
 _EDGE_RE = re.compile(
-    rf'^edge\s+({_NAME})\s+from=({_NAME})\s+to=({_NAME})\s+img_from="{_ATTACHMENT}"\s+img_to="{_ATTACHMENT}"\s*$'
+    rf'^edge\s+({_NAME})\s+from=({_NAME})\s+to=({_NAME})\s+img_from="([^"]*)"\s+img_to="([^"]*)"\s*$'
 )
 _LETTER_RE = re.compile(rf"^({_NAME})\.(\d+|r|s|t)(\^(-?\d+))?$")
 # The text before the first "#" outside double quotes; an unterminated
 # quote runs to the end of the line.
 _CODE_RE = re.compile(r'[^"#]*(?:"[^"]*"?[^"#]*)*')
 _TOKEN_RE = re.compile(r"\S+")
+# One match per line of a text whose lines end at \n.  A plain edge line
+# (single spaces, no padding, no comment) fills groups 1-5 as _EDGE_RE
+# does, a plain vertex line groups 6-7, and every other line group 8.
+_LINE_RE = re.compile(
+    rf'^(?:edge ({_NAME}) from=({_NAME}) to=({_NAME}) img_from="([^"\n]*)" img_to="([^"\n]*)"'
+    rf"|vertex ({_NAME}) (?:free ([0-9]+)|dihedral)|(.*))$",
+    re.MULTILINE,
+)
+_PLAIN_EDGE, _OTHER_LINE = 5, 8  # the last group of a plain edge line, of any other line
+# A one-letter attachment after its owner and dot: a free generator or r,
+# and its exponent.
+_SUFFIX_RE = re.compile(r"(\d+|r)(?:\^(-?\d+))?")
 
 
 def parse_letter(text: str, line: int = 0, column: int = 1):
@@ -100,23 +118,33 @@ def _scan_letters(text: str, line: int):
         yield piece, column, parse_letter(piece, line, column)
 
 
-def _parse_attachment(
-    text: str, owner, gen, exp, vertex: str, kind, line: int, shared: dict
-) -> VertexWord:
-    """The attachment word of text at vertex; owner, gen and exp are the
-    one-letter captures of _EDGE_RE, None unless text is one letter."""
-    # a free generator in a free vertex or r in a dihedral one, with a
-    # nonzero exponent, is already the normal form vw_normalize returns;
-    # every other text takes the general path below.  Its letters are
-    # immutable, so one tuple serves every vertex: shared maps (generator,
-    # exponent) texts to it, or to () for exponent 0.
-    if owner == vertex and (gen == DIHEDRAL_R) == isinstance(kind, DihedralInfinite):
-        letters = shared.get((gen, exp))
+def _one_letter(suffix: str):
+    """The letters of a one-letter suffix ("1^3", "r"): one (generator,
+    exponent) pair, () for exponent 0, None for any other text."""
+    m = _SUFFIX_RE.fullmatch(suffix)
+    if m is None:
+        return None
+    gen, exp = m.groups()
+    exponent = parse_int(exp) if exp is not None else 1
+    generator = gen if gen == DIHEDRAL_R else parse_int(gen)
+    return ((generator, exponent),) if exponent else ()
+
+
+def _parse_attachment(text: str, vertex: str, kind, line: int, shared: dict) -> VertexWord:
+    """The attachment word of text at vertex."""
+    # one letter of the vertex itself, unpadded: a free generator in a free
+    # vertex or r in a dihedral one, with a nonzero exponent, is already the
+    # normal form vw_normalize returns; every other text takes the general
+    # path below.  Its letters are immutable, so one tuple serves every
+    # vertex: shared maps each suffix after the dot to it.
+    owner, _, suffix = text.partition(".")
+    if owner == vertex:
+        letters = shared.get(suffix)
         if letters is None:
-            exponent = parse_int(exp) if exp is not None else 1
-            generator = gen if gen == DIHEDRAL_R else parse_int(gen)
-            letters = shared[(gen, exp)] = ((generator, exponent),) if exponent else ()
-        if letters:
+            letters = _one_letter(suffix)
+            if letters is not None:
+                shared[suffix] = letters
+        if letters and (letters[0][0] == DIHEDRAL_R) == isinstance(kind, DihedralInfinite):
             return VertexWord(vertex, letters)
     letters = []
     for piece, column, tok in _scan_letters(text, line):
@@ -132,46 +160,72 @@ def _parse_attachment(
     return vw_normalize(kind, VertexWord(vertex, tuple(letters)))
 
 
+def _general_line(raw: str, lineno: int):
+    """One line read by the general grammar: its _VERTEX_RE or _EDGE_RE
+    match, or None for a blank or comment line."""
+    line = (_CODE_RE.match(raw).group() if "#" in raw else raw).strip()
+    if not line:
+        return None
+    if line.startswith("vertex"):
+        m = _VERTEX_RE.match(line)
+        if not m:
+            raise ParseError("malformed vertex declaration", lineno, 1)
+        return m
+    if line.startswith("edge"):
+        m = _EDGE_RE.match(line)
+        if not m:
+            raise ParseError("malformed edge declaration", lineno, 1)
+        return m
+    raise ParseError(f"unrecognized declaration {line.split()[0]!r}", lineno, 1)
+
+
 def parse(text: str) -> GraphOfGroups:
     """Parse a graph description; the graph validates itself on construction.
+
+    One scan of the text matches each line once.  It reads a plain line
+    itself and hands every other line to the general grammar, errors
+    included; the module docstring says why both read a plain line alike.
+    An attachment that is one letter of its own vertex, unpadded (`v.1^3`
+    at a free vertex, `d.r` at a dihedral one), is read from a table of
+    its suffixes after the dot; any other takes the letter scanner, which
+    reads such a text to the same word.
+
     Equal declarations share their immutable parts: one kind object per
     rank (and one dihedral), one letters tuple per one-letter image, and
-    each vertex name is the one string of its declaration.  The declarations
-    are read in two passes, the lines and then the edges, and each pass's
-    input is dropped once it is read."""
+    each vertex name is the one string of its declaration.  The vertices are
+    read in the scan and the edges after it, from each edge line's match;
+    the matches are dropped before the graph is built."""
     vertices: dict[str, tuple[str, object]] = {}  # name -> its vertex-table entry
     kinds: dict[str | None, object] = {}  # rank numeral, or None -> kind
-    pending_edges = []  # (line number, _EDGE_RE match) of each edge line
+    pending_edges = []  # (line number, edge match) of each edge line
     # lines end only at \n, \r\n and \r: str.splitlines() also ends them at
     # \v, \f, \x1c-\x1e, \x85, U+2028 and U+2029, inside comments and words too
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for lineno, raw in enumerate(lines, start=1):
-        line = (_CODE_RE.match(raw).group() if "#" in raw else raw).strip()
-        if not line:
-            continue
-        if line.startswith("vertex"):
-            m = _VERTEX_RE.match(line)
-            if not m:
-                raise ParseError("malformed vertex declaration", lineno, 1)
-            name, _, rank = m.groups()
-            if name in vertices:
-                raise ParseError(f"duplicate vertex {name!r}", lineno, 1)
-            kind = kinds.get(rank)
-            if kind is None:
-                kind = kinds[rank] = Free(parse_int(rank)) if rank is not None else DihedralInfinite()
-            vertices[name] = (name, kind)
-        elif line.startswith("edge"):
-            m = _EDGE_RE.match(line)
-            if not m:
-                raise ParseError("malformed edge declaration", lineno, 1)
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, m in enumerate(_LINE_RE.finditer(text), start=1):
+        last = m.lastindex
+        if last == _PLAIN_EDGE:
             pending_edges.append((lineno, m))
+            continue
+        if last == _OTHER_LINE:
+            m = _general_line(m.group(_OTHER_LINE), lineno)
+            if m is None:
+                continue
+            if m.re is _EDGE_RE:
+                pending_edges.append((lineno, m))
+                continue
+            name, rank = m.group(1, 3)
         else:
-            raise ParseError(f"unrecognized declaration {line.split()[0]!r}", lineno, 1)
-    del lines
+            name, rank = m.group(6, 7)
+        if name in vertices:
+            raise ParseError(f"duplicate vertex {name!r}", lineno, 1)
+        kind = kinds.get(rank)
+        if kind is None:
+            kind = kinds[rank] = Free(parse_int(rank)) if rank is not None else DihedralInfinite()
+        vertices[name] = (name, kind)
     edges: dict[str, EdgeRecord] = {}
     shared: dict = {}
     for lineno, m in pending_edges:
-        name, src, tgt, text_s, owner_s, gen_s, exp_s, text_t, owner_t, gen_t, exp_t = m.groups()
+        name, src, tgt, text_s, text_t = m.group(1, 2, 3, 4, 5)
         if name in edges:
             raise ParseError(f"duplicate edge {name!r}", lineno, 1)
         declared_s, declared_t = vertices.get(src), vertices.get(tgt)
@@ -183,8 +237,8 @@ def parse(text: str) -> GraphOfGroups:
             name,
             src,
             tgt,
-            _parse_attachment(text_s, owner_s, gen_s, exp_s, src, kind_s, lineno, shared),
-            _parse_attachment(text_t, owner_t, gen_t, exp_t, tgt, kind_t, lineno, shared),
+            _parse_attachment(text_s, src, kind_s, lineno, shared),
+            _parse_attachment(text_t, tgt, kind_t, lineno, shared),
         )
     del pending_edges
     return make_graph(vertices.values(), edges.values())

@@ -1,5 +1,5 @@
-"""Memory of the decision on a large input, per edge, and of the
-reduction of a long word, per stable letter.
+"""Memory of the parse and of the decision on a large input, per edge,
+and of the reduction of a long word, per stable letter.
 
 A balanced cycle of n rank-1 vertices, its edge ratios alternating 3:2
 and 2:3, is HHG with one class: every layer from the text to the
@@ -61,6 +61,26 @@ def test_peak_bytes_per_edge_of_the_decision():
     verdict, peak = _traced_peak(lambda: hhg_verdict(parse(text)))
     assert verdict.status == "HHG" and len(verdict.certificates) == 1
     assert peak / EDGES <= PEAK_BYTES_PER_EDGE, peak / EDGES
+
+
+PARSE_PEAK_BYTES_PER_EDGE = 1253  # 1002 measured, plus 25%
+
+
+def test_peak_bytes_per_edge_of_the_parse():
+    """The peak of the traced Python heap per edge over parse alone, the
+    graph's validation included.
+
+    Measured at 998.0-1001.6 bytes per edge on Python 3.11.7, x86-64, with
+    and without -O, where one scan of the text matches each line and each
+    edge line's match is kept until the edge pass; 998.0-1001.9 when each
+    line was split off, stripped and matched on its own, and 1030.0-1033.6
+    when the scan kept five substrings of each edge line in place of its
+    match.  The bound is the highest measured value plus 25%."""
+    text = balanced_cycle(EDGES)
+    parse(balanced_cycle(4))
+    graph, peak = _traced_peak(lambda: parse(text))
+    assert len(graph.edges) == EDGES
+    assert peak / EDGES <= PARSE_PEAK_BYTES_PER_EDGE, peak / EDGES
 
 
 STABLE_LETTERS = 20000

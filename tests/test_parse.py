@@ -1,9 +1,13 @@
 """The graph-text parser against a reference parser, and its line splitting.
 
 `reference_parse` is the parser as it was before one-letter attachments got
-their own path: every attachment goes through the letter scanner and
-`vw_normalize`, and every numeral through `int(Decimal(...))`.  Its only
-change is the line split, which ends lines at \\n, \\r\\n and \\r alone.
+their own path: every line goes through one grammar, every attachment
+through the letter scanner and `vw_normalize`, and every numeral through
+`int(Decimal(...))`.  Its only change is the line split, which ends lines
+at \\n, \\r\\n and \\r alone.  It holds its own copy of the grammar, so the
+check shares no pattern with the parser it checks; `parse` reads plain
+lines in one scan of the whole text and every other line with the general
+grammar, and the tests below try lines on each side of that split.
 
 The two parsers differ on purpose in one case: an integer generator in an
 attachment of a dihedral vertex (`d.1`).  The reference hands it to
@@ -21,15 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BS32_TEXT, F2_EXAMPLE_TEXT, TREFOIL_TEXT
-from gogh.cli import (
-    _CODE_RE,
-    _EDGE_RE,
-    _NAME,
-    _VERTEX_RE,
-    ParseError,
-    parse,
-)
+from conftest import BS32_TEXT, F2_EXAMPLE_TEXT, TREFOIL_TEXT, multi_letter_cycle
+from gogh.cli import ParseError, parse
 from gogh.model import (
     DIHEDRAL_R,
     DIHEDRAL_S,
@@ -41,10 +38,20 @@ from gogh.model import (
     make_graph,
 )
 from gogh.words import vw_normalize
+from test_memory import balanced_cycle
 
 # -- the reference -----------------------------------------------------------------
 
-_REF_LETTER_RE = re.compile(rf"^({_NAME})\.(\d+|r|s|t)(\^(-?\d+))?$")
+# The grammar as the parser had it before its one scan of the text, less the
+# edge pattern's one-letter captures, which the reference never read.
+_REF_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_REF_VERTEX_RE = re.compile(rf"^vertex\s+({_REF_NAME})\s+(free\s+(\d+)|dihedral)\s*$")
+_REF_EDGE_RE = re.compile(
+    rf'^edge\s+({_REF_NAME})\s+from=({_REF_NAME})\s+to=({_REF_NAME})'
+    rf'\s+img_from="([^"]*)"\s+img_to="([^"]*)"\s*$'
+)
+_REF_CODE_RE = re.compile(r'[^"#]*(?:"[^"]*"?[^"#]*)*')
+_REF_LETTER_RE = re.compile(rf"^({_REF_NAME})\.(\d+|r|s|t)(\^(-?\d+))?$")
 _REF_TOKEN_RE = re.compile(r"\S+")
 
 
@@ -85,11 +92,11 @@ def reference_parse(text: str):
     pending_edges = []
     lines = re.split(r"\r\n|\r|\n", text)
     for lineno, raw in enumerate(lines, start=1):
-        line = _CODE_RE.match(raw).group().strip()
+        line = _REF_CODE_RE.match(raw).group().strip()
         if not line:
             continue
         if line.startswith("vertex"):
-            m = _VERTEX_RE.match(line)
+            m = _REF_VERTEX_RE.match(line)
             if not m:
                 raise ParseError("malformed vertex declaration", lineno, 1)
             name, _, rank = m.groups()
@@ -97,11 +104,11 @@ def reference_parse(text: str):
                 raise ParseError(f"duplicate vertex {name!r}", lineno, 1)
             vertices[name] = Free(_ref_int(rank)) if rank is not None else DihedralInfinite()
         elif line.startswith("edge"):
-            m = _EDGE_RE.match(line)
+            m = _REF_EDGE_RE.match(line)
             if not m:
                 raise ParseError("malformed edge declaration", lineno, 1)
             # the edge's name, its ends and its two attachment texts
-            pending_edges.append((lineno, m.group(1, 2, 3, 4, 8)))
+            pending_edges.append((lineno, m.groups()))
         else:
             raise ParseError(f"unrecognized declaration {line.split()[0]!r}", lineno, 1)
     edges = []
@@ -138,7 +145,7 @@ def outcome(parser, text: str):
         return 3, {"error": f"internal: {type(exc).__name__}: {exc}", "line": 0, "column": 0}
 
 
-_DIHEDRAL_INT_ERROR = re.compile(rf"unknown generator in '(?P<owner>{_NAME})\.(?P<gen>\d+)(\^-?\d+)?'")
+_DIHEDRAL_INT_ERROR = re.compile(rf"unknown generator in '(?P<owner>{_REF_NAME})\.(?P<gen>\d+)(\^-?\d+)?'")
 
 
 def assert_matches_the_reference(text: str):
@@ -303,3 +310,150 @@ def test_line_numbers_count_newlines_only():
         with pytest.raises(ParseError) as err:
             parse(newline.join(["vertex v free 1", "", "vertex broken"]))
         assert err.value.line == 3
+
+
+# -- plain lines and the general grammar -------------------------------------------
+
+# A connected graph of each vertex kind, v1's name a prefix of v12's, each
+# line given by its tokens; a quoted attachment is one token.
+MIXED = [
+    ["vertex", "v", "free", "2"],
+    ["vertex", "d", "dihedral"],
+    ["vertex", "v1", "free", "1"],
+    ["vertex", "v12", "free", "1"],
+    ["edge", "a", "from=v", "to=d", 'img_from="v.1"', 'img_to="d.r^2"'],
+    ["edge", "b", "from=d", "to=v1", 'img_from="d.r"', 'img_to="v1.1^-3"'],
+    ["edge", "c", "from=v1", "to=v12", 'img_from="v1.1^2"', 'img_to="v12.1^3"'],
+    ["edge", "f", "from=v", "to=v", 'img_from="v.2 v.1^3 v.2^-1"', 'img_to="v.1^2"'],
+]
+
+
+def mixed_text(gap=" ", pad=("", ""), note="", newline="\n", general=lambda i: True) -> str:
+    """MIXED with the tokens of each line i for which general(i) holds
+    separated by gap, padded by pad and followed by note; the other lines
+    are plain."""
+    lines = [
+        pad[0] + gap.join(tokens) + pad[1] + note if general(i) else " ".join(tokens)
+        for i, tokens in enumerate(MIXED)
+    ]
+    return newline.join(lines) + newline
+
+
+@pytest.mark.parametrize("gap", [" ", "\t", "  ", " \t ", "\f", "\x85"])
+@pytest.mark.parametrize("pad", [("", ""), (" ", ""), ("", " "), ("\t", "\x85"), ("\f", "\t")])
+def test_whitespace_around_tokens_reads_as_plain_lines(gap, pad):
+    plain = parse(mixed_text())
+    for general in (lambda i: True, lambda i: i % 2 == 0):
+        text = mixed_text(gap, pad, general=general)
+        assert parse(text) == plain
+        assert_matches_the_reference(text)
+
+
+@pytest.mark.parametrize("note", ["#", "# note", " # note", "\t#x", '#"quoted', '# "v.1" #'])
+def test_a_comment_after_a_plain_line_reads_as_none(note):
+    text = mixed_text(note=note)
+    assert parse(text) == parse(mixed_text())
+    assert_matches_the_reference(text)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_crlf_files_mixing_plain_and_general_lines(newline):
+    for general in (lambda i: i % 2 == 0, lambda i: i % 2 == 1, lambda i: i > 3):
+        text = mixed_text("\t", (" ", ""), " # note", newline, general)
+        assert parse(text) == parse(mixed_text())
+        assert_matches_the_reference(text)
+    lf = mixed_text(general=lambda i: False).replace("\n", "\r\n", 3)
+    assert parse(lf) == parse(mixed_text())
+
+
+@pytest.mark.parametrize(
+    "src, tgt, img_from, img_to",
+    [
+        ("v", "v", " v.1", "v.1"),
+        ("v", "v", "v.1 ", "v.1\t"),
+        ("v", "v", "v.01", "v.1^007"),
+        ("v", "v", "v.1^-0", "v.1"),
+        ("v", "v", "v.1^\u0661", "v.1^-\u0662\u0660"),
+        ("v", "v", "v.\u0661", "v.2"),
+        ("v", "v", "v.1^+1", "v.1"),
+        ("v", "v", "v.1#", "v.1"),
+        ("v", "v", "v.1.2", "v.1"),
+        ("v", "v", "v.", "v.1"),
+        ("v", "v", "", "v.1"),
+        ("v1", "v12", "v1.1", "v12.1^2"),
+        ("v1", "v12", "v12.1", "v12.1"),
+        ("v1", "v12", "v1.1", "v1.1"),
+        ("v12", "v1", "v1.1", "v1.1"),
+        ("d", "v1", "d.1", "v1.1"),  # the intended difference
+        ("d", "v1", "d.s", "v1.1"),
+        ("d", "v1", "d.r^0", "v1.1"),
+        ("d", "d", "d.r^-1", "d.r^1"),
+        ("v1", "v1", "v1.r", "v1.1"),
+    ],
+)
+def test_attachments_on_each_side_of_the_table_match_the_reference(src, tgt, img_from, img_to):
+    edge = f'edge x from={src} to={tgt} img_from="{img_from}" img_to="{img_to}"'
+    for line in (edge, edge.replace(" ", "\t", 1), edge + " # note"):
+        assert_matches_the_reference(mixed_text() + line + "\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "\n",
+        "vertex v free 1",
+        "vertex v free 1\n\n\nedge e from=v to=v img_from=\"v.1^2\" img_to=\"v.1^3\"",
+        "vertex v free 1\nvertex v free 2",
+        "vertex v free 1\n\nvertex\tv free 2\n",
+        "vertex v free 1\n\nvertex v free 1 #\n",
+        "vertex v  free 1\n\nvertex v free 1\n",
+        "vertex v free 1\nedge e from=v to=v img_from=\"v.1\" img_to=\"v.1\"\n" * 2,
+        "vertex v free 1\nedge e from=v to=w img_from=\"v.1\" img_to=\"v.1\"\n",
+        "vertex v free 1\nvertex w free 0x1\n",
+        "vertex v free \u0661\n",
+        "vertex v dihedral\nvertex\n",
+        "vertex v \n",
+        "vertex v free\n",
+        "vertex v free 1 2\n",
+        "vertex v dihedral x\n",
+        "vertex v free 1x\n",
+        "vertex v free 1\nedge e from=v to=v img_from=\"v.1\" img_to=\"v.1\" x\n",
+        "vertex v free 1\nedge e from=v to=v img_from=\"v.1\" img_to=\"v.1\"\"\n",
+        "vertex v free 1\nedge e from=v to=v img_from=\"v.1\" img_to=\"v.1\" \"v.1\"\n",
+        "vertex v free 1\nedges e\n",
+        "vertex v free 1\nedge e from=v to=v img_from=\"v.1\" img_to=\"v.1\n",
+    ],
+)
+def test_line_numbers_and_errors_on_each_side_match_the_reference(text):
+    assert_matches_the_reference(text)
+
+
+def rank2_dihedral_cycle(n: int) -> str:
+    """An n-cycle of rank-2, dihedral and rank-1 vertices in turn, each
+    rank-2 attachment a generator or a conjugate of one; every seventh line
+    has tabs and a comment."""
+    kinds = ["free 2", "dihedral", "free 1"]
+    lines = [f"vertex w{i} {kinds[i % 3]}" for i in range(n)]
+
+    def word(i: int, k: int) -> str:
+        v = f"w{i}"
+        if i % 3 == 1:
+            return f"{v}.r^{k}"
+        if i % 3 == 0 and k % 2 == 0:
+            return f"{v}.2 {v}.1^{k} {v}.2^-1"
+        return f"{v}.1^{k}"
+
+    for i in range(n):
+        j = (i + 1) % n
+        lines.append(f'edge e{i} from=w{i} to=w{j} img_from="{word(i, 2 + i % 5)}" img_to="{word(j, -1 - i % 4)}"')
+    return "\n".join(line.replace(" ", "\t") + " # note" if i % 7 == 0 else line for i, line in enumerate(lines)) + "\n"
+
+
+@pytest.mark.parametrize(
+    "make", [balanced_cycle, multi_letter_cycle, rank2_dihedral_cycle], ids=lambda f: f.__name__
+)
+def test_large_generated_graphs_match_the_reference(make):
+    text = make(2400)
+    graph = parse(text)
+    assert graph == reference_parse(text) and len(graph.edges) == 2400
