@@ -46,10 +46,8 @@ def record(cls=None, /, *, eq=True, uncompared=(), derived=()):
     """A frozen record with slots, built from the class's field annotations.
 
     The class is rebuilt with ``__slots__`` (so an instance has no
-    ``__dict__``), ``__match_args__`` and these methods.  ``__init__``,
-    ``__eq__`` and ``__hash__`` are written by one ``exec``; ``__repr__``
-    and ``__reduce__`` are closures over the field names, which compile
-    nothing:
+    ``__dict__``), ``__match_args__`` and these methods, written by one
+    ``exec``:
 
     - ``__init__`` takes the fields in order, stores each through its
       slot's descriptor and then runs ``__post_init__``, if the class has
@@ -75,11 +73,16 @@ def record(cls=None, /, *, eq=True, uncompared=(), derived=()):
     params = tuple(name for name in fields if name not in derived)
     compared = tuple(name for name in params if name not in uncompared)
     value = _tuple("self.", compared)
+    shown = ", ".join(f"{name}={{self.{name}!r}}" for name in compared)
     lines = [
         f"def __init__(self{''.join(f', {name}' for name in params)}):",
         "    pass",
         *(f"    _set_{name}(self, {name})" for name in params),
         *(["    self.__post_init__()"] if hasattr(cls, "__post_init__") else []),
+        "def __repr__(self):",
+        f"    return f'{{self.__class__.__qualname__}}({shown})'",
+        "def __reduce__(self):",
+        f"    return self.__class__, {_tuple('self.', params)}",
     ]
     if eq:
         lines += [
@@ -92,7 +95,6 @@ def record(cls=None, /, *, eq=True, uncompared=(), derived=()):
         ]
     namespace, methods = {}, {}  # the methods' globals, and the methods
     exec("\n".join(lines), namespace, methods)
-    methods.update(__repr__=_repr_method(compared), __reduce__=_reduce_method(params))
     body = {k: v for k, v in cls.__dict__.items() if k not in ("__dict__", "__weakref__")}
     for name, method in methods.items():
         method.__qualname__ = f"{cls.__qualname__}.{name}"
@@ -101,25 +103,6 @@ def record(cls=None, /, *, eq=True, uncompared=(), derived=()):
     cls = type(cls)(cls.__name__, cls.__bases__, body)
     namespace.update((f"_set_{name}", cls.__dict__[name].__set__) for name in params)
     return cls
-
-
-def _repr_method(names):
-    """``__repr__`` reading ``Name(field=value, ...)`` over the named fields."""
-
-    def __repr__(self):
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
-        return f"{self.__class__.__qualname__}({shown})"
-
-    return __repr__
-
-
-def _reduce_method(names):
-    """``__reduce__`` rebuilding an instance from the named fields."""
-
-    def __reduce__(self):
-        return self.__class__, tuple([getattr(self, name) for name in names])
-
-    return __reduce__
 
 
 def _tuple(prefix: str, names) -> str:

@@ -70,7 +70,7 @@ def test_peak_bytes_per_edge_of_the_parse():
     """The peak of the traced Python heap per edge over parse alone, the
     graph's validation included.
 
-    Measured at 998.0-1001.6 bytes per edge on Python 3.11.7, x86-64, with
+    Measured at 997.9-1001.6 bytes per edge on Python 3.11.7, x86-64, with
     and without -O, where one scan of the text matches each line and each
     edge line's match is kept until the edge pass; 998.0-1001.9 when each
     line was split off, stripped and matched on its own, and 1030.0-1033.6

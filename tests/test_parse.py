@@ -5,9 +5,12 @@ their own path: every line goes through one grammar, every attachment
 through the letter scanner and `vw_normalize`, and every numeral through
 `int(Decimal(...))`.  Its only change is the line split, which ends lines
 at \\n, \\r\\n and \\r alone.  It holds its own copy of the grammar, so the
-check shares no pattern with the parser it checks; `parse` reads plain
-lines in one scan of the whole text and every other line with the general
-grammar, and the tests below try lines on each side of that split.
+check shares no pattern with the parser it checks.  `parse` reads every
+line in one scan of the whole text, whose pattern spells out the runs of
+whitespace, padding and comments that the reference strips and cuts
+line by line, so the tests below try plain lines (single spaces, no
+padding, no comment) and general ones (any other whitespace, padding,
+comments) side by side, and lines of no form of each kind.
 
 The two parsers differ on purpose in one case: an integer generator in an
 attachment of a dihedral vertex (`d.1`).  The reference hands it to
@@ -19,6 +22,7 @@ same word is rejected first; `parse` rejects it at its own letter with
 from __future__ import annotations
 
 import re
+import time
 from decimal import Decimal
 
 import pytest
@@ -312,7 +316,7 @@ def test_line_numbers_count_newlines_only():
         assert err.value.line == 3
 
 
-# -- plain lines and the general grammar -------------------------------------------
+# -- plain and general lines --------------------------------------------------------
 
 # A connected graph of each vertex kind, v1's name a prefix of v12's, each
 # line given by its tokens; a quoted attachment is one token.
@@ -421,6 +425,8 @@ def test_attachments_on_each_side_of_the_table_match_the_reference(src, tgt, img
         "vertex v free 1\nedge e from=v to=v img_from=\"v.1\" img_to=\"v.1\" x\n",
         "vertex v free 1\nedge e from=v to=v img_from=\"v.1\" img_to=\"v.1\"\"\n",
         "vertex v free 1\nedge e from=v to=v img_from=\"v.1\" img_to=\"v.1\" \"v.1\"\n",
+        "vertex v free 1\nedge e from=v to=v img_from=\"v.1\" \"v.1\" img_to=\"v.1\"\n",
+        "vertex v free 1\nedge e from=v to=v img_from=\"v.1\" img_to=\"v.1\" \"v.1\"\"\n",
         "vertex v free 1\nedges e\n",
         "vertex v free 1\nedge e from=v to=v img_from=\"v.1\" img_to=\"v.1\n",
     ],
@@ -457,3 +463,25 @@ def test_large_generated_graphs_match_the_reference(make):
     text = make(2400)
     graph = parse(text)
     assert graph == reference_parse(text) and len(graph.edges) == 2400
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "{gap}x",
+        "vertex{gap}x",
+        "vertex v{gap}free 1{gap}x",
+        'edge e from=v to=v img_from="v.1"{gap}img_to="v.1"{gap}x',
+        'edge e{gap}from=v{gap}x',
+        "{gap}# {gap}",
+    ],
+)
+def test_long_runs_of_whitespace_are_read_in_linear_time(line):
+    """A run of 40,000 blanks in each place of a form is read in well
+    under half a second, as the reference reads it: about 5 ms in all on
+    Python 3.11, x86-64, where a pattern that backtracks over the run once
+    per blank takes seconds."""
+    text = "vertex v free 1\n" + line.format(gap=" \t" * 20_000) + "\n"
+    start = time.perf_counter()
+    assert_matches_the_reference(text)
+    assert time.perf_counter() - start < 0.5
