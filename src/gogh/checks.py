@@ -6,12 +6,12 @@ provenance of a derived graph of 2-ended groups is re-verified identity by
 identity in the original vertex groups, and an almost Baumslag-Solitar
 witness is re-verified lemma by lemma along the cycle it was built from.
 All read their evidence by its attributes and decide with the word
-arithmetic of ``dihedral``, ``freewords`` and ``words`` alone; the
-parametrization checker reads each distinct image once into the int pair
-(eps, k) of its normal form s^eps r^k and multiplies those pairs itself,
-building no record per product.  This module imports no module that
-produces a verdict, an edge class or attachment data, so the checkers and
-what they reach are ``model``, ``dihedral``, ``freewords``, ``words`` and
+arithmetic of ``dihedral`` and ``freewords`` alone: the parametrization
+checker multiplies the int pairs (eps, k) of normal forms s^eps r^k,
+building no record per product, and the other two rebuild attachments as
+g R^n g^-1 with ``_rebuilds``.  This module imports no module that
+produces a verdict, an edge class or attachment data, nor ``words``, so
+what the checkers reach is ``model``, ``dihedral``, ``freewords`` and
 this file.  Evidence that does not fit is reported, not raised.
 """
 
@@ -28,7 +28,6 @@ from .model import (
     VertexWord,
     spanning_tree,
 )
-from .words import vw_inv, vw_mul, vw_pow
 
 
 def _pair(x):
@@ -170,10 +169,10 @@ def verify_parametrization(graph: GraphOfGroups, phi):
 
 def provenance_holds(graph: GraphOfGroups, cg) -> bool:
     """Check u = g * root^n * g^-1 in the original vertex group for both
-    sides of every class edge: u is the side's attachment in graph, g the
-    conjugator of that side in the class's record of the edge, gen^n its
-    derived attachment, and root the root of the derived vertex's origin
-    node, which must lie in u's vertex.
+    sides of every class edge, as ``_rebuilds`` does: u is the side's
+    attachment in graph, g the conjugator of that side in the class's
+    record of the edge, gen^n its derived attachment, and root the root of
+    the derived vertex's origin node, which must lie in u's vertex.
 
     The derived graph must hold nothing else: its edges are exactly the
     class's edges, in the same sorted order, and each derived vertex has an
@@ -185,16 +184,19 @@ def provenance_holds(graph: GraphOfGroups, cg) -> bool:
     class (a class edge missing from either graph, repeated or out of
     order, a derived edge that is no class edge, an edge with no record or
     a record that is no (source, target) pair of attachment data, a derived
-    attachment of more than one letter, a derived vertex with no origin or
-    of the wrong kind, a root or conjugator letter that is no generator of a
-    dihedral vertex) fails the check instead of raising."""
+    attachment of more than one letter, a derived vertex with no origin,
+    with an origin that is no node or of the wrong kind, a conjugator that
+    is no word, a root or conjugator letter that is no generator of u's
+    vertex) fails the check instead of raising."""
     original, derived_edges = graph.index.edges, cg.graph.index.edges
     edges, occurrences = cg.edge_class.edges, cg.edge_class.occurrences
     if list(edges) != list(cg.graph.edge_ids()):
         return False
     for dv, kind in cg.graph.vertices:
-        origin = cg.vertex_origin.get(dv)
-        at = None if origin is None else graph.index.kinds.get(origin.vertex)
+        try:
+            at = graph.index.kinds.get(cg.vertex_origin[dv].vertex)
+        except (AttributeError, KeyError, TypeError):  # no origin, or one that is no node
+            return False
         if at is None or kind != (at if isinstance(at, DihedralInfinite) else Free(1)):
             return False
     for edge in edges:
@@ -209,18 +211,13 @@ def provenance_holds(graph: GraphOfGroups, cg) -> bool:
             (e.attachment_source, derived_edge.source, derived_edge.attachment_source, g_s),
             (e.attachment_target, derived_edge.target, derived_edge.attachment_target, g_t),
         ):
-            origin = cg.vertex_origin.get(dv)
-            if len(derived.letters) != 1 or origin is None or origin.vertex != u.vertex:
+            origin = cg.vertex_origin[dv]
+            if len(derived.letters) != 1 or origin.vertex != u.vertex:
                 return False
-            ((_, n),) = derived.letters
-            root = VertexWord(u.vertex, origin.root)
-            kind = graph.kind(u.vertex)
             try:
-                rebuilt = vw_mul(kind, g, vw_pow(kind, root, n), vw_inv(kind, g))
-                rest = vw_mul(kind, rebuilt, vw_inv(kind, u))
-            except ValueError:  # a letter of root or g is no generator of a dihedral u
-                return False
-            if rest.letters:
+                if not _rebuilds(graph.kind(u.vertex), origin.root, derived.letters[0][1], g.letters, u):
+                    return False
+            except (AttributeError, TypeError, ValueError):  # a root or conjugator that is no word
                 return False
     return True
 

@@ -41,8 +41,9 @@ import re
 import sys
 from functools import partial
 
-# The parser and the numerals need only model and words; each command
-# imports its other layers when it runs, so a process loads what it uses.
+# The parser, the numerals and the rendering need only model; each command
+# imports its other layers when it runs, and ``words`` only where a path word
+# or an attachment of several letters is built, so a process loads what it uses.
 from .model import (
     DIHEDRAL_R,
     DIHEDRAL_S,
@@ -53,16 +54,7 @@ from .model import (
     EdgeRecord,
     VertexWord,
     make_graph,
-)
-from .words import (
-    britton_reduce,
-    display_tokens,
-    int_str,
-    letter_str,
-    parse_int,
-    to_path_form,
-    tokens_of_path,
-    vw_normalize,
+    spanning_tree,
 )
 
 
@@ -102,6 +94,42 @@ _TOKEN_RE = re.compile(r"\S+")
 # A one-letter attachment after its owner and dot: a free generator or r,
 # and its exponent.
 _SUFFIX_RE = re.compile(r"(\d+|r)(?:\^(-?\d+))?")
+
+
+def parse_int(numeral: str) -> int:
+    """The integer a signed decimal numeral denotes, of any length.
+
+    int() converts it; decimal takes over where int() raises ValueError,
+    as beyond the interpreter's process-wide digit limit
+    (sys.set_int_max_str_digits).  The value, or the error, is always the
+    one int(Decimal(numeral)) gives."""
+    try:
+        return int(numeral)
+    except ValueError:
+        from decimal import Decimal
+
+        return int(Decimal(numeral))
+
+
+def int_str(n: int) -> str:
+    """The decimal numeral of n, of any length: str() writes it, and
+    decimal beyond the digit limit (see parse_int).  A value that is not
+    exactly an int, such as a bool, is written as str(Decimal(n)) writes
+    it, so True is "1"."""
+    if type(n) is int:
+        try:
+            return str(n)
+        except ValueError:
+            pass
+    from decimal import Decimal
+
+    return str(Decimal(n))
+
+
+def letter_str(gen, exp: int) -> str:
+    """A letter in the input syntax, after the owner's dot: gen or gen^exp."""
+    name = gen if isinstance(gen, str) else int_str(gen)
+    return name if exp == 1 else f"{name}^{int_str(exp)}"
 
 
 def parse_letter(text: str, line: int = 0, column: int = 1):
@@ -163,6 +191,8 @@ def _parse_attachment(text: str, vertex: str, kind, line: int, shared: dict) -> 
         if isinstance(kind, DihedralInfinite) and not isinstance(tok[2], str):
             raise ParseError(f"unknown generator in {piece!r}", line, column)
         letters.append((tok[2], tok[3]))
+    from .words import vw_normalize
+
     return vw_normalize(kind, VertexWord(vertex, tuple(letters)))
 
 
@@ -341,7 +371,30 @@ def _phi_json(phi) -> dict:
     return out
 
 
+def display_tokens(graph: GraphOfGroups, tokens) -> str:
+    """Render tokens in the input letter syntax; tree stable letters are
+    display-trivial and dropped."""
+    tree = spanning_tree(graph)
+    rendered: dict[tuple, str] = {}  # each distinct token is rendered once
+    parts = []
+    for tok in tokens:
+        text = rendered.get(tok)
+        if text is None:
+            if tok[0] == "g":
+                _, v, g, e = tok
+                text = f"{v}.{letter_str(g, e)}" if e else ""
+            else:
+                _, edge, e = tok
+                text = "" if e == 0 or edge in tree else f"{edge}.{letter_str('t', e)}"
+            rendered[tok] = text
+        if text:
+            parts.append(text)
+    return " ".join(parts)
+
+
 def _witness_json(graph: GraphOfGroups, witness) -> dict:
+    from .words import tokens_of_path
+
     return {
         "a": _word_str(witness.a.vertex, witness.a.letters, {}),
         "s": display_tokens(graph, witness.s),
@@ -359,6 +412,8 @@ def _cmd_check(graph: GraphOfGroups, args) -> dict:
 
 
 def _cmd_reduce(graph: GraphOfGroups, args) -> dict:
+    from .words import britton_reduce, to_path_form, tokens_of_path
+
     tokens = parse_word(graph, args.word)
     path = to_path_form(graph, tokens, args.base)
     reduced = britton_reduce(graph, path)

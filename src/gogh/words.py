@@ -1,4 +1,5 @@
-"""Path forms and the word problem in the fundamental group.
+"""Path forms, Britton reduction and the word problem in the fundamental
+group.
 
 Elements are manipulated as path words: alternating vertex-group syllables
 and stable letters whose edge sequence is a closed path based at some
@@ -6,7 +7,8 @@ vertex.  Vertex syllables keep exponents as arbitrary-precision integers;
 pinch rewriting only does exponent arithmetic, so words like v^(3^20) stay
 one letter long.  A path form normalises each syllable once.
 
-Tokens are the flat exchange format:
+Tokens are the flat exchange format, which ``cli`` reads from text and
+renders back:
     ("g", vertex, generator, exponent)   vertex-group letter
     ("t", edge, exponent)                stable letter power
 """
@@ -27,7 +29,6 @@ from .model import (
     edge_endpoints,
     tree_steps,
     record,
-    spanning_tree,
 )
 
 Token = tuple
@@ -381,60 +382,3 @@ def are_equal(graph: GraphOfGroups, u, v) -> bool:
     pv = _as_path(graph, v)
     tokens = tokens_of_path(pu) + invert_tokens(tokens_of_path(pv))
     return is_trivial(graph, to_path_form(graph, tokens, pu.base))
-
-
-def display_tokens(graph: GraphOfGroups, tokens) -> str:
-    """Render tokens in the input letter syntax; tree stable letters are
-    display-trivial and dropped."""
-    tree = spanning_tree(graph)
-    rendered: dict[Token, str] = {}  # each distinct token is rendered once
-    parts = []
-    for tok in tokens:
-        text = rendered.get(tok)
-        if text is None:
-            if tok[0] == "g":
-                _, v, g, e = tok
-                text = f"{v}.{letter_str(g, e)}" if e else ""
-            else:
-                _, edge, e = tok
-                text = "" if e == 0 or edge in tree else f"{edge}.{letter_str('t', e)}"
-            rendered[tok] = text
-        if text:
-            parts.append(text)
-    return " ".join(parts)
-
-
-def parse_int(numeral: str) -> int:
-    """The integer a signed decimal numeral denotes, of any length.
-
-    int() converts it; decimal takes over where int() raises ValueError,
-    as beyond the interpreter's process-wide digit limit
-    (sys.set_int_max_str_digits).  The value, or the error, is always the
-    one int(Decimal(numeral)) gives."""
-    try:
-        return int(numeral)
-    except ValueError:
-        from decimal import Decimal
-
-        return int(Decimal(numeral))
-
-
-def int_str(n: int) -> str:
-    """The decimal numeral of n, of any length: str() writes it, and
-    decimal beyond the digit limit (see parse_int).  A value that is not
-    exactly an int, such as a bool, is written as str(Decimal(n)) writes
-    it, so True is "1"."""
-    if type(n) is int:
-        try:
-            return str(n)
-        except ValueError:
-            pass
-    from decimal import Decimal
-
-    return str(Decimal(n))
-
-
-def letter_str(gen, exp: int) -> str:
-    """A letter in the input syntax, after the owner's dot: gen or gen^exp."""
-    name = gen if isinstance(gen, str) else int_str(gen)
-    return name if exp == 1 else f"{name}^{int_str(exp)}"

@@ -34,8 +34,8 @@ from conftest import (  # noqa: E402
     random_graph,
     random_word_tokens,
 )
-from gogh.cli import parse, render_json, run, serialize  # noqa: E402
-from gogh.words import invert_tokens, letter_str, tokens_of_vertex_word  # noqa: E402
+from gogh.cli import letter_str, parse, render_json, run, serialize  # noqa: E402
+from gogh.words import invert_tokens, tokens_of_vertex_word  # noqa: E402
 
 GOLDEN = os.path.join(HERE, "golden")
 

@@ -145,7 +145,11 @@ def test_provenance_with_malformed_class_edges_fails(edges):
 
 
 @pytest.mark.parametrize(
-    "record", ["missing", None, "one side", "three sides", "source alone", "sides of two", "string"]
+    "record",
+    [
+        "missing", None, "one side", "three sides", "source alone", "sides of two", "string",
+        "no source conjugator", "no target conjugator", "string conjugator",
+    ],
 )
 def test_provenance_with_a_malformed_edge_record_fails(record):
     """An edge with no record, or a record that is no (source, target) pair
@@ -161,6 +165,9 @@ def test_provenance_with_a_malformed_edge_record_fails(record):
         "source alone": source,
         "sides of two": (source[:2], target[:2]),
         "string": "st",
+        "no source conjugator": (source[:2] + (None,), target),
+        "no target conjugator": (source, target[:2] + (None,)),
+        "string conjugator": (source, target[:2] + ("u.2",)),
     }
     if record == "missing":
         del occurrences["f"]
@@ -169,6 +176,28 @@ def test_provenance_with_a_malformed_edge_record_fails(record):
     c = cg.edge_class
     cls = EdgeClass(c.index, c.edges, c.nodes, c.verdict, c.potentials, occurrences)
     assert not provenance_holds(g, ConjugacyGraph(cg.graph, cls, cg.vertex_origin))
+
+
+@pytest.mark.parametrize(
+    "origin", ["v", ("v", ((1, 1),)), GroupoidNode(["v"], ((1, 1),))], ids=["string", "pair", "list-vertex"]
+)
+def test_provenance_with_an_origin_that_is_no_node_fails(f2_example, origin):
+    cg = _only_class_graph(f2_example)
+    (name,) = cg.vertex_origin
+    assert not provenance_holds(f2_example, ConjugacyGraph(cg.graph, cg.edge_class, {name: origin}))
+
+
+def test_provenance_with_a_conjugator_outside_the_vertex_group_fails(trefoil):
+    """u.5 u.5^-1 cancels letter for letter, but u has rank one: the
+    conjugator is no word of its vertex group, so the record does not
+    rebuild u.1^2."""
+    cg = _only_class_graph(trefoil)
+    assert provenance_holds(trefoil, cg)
+    c = cg.edge_class
+    (node, n, _), target = c.occurrences["e"]
+    occurrences = {"e": ((node, n, VertexWord("u", ((5, 1), (5, -1)))), target)}
+    cls = EdgeClass(c.index, c.edges, c.nodes, c.verdict, c.potentials, occurrences)
+    assert not provenance_holds(trefoil, ConjugacyGraph(cg.graph, cls, cg.vertex_origin))
 
 
 def test_every_built_conjugacy_graph_passes():

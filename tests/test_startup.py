@@ -22,14 +22,16 @@ import gogh
 SRC = Path(__file__).resolve().parents[1] / "src"
 ONE_VERTEX_TEXT = "vertex v free 1\n"
 
-CLI = {"cli", "model", "words", "freewords", "dihedral"}
+CLI = {"cli", "model"}
 # the checkers and all they import: the files to read to trust a certificate
-CHECKS = {"checks", "model", "dihedral", "freewords", "words"}
-BALANCE = CLI | {"balance"}
+CHECKS = {"checks", "model", "dihedral", "freewords"}
+# the path words and all they import, loaded only by a command that builds one
+WORDS = {"words", "model", "dihedral", "freewords"}
+BALANCE = CLI | {"balance", "freewords"}
 CONJGRAPH = BALANCE | {"conjgraph"}
-HHG_VERDICT = CONJGRAPH | {"parametrize", "checks"}
-NOT_HHG_VERDICT = HHG_VERDICT | {"certify"}
-WITNESS = BALANCE | {"certify", "checks"}
+HHG_VERDICT = CONJGRAPH | CHECKS | {"parametrize"}
+NOT_HHG_VERDICT = HHG_VERDICT | WORDS | {"certify"}
+WITNESS = BALANCE | CHECKS | WORDS | {"certify"}
 
 # stdlib modules that the text layer and the checkers leave unloaded
 STDLIB = ("fractions", "decimal", "traceback", "dataclasses", "inspect")
@@ -92,7 +94,7 @@ def test_checks_import_loads_no_producer(files):
     "argv, modules",
     [
         (["check", "one.gog"], CLI),
-        (["reduce", "bs32.gog", "--word", "e.t v.1^2 e.t^-1"], CLI),
+        (["reduce", "bs32.gog", "--word", "e.t v.1^2 e.t^-1"], CLI | WORDS),
         (["balance", "bs32.gog"], BALANCE),
         (["conjgraph", "trefoil.gog", "--class-of", "e"], CONJGRAPH),
         (["verdict", "trefoil.gog"], HHG_VERDICT),

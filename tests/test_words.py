@@ -10,7 +10,7 @@ from conftest import random_graph, random_word_tokens, rewriting_bfs_trivial, _n
 import oracles
 from gogh import dihedral as dih
 from gogh import freewords as fw
-from gogh.cli import parse
+from gogh.cli import display_tokens, int_str, parse, parse_int
 from gogh.model import (
     DihedralInfinite,
     Free,
@@ -27,10 +27,7 @@ from gogh.words import (
     _image_data,
     are_equal,
     britton_reduce,
-    display_tokens,
-    int_str,
     is_trivial,
-    parse_int,
     pinch_membership,
     to_path_form,
     tokens_of_path,
@@ -182,7 +179,7 @@ def test_membership_in_cyclic_image(bs32):
 
 
 def test_membership_multi_letter_attachment():
-    from gogh.cli import parse
+    from gogh.cli import display_tokens, int_str, parse, parse_int
 
     g = parse(
         'vertex v free 2\n'
