@@ -7,7 +7,9 @@ roots take O(L) letter comparisons in a root of L letters: the least
 rotation is found by Booth's algorithm, once on the root and once on its
 inverse.  One rule covers one-letter images: g^k is k times its own root
 g, unconjugated, since validation admits only r^k as a dihedral attachment
-and a free basis letter is primitive and its own least rotation.  Nodes
+and a free basis letter is primitive and its own least rotation.  A second
+covers free images whose cyclic core is one letter: c g^k c^-1 is k times
+root g, conjugated by c, with no rotation to find.  Nodes
 are (vertex, canonical root) pairs; an edge arc carries the ratio of the
 two root exponents and the orientation in which it crosses its edge,
 nothing more (the conjugator and entry exponent of a crossing are witness
@@ -201,25 +203,38 @@ def canonical_root(word: VertexWord) -> tuple[VertexWord, VertexWord, int]:
     )
 
 
+def _letter_node(vertex: str, g, shared: dict):
+    """(node of root g at vertex, identity conjugator there), stored in
+    shared at (vertex, g), where a caller looks first."""
+    root = shared.get(g)
+    if root is None:
+        root = shared[g] = ((g, 1),)
+    found = shared[vertex, g] = GroupoidNode(vertex, root), VertexWord(vertex, ())
+    return found
+
+
 def attachment_data(word: VertexWord, shared: dict):
     """(node, signed root exponent n, conjugator c) with word = c root^n c^-1,
     for the attachment word on one side of an edge: a one-letter g^k, free
-    or dihedral, is root g, n = k, c = 1 (see above).  Every one-letter image
+    or dihedral, is root g, n = k, c = 1 (see above).  A free word
+    c g^k c^-1 whose cyclic core is the one letter g^k is root g, n = k and
+    conjugator c, with no least rotation to find: g's key (g, 0, 1) sorts
+    before its inverse's (g, 1, 1), and c, a prefix of the reduced word, is
+    reduced, so ``canonical_root`` gives the same.  Every one-letter image
     at a vertex with root g gets the node and identity conjugator that
-    ``shared`` holds for (vertex, g), and every node of root g the letters
-    ``shared`` holds for g, all immutable, so a pass builds them once per
-    root."""
+    ``shared`` holds for (vertex, g), every one-letter core that node, and
+    every node of root g the letters ``shared`` holds for g, all immutable,
+    so a pass builds them once per root."""
     letters = word.letters
     if len(letters) == 1:
         ((g, k),) = letters
-        key = (word.vertex, g)
-        found = shared.get(key)
-        if found is None:
-            root = shared.get(g)
-            if root is None:
-                root = shared[g] = ((g, 1),)
-            found = shared[key] = GroupoidNode(word.vertex, root), VertexWord(word.vertex, ())
+        found = shared.get((word.vertex, g)) or _letter_node(word.vertex, g, shared)
         return found[0], k, found[1]
+    conj, core = fw.cyclic_reduce(letters)
+    if len(core) == 1:
+        ((g, k),) = core
+        found = shared.get((word.vertex, g)) or _letter_node(word.vertex, g, shared)
+        return found[0], k, VertexWord(word.vertex, conj)
     root, conj, n = canonical_root(word)
     return GroupoidNode(word.vertex, root.letters), n, conj
 
@@ -238,7 +253,9 @@ def _close_cycles(occurrences: dict, heads: list, tails: list, parent: list, clo
     reaches each node by its first arc.  back[v] is the arc that first
     reached v (for s, the closing arc), and a search stops once it has
     reached t.  Classes share no node, so they share one back list.  Arcs,
-    with their ``Fraction`` weights, are built for the cycle only, and the
+    with their ``Fraction`` weights, are built for the cycle only: one
+    weight per distinct (top, bottom) exponent ratio in the call, which
+    the arcs of that ratio share, since a ``Fraction`` is immutable.  The
     modulus, their product, is one ``Fraction`` of the products of the two
     sides of their exponent ratios.
     """
@@ -253,6 +270,7 @@ def _close_cycles(occurrences: dict, heads: list, tails: list, parent: list, clo
             arcs_out[heads[k]].append(2 * k + 1)
     back = [-1] * len(parent)
     labels = list(occurrences)
+    weights: dict[tuple[int, int], Fraction] = {}  # (top, bottom) -> its arcs' weight
     found = {}
     for r, k in closing.items():
         s = heads[k]
@@ -277,13 +295,15 @@ def _close_cycles(occurrences: dict, heads: list, tails: list, parent: list, clo
             label = labels[a >> 1]
             (node_s, n_s, _), (node_t, n_t, _) = occurrences[label]
             if a & 1:
-                cycle.append(GroupoidArc(node_s, node_t, Fraction(n_t, n_s), label, -1))
-                tops.append(n_t)
-                bottoms.append(n_s)
+                src, dst, top, bottom, sign = node_s, node_t, n_t, n_s, -1
             else:
-                cycle.append(GroupoidArc(node_t, node_s, Fraction(n_s, n_t), label, 1))
-                tops.append(n_s)
-                bottoms.append(n_t)
+                src, dst, top, bottom, sign = node_t, node_s, n_s, n_t, 1
+            weight = weights.get((top, bottom))
+            if weight is None:
+                weight = weights[top, bottom] = Fraction(top, bottom)
+            cycle.append(GroupoidArc(src, dst, weight, label, sign))
+            tops.append(top)
+            bottoms.append(bottom)
         modulus = Fraction(prod(tops), prod(bottoms))
         if abs(modulus) == 1:
             raise RuntimeError(f"cycle through arc {labels[k]} is balanced")

@@ -1,5 +1,42 @@
 """Text format and command-line interface.
 
+``USAGE`` states the text format and the command-line contract; it is the
+description ``gogh --help`` prints, so this docstring can change without
+changing stdout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import os
+import re
+import sys
+from functools import partial
+
+# The parser, the numerals and the rendering need only model; each command
+# imports its other layers when it runs, and ``words`` only where a path word
+# is built or the letter scanner reads an attachment, so a process loads what
+# it uses.
+from .model import (
+    DIHEDRAL_R,
+    DIHEDRAL_S,
+    DihedralInfinite,
+    Free,
+    GoghError,
+    GraphOfGroups,
+    EdgeRecord,
+    VertexWord,
+    make_graph,
+    spanning_tree,
+)
+
+
+# What `gogh --help` prints above the commands: the text format and the
+# command-line contract.
+USAGE = """Text format and command-line interface.
+
 Graph description files hold one declaration per line ("#" starts a
 comment):
 
@@ -30,32 +67,6 @@ command lines included, exits 2 with a machine-readable error object, and
 an internal error exits 3 with one.  Verdicts are data, not exit codes.
 `--help` prints {"usage": <help text>} and exits 0.
 """
-
-from __future__ import annotations
-
-import argparse
-import gc
-import json
-import os
-import re
-import sys
-from functools import partial
-
-# The parser, the numerals and the rendering need only model; each command
-# imports its other layers when it runs, and ``words`` only where a path word
-# or an attachment of several letters is built, so a process loads what it uses.
-from .model import (
-    DIHEDRAL_R,
-    DIHEDRAL_S,
-    DihedralInfinite,
-    Free,
-    GoghError,
-    GraphOfGroups,
-    EdgeRecord,
-    VertexWord,
-    make_graph,
-    spanning_tree,
-)
 
 
 class ParseError(GoghError):
@@ -94,6 +105,12 @@ _TOKEN_RE = re.compile(r"\S+")
 # A one-letter attachment after its owner and dot: a free generator or r,
 # and its exponent.
 _SUFFIX_RE = re.compile(r"(\d+|r)(?:\^(-?\d+))?")
+# A free letter with the whitespace after it (groups 1-3: owner, generator,
+# exponent), leading whitespace, or any other character (group 4).  Some
+# alternative matches at every position, so the matches of a scan tile the
+# text and no search backtracks over a run more than once; a letter ends
+# where its token ends, as the letter scanner's tokens do.
+_FREE_LETTER_RE = re.compile(rf"({_NAME})\.(\d+)(?:\^(-?\d+))?(?:\s+|\Z)|\s+|(\S)")
 
 
 def parse_int(numeral: str) -> int:
@@ -164,12 +181,44 @@ def _one_letter(suffix: str):
     return ((generator, exponent),) if exponent else ()
 
 
+def _free_letters(text: str, vertex: str):
+    """The freely reduced letters of a word of free letters of vertex, as
+    vw_normalize reduces them; None for any other text.  One scan reads the
+    letters and reduces them as reduce_letters does: a zero exponent drops
+    its letter, and a letter of the last kept letter's generator merges into
+    it, or cancels it.  A generator beyond the vertex's rank is read as the
+    letter scanner reads it, and validation rejects the word that keeps it."""
+    out: list[tuple[int, int]] = []
+    for m in _FREE_LETTER_RE.finditer(text):
+        owner, gen, exp, other = m.groups()
+        if owner is None:
+            if other is None:  # leading whitespace
+                continue
+            return None
+        if owner != vertex:
+            return None
+        gen = parse_int(gen)
+        exp = parse_int(exp) if exp is not None else 1
+        if not exp:
+            continue
+        if out and out[-1][0] == gen:
+            total = out[-1][1] + exp
+            if total:
+                out[-1] = (gen, total)
+            else:
+                out.pop()
+        else:
+            out.append((gen, exp))
+    return tuple(out)
+
+
 def _parse_attachment(text: str, vertex: str, kind, line: int, shared: dict) -> VertexWord:
     """The attachment word of text at vertex."""
     # one letter of the vertex itself, unpadded: a free generator in a free
     # vertex or r in a dihedral one, with a nonzero exponent, is already the
-    # normal form vw_normalize returns; every other text takes the general
-    # path below.  Its letters are immutable, so one tuple serves every
+    # normal form vw_normalize returns; any other word of free letters of the
+    # vertex takes the free scan, and every other text the letter scanner.
+    # A one-letter word's letters are immutable, so one tuple serves every
     # vertex: shared maps each suffix after the dot to it.
     owner, _, suffix = text.partition(".")
     if owner == vertex:
@@ -179,6 +228,10 @@ def _parse_attachment(text: str, vertex: str, kind, line: int, shared: dict) -> 
             if letters is not None:
                 shared[suffix] = letters
         if letters and (letters[0][0] == DIHEDRAL_R) == isinstance(kind, DihedralInfinite):
+            return VertexWord(vertex, letters)
+    if isinstance(kind, Free):
+        letters = _free_letters(text, vertex)
+        if letters is not None:
             return VertexWord(vertex, letters)
     letters = []
     for piece, column, tok in _scan_letters(text, line):
@@ -214,9 +267,10 @@ def parse(text: str) -> GraphOfGroups:
     declaration, blank and comment line; a line it matches to no form
     raises the error `_line_error` names.  An attachment that is one letter
     of its own vertex, unpadded (`v.1^3` at a free vertex, `d.r` at a
-    dihedral one), is read from a table of its suffixes after the dot; any
-    other takes the letter scanner, which reads such a text to the same
-    word.
+    dihedral one), is read from a table of its suffixes after the dot; a
+    word of free letters of its own vertex (`v.2 v.1^3 v.2^-1`) by
+    `_free_letters`; any other takes the letter scanner, which reads each
+    such text to the same word.
 
     Equal declarations share their immutable parts: one kind object per
     rank (and one dihedral), one letters tuple per one-letter image, and
@@ -335,26 +389,38 @@ def _ratio(q) -> str:
     return f"{int_str(q.numerator)}/{int_str(q.denominator)}"
 
 
-def _node_str(node) -> str:
-    return f"{node.vertex}|" + " ".join(letter_str(g, e) for g, e in node.root)
+def _node_str(node, roots: dict) -> str:
+    """A node's text; roots maps each root's letters to their text, so a
+    caller that passes one map renders each distinct root once."""
+    text = roots.get(node.root)
+    if text is None:
+        text = roots[node.root] = " ".join(letter_str(g, e) for g, e in node.root)
+    return f"{node.vertex}|{text}"
 
 
 def _cycle_json(cycle) -> list:
-    """The arcs of a cycle, each node's string rendered once: a node is the
-    target of one arc and the source of the next."""
-    rendered: dict = {}
+    """The arcs of a cycle.  Each node's text is rendered once (a node is the
+    target of one arc and the source of the next), and each distinct root
+    and weight once.  The pass gives the arcs of equal ratio one weight
+    object, so weights are looked up by identity, which is cheaper than a
+    ``Fraction`` hash; the cycle keeps every weight alive for the call."""
+    nodes: dict = {}
+    roots: dict = {}
+    weights: dict[int, str] = {}
     out = []
     for arc in cycle:
-        src, dst = rendered.get(arc.src), rendered.get(arc.dst)
+        src, dst, weight = nodes.get(arc.src), nodes.get(arc.dst), weights.get(id(arc.weight))
         if src is None:
-            src = rendered[arc.src] = _node_str(arc.src)
+            src = nodes[arc.src] = _node_str(arc.src, roots)
         if dst is None:
-            dst = rendered[arc.dst] = _node_str(arc.dst)
+            dst = nodes[arc.dst] = _node_str(arc.dst, roots)
+        if weight is None:
+            weight = weights[id(arc.weight)] = _ratio(arc.weight)
         out.append(
             {
                 "from": src,
                 "to": dst,
-                "weight": _ratio(arc.weight),
+                "weight": weight,
                 "via": f"{arc.label}.t" + ("^-1" if arc.sign < 0 else ""),
             }
         )
@@ -569,7 +635,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     # a fixed width and the description's own line breaks, whatever the
     # terminal: the usage object is the same bytes everywhere
     fmt = partial(argparse.RawDescriptionHelpFormatter, width=80)
-    ap = _ArgumentParser(prog="gogh", description=__doc__, formatter_class=fmt)
+    ap = _ArgumentParser(prog="gogh", description=USAGE, formatter_class=fmt)
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name, fn):

@@ -20,6 +20,7 @@ from gogh.balance import (
     canonical_root,
 )
 from gogh.dihedral import word_to_element
+from gogh.freewords import inv_letters, mul_letters
 from gogh.model import (
     DIHEDRAL_R,
     DihedralInfinite,
@@ -173,6 +174,61 @@ def test_dihedral_exponent_is_the_rotation_of_the_attachment():
         graphs += found > 0
     assert graphs >= 100 and seen["dihedral"] >= 300, (graphs, seen)
     assert min(seen.values()) >= 50 and len(seen) == 5, seen
+
+
+def _random_reduced(rng, rank: int, size: int, last=None) -> tuple:
+    """A freely reduced word of size letters of rank generators, with
+    exponents in -3..3 but 0, its last letter of generator last if given."""
+    letters = []
+    for i in range(size):
+        gens = [g for g in range(1, rank + 1) if not letters or g != letters[-1][0]]
+        if i == size - 1 and last in gens:
+            gens = [last]
+        letters.append((rng.choice(gens), rng.choice([-3, -2, -1, 1, 2, 3])))
+    return tuple(letters)
+
+
+def test_one_letter_core_rule_is_canonical_roots(monkeypatch):
+    """A word c g^k c^-1 whose cyclic core is one letter gets the node,
+    exponent and conjugator that canonical_root gives, without calling it;
+    a core of two or more letters still goes through canonical_root."""
+    calls = Counter()
+
+    def counted(word):
+        calls[word] += 1
+        return canonical_root(word)
+
+    monkeypatch.setattr(gogh.balance, "canonical_root", counted)
+    rng = random.Random(35)
+    seen = Counter()
+    for i in range(500):
+        rank = 2 + i % 2
+        g = rng.randint(1, rank)
+        k = rng.choice([-1, 1]) * rng.randint(1, 9)
+        # a conjugator of 0-6 letters; every fourth ends in g or g^-1
+        c = _random_reduced(rng, rank, rng.randint(0, 6), last=g if i % 4 == 0 else None)
+        word = VertexWord("v", mul_letters(c, ((g, k),), inv_letters(c)))
+        node, n, conj = attachment_data(word, {})
+        root, want_conj, want_n = canonical_root(word)
+        assert (node, n, conj) == (GroupoidNode("v", root.letters), want_n, want_conj), (c, g, k)
+        assert node.root == ((g, 1),) and n == k
+        seen["conjugated" if conj.letters else "unconjugated"] += 1
+        seen["ends in g" if c and c[-1][0] == g else "other"] += 1
+    assert not calls
+    assert min(seen.values()) >= 100, seen
+
+    for i in range(100):
+        rank = 2 + i % 2
+        core = _random_reduced(rng, rank, rng.randint(2, 5))
+        while core[0][0] == core[-1][0]:
+            core = _random_reduced(rng, rank, rng.randint(2, 5))
+        c = _random_reduced(rng, rank, rng.randint(0, 3))
+        word = VertexWord("v", mul_letters(c, core, inv_letters(c)))
+        calls.clear()
+        node, n, conj = attachment_data(word, {})
+        assert calls == {word: 1}
+        root, want_conj, want_n = canonical_root(word)
+        assert (node, n, conj) == (GroupoidNode("v", root.letters), want_n, want_conj)
 
 
 def _bfs_potentials(nodes, arcs):
@@ -472,8 +528,17 @@ def test_pass_builds_only_the_arcs_it_reports(monkeypatch):
     assert isinstance(g.verdict, Unbalanced) and abs(g.verdict.modulus) == 4
     assert len(g.verdict.cycle) == 400 and g.arcs == g.verdict.cycle
     check_cycle_contract(g.verdict)
-    # one weight per cycle arc, and the modulus
-    assert built == {"Fraction": 401, "GroupoidArc": 400}
+    # one weight per distinct (top, bottom) exponent ratio, which every arc
+    # of that ratio shares, and the modulus
+    weights: dict[tuple[int, int], set[int]] = {}
+    for arc in g.verdict.cycle:
+        (_, n_s, _), (_, n_t, _) = g.occurrences[arc.label]
+        ratio = (n_s, n_t) if arc.sign > 0 else (n_t, n_s)
+        assert arc.weight == Fraction(*ratio)
+        weights.setdefault(ratio, set()).add(id(arc.weight))
+    assert all(len(ids) == 1 for ids in weights.values()), weights
+    assert 1 < len(weights) < 400
+    assert built == {"Fraction": len(weights) + 1, "GroupoidArc": 400}
 
 
 # -- group-level balance ----------------------------------------------------------

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import random
@@ -410,6 +411,24 @@ def test_help_is_the_same_bytes_at_any_terminal_width(capsys, monkeypatch):
         assert len(outputs) == 1
         usage[argv] = json.loads(outputs.pop())["usage"]
     assert "vertex NAME free INT" in [line.strip() for line in usage[("--help",)].splitlines()]
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--help"], "fa9716063f3be84a5f18f0ca119c0911367ae37c439dfab2110ee7ea949b64fe"),
+        (["verdict", "--help"], "df3345f0f4fadbbee626913b24f90b2fc2992a877429972bde95a174a9414077"),
+    ],
+    ids=["help", "verdict-help"],
+)
+def test_help_prints_the_pinned_usage_object(capsys, argv, digest):
+    """The printed usage object, pinned by its sha256: it holds
+    gogh.cli.USAGE and the commands' arguments, the same bytes whatever the
+    module docstring says."""
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, out
+    assert gogh.cli.USAGE != gogh.cli.__doc__
 
 
 def test_closed_stdout_exits_quietly(tmp_path):

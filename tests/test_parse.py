@@ -1,14 +1,15 @@
 """The graph-text parser against a reference parser, and its line splitting.
 
 `reference_parse` is the parser as it was before one-letter attachments got
-their own path: every line goes through one grammar, every attachment
-through the letter scanner and `vw_normalize`, and every numeral through
-`int(Decimal(...))`.  Its only change is the line split, which ends lines
-at \\n, \\r\\n and \\r alone.  It holds its own copy of the grammar, so the
-check shares no pattern with the parser it checks.  `parse` reads every
-line in one scan of the whole text, whose pattern spells out the runs of
-whitespace, padding and comments that the reference strips and cuts
-line by line, so the tests below try plain lines (single spaces, no
+their own path and free words their own scan: every line goes through one
+grammar, every attachment through the letter scanner and `vw_normalize`,
+and every numeral through `int(Decimal(...))`.  Its only change is the
+line split, which ends lines at \\n, \\r\\n and \\r alone.  It holds its
+own copy of the grammar, so the check shares no pattern with the parser
+it checks.  `parse` reads every line in one scan of the whole text, whose
+pattern spells out the runs of whitespace, padding and comments that the
+reference strips and cuts line by line, so the tests below try plain
+lines (single spaces, no
 padding, no comment) and general ones (any other whitespace, padding,
 comments) side by side, and lines of no form of each kind.
 
@@ -269,6 +270,87 @@ def test_mutations_match_the_reference_parser(src, tgt, img_from, img_to):
     head = "vertex u free 1\nvertex v free 2\nvertex d dihedral\n"
     text = head + f'edge e from={src} to={tgt} img_from="{img_from}" img_to="{img_to}"\n'
     assert_matches_the_reference(text)
+
+
+# u, v and w free of ranks 1-3 and d dihedral, joined by one-letter edges;
+# the edge under test is a loop at v, or runs from d to v
+FREE_WORD_HEAD = (
+    "vertex u free 1\nvertex v free 2\nvertex w free 3\nvertex d dihedral\n"
+    'edge a from=u to=v img_from="u.1" img_to="v.1"\n'
+    'edge b from=d to=w img_from="d.r" img_to="w.3^2"\n'
+    'edge c from=w to=v img_from="w.1" img_to="v.2"\n'
+)
+
+
+@pytest.mark.parametrize(
+    "word",
+    [
+        # conjugated and other multi-letter words
+        "v.2 v.1^3 v.2^-1",
+        "v.2^-2 v.1^-5 v.2^2",
+        "v.1 v.2^-1 v.1^5 v.2 v.1^-1",
+        "v.1 v.2",
+        f"v.2 v.1^{BIG} v.2^-1",
+        "v.01 v.1^-1 v.2",
+        "v.\u0661 v.2^\u0662",
+        # tabs, padding and other whitespace inside the quotes
+        "\tv.2\tv.1^3 v.2^-1 ",
+        "  v.2  v.1^-2\t\tv.2^-1  ",
+        "v.2\x0bv.1\x1cv.2^-1\x85",
+        "\u2028v.2 v.1\f",
+        # zero exponents, and letters that merge or cancel
+        "v.2 v.1^0 v.2^-1",
+        "v.1^-0 v.2",
+        "v.2 v.2^-1",
+        "v.1 v.2 v.2^-1 v.1^-1",
+        "v.1^2 v.1^-1 v.2",
+        "v.1^007 v.1^-7 v.2",
+        "v.2 v.1^0 v.1^-0 v.2^-1 v.1",
+        # a letter of another vertex, or of none
+        "v.2 u.1 v.2^-1",
+        "v.2 v.1 w.1",
+        "v.2 zz.1",
+        "V.1 v.2",
+        # a generator beyond the rank, even one that cancels
+        "v.2 v.3 v.2^-1",
+        "v.3 v.3^-1 v.1",
+        "v.0 v.1",
+        "v.2 v.r",
+        "v.2 v.s",
+        # a stable letter
+        "v.2 e.t v.2^-1",
+        "v.1 x.t^0",
+        # letters that are not separated, or not letters
+        "v.1v.2",
+        "v.1v.2 v.1",
+        "v.1 v.2v.1",
+        "v.1 v.1^",
+        "v.1 v.1^x",
+        "v.1 v.1^+1",
+        "v.1 v.",
+        "v.1 v.1.2",
+        "v.1 #",
+        "v.2 v.1^3 v.2^-1 x",
+        "",
+        " \t ",
+    ],
+)
+@pytest.mark.parametrize("side", ["img_from", "img_to"])
+def test_free_words_match_the_reference_parser(word, side):
+    """A free multi-letter attachment reads to the reference's graph, or to
+    its error object, on either side of a loop."""
+    words = {"img_from": "v.1^2", "img_to": "v.1^3", side: word}
+    text = FREE_WORD_HEAD + f'edge x from=v to=v img_from="{words["img_from"]}" img_to="{words["img_to"]}"\n'
+    assert outcome(parse, text) == outcome(reference_parse, text)
+
+
+@pytest.mark.parametrize(
+    "word",
+    ["d.r d.r", "d.r^2 d.r^-2", "d.s d.r^2", "d.r^2 d.s", "d.s d.s", " d.r\td.r ", "d.r v.1", "d.r e.t"],
+)
+def test_dihedral_multi_letter_words_match_the_reference_parser(word):
+    text = FREE_WORD_HEAD + f'edge x from=d to=v img_from="{word}" img_to="v.1^3"\n'
+    assert outcome(parse, text) == outcome(reference_parse, text)
 
 
 @pytest.mark.parametrize(

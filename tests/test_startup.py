@@ -21,6 +21,8 @@ import gogh
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 ONE_VERTEX_TEXT = "vertex v free 1\n"
+# a conjugated attachment, which the parser reads without the word layer
+CONJUGATED_TEXT = 'vertex v free 2\nedge e from=v to=v img_from="v.1^2" img_to="v.2 v.1^3 v.2^-1"\n'
 
 CLI = {"cli", "model"}
 # the checkers and all they import: the files to read to trust a certificate
@@ -65,7 +67,12 @@ def _fresh(run: str, cwd) -> dict:
 
 @pytest.fixture
 def files(tmp_path):
-    for name, text in (("one.gog", ONE_VERTEX_TEXT), ("trefoil.gog", TREFOIL_TEXT), ("bs32.gog", BS32_TEXT)):
+    for name, text in (
+        ("one.gog", ONE_VERTEX_TEXT),
+        ("conj.gog", CONJUGATED_TEXT),
+        ("trefoil.gog", TREFOIL_TEXT),
+        ("bs32.gog", BS32_TEXT),
+    ):
         (tmp_path / name).write_text(text, encoding="utf-8")
     return tmp_path
 
@@ -94,6 +101,7 @@ def test_checks_import_loads_no_producer(files):
     "argv, modules",
     [
         (["check", "one.gog"], CLI),
+        (["check", "conj.gog"], CLI),
         (["reduce", "bs32.gog", "--word", "e.t v.1^2 e.t^-1"], CLI | WORDS),
         (["balance", "bs32.gog"], BALANCE),
         (["conjgraph", "trefoil.gog", "--class-of", "e"], CONJGRAPH),
