@@ -26,7 +26,6 @@ from .words import (
     is_trivial,
     to_path_form,
     tokens_of_vertex_word,
-    vw_pow,
 )
 
 
@@ -89,8 +88,10 @@ def almost_bs_witness(graph: GraphOfGroups, verdict) -> BSWitness:
     conjugator kappa = g_far^-1 t^sign g_near carries R_near^n_near to
     R_far^n_far.  The kappas compose to s, last arc first, in one list;
     the base root is raised to the minimal power that keeps every arc
-    transition integral, and (i, j) is the reduced modulus.  The witness is
-    then checked by ``checks.witness_holds``, and a failure is an error.
+    transition integral, and (i, j) is the reduced modulus.  The power is
+    taken on letters at a dihedral vertex too: validation admits only r^k
+    there, so the base root is the one letter r.  The witness is then
+    checked by ``checks.witness_holds``, and a failure is an error.
     """
     if isinstance(verdict, Balanced):
         raise NoWitness("the graph is balanced")
@@ -112,7 +113,7 @@ def almost_bs_witness(graph: GraphOfGroups, verdict) -> BSWitness:
     crossings.reverse()
     m = _minimal_base_power(crossings, i)
     base = cycle[0].src
-    a = vw_pow(graph.kind(base.vertex), VertexWord(base.vertex, base.root), m)
+    a = VertexWord(base.vertex, pow_letters(base.root, m))
     empty = VertexWord(base.vertex, ())
     witness = BSWitness(a=a, s=tuple(s), i=i, j=j, transcript=PathWord(base.vertex, empty, ()))
     ok, report = witness_holds(graph, witness, cycle, occurrences)
@@ -149,7 +150,7 @@ def distortion_certificate(graph: GraphOfGroups, witness: BSWitness, depth: int)
     if abs(i) == abs(j):
         raise NoWitness("witness is Euclidean; nothing is distorted")
     s_len = sum(1 if t[0] == "t" else abs(t[3]) for t in s)
-    a_len = len(a)
+    a_len = sum(abs(e) for _, e in a.letters)  # len(a) must fit in a Py_ssize_t
     rows = []
     for k in range(1, depth + 1):
         ik, jk = i**k, j**k

@@ -15,10 +15,10 @@ import re
 import sys
 from functools import partial
 
-# The parser, the numerals and the rendering need only model; each command
-# imports its other layers when it runs, and ``words`` only where a path word
-# is built or the letter scanner reads an attachment, so a process loads what
-# it uses.
+# The parser, the numerals and the rendering need only model (and dihedral
+# for a dihedral word of more than one letter); each command imports its
+# other layers when it runs, and ``words`` only where a path word is built,
+# so a process loads what it uses.
 from .model import (
     DIHEDRAL_R,
     DIHEDRAL_S,
@@ -97,20 +97,16 @@ _LINE_RE = re.compile(
     re.MULTILINE,
 )
 _EDGE, _OTHER = 5, 8  # the last group of an edge line, of a line of no form
-_LETTER_RE = re.compile(rf"^({_NAME})\.(\d+|r|s|t)(\^(-?\d+))?$")
 # The text before the first "#" outside double quotes; an unterminated
 # quote runs to the end of the line.
 _CODE_RE = re.compile(r'[^"#]*(?:"[^"]*"?[^"#]*)*')
-_TOKEN_RE = re.compile(r"\S+")
-# A one-letter attachment after its owner and dot: a free generator or r,
-# and its exponent.
-_SUFFIX_RE = re.compile(r"(\d+|r)(?:\^(-?\d+))?")
-# A free letter with the whitespace after it (groups 1-3: owner, generator,
-# exponent), leading whitespace, or any other character (group 4).  Some
+# The letter grammar of every word text: a letter with the whitespace after
+# it (groups 1-3: owner, generator, exponent), leading whitespace, or any
+# other whitespace-separated token, which is a bad letter (group 4).  Some
 # alternative matches at every position, so the matches of a scan tile the
 # text and no search backtracks over a run more than once; a letter ends
-# where its token ends, as the letter scanner's tokens do.
-_FREE_LETTER_RE = re.compile(rf"({_NAME})\.(\d+)(?:\^(-?\d+))?(?:\s+|\Z)|\s+|(\S)")
+# where its token ends.
+_WORD_RE = re.compile(rf"({_NAME})\.(\d+|r|s|t)(?:\^(-?\d+))?(?:\s+|\Z)|\s+|(\S+)")
 
 
 def parse_int(numeral: str) -> int:
@@ -149,59 +145,54 @@ def letter_str(gen, exp: int) -> str:
     return name if exp == 1 else f"{name}^{int_str(exp)}"
 
 
-def parse_letter(text: str, line: int = 0, column: int = 1):
-    m = _LETTER_RE.match(text)
-    if not m:
-        raise ParseError(f"bad letter {text!r}", line, column)
-    owner, gen, _, exp = m.groups()
-    exponent = parse_int(exp) if exp is not None else 1
-    if gen == "t":
-        return ("t", owner, exponent)
-    if gen in (DIHEDRAL_R, DIHEDRAL_S):
-        return ("g", owner, gen, exponent)
-    return ("g", owner, parse_int(gen), exponent)
+def _parse_attachment(text: str, vertex: str, kind, line: int, shared: dict) -> VertexWord:
+    """The attachment word of text at vertex, in normal form.
 
+    The text is read by one scan of `_WORD_RE`, which raises at the first
+    token that is no letter, a stable letter, a letter of another vertex,
+    or an integer generator at a dihedral vertex.  Free letters are reduced
+    as they are read, as reduce_letters does; a free vertex keeps a
+    generator beyond its rank, or r or s, and validation rejects the word.
+    A dihedral vertex's letters are multiplied out to s^eps r^k by
+    `dihedral`.
 
-def _scan_letters(text: str, line: int):
-    """(piece, 1-based column, token) of each letter of a word text."""
-    for m in _TOKEN_RE.finditer(text):
-        piece, column = m.group(), m.start() + 1
-        yield piece, column, parse_letter(piece, line, column)
-
-
-def _one_letter(suffix: str):
-    """The letters of a one-letter suffix ("1^3", "r"): one (generator,
-    exponent) pair, () for exponent 0, None for any other text."""
-    m = _SUFFIX_RE.fullmatch(suffix)
-    if m is None:
-        return None
-    gen, exp = m.groups()
-    exponent = parse_int(exp) if exp is not None else 1
-    generator = gen if gen == DIHEDRAL_R else parse_int(gen)
-    return ((generator, exponent),) if exponent else ()
-
-
-def _free_letters(text: str, vertex: str):
-    """The freely reduced letters of a word of free letters of vertex, as
-    vw_normalize reduces them; None for any other text.  One scan reads the
-    letters and reduces them as reduce_letters does: a zero exponent drops
-    its letter, and a letter of the last kept letter's generator merges into
-    it, or cancels it.  A generator beyond the vertex's rank is read as the
-    letter scanner reads it, and validation rejects the word that keeps it."""
-    out: list[tuple[int, int]] = []
-    for m in _FREE_LETTER_RE.finditer(text):
-        owner, gen, exp, other = m.groups()
-        if owner is None:
-            if other is None:  # leading whitespace
+    A text that is one letter of its own vertex, a free generator or r, is
+    scanned once per suffix after its dot: shared maps the suffix to the
+    word's letters tuple, which every image with that suffix shares."""
+    dihedral = isinstance(kind, DihedralInfinite)
+    owner, _, suffix = text.partition(".")
+    if owner == vertex:
+        letters = shared.get(suffix)
+        # a stored letter is the normal form at a vertex whose kind it fits:
+        # a free generator at a free vertex, r at a dihedral one
+        if letters is not None and (letters[0][0] == DIHEDRAL_R) == dihedral:
+            return VertexWord(vertex, letters)
+    out: list = []
+    for m in _WORD_RE.finditer(text):
+        name, gen, exp, bad = m.groups()
+        if name is None:
+            if bad is None:  # leading whitespace
                 continue
-            return None
-        if owner != vertex:
-            return None
-        gen = parse_int(gen)
+            raise ParseError(f"bad letter {bad!r}", line, m.start() + 1)
+        if gen == "t":
+            piece = m.group().rstrip()
+            raise ParseError(f"stable letter {piece!r} inside attachment word", line, m.start() + 1)
+        if name != vertex:
+            piece = m.group().rstrip()
+            raise ParseError(
+                f"attachment letter {piece!r} does not live in vertex {vertex!r}", line, m.start() + 1
+            )
+        if gen != DIHEDRAL_R and gen != DIHEDRAL_S:
+            if dihedral:
+                piece = m.group().rstrip()
+                raise ParseError(f"unknown generator in {piece!r}", line, m.start() + 1)
+            gen = parse_int(gen)
         exp = parse_int(exp) if exp is not None else 1
-        if not exp:
+        if dihedral:
+            out.append((gen, exp))
+        elif not exp:
             continue
-        if out and out[-1][0] == gen:
+        elif out and out[-1][0] == gen:
             total = out[-1][1] + exp
             if total:
                 out[-1] = (gen, total)
@@ -209,44 +200,16 @@ def _free_letters(text: str, vertex: str):
                 out.pop()
         else:
             out.append((gen, exp))
-    return tuple(out)
+    word = VertexWord(vertex, tuple(out))
+    if dihedral:
+        from . import dihedral as dih
 
-
-def _parse_attachment(text: str, vertex: str, kind, line: int, shared: dict) -> VertexWord:
-    """The attachment word of text at vertex."""
-    # one letter of the vertex itself, unpadded: a free generator in a free
-    # vertex or r in a dihedral one, with a nonzero exponent, is already the
-    # normal form vw_normalize returns; any other word of free letters of the
-    # vertex takes the free scan, and every other text the letter scanner.
-    # A one-letter word's letters are immutable, so one tuple serves every
-    # vertex: shared maps each suffix after the dot to it.
-    owner, _, suffix = text.partition(".")
-    if owner == vertex:
-        letters = shared.get(suffix)
-        if letters is None:
-            letters = _one_letter(suffix)
-            if letters is not None:
-                shared[suffix] = letters
-        if letters and (letters[0][0] == DIHEDRAL_R) == isinstance(kind, DihedralInfinite):
-            return VertexWord(vertex, letters)
-    if isinstance(kind, Free):
-        letters = _free_letters(text, vertex)
-        if letters is not None:
-            return VertexWord(vertex, letters)
-    letters = []
-    for piece, column, tok in _scan_letters(text, line):
-        if tok[0] != "g":
-            raise ParseError(f"stable letter {piece!r} inside attachment word", line, column)
-        if tok[1] != vertex:
-            raise ParseError(
-                f"attachment letter {piece!r} does not live in vertex {vertex!r}", line, column
-            )
-        if isinstance(kind, DihedralInfinite) and not isinstance(tok[2], str):
-            raise ParseError(f"unknown generator in {piece!r}", line, column)
-        letters.append((tok[2], tok[3]))
-    from .words import vw_normalize
-
-    return vw_normalize(kind, VertexWord(vertex, tuple(letters)))
+        word = dih.element_to_word(vertex, dih.word_to_element(word))
+    # the text is one letter; s^k reads as s^k at a free vertex, as s or 1
+    # at a dihedral one, so its word is not stored
+    if len(word.letters) == 1 and m.start() == 0 and word.letters[0][0] != DIHEDRAL_S:
+        shared[suffix] = word.letters
+    return word
 
 
 def _line_error(raw: str, lineno: int) -> ParseError:
@@ -265,12 +228,11 @@ def parse(text: str) -> GraphOfGroups:
 
     One scan of the text matches each line once and reads every
     declaration, blank and comment line; a line it matches to no form
-    raises the error `_line_error` names.  An attachment that is one letter
-    of its own vertex, unpadded (`v.1^3` at a free vertex, `d.r` at a
-    dihedral one), is read from a table of its suffixes after the dot; a
-    word of free letters of its own vertex (`v.2 v.1^3 v.2^-1`) by
-    `_free_letters`; any other takes the letter scanner, which reads each
-    such text to the same word.
+    raises the error `_line_error` names.  Every attachment text is read
+    by `_parse_attachment`: one letter of its own vertex (`v.1^3` at a free
+    vertex, `d.r` at a dihedral one) from a table of its suffixes after the
+    dot, and any other text by one scan of the letter grammar `_WORD_RE`,
+    which `parse_word` reads too.
 
     Equal declarations share their immutable parts: one kind object per
     rank (and one dihedral), one letters tuple per one-letter image, and
@@ -346,23 +308,37 @@ def serialize(graph: GraphOfGroups) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_word(graph: GraphOfGroups, text: str):
+def parse_word(graph: GraphOfGroups, text: str) -> list:
+    """The tokens of a word of the graph, read by one scan of `_WORD_RE`:
+    ("g", vertex, generator, exponent) for a vertex letter, ("t", edge,
+    exponent) for a stable letter.  The first token that is no letter of
+    the graph raises ParseError at its column, on line 0."""
     tokens = []
     index = graph.index
-    for piece, column, tok in _scan_letters(text, 0):
-        if tok[0] == "t":
-            if tok[1] not in index.edges:
-                raise ParseError(f"unknown edge {tok[1]!r} in word", 0, column)
+    for m in _WORD_RE.finditer(text):
+        name, gen, exp, bad = m.groups()
+        column = m.start() + 1
+        if name is None:
+            if bad is None:  # leading whitespace
+                continue
+            raise ParseError(f"bad letter {bad!r}", 0, column)
+        exp = parse_int(exp) if exp is not None else 1
+        if gen == "t":
+            if name not in index.edges:
+                raise ParseError(f"unknown edge {name!r} in word", 0, column)
+            tokens.append(("t", name, exp))
+            continue
+        kind = index.kinds.get(name)
+        if kind is None:
+            raise ParseError(f"unknown vertex {name!r} in word", 0, column)
+        if gen == DIHEDRAL_R or gen == DIHEDRAL_S:
+            known = not isinstance(kind, Free)
         else:
-            kind = index.kinds.get(tok[1])
-            if kind is None:
-                raise ParseError(f"unknown vertex {tok[1]!r} in word", 0, column)
-            if isinstance(kind, Free):
-                if not isinstance(tok[2], int) or not 1 <= tok[2] <= kind.rank:
-                    raise ParseError(f"unknown generator in {piece!r}", 0, column)
-            elif not isinstance(tok[2], str):
-                raise ParseError(f"unknown generator in {piece!r}", 0, column)
-        tokens.append(tok)
+            gen = parse_int(gen)
+            known = isinstance(kind, Free) and 1 <= gen <= kind.rank
+        if not known:
+            raise ParseError(f"unknown generator in {m.group().rstrip()!r}", 0, column)
+        tokens.append(("g", name, gen, exp))
     return tokens
 
 

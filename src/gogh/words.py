@@ -34,30 +34,13 @@ from .model import (
 Token = tuple
 
 
-# -- vertex-word algebra, dispatching on the vertex-group kind ---------------
+# -- the normal form of a vertex word, by the vertex-group kind ----------------
 
 
 def vw_normalize(kind: VertexGroupKind, w: VertexWord) -> VertexWord:
     if isinstance(kind, Free):
         return fw.free_reduce(w)
     return dih.element_to_word(w.vertex, dih.word_to_element(w))
-
-
-def vw_mul(kind: VertexGroupKind, *words: VertexWord) -> VertexWord:
-    letters = tuple(letter for w in words for letter in w.letters)
-    return vw_normalize(kind, VertexWord(words[0].vertex, letters))
-
-
-def vw_inv(kind: VertexGroupKind, w: VertexWord) -> VertexWord:
-    if isinstance(kind, Free):
-        return VertexWord(w.vertex, fw.inv_letters(w.letters))
-    return dih.element_to_word(w.vertex, dih.dinv(dih.word_to_element(w)))
-
-
-def vw_pow(kind: VertexGroupKind, w: VertexWord, n: int) -> VertexWord:
-    if isinstance(kind, Free):
-        return VertexWord(w.vertex, fw.pow_letters(w.letters, n))
-    return dih.element_to_word(w.vertex, dih.dpow(dih.word_to_element(w), n))
 
 
 # -- path words ---------------------------------------------------------------
@@ -172,20 +155,6 @@ def _infer_base(graph: GraphOfGroups, tokens) -> str:
         step = (tok[1], 1 if tok[2] > 0 else -1)
         return edge_endpoints(graph, step)[0]
     return min(graph.vertex_ids())
-
-
-def pinch_membership(graph: GraphOfGroups, edge: str, g: VertexWord, sign: int = 1) -> int | None:
-    """The exponent k with g = attachment^k, if g lies in the edge image.
-
-    The attachment is the target-side image of the signed edge, and g a
-    word of its vertex in normal form.  Free vertices use primitive-root
-    data (length divisibility plus repetition); dihedral vertices reduce to
-    divisibility of rotation exponents.  Britton reduction applies the same
-    two steps, _image_data and _exponent_in_image.
-    """
-    att = edge_attachments(graph, (edge, sign))[1]
-    data = _image_data(graph.kind(att.vertex), att)
-    return _exponent_in_image(data, dih.word_to_element(g) if isinstance(data, int) else g.letters)
 
 
 def _image_data(kind: VertexGroupKind, att: VertexWord):

@@ -25,7 +25,7 @@ from gogh.model import (
     make_graph,
 )
 from gogh.parametrize import LinearParametrization
-from oracles import reference_verify_parametrization
+from oracles import reference_verify_parametrization, vw_pow
 
 BS32_TEXT = """\
 vertex v free 1
@@ -435,7 +435,7 @@ def _trial_power(graph, vertex, segment, attachment, k_max=None):
     Single-letter cases reduce to exponent division; multi-letter ones try
     increasing powers until they outgrow the segment.
     """
-    from gogh.words import vw_normalize, vw_pow
+    from gogh.words import vw_normalize
 
     kind = graph.kind(vertex)
     seg = vw_normalize(kind, VertexWord(vertex, tuple((g, e) for _, _, g, e in segment)))
@@ -504,7 +504,7 @@ def rewriting_bfs_trivial(graph, tokens, depth=10, node_cap=600):
 
 def _rewrite_moves(graph, state):
     from gogh.model import edge_attachments
-    from gogh.words import tokens_of_vertex_word, vw_pow
+    from gogh.words import tokens_of_vertex_word
 
     n = len(state)
     t_positions = [i for i, tok in enumerate(state) if tok[0] == "t"]

@@ -11,8 +11,13 @@ evaluated with ``dihedral`` records, element by element: the reference
 that ``checks.verify_parametrization``, which evaluates on int pairs, is
 compared against.
 
-They use only the public names of the package; ``tests/test_separation.py``
-walks them with the other checkers.
+The vertex-word algebra (``vw_mul``, ``vw_inv``, ``vw_pow``) builds test
+words in normal form.  ``pinch_membership`` asks Britton reduction's own
+two steps whether one syllable lies in an edge image, so the tests can try
+that membership test on a single word.
+
+Apart from those two steps they use only the public names of the package;
+``tests/test_separation.py`` walks them with the other checkers.
 """
 
 from __future__ import annotations
@@ -25,8 +30,10 @@ from gogh.model import (
     DIHEDRAL_R,
     DIHEDRAL_S,
     DihedralInfinite,
+    Free,
     GoghError,
     GraphOfGroups,
+    VertexGroupKind,
     VertexWord,
     edge_attachments,
     edge_endpoints,
@@ -35,18 +42,52 @@ from gogh.model import (
 )
 from gogh.words import (
     PathWord,
+    _exponent_in_image,
+    _image_data,
     are_equal,
     invert_tokens,
-    pinch_membership,
     to_path_form,
     tokens_of_vertex_word,
     vw_normalize,
-    vw_pow,
 )
 
 
 class SearchBudgetExceeded(GoghError):
     pass
+
+
+# -- vertex-word algebra and pinch membership ------------------------------------
+
+
+def vw_mul(kind: VertexGroupKind, *words: VertexWord) -> VertexWord:
+    letters = tuple(letter for w in words for letter in w.letters)
+    return vw_normalize(kind, VertexWord(words[0].vertex, letters))
+
+
+def vw_inv(kind: VertexGroupKind, w: VertexWord) -> VertexWord:
+    if isinstance(kind, Free):
+        return VertexWord(w.vertex, fw.inv_letters(w.letters))
+    return dih.element_to_word(w.vertex, dih.dinv(dih.word_to_element(w)))
+
+
+def vw_pow(kind: VertexGroupKind, w: VertexWord, n: int) -> VertexWord:
+    if isinstance(kind, Free):
+        return VertexWord(w.vertex, fw.pow_letters(w.letters, n))
+    return dih.element_to_word(w.vertex, dih.dpow(dih.word_to_element(w), n))
+
+
+def pinch_membership(graph: GraphOfGroups, edge: str, g: VertexWord, sign: int = 1) -> int | None:
+    """The exponent k with g = attachment^k, if g lies in the edge image.
+
+    The attachment is the target-side image of the signed edge, and g a
+    word of its vertex in normal form.  Free vertices use primitive-root
+    data (length divisibility plus repetition); dihedral vertices reduce to
+    divisibility of rotation exponents.  Britton reduction applies the same
+    two steps, ``words._image_data`` and ``words._exponent_in_image``.
+    """
+    att = edge_attachments(graph, (edge, sign))[1]
+    data = _image_data(graph.kind(att.vertex), att)
+    return _exponent_in_image(data, dih.word_to_element(g) if isinstance(data, int) else g.letters)
 
 
 def has_pinch(graph: GraphOfGroups, w: PathWord) -> bool:

@@ -32,7 +32,8 @@ from gogh.cli import parse, serialize
 from gogh.conjgraph import ConjugacyGraph, _derived_conjugacy_graph, build_conjugacy_graph
 from gogh.freewords import inv_letters
 from gogh.model import DihedralInfinite, EdgeRecord, Free, GoghError, VertexWord, make_graph
-from gogh.words import is_trivial, vw_mul, vw_pow
+from gogh.words import is_trivial
+from oracles import vw_mul, vw_pow
 
 TWO_RANK_TWO_TEXT = (
     "vertex u free 2\n"

@@ -33,7 +33,7 @@ from gogh.cli import (
     _ratio,
     main,
     parse,
-    parse_letter,
+    parse_word,
     render_json,
     run,
     serialize,
@@ -91,13 +91,15 @@ def test_code_pattern_matches_the_reference_prefix(text):
 
 
 def test_letter_syntax():
-    assert parse_letter("v.1") == ("g", "v", 1, 1)
-    assert parse_letter("v.1^-3") == ("g", "v", 1, -3)
-    assert parse_letter("d.r^2") == ("g", "d", "r", 2)
-    assert parse_letter("d.s") == ("g", "d", "s", 1)
-    assert parse_letter("e.t^-1") == ("t", "e", -1)
-    with pytest.raises(ParseError):
-        parse_letter("v.")
+    g = parse('vertex v free 1\nvertex d dihedral\nedge e from=d to=v img_from="d.r^2" img_to="v.1^-3"\n')
+    assert parse_word(g, "v.1") == [("g", "v", 1, 1)]
+    assert parse_word(g, "v.1^-3") == [("g", "v", 1, -3)]
+    assert parse_word(g, "d.r^2") == [("g", "d", "r", 2)]
+    assert parse_word(g, "d.s") == [("g", "d", "s", 1)]
+    assert parse_word(g, "e.t^-1") == [("t", "e", -1)]
+    with pytest.raises(ParseError) as err:
+        parse_word(g, "v.1 v.")
+    assert (err.value.error, err.value.line, err.value.column) == ("bad letter 'v.'", 0, 5)
 
 
 def test_syntax_error_carries_location():

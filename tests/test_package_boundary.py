@@ -26,6 +26,10 @@ MOVED = {
     "_conjugation_gens",
     "SearchBudgetExceeded",
     "has_pinch",
+    "pinch_membership",
+    "vw_mul",
+    "vw_inv",
+    "vw_pow",
 }
 
 PRODUCER_MODULES = {"balance", "conjgraph", "parametrize", "certify", "cli"}

@@ -1,17 +1,18 @@
 """The graph-text parser against a reference parser, and its line splitting.
 
 `reference_parse` is the parser as it was before one-letter attachments got
-their own path and free words their own scan: every line goes through one
-grammar, every attachment through the letter scanner and `vw_normalize`,
-and every numeral through `int(Decimal(...))`.  Its only change is the
-line split, which ends lines at \\n, \\r\\n and \\r alone.  It holds its
-own copy of the grammar, so the check shares no pattern with the parser
-it checks.  `parse` reads every line in one scan of the whole text, whose
-pattern spells out the runs of whitespace, padding and comments that the
-reference strips and cuts line by line, so the tests below try plain
-lines (single spaces, no
-padding, no comment) and general ones (any other whitespace, padding,
-comments) side by side, and lines of no form of each kind.
+their own path and word texts their own scan: every line goes through one
+grammar, every attachment token by token through a letter pattern and
+`vw_normalize`, and every numeral through `int(Decimal(...))`.  Its only
+change is the line split, which ends lines at \\n, \\r\\n and \\r alone.
+It holds its own copy of the grammar, so the check shares no pattern with
+the parser it checks.  `parse` reads an attachment of one letter of its
+own vertex from a table and any other by one tiling scan that reduces as
+it reads, and every line in one scan of the whole text, whose pattern
+spells out the runs of whitespace, padding and comments that the reference
+strips and cuts line by line, so the tests below try plain lines (single
+spaces, no padding, no comment) and general ones (any other whitespace,
+padding, comments) side by side, and lines of no form of each kind.
 
 The two parsers differ on purpose in one case: an integer generator in an
 attachment of a dihedral vertex (`d.1`).  The reference hands it to
@@ -31,7 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BS32_TEXT, F2_EXAMPLE_TEXT, TREFOIL_TEXT, multi_letter_cycle
-from gogh.cli import ParseError, parse
+from gogh.cli import ParseError, _parse_attachment, parse
 from gogh.model import (
     DIHEDRAL_R,
     DIHEDRAL_S,
@@ -351,6 +352,23 @@ def test_free_words_match_the_reference_parser(word, side):
 def test_dihedral_multi_letter_words_match_the_reference_parser(word):
     text = FREE_WORD_HEAD + f'edge x from=d to=v img_from="{word}" img_to="v.1^3"\n'
     assert outcome(parse, text) == outcome(reference_parse, text)
+
+
+@pytest.mark.parametrize("first", ["d", "v"])
+def test_one_suffix_table_serves_free_and_dihedral_vertices(first):
+    """One table of one-letter suffixes serves every vertex of a parse, so a
+    suffix read at one kind of vertex must give the other kind the word the
+    reference reads: s^3 is s^3 at a free vertex and s at a dihedral one.
+    An integer generator at d is left out, where the reference exits 3."""
+    kinds = {"d": DihedralInfinite(), "v": Free(2)}
+    shared: dict = {}
+    for suffix in ["1", "2^-3", "r", "r^2", "r^-1", "s", "s^3", "s^-1", "s^2", "1^0", "r^0", "s^0"]:
+        for vertex in (first, "dv".replace(first, "")):
+            if vertex == "d" and suffix[0].isdigit():
+                continue
+            text, kind = f"{vertex}.{suffix}", kinds[vertex]
+            want = _ref_attachment(text, vertex, kind, 1)
+            assert _parse_attachment(text, vertex, kind, 1, shared) == want, text
 
 
 @pytest.mark.parametrize(

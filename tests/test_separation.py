@@ -22,7 +22,7 @@ CHECKERS = (
     MODULES["checks"].provenance_holds,
     MODULES["checks"].witness_holds,
     MODULES["words"].britton_reduce,
-    MODULES["words"].pinch_membership,
+    oracles.pinch_membership,
     oracles.has_pinch,
     oracles.bounded_conjugator_search,
     oracles.brute_force_balance_oracle,
@@ -85,7 +85,7 @@ def test_checkers_name_no_producer():
 
 def test_reach_is_transitive():
     reached = _reach(oracles.bounded_conjugator_search, _package_functions())
-    # through are_equal -> is_trivial -> britton_reduce -> pinch_membership
+    # through are_equal -> is_trivial -> britton_reduce -> _pinch_entry -> _image_data
     assert MODULES["freewords"].primitive_root in reached
     # and through the oracle's own helpers
     assert oracles._search_states in reached and oracles._letter_moves in reached

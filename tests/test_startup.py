@@ -23,6 +23,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 ONE_VERTEX_TEXT = "vertex v free 1\n"
 # a conjugated attachment, which the parser reads without the word layer
 CONJUGATED_TEXT = 'vertex v free 2\nedge e from=v to=v img_from="v.1^2" img_to="v.2 v.1^3 v.2^-1"\n'
+# a dihedral attachment of three letters, which the parser multiplies out in
+# dihedral, and a bad letter, which exits 2
+DIHEDRAL_WORD_TEXT = (
+    'vertex d dihedral\nvertex v free 1\nedge e from=d to=v img_from="d.s d.r^2 d.s" img_to="v.1^-3"\n'
+)
+BAD_LETTER_TEXT = 'vertex v free 1\nedge e from=v to=v img_from="v.1^3" img_to="v.x"\n'
 
 CLI = {"cli", "model"}
 # the checkers and all they import: the files to read to trust a certificate
@@ -70,6 +76,8 @@ def files(tmp_path):
     for name, text in (
         ("one.gog", ONE_VERTEX_TEXT),
         ("conj.gog", CONJUGATED_TEXT),
+        ("dihedral.gog", DIHEDRAL_WORD_TEXT),
+        ("bad.gog", BAD_LETTER_TEXT),
         ("trefoil.gog", TREFOIL_TEXT),
         ("bs32.gog", BS32_TEXT),
     ):
@@ -102,6 +110,7 @@ def test_checks_import_loads_no_producer(files):
     [
         (["check", "one.gog"], CLI),
         (["check", "conj.gog"], CLI),
+        (["check", "dihedral.gog"], CLI | {"dihedral"}),
         (["reduce", "bs32.gog", "--word", "e.t v.1^2 e.t^-1"], CLI | WORDS),
         (["balance", "bs32.gog"], BALANCE),
         (["conjgraph", "trefoil.gog", "--class-of", "e"], CONJGRAPH),
@@ -118,6 +127,11 @@ def test_command_loads_its_layers(files, argv, modules):
     loaded = _fresh(f"from gogh.cli import main\nassert main({argv!r}) == 0", files)
     assert set(loaded["gogh"]) == modules
     assert "dataclasses" not in loaded["stdlib"]
+
+
+def test_check_on_a_bad_letter_loads_the_text_layer_only(files):
+    loaded = _fresh("from gogh.cli import main\nassert main(['check', 'bad.gog']) == 2", files)
+    assert set(loaded["gogh"]) == CLI
 
 
 def test_check_loads_no_fraction_decimal_or_traceback(files):

@@ -28,15 +28,19 @@ from gogh.words import (
     are_equal,
     britton_reduce,
     is_trivial,
-    pinch_membership,
     to_path_form,
     tokens_of_path,
     tokens_of_vertex_word,
     invert_tokens,
+)
+from oracles import (
+    SearchBudgetExceeded,
+    bounded_conjugator_search,
+    has_pinch,
+    pinch_membership,
     vw_mul,
     vw_pow,
 )
-from oracles import SearchBudgetExceeded, bounded_conjugator_search, has_pinch
 
 
 def path(graph, text_tokens, base=None):
