@@ -9,6 +9,7 @@ structure.  The attachment data is the groupoid pass's, stored on the
 verdict, but nothing is trusted: every witness is re-verified arc by arc
 by ``checks.witness_holds``, whose lemmas compose to the relation without
 writing it out, and every distortion identity through Britton reduction.
+``words`` is imported only where a path word is built.
 """
 
 from __future__ import annotations
@@ -20,13 +21,6 @@ from .balance import Balanced, Unbalanced
 from .checks import witness_holds
 from .freewords import pow_letters
 from .model import GoghError, GraphOfGroups, VertexWord, record
-from .words import (
-    PathWord,
-    invert_tokens,
-    is_trivial,
-    to_path_form,
-    tokens_of_vertex_word,
-)
 
 
 class NoWitness(GoghError):
@@ -37,28 +31,35 @@ class NoWitness(GoghError):
 class BSWitness:
     """a, s with s a^i s^-1 = a^j, a of infinite order and |i| != |j|.
 
-    The transcript is the empty path word at a's vertex, the reduced form
-    of s a^i s^-1 a^-j: a witness is built only once
-    ``checks.witness_holds`` has checked the arc lemmas that compose to the
-    relation, so it records their outcome.  The relation itself is never
-    written out; ``relation_tokens`` writes it for an independent check.
+    A witness is built only once ``checks.witness_holds`` has checked the
+    arc lemmas that compose to the relation, so the reduced form of
+    s a^i s^-1 a^-j, the transcript, is the empty path word at a's vertex:
+    it is read from a, not stored.  The relation is never written out;
+    ``relation_tokens`` writes it for an independent check.
     """
 
     a: VertexWord
     s: tuple  # conjugator tokens
     i: int
     j: int
-    transcript: PathWord
+
+    @property
+    def transcript(self):
+        from .words import PathWord
+
+        return PathWord(self.a.vertex, VertexWord(self.a.vertex, ()), ())
 
 
 def relation_tokens(a: VertexWord, s, i: int, j: int) -> list:
     """Tokens of s a^i s^-1 a^-j."""
+    from .words import invert_tokens
+
     lhs = list(s) + tokens_of_vertex_word_power(a, i) + invert_tokens(s)
     return lhs + tokens_of_vertex_word_power(a, -j)
 
 
 def tokens_of_vertex_word_power(word: VertexWord, n: int) -> list:
-    return tokens_of_vertex_word(VertexWord(word.vertex, pow_letters(word.letters, n)))
+    return [("g", word.vertex, x, y) for x, y in pow_letters(word.letters, n)]
 
 
 def _minimal_base_power(crossings: list, i: int) -> int:
@@ -114,8 +115,7 @@ def almost_bs_witness(graph: GraphOfGroups, verdict) -> BSWitness:
     m = _minimal_base_power(crossings, i)
     base = cycle[0].src
     a = VertexWord(base.vertex, pow_letters(base.root, m))
-    empty = VertexWord(base.vertex, ())
-    witness = BSWitness(a=a, s=tuple(s), i=i, j=j, transcript=PathWord(base.vertex, empty, ()))
+    witness = BSWitness(a=a, s=tuple(s), i=i, j=j)
     ok, report = witness_holds(graph, witness, cycle, occurrences)
     if not ok:
         raise RuntimeError(f"witness failed verification: {report}")
@@ -144,6 +144,8 @@ def distortion_certificate(graph: GraphOfGroups, witness: BSWitness, depth: int)
     of a, so the length-per-power ratio collapses: the iterated relation
     compresses huge powers into short words.
     """
+    from .words import invert_tokens, is_trivial, to_path_form
+
     a, s, i, j = witness.a, list(witness.s), witness.i, witness.j
     if abs(i) > abs(j):
         s, i, j = invert_tokens(s), j, i

@@ -143,9 +143,6 @@ class VertexWord:
     vertex: str
     letters: tuple[tuple[Gen, int], ...]
 
-    def __len__(self) -> int:
-        return sum(abs(e) for _, e in self.letters)
-
     @property
     def is_identity(self) -> bool:
         return not self.letters

@@ -455,7 +455,7 @@ def _trial_power(graph, vertex, segment, attachment, k_max=None):
             return k
         if vw_pow(kind, att, -k) == seg:
             return -k
-        if len(power) > len(seg):
+        if sum(abs(e) for _, e in power.letters) > sum(abs(e) for _, e in seg.letters):
             return None
         if k > 4096:
             raise OracleGaveUp()

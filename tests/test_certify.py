@@ -227,9 +227,7 @@ def test_distortion_big_depth_and_monotone_ratios(bs32):
 
 def test_distortion_swaps_shrinking_witness(bs32):
     w = almost_bs_witness(bs32, build_groupoid(bs32).verdict)
-    flipped = BSWitness(
-        a=w.a, s=tuple(invert_tokens(w.s)), i=w.j, j=w.i, transcript=w.transcript
-    )
+    flipped = BSWitness(a=w.a, s=tuple(invert_tokens(w.s)), i=w.j, j=w.i)
     cert = distortion_certificate(bs32, flipped, 4)
     assert [row.exponent for row in cert.rows] == [3, 9, 27, 81]
 

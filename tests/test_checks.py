@@ -281,7 +281,7 @@ def _with_record(occurrences, label, side, **change) -> dict:
 
 def _replaced(w, **change) -> BSWitness:
     """The witness w with the named fields changed."""
-    fields = {"a": w.a, "s": w.s, "i": w.i, "j": w.j, "transcript": w.transcript}
+    fields = {"a": w.a, "s": w.s, "i": w.i, "j": w.j}
     return BSWitness(**{**fields, **change})
 
 

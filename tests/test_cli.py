@@ -500,7 +500,7 @@ def test_internal_error_exit_3(tmp_path, monkeypatch, capsys):
             "witness failed verification: ['forced']",
         ),
         (
-            "gogh.certify.is_trivial",
+            "gogh.words.is_trivial",
             lambda graph, path: False,
             ["distortion", "--depth", "1"],
             BS32_TEXT,

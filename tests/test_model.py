@@ -205,6 +205,15 @@ def test_records_are_slotted_and_frozen():
                 delattr(record, name)
 
 
+def test_a_word_is_true_whatever_its_exponents():
+    """A VertexWord has no length: its truth value sums no exponents, so an
+    exponent beyond a Py_ssize_t cannot raise, and emptiness reads as
+    is_identity."""
+    huge, empty = VertexWord("v", ((1, 10**30),)), VertexWord("v", ())
+    assert bool(huge) and bool(empty)
+    assert not huge.is_identity and empty.is_identity
+
+
 def test_the_index_is_no_part_of_the_graphs_value():
     """index is a declared field outside equality, hashing and repr: two
     parses of one text build two indexes and are equal graphs that hash

@@ -65,9 +65,9 @@ def _values():
             cls,
             {"index": 1, "edges": ("f",), "nodes": (), "verdict": Balanced(), "potentials": ((1, 2),)},
         ),
-        (witness, {"a": v5, "s": (), "i": 5, "j": 7, "transcript": path}),
+        (witness, {"a": v5, "s": (), "i": 5, "j": 7}),
         (certificate.rows[0], {"k": 5, "exponent": 7, "length_bound": 9, "ratio": Fraction(1, 3)}),
-        (certificate, {"witness": BSWitness(v5, (), 5, 7, path), "rows": ()}),
+        (certificate, {"witness": BSWitness(v5, (), 5, 7), "rows": ()}),
         (parametrize(trefoil), {"vertex_images": (), "stable_images": (("e", DihedralElement(1, 0)),)}),
     ]
 
@@ -145,3 +145,19 @@ def test_index_and_occurrences_are_outside_the_value():
         assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
         assert "occurrences" not in repr(x)
     assert "index" not in repr(graph)
+
+
+def test_a_witness_is_its_four_fields_and_derives_its_transcript():
+    """BSWitness(a, s, i, j) is a value of its four fields; the transcript is
+    read, not stored: the empty path word at a's vertex, equal on each read."""
+    a = _vw("v", (1, 1))
+    w = BSWitness(a, (("t", "e", 1),), 2, 3)
+    assert type(w).__match_args__ == ("a", "s", "i", "j")
+    same, other = BSWitness(a, (("t", "e", 1),), 2, 3), BSWitness(a, (), 2, 3)
+    assert w == same and hash(w) == hash(same) and w != other
+    assert repr(w) == "BSWitness(a=VertexWord(vertex='v', letters=((1, 1),)), s=(('t', 'e', 1),), i=2, j=3)"
+    for y in (pickle.loads(pickle.dumps(w)), copy.deepcopy(w), copy.copy(w)):
+        assert y == w and hash(y) == hash(w) and repr(y) == repr(w)
+    t = w.transcript
+    assert t.base == "v" and t.tail == () and t.head.is_identity and t.head.vertex == a.vertex
+    assert w.transcript == t

@@ -38,8 +38,9 @@ WORDS = {"words", "model", "dihedral", "freewords"}
 BALANCE = CLI | {"balance", "freewords"}
 CONJGRAPH = BALANCE | {"conjgraph"}
 HHG_VERDICT = CONJGRAPH | CHECKS | {"parametrize"}
-NOT_HHG_VERDICT = HHG_VERDICT | WORDS | {"certify"}
-WITNESS = BALANCE | CHECKS | WORDS | {"certify"}
+NOT_HHG_VERDICT = HHG_VERDICT | {"certify"}
+WITNESS = BALANCE | CHECKS | {"certify"}
+DISTORTION = WITNESS | WORDS
 
 # stdlib modules that the text layer and the checkers leave unloaded
 STDLIB = ("fractions", "decimal", "traceback", "dataclasses", "inspect")
@@ -119,7 +120,7 @@ def test_checks_import_loads_no_producer(files):
         (["verdict", "bs32.gog"], NOT_HHG_VERDICT),
         (["parametrize", "bs32.gog"], NOT_HHG_VERDICT),
         (["witness", "bs32.gog"], WITNESS),
-        (["distortion", "bs32.gog", "--depth", "3"], WITNESS),
+        (["distortion", "bs32.gog", "--depth", "3"], DISTORTION),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )
