@@ -27,12 +27,14 @@ it in one pass: the connected components (which are the edge-image
 equivalence classes), their potentials, and per component either balance
 or one unbalanced cycle.  Each edge adds one relation
 t a_t^(n_t) t^-1 = a_s^(n_s), so the pass keeps one record per edge, the
-attachment data of its two sides; all one-letter images g^k at a vertex
-share one node and one identity conjugator.  A potential is the absolute
-value of a product of arc weights, kept as a gcd-reduced pair of positive
-integers.  A union-find with path compression (Galler-Fischer, CACM 7(5),
-1964; Tarjan, JACM 22(2), 1975) keeps each node's potential relative to
-its parent and makes the lesser node id the root, so a balanced class's
+attachment data of its two sides, each (node, exponent, conjugator
+letters), the conjugator's vertex being the node's; all one-letter images
+and cores at a vertex with root g share one node, and a one-letter image
+has the empty conjugator.  A potential is the absolute value of a product
+of arc weights, kept as a gcd-reduced pair of positive integers.  A
+union-find with path compression (Galler-Fischer, CACM 7(5), 1964;
+Tarjan, JACM 22(2), 1975) keeps each node's potential relative to its
+parent and makes the lesser node id the root, so a balanced class's
 potentials are relative to its least node, whatever path set them, and
 ``parametrize`` builds its certificate from them.  The first edge that
 disagrees with the potentials of its component closes a cycle with the
@@ -113,7 +115,8 @@ class EdgeClass:
     # unbalanced class it depends on the path the pass read it along
     potentials: tuple[tuple[int, int], ...]
     # the groupoid's one map of attachment data, edge -> (source, target),
-    # each side (node, signed root exponent, conjugator)
+    # each side (node, signed root exponent, conjugator letters at the
+    # node's vertex)
     occurrences: dict
 
 
@@ -175,8 +178,9 @@ def _least_rotation(keys: list) -> int:
     return k % n
 
 
-def canonical_root(word: VertexWord) -> tuple[VertexWord, VertexWord, int]:
-    """(canonical root R, conjugator g, signed exponent p) with w = g R^p g^-1.
+def canonical_root(letters: fw.Letters) -> tuple[fw.Letters, fw.Letters, int]:
+    """(canonical root R, conjugator g, signed exponent p) as letters, with
+    w = g R^p g^-1 for the nontrivial freely reduced letters w.
 
     R is the lexicographically least rotation of the primitive root or of
     its inverse, ordered by (generator, exponent sign, exponent size), so
@@ -185,7 +189,7 @@ def canonical_root(word: VertexWord) -> tuple[VertexWord, VertexWord, int]:
     letters.  The two never tie: no nontrivial free word is conjugate to
     its inverse.
     """
-    rd = fw.primitive_root(word.letters)
+    rd = fw.primitive_root(letters)
     best = None
     for source, flip in ((rd.root, 1), (fw.inv_letters(rd.root), -1)):
         keys = [_letter_key(l) for l in source]
@@ -195,48 +199,41 @@ def canonical_root(word: VertexWord) -> tuple[VertexWord, VertexWord, int]:
             best = (key, source[i:] + source[:i], flip, source[:i])
     _, rot, flip, prefix = best
     # source = prefix * rot * prefix^-1, and root = source^flip
-    conj = fw.mul_letters(rd.conjugator, prefix)
-    return (
-        VertexWord(word.vertex, rot),
-        VertexWord(word.vertex, conj),
-        rd.exponent * flip,
-    )
+    return rot, fw.mul_letters(rd.conjugator, prefix), rd.exponent * flip
 
 
-def _letter_node(vertex: str, g, shared: dict):
-    """(node of root g at vertex, identity conjugator there), stored in
-    shared at (vertex, g), where a caller looks first."""
+def _letter_node(vertex: str, g, shared: dict) -> GroupoidNode:
+    """The node of root g at vertex, stored in shared at (vertex, g), where
+    a caller looks first."""
     root = shared.get(g)
     if root is None:
         root = shared[g] = ((g, 1),)
-    found = shared[vertex, g] = GroupoidNode(vertex, root), VertexWord(vertex, ())
-    return found
+    node = shared[vertex, g] = GroupoidNode(vertex, root)
+    return node
 
 
 def attachment_data(word: VertexWord, shared: dict):
-    """(node, signed root exponent n, conjugator c) with word = c root^n c^-1,
-    for the attachment word on one side of an edge: a one-letter g^k, free
-    or dihedral, is root g, n = k, c = 1 (see above).  A free word
-    c g^k c^-1 whose cyclic core is the one letter g^k is root g, n = k and
-    conjugator c, with no least rotation to find: g's key (g, 0, 1) sorts
-    before its inverse's (g, 1, 1), and c, a prefix of the reduced word, is
-    reduced, so ``canonical_root`` gives the same.  Every one-letter image
-    at a vertex with root g gets the node and identity conjugator that
-    ``shared`` holds for (vertex, g), every one-letter core that node, and
-    every node of root g the letters ``shared`` holds for g, all immutable,
-    so a pass builds them once per root."""
-    letters = word.letters
+    """(node, signed root exponent n, conjugator letters c) with
+    word = c root^n c^-1, for the attachment word on one side of an edge;
+    c's vertex is the node's.  A one-letter g^k, free or dihedral, is root
+    g, n = k, c = () (see above).  A free word c g^k c^-1 whose cyclic core
+    is the one letter g^k is root g, n = k and conjugator c, with no least
+    rotation to find: g's key (g, 0, 1) sorts before its inverse's
+    (g, 1, 1), and c, a prefix of the reduced word, is reduced, so
+    ``canonical_root`` gives the same.  Every one-letter image or core at a
+    vertex with root g gets the node that ``shared`` holds for (vertex, g),
+    and every node of root g the letters ``shared`` holds for g, all
+    immutable, so a pass builds them once per root."""
+    vertex, letters = word.vertex, word.letters
     if len(letters) == 1:
         ((g, k),) = letters
-        found = shared.get((word.vertex, g)) or _letter_node(word.vertex, g, shared)
-        return found[0], k, found[1]
+        return shared.get((vertex, g)) or _letter_node(vertex, g, shared), k, ()
     conj, core = fw.cyclic_reduce(letters)
     if len(core) == 1:
         ((g, k),) = core
-        found = shared.get((word.vertex, g)) or _letter_node(word.vertex, g, shared)
-        return found[0], k, VertexWord(word.vertex, conj)
-    root, conj, n = canonical_root(word)
-    return GroupoidNode(word.vertex, root.letters), n, conj
+        return shared.get((vertex, g)) or _letter_node(vertex, g, shared), k, conj
+    root, conj, n = canonical_root(letters)
+    return GroupoidNode(vertex, root), n, conj
 
 
 def _close_cycles(occurrences: dict, heads: list, tails: list, parent: list, closing: dict) -> dict:

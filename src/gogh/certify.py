@@ -85,14 +85,15 @@ def almost_bs_witness(graph: GraphOfGroups, verdict) -> BSWitness:
     """Assemble and verify a witness from an unbalanced cycle.
 
     Each arc crosses its edge from its near side (the target for sign +1)
-    to its far side; with the records (node, n, g) of the two sides, its
-    conjugator kappa = g_far^-1 t^sign g_near carries R_near^n_near to
-    R_far^n_far.  The kappas compose to s, last arc first, in one list;
-    the base root is raised to the minimal power that keeps every arc
-    transition integral, and (i, j) is the reduced modulus.  The power is
-    taken on letters at a dihedral vertex too: validation admits only r^k
-    there, so the base root is the one letter r.  The witness is then
-    checked by ``checks.witness_holds``, and a failure is an error.
+    to its far side; with the records (node, n, g) of the two sides, g the
+    conjugator's letters at the node's vertex, its conjugator
+    kappa = g_far^-1 t^sign g_near carries R_near^n_near to R_far^n_far.
+    The kappas compose to s, last arc first, in one list; the base root is
+    raised to the minimal power that keeps every arc transition integral,
+    and (i, j) is the reduced modulus.  The power is taken on letters at a
+    dihedral vertex too: validation admits only r^k there, so the base root
+    is the one letter r.  The witness is then checked by
+    ``checks.witness_holds``, and a failure is an error.
     """
     if isinstance(verdict, Balanced):
         raise NoWitness("the graph is balanced")
@@ -104,12 +105,12 @@ def almost_bs_witness(graph: GraphOfGroups, verdict) -> BSWitness:
     crossings = []  # (entry exponent, exit exponent) of each arc, last arc first
     for arc in reversed(cycle):
         source, target = occurrences[arc.label]
-        (_, n, g_near), (_, n_far, g_far) = (target, source) if arc.sign > 0 else (source, target)
-        if g_far.letters:
-            s += [("g", g_far.vertex, x, -y) for x, y in reversed(g_far.letters)]
+        (near, n, g_near), (far, n_far, g_far) = (target, source) if arc.sign > 0 else (source, target)
+        if g_far:
+            s += [("g", far.vertex, x, -y) for x, y in reversed(g_far)]
         s.append(("t", arc.label, arc.sign))
-        if g_near.letters:
-            s += [("g", g_near.vertex, x, y) for x, y in g_near.letters]
+        if g_near:
+            s += [("g", near.vertex, x, y) for x, y in g_near]
         crossings.append((n, n_far))
     crossings.reverse()
     m = _minimal_base_power(crossings, i)

@@ -115,6 +115,9 @@ def verify_parametrization(graph: GraphOfGroups, phi):
             if s_img[0] != 1:
                 report.append(f"vertex {vertex}: reflection image is not a reflection")
                 continue
+            # cannot fail once the checks above pass: with r = (0, k) and
+            # s = (1, m), (1, m)(0, k)(1, m) = (1, m + k)(1, m) = (0, -k),
+            # which is r^-1; the defining relation is still checked as stated
             if _mul(_mul(s_img, r_img), s_img) != _inv(r_img):
                 report.append(f"vertex {vertex}: defining relation srs = r^-1 broken")
         elif kind.rank == 1:
@@ -170,9 +173,9 @@ def verify_parametrization(graph: GraphOfGroups, phi):
 def provenance_holds(graph: GraphOfGroups, cg) -> bool:
     """Check u = g * root^n * g^-1 in the original vertex group for both
     sides of every class edge, as ``_rebuilds`` does: u is the side's
-    attachment in graph, g the conjugator of that side in the class's
-    record of the edge, gen^n its derived attachment, and root the root of
-    the derived vertex's origin node, which must lie in u's vertex.
+    attachment in graph, g the conjugator letters of that side in the
+    class's record of the edge, gen^n its derived attachment, and root the
+    root of the derived vertex's origin node, which must lie in u's vertex.
 
     The derived graph must hold nothing else: its edges are exactly the
     class's edges, in the same sorted order, and each derived vertex has an
@@ -186,8 +189,8 @@ def provenance_holds(graph: GraphOfGroups, cg) -> bool:
     a record that is no (source, target) pair of attachment data, a derived
     attachment of more than one letter, a derived vertex with no origin,
     with an origin that is no node or of the wrong kind, a conjugator that
-    is no word, a root or conjugator letter that is no generator of u's
-    vertex) fails the check instead of raising."""
+    is no tuple of letters, a root or conjugator letter that is no
+    generator of u's vertex) fails the check instead of raising."""
     original, derived_edges = graph.index.edges, cg.graph.index.edges
     edges, occurrences = cg.edge_class.edges, cg.edge_class.occurrences
     if list(edges) != list(cg.graph.edge_ids()):
@@ -215,9 +218,9 @@ def provenance_holds(graph: GraphOfGroups, cg) -> bool:
             if len(derived.letters) != 1 or origin.vertex != u.vertex:
                 return False
             try:
-                if not _rebuilds(graph.kind(u.vertex), origin.root, derived.letters[0][1], g.letters, u):
+                if not _rebuilds(graph.kind(u.vertex), origin.root, derived.letters[0][1], g, u):
                     return False
-            except (AttributeError, TypeError, ValueError):  # a root or conjugator that is no word
+            except (AttributeError, TypeError, ValueError):  # a root or conjugator of no letters
                 return False
     return True
 
@@ -233,7 +236,7 @@ def _letters_in(kind, letters) -> bool:
 
 def _rebuilds(kind, root: tuple, n: int, conj: tuple, att: VertexWord) -> bool:
     """Whether att = g R^n g^-1 in its vertex group, for the letters R of a
-    root and g of a conjugator.
+    root and the tuple g of a conjugator's letters.
 
     An attachment is a reduced free word or a dihedral r^k, so against a
     one-letter root x^r the word g x^(r n) g^-1, written out, is compared
@@ -243,6 +246,8 @@ def _rebuilds(kind, root: tuple, n: int, conj: tuple, att: VertexWord) -> bool:
     s^eps r^k.  A free root whose cyclic core has two or more letters has
     |R^n| >= |n| letters, so when |n| exceeds the letters of att and 2|g| the
     product cannot be att and the power is never built."""
+    if type(conj) is not tuple:  # a None or [] would read as no conjugator
+        return False
     if len(root) == 1:
         ((x, r),) = root
         if type(r) is not int:
@@ -307,8 +312,9 @@ def witness_holds(graph: GraphOfGroups, witness, cycle, occurrences):
     ``label``, ``sign``, ``src`` and ``dst``, as a ``balance.GroupoidArc``
     holds them; and occurrences maps each edge to its (source, target)
     records, each (node, n, g) with the node's ``vertex`` and ``root``
-    letters.  Each arc crosses its edge from its near side (the target for
-    sign +1, the source for -1) to its far side.  The checks:
+    letters and g the conjugator's letters, a tuple.  Each arc crosses its
+    edge from its near side (the target for sign +1, the source for -1) to
+    its far side.  The checks:
 
     - **Arc lemmas.**  Both records of the arc's edge rebuild the edge's
       attachments as g R^n g^-1 in their vertex groups, R the node's root.
@@ -346,8 +352,8 @@ def witness_holds(graph: GraphOfGroups, witness, cycle, occurrences):
             e = edges[label]
             (node_s, n_s, g_s), (node_t, n_t, g_t) = occurrences[label]
             sides = (
-                (node_s, n_s, g_s.letters, e.attachment_source),
-                (node_t, n_t, g_t.letters, e.attachment_target),
+                (node_s, n_s, g_s, e.attachment_source),
+                (node_t, n_t, g_t, e.attachment_target),
             )
         except (AttributeError, KeyError, TypeError, ValueError):
             return False, [f"arc {position}: no arc of an edge of the graph with a (source, target) record"]

@@ -508,9 +508,9 @@ def _cmd_conjgraph(graph: GraphOfGroups, args) -> dict:
         vertices.append({"id": v, "origin": node.vertex, "root": root})
     provenance = {}
     for e in cls.edges:
-        (_, _, conj_s), (_, _, conj_t) = cls.occurrences[e]
-        provenance[f"{e}.source"] = _word_str(conj_s.vertex, conj_s.letters, rendered)
-        provenance[f"{e}.target"] = _word_str(conj_t.vertex, conj_t.letters, rendered)
+        (node_s, _, conj_s), (node_t, _, conj_t) = cls.occurrences[e]
+        provenance[f"{e}.source"] = _word_str(node_s.vertex, conj_s, rendered)
+        provenance[f"{e}.target"] = _word_str(node_t.vertex, conj_t, rendered)
     return {
         "class": cls.index,
         "members": [[e, side] for e in cls.edges for side in SIDES],

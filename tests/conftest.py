@@ -171,9 +171,9 @@ def arc_conjugator(occurrences: dict, arc) -> list:
     edge's record: it carries the near (src) root's power n_near to the far
     (dst) root's power n_far."""
     source, target = occurrences[arc.label]
-    (_, _, g_near), (_, _, g_far) = (target, source) if arc.sign > 0 else (source, target)
-    inverse = [("g", g_far.vertex, x, -y) for x, y in reversed(g_far.letters)]
-    return inverse + [("t", arc.label, arc.sign)] + [("g", g_near.vertex, x, y) for x, y in g_near.letters]
+    (near, _, g_near), (far, _, g_far) = (target, source) if arc.sign > 0 else (source, target)
+    inverse = [("g", far.vertex, x, -y) for x, y in reversed(g_far)]
+    return inverse + [("t", arc.label, arc.sign)] + [("g", near.vertex, x, y) for x, y in g_near]
 
 
 def all_arcs(occurrences: dict) -> list[Arc]:

@@ -4,7 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import check_cycle_contract, edge_arc, random_graph, random_tree_graph, relabel_graph
+from conftest import (
+    check_cycle_contract,
+    edge_arc,
+    multi_letter_cycle,
+    random_graph,
+    random_tree_graph,
+    relabel_graph,
+)
 import gogh.balance
 import oracles
 from gogh.balance import (
@@ -20,7 +27,8 @@ from gogh.balance import (
     canonical_root,
 )
 from gogh.dihedral import word_to_element
-from gogh.freewords import inv_letters, mul_letters
+from gogh.cli import parse
+from gogh.freewords import inv_letters, mul_letters, pow_letters
 from gogh.model import (
     DIHEDRAL_R,
     DihedralInfinite,
@@ -36,6 +44,7 @@ from oracles import (
     SearchBudgetExceeded,
     brute_force_balance_oracle,
 )
+from test_memory import balanced_cycle
 
 
 def flip_edge(graph, name):
@@ -159,15 +168,15 @@ def test_dihedral_exponent_is_the_rotation_of_the_attachment():
                 if isinstance(kind, DihedralInfinite):
                     assert k == word_to_element(word).k, (e.name, side, word)
                     assert node == GroupoidNode(word.vertex, ((DIHEDRAL_R, 1),))
-                    assert conj.is_identity
+                    assert conj == ()
                     found += 1
                     seen["dihedral"] += 1
                 else:
-                    root, g, n = canonical_root(word)
-                    assert (node.root, k, conj) == (root.letters, n, g), (e.name, side, word)
+                    root, g, n = canonical_root(word.letters)
+                    assert (node.root, k, conj) == (root, n, g), (e.name, side, word)
                     if len(word.letters) == 1:
                         seen[f"rank {kind.rank}, one letter"] += 1
-                    elif len(root.letters) == 1:
+                    elif len(root) == 1:
                         seen["conjugated one-letter core"] += 1
                     else:
                         seen["multi-letter root"] += 1
@@ -194,9 +203,9 @@ def test_one_letter_core_rule_is_canonical_roots(monkeypatch):
     a core of two or more letters still goes through canonical_root."""
     calls = Counter()
 
-    def counted(word):
-        calls[word] += 1
-        return canonical_root(word)
+    def counted(letters):
+        calls[letters] += 1
+        return canonical_root(letters)
 
     monkeypatch.setattr(gogh.balance, "canonical_root", counted)
     rng = random.Random(35)
@@ -209,10 +218,10 @@ def test_one_letter_core_rule_is_canonical_roots(monkeypatch):
         c = _random_reduced(rng, rank, rng.randint(0, 6), last=g if i % 4 == 0 else None)
         word = VertexWord("v", mul_letters(c, ((g, k),), inv_letters(c)))
         node, n, conj = attachment_data(word, {})
-        root, want_conj, want_n = canonical_root(word)
-        assert (node, n, conj) == (GroupoidNode("v", root.letters), want_n, want_conj), (c, g, k)
+        root, want_conj, want_n = canonical_root(word.letters)
+        assert (node, n, conj) == (GroupoidNode("v", root), want_n, want_conj), (c, g, k)
         assert node.root == ((g, 1),) and n == k
-        seen["conjugated" if conj.letters else "unconjugated"] += 1
+        seen["conjugated" if conj else "unconjugated"] += 1
         seen["ends in g" if c and c[-1][0] == g else "other"] += 1
     assert not calls
     assert min(seen.values()) >= 100, seen
@@ -226,9 +235,55 @@ def test_one_letter_core_rule_is_canonical_roots(monkeypatch):
         word = VertexWord("v", mul_letters(c, core, inv_letters(c)))
         calls.clear()
         node, n, conj = attachment_data(word, {})
-        assert calls == {word: 1}
-        root, want_conj, want_n = canonical_root(word)
-        assert (node, n, conj) == (GroupoidNode("v", root.letters), want_n, want_conj)
+        assert calls == {word.letters: 1}
+        root, want_conj, want_n = canonical_root(word.letters)
+        assert (node, n, conj) == (GroupoidNode("v", root), want_n, want_conj)
+
+
+def _conjugated_cycle(n: int) -> str:
+    """An n-cycle of rank-2 vertices, each edge attached by
+    v.2 v.1^k v.2^-1 at its source and v.1^k at its target: every vertex
+    has a one-letter image and a conjugated one-letter core of root v.1."""
+    lines = [f"vertex v{i} free 2" for i in range(n)]
+    for i in range(n):
+        a, b = (2, 3) if i % 2 else (3, 2)
+        j = (i + 1) % n
+        lines.append(f'edge e{i} from=v{i} to=v{j} img_from="v{i}.2 v{i}.1^{a} v{i}.2^-1" img_to="v{j}.1^{b}"')
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, letter_roots",
+    [(balanced_cycle(200), 200), (multi_letter_cycle(8), 0), (_conjugated_cycle(12), 12)],
+    ids=["balanced_cycle", "multi_letter_cycle", "conjugated_cycle"],
+)
+def test_records_hold_letters_and_one_node_per_root(text, letter_roots):
+    """Each record is (node, n, conjugator letters): every conjugator is a
+    tuple, so none is a VertexWord, a one-letter image's is the empty tuple
+    itself, the letters rebuild the attachment as c R^n c^-1, and every
+    record at one vertex with one one-letter root (letter_roots such pairs)
+    holds one node object.  canonical_root's letters rebuild each word as
+    g R^p g^-1 as well."""
+    graph = parse(text)
+    g = build_groupoid(graph)
+    empty = ()
+    nodes: dict = {}  # (vertex, root) -> ids of the record nodes there
+    for e in graph.edges:
+        for word, (node, n, conj) in zip((e.attachment_source, e.attachment_target), g.occurrences[e.name]):
+            assert type(conj) is tuple, conj
+            assert all(type(letter) is tuple for letter in conj), conj
+            if len(word.letters) == 1:
+                assert conj is empty, (e.name, conj)
+            assert node.vertex == word.vertex
+            assert mul_letters(conj, pow_letters(node.root, n), inv_letters(conj)) == word.letters
+            root, c, p = canonical_root(word.letters)
+            assert type(root) is tuple and type(c) is tuple
+            assert mul_letters(c, pow_letters(root, p), inv_letters(c)) == word.letters
+            assert (node.root, n, conj) == (root, p, c)
+            if len(node.root) == 1:
+                nodes.setdefault((node.vertex, node.root), set()).add(id(node))
+    assert all(len(ids) == 1 for ids in nodes.values()), nodes
+    assert len(nodes) == letter_roots
 
 
 def _bfs_potentials(nodes, arcs):
@@ -502,7 +557,7 @@ def _ratio_cycle(n, unbalanced):
 def test_pass_builds_only_the_arcs_it_reports(monkeypatch):
     """The pass builds an arc, and its Fraction weight, only for the cycle it
     reports, and the groupoid's arcs are those.  One-letter images share
-    their node and conjugator objects."""
+    their node objects and the empty conjugator."""
     built = Counter()
 
     def counting(name, make):
@@ -517,11 +572,11 @@ def test_pass_builds_only_the_arcs_it_reports(monkeypatch):
     g = build_groupoid(_ratio_cycle(400, unbalanced=False))
     assert isinstance(g.verdict, Balanced) and len(g.nodes) == 400
     assert g.arcs == () and not built
-    # the one-letter images at a vertex share one node and one identity conjugator
-    one_letter = [data for pair in g.occurrences.values() for data in pair if data[2].is_identity]
+    # the one-letter images at a vertex share one node, and all the empty conjugator
+    one_letter = [data for pair in g.occurrences.values() for data in pair if not data[2]]
     assert len(one_letter) == 800 - 80
     assert len({id(node) for node, _, _ in one_letter}) == len({node for node, _, _ in one_letter})
-    assert len({id(conj) for _, _, conj in one_letter}) == len({node for node, _, _ in one_letter})
+    assert {id(conj) for _, _, conj in one_letter} == {id(())}
 
     built.clear()
     g = build_groupoid(_ratio_cycle(400, unbalanced=True))

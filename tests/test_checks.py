@@ -189,14 +189,14 @@ def test_provenance_with_an_origin_that_is_no_node_fails(f2_example, origin):
 
 
 def test_provenance_with_a_conjugator_outside_the_vertex_group_fails(trefoil):
-    """u.5 u.5^-1 cancels letter for letter, but u has rank one: the
-    conjugator is no word of its vertex group, so the record does not
+    """The letters u.5 u.5^-1 cancel, but u has rank one: the conjugator's
+    letters are no letters of its vertex group, so the record does not
     rebuild u.1^2."""
     cg = _only_class_graph(trefoil)
     assert provenance_holds(trefoil, cg)
     c = cg.edge_class
     (node, n, _), target = c.occurrences["e"]
-    occurrences = {"e": ((node, n, VertexWord("u", ((5, 1), (5, -1)))), target)}
+    occurrences = {"e": ((node, n, ((5, 1), (5, -1))), target)}
     cls = EdgeClass(c.index, c.edges, c.nodes, c.verdict, c.potentials, occurrences)
     assert not provenance_holds(trefoil, ConjugacyGraph(cg.graph, cls, cg.vertex_origin))
 
@@ -339,7 +339,8 @@ def test_the_checker_accepts_the_valid_witnesses_derived_from_one(name):
         for node, n, g in sides:
             side_kind = graph.kind(node.vertex)
             root = VertexWord(node.vertex, node.root)
-            new_sides.append((node, n, vw_mul(side_kind, g, vw_pow(side_kind, root, 2))))
+            shifted_g = vw_mul(side_kind, VertexWord(node.vertex, g), vw_pow(side_kind, root, 2))
+            new_sides.append((node, n, shifted_g.letters))
         shifted[label] = tuple(new_sides)
     moved = _replaced(w, s=_conjugator(cycle, shifted))
     assert moved.s != w.s or name == "bs32"
@@ -433,7 +434,7 @@ def _evidence_mutations(graph, w, cycle, occurrences):
             if side_kind == Free(1):
                 continue  # its every conjugator centralizes the root
             letter = ("s", 1) if side_kind == DihedralInfinite() else (2 if node.root[0][0] == 1 else 1, 1)
-            bad = _with_record(occurrences, arc.label, side, g=VertexWord(node.vertex, g.letters + (letter,)))
+            bad = _with_record(occurrences, arc.label, side, g=g + (letter,))
             mutated = _replaced(w, s=_conjugator(cycle, bad))
             yield f"edge {arc.label} side {side} conjugator", mutated, cycle, bad
 
@@ -460,13 +461,47 @@ def test_the_checker_rejects_letters_that_are_no_generators(f2_example):
     ((label, ((node, n_s, g_s), (_, n_t, g_t))),) = occurrences.items()
     outside = ((3, 1),)
     root = GroupoidNode(node.vertex, inv_letters(outside) + node.root + outside)
-    records = tuple((root, n, VertexWord(g.vertex, g.letters + outside)) for n, g in ((n_s, g_s), (n_t, g_t)))
+    records = tuple((root, n, g + outside) for n, g in ((n_s, g_s), (n_t, g_t)))
     moved = {label: records}
     (arc,) = cycle
     arcs = (arc._replace(src=root, dst=root),)
     a = VertexWord(w.a.vertex, inv_letters(outside) + w.a.letters + outside)
     ok, report = witness_holds(graph, _replaced(w, a=a, s=_conjugator(arcs, moved)), arcs, moved)
     assert not ok and report
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        lambda vertex, g: VertexWord(vertex, g),
+        lambda vertex, g: None,
+        lambda vertex, g: list(g),
+        lambda vertex, g: ((3, 1), (3, -1)) + g,
+    ],
+    ids=["a VertexWord", "None", "a list", "a generator beyond the rank"],
+)
+@pytest.mark.parametrize("name", ["rank2_cycle", "multi_letter_cycle"])
+def test_both_checkers_reject_a_conjugator_of_no_letters(name, shape):
+    """A record's conjugator is a tuple of letters of its node's vertex.
+    One that is a VertexWord (a word rather than its letters), None, a
+    list (an empty one would read as no conjugator), or
+    letters that cancel but name a generator beyond rank 2, on either side
+    of any edge of the cycle, makes ``witness_holds`` report that the
+    record does not rebuild and ``provenance_holds`` return False, and
+    neither raises."""
+    graph, w, cycle, occurrences = _evidence(WITNESS_TEXTS[name])
+    cg = _only_class_graph(graph)
+    assert provenance_holds(graph, cg)
+    c = cg.edge_class
+    for label in occurrences:
+        for side in (0, 1):
+            node, _, g = occurrences[label][side]
+            bad = _with_record(occurrences, label, side, g=shape(node.vertex, g))
+            result = witness_holds(graph, w, cycle, bad)
+            assert type(result) is tuple and result[0] is False and type(result[1]) is list, result
+            assert any("record does not rebuild" in line for line in result[1]), result
+            cls = EdgeClass(c.index, c.edges, c.nodes, c.verdict, c.potentials, bad)
+            assert provenance_holds(graph, ConjugacyGraph(cg.graph, cls, cg.vertex_origin)) is False
 
 
 @pytest.mark.parametrize(

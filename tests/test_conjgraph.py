@@ -45,8 +45,8 @@ def test_conjugacy_graph_of_f2_example(f2_example):
     # conjugator is b on the target side
     assert list(cg.vertex_origin.values()) == list(cg.edge_class.nodes)
     (_, _, conj_s), (_, _, conj_t) = cg.edge_class.occurrences["e"]
-    assert conj_t.letters == ((2, 1),)
-    assert conj_s.letters == ()
+    assert conj_t == ((2, 1),)
+    assert conj_s == ()
 
 
 def test_conjugacy_graph_of_bs32_is_isomorphic_copy(bs32):
