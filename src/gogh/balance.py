@@ -10,10 +10,11 @@ g, unconjugated, since validation admits only r^k as a dihedral attachment
 and a free basis letter is primitive and its own least rotation.  A second
 covers free images whose cyclic core is one letter: c g^k c^-1 is k times
 root g, conjugated by c, with no rotation to find.  Nodes
-are (vertex, canonical root) pairs; an edge arc carries the ratio of the
-two root exponents and the orientation in which it crosses its edge,
-nothing more (the conjugator and entry exponent of a crossing are witness
-data, which ``certify`` derives for the arcs of the one cycle it reads).
+are (vertex, canonical root) pairs; an edge's arc crosses it in one
+orientation and weighs the ratio of its two root exponents.  A reported
+cycle is its (edge id, sign) steps, nothing more: every node, exponent and
+conjugator along it is in its edges' records, from which ``certify`` and
+the checkers read each step's near and far sides by its sign.
 A cycle of weight with absolute value != 1 pumps conjugation ratios
 without bound, which is exactly the unbalanced phenomenon.  Conjugation by
 a dihedral reflection inverts the root, a loop of weight -1; balance
@@ -43,11 +44,11 @@ themselves, so the cycle visits no node twice.  A breadth-first search
 finds them on the integer node ids, with each arc an integer too (edge
 position and orientation) and a list from node id to the arc that
 reached it; it reads each node's arcs in edge order, so ties between
-shortest paths break by edge order.  Arcs, with their ``Fraction``
-weights, are built for the cycles found only.  Each fact is
-stored once: the attachment data lives in the pass's one map from edge to
-record, a class holds its verdict and its edges, and an unbalanced verdict
-holds the map, which ``certify`` reads.
+shortest paths break by edge order.  A cycle found becomes its steps and
+one ``Fraction``, its modulus.  Each fact is stored once: the attachment
+data lives in the pass's one map from edge to record, a class holds its
+verdict and its edges, and an unbalanced verdict holds the map, which
+``certify`` reads.
 """
 
 from __future__ import annotations
@@ -73,14 +74,6 @@ class GroupoidNode(NamedTuple):
         )
 
 
-class GroupoidArc(NamedTuple):
-    src: GroupoidNode
-    dst: GroupoidNode
-    weight: Fraction
-    label: str  # edge id
-    sign: int  # traversal orientation: +1 from the target-side node
-
-
 @record
 class Balanced:
     pass
@@ -88,7 +81,9 @@ class Balanced:
 
 @record(uncompared=("occurrences",))
 class Unbalanced:
-    cycle: tuple[GroupoidArc, ...]
+    # (edge id, sign) steps: sign is the exponent of the stable letter
+    # crossed, +1 from the edge's target-side node to its source-side node
+    cycle: tuple[tuple[str, int], ...]
     modulus: Fraction
     # the pass's attachment data, edge -> (source data, target data)
     occurrences: dict
@@ -96,7 +91,7 @@ class Unbalanced:
     @property
     def edge(self) -> str:
         """The offending edge reported for this cycle: its least edge id."""
-        return min(arc.label for arc in self.cycle)
+        return min(label for label, _ in self.cycle)
 
 
 BalanceVerdict = Balanced | Unbalanced
@@ -129,8 +124,9 @@ class RatioGroupoid:
     verdict: BalanceVerdict  # the whole graph: the cycle closed first in id order
 
     @property
-    def arcs(self) -> tuple[GroupoidArc, ...]:
-        """The arcs the pass built: those of its classes' unbalanced cycles."""
+    def arcs(self) -> tuple[tuple[str, int], ...]:
+        """The (edge id, sign) steps the pass reported: those of its classes'
+        unbalanced cycles."""
         cycles = (cls.verdict.cycle for cls in self.classes if isinstance(cls.verdict, Unbalanced))
         return tuple(arc for cycle in cycles for arc in cycle)
 
@@ -249,12 +245,11 @@ def _close_cycles(occurrences: dict, heads: list, tails: list, parent: list, clo
     them in that order, so of several shortest paths it keeps the one that
     reaches each node by its first arc.  back[v] is the arc that first
     reached v (for s, the closing arc), and a search stops once it has
-    reached t.  Classes share no node, so they share one back list.  Arcs,
-    with their ``Fraction`` weights, are built for the cycle only: one
-    weight per distinct (top, bottom) exponent ratio in the call, which
-    the arcs of that ratio share, since a ``Fraction`` is immutable.  The
-    modulus, their product, is one ``Fraction`` of the products of the two
-    sides of their exponent ratios.
+    reached t.  Classes share no node, so they share one back list.  A
+    cycle is kept as its steps (edge id, sign), arc a being step
+    (edge a >> 1, -1 if a is odd else +1), and one ``Fraction``, the
+    modulus: the product of the far sides' exponents over the product of
+    the near sides'.
     """
     stop = max(closing.values())
     ends = [0] * (2 * stop)
@@ -267,7 +262,6 @@ def _close_cycles(occurrences: dict, heads: list, tails: list, parent: list, clo
             arcs_out[heads[k]].append(2 * k + 1)
     back = [-1] * len(parent)
     labels = list(occurrences)
-    weights: dict[tuple[int, int], Fraction] = {}  # (top, bottom) -> its arcs' weight
     found = {}
     for r, k in closing.items():
         s = heads[k]
@@ -290,17 +284,10 @@ def _close_cycles(occurrences: dict, heads: list, tails: list, parent: list, clo
         cycle, tops, bottoms = [], [], []
         for a in (2 * k, *reversed(steps)):
             label = labels[a >> 1]
-            (node_s, n_s, _), (node_t, n_t, _) = occurrences[label]
-            if a & 1:
-                src, dst, top, bottom, sign = node_s, node_t, n_t, n_s, -1
-            else:
-                src, dst, top, bottom, sign = node_t, node_s, n_s, n_t, 1
-            weight = weights.get((top, bottom))
-            if weight is None:
-                weight = weights[top, bottom] = Fraction(top, bottom)
-            cycle.append(GroupoidArc(src, dst, weight, label, sign))
-            tops.append(top)
-            bottoms.append(bottom)
+            (_, n_s, _), (_, n_t, _) = occurrences[label]
+            cycle.append((label, -1 if a & 1 else 1))
+            tops.append(n_t if a & 1 else n_s)
+            bottoms.append(n_s if a & 1 else n_t)
         modulus = Fraction(prod(tops), prod(bottoms))
         if abs(modulus) == 1:
             raise RuntimeError(f"cycle through arc {labels[k]} is balanced")

@@ -17,6 +17,8 @@ this file.  Evidence that does not fit is reported, not raised.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from . import dihedral as dih
 from . import freewords as fw
 from .model import (
@@ -308,20 +310,19 @@ def witness_holds(graph: GraphOfGroups, witness, cycle, occurrences):
     certified lemma by lemma along the groupoid cycle it was built from.
 
     The witness is read by its ``a``, ``s``, ``i`` and ``j``, as a
-    ``certify.BSWitness`` holds them; each arc of the cycle by its
-    ``label``, ``sign``, ``src`` and ``dst``, as a ``balance.GroupoidArc``
-    holds them; and occurrences maps each edge to its (source, target)
-    records, each (node, n, g) with the node's ``vertex`` and ``root``
-    letters and g the conjugator's letters, a tuple.  Each arc crosses its
-    edge from its near side (the target for sign +1, the source for -1) to
-    its far side.  The checks:
+    ``certify.BSWitness`` holds them; each arc of the cycle as its step
+    (edge id, sign), as ``balance.Unbalanced`` holds them; and occurrences
+    maps each edge to its (source, target) records, each (node, n, g) with
+    the node's ``vertex`` and ``root`` letters and g the conjugator's
+    letters, a tuple.  Each arc crosses its edge from its near side (the
+    target for sign +1, the source for -1) to its far side.  Where a step
+    or a token of s holds an int, a bool is not read as one.  The checks:
 
     - **Arc lemmas.**  Both records of the arc's edge rebuild the edge's
       attachments as g R^n g^-1 in their vertex groups, R the node's root.
       With the edge relation t a_t t^-1 = a_s, the arc's conjugator
       kappa = g_far^-1 t^sign g_near then has
-      kappa R_near^n_near kappa^-1 = R_far^n_far, and the arc's src and dst
-      are its near and far nodes.
+      kappa R_near^n_near kappa^-1 = R_far^n_far.
     - **Chain.**  Each arc's far node is the next arc's near node, and the
       last arc's far node is the first arc's near node, the base R_0.
     - **Arithmetic.**  With m read off a = R_0^m, the exponent e = m i is
@@ -346,9 +347,9 @@ def witness_holds(graph: GraphOfGroups, witness, cycle, occurrences):
         return False, ["the cycle has no arcs"]
     kappas = []  # each arc's conjugator, as tokens
     crossings = []  # each arc's (near node, n_near, far node, n_far)
-    for position, arc in enumerate(cycle):
+    for position, step in enumerate(cycle):
         try:
-            label, sign, ends = arc.label, arc.sign, (arc.src, arc.dst)
+            label, sign = step
             e = edges[label]
             (node_s, n_s, g_s), (node_t, n_t, g_t) = occurrences[label]
             sides = (
@@ -357,8 +358,8 @@ def witness_holds(graph: GraphOfGroups, witness, cycle, occurrences):
             )
         except (AttributeError, KeyError, TypeError, ValueError):
             return False, [f"arc {position}: no arc of an edge of the graph with a (source, target) record"]
-        if sign not in (1, -1):
-            return False, [f"arc {position} (edge {label}): sign {sign!r} is not +1 or -1"]
+        if type(sign) is not int or sign not in (1, -1):
+            return False, [f"arc {position} (edge {label}): sign {sign!r} is not the int +1 or -1"]
         broken = []
         for side, (node, n, conj, att) in zip(("source", "target"), sides):
             try:
@@ -374,8 +375,6 @@ def witness_holds(graph: GraphOfGroups, witness, cycle, occurrences):
         (near, n, conj_near, att_near), (far, n_far, conj_far, att_far) = (
             sides[::-1] if sign > 0 else sides
         )
-        if ends != (near, far):
-            report.append(f"arc {position} (edge {label}): its ends are not the nodes of its record")
         kappa = [("g", att_far.vertex, x, -y) for x, y in reversed(conj_far)] if conj_far else []
         kappa.append(("t", label, sign))
         if conj_near:
@@ -390,7 +389,9 @@ def witness_holds(graph: GraphOfGroups, witness, cycle, occurrences):
                 if following
                 else "the cycle does not close at its base node"
             )
-    if list(witness.s) != [tok for kappa in reversed(kappas) for tok in kappa]:
+    s, want = list(witness.s), [tok for kappa in reversed(kappas) for tok in kappa]
+    # equal tokens may hold items of other types: True == 1 and 1.0 == 1
+    if s != want or [*map(type, chain.from_iterable(s))] != [*map(type, chain.from_iterable(want))]:
         report.append("s is not the arcs' conjugators, last arc first")
     i, j = witness.i, witness.j
     if type(i) is not int or type(j) is not int or abs(i) == abs(j):

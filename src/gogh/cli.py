@@ -14,6 +14,7 @@ import os
 import re
 import sys
 from functools import partial
+from math import gcd
 
 # The parser, the numerals and the rendering need only model (and dihedral
 # for a dihedral word of more than one letter); each command imports its
@@ -374,30 +375,34 @@ def _node_str(node, roots: dict) -> str:
     return f"{node.vertex}|{text}"
 
 
-def _cycle_json(cycle) -> list:
-    """The arcs of a cycle.  Each node's text is rendered once (a node is the
-    target of one arc and the source of the next), and each distinct root
-    and weight once.  The pass gives the arcs of equal ratio one weight
-    object, so weights are looked up by identity, which is cheaper than a
-    ``Fraction`` hash; the cycle keeps every weight alive for the call."""
+def _cycle_json(cycle, occurrences) -> list:
+    """The arcs of a cycle of (edge id, sign) steps, each from its near
+    node to its far node, read off its edge's record: the target side is
+    near for sign +1.  Each distinct node's text is rendered once (a node
+    is the far node of one arc and the near node of the next), and each
+    distinct root and (n_far, n_near) exponent pair once, its weight
+    n_far/n_near written in lowest terms with a positive denominator."""
     nodes: dict = {}
     roots: dict = {}
-    weights: dict[int, str] = {}
+    weights: dict[tuple[int, int], str] = {}
     out = []
-    for arc in cycle:
-        src, dst, weight = nodes.get(arc.src), nodes.get(arc.dst), weights.get(id(arc.weight))
+    for label, sign in cycle:
+        source, target = occurrences[label]
+        (near, n_near, _), (far, n_far, _) = (target, source) if sign > 0 else (source, target)
+        src, dst, weight = nodes.get(near), nodes.get(far), weights.get((n_far, n_near))
         if src is None:
-            src = nodes[arc.src] = _node_str(arc.src, roots)
+            src = nodes[near] = _node_str(near, roots)
         if dst is None:
-            dst = nodes[arc.dst] = _node_str(arc.dst, roots)
+            dst = nodes[far] = _node_str(far, roots)
         if weight is None:
-            weight = weights[id(arc.weight)] = _ratio(arc.weight)
+            g = gcd(n_far, n_near) if n_near > 0 else -gcd(n_far, n_near)
+            weight = weights[n_far, n_near] = f"{int_str(n_far // g)}/{int_str(n_near // g)}"
         out.append(
             {
                 "from": src,
                 "to": dst,
                 "weight": weight,
-                "via": f"{arc.label}.t" + ("^-1" if arc.sign < 0 else ""),
+                "via": f"{label}.t" + ("^-1" if sign < 0 else ""),
             }
         )
     return out
@@ -482,7 +487,7 @@ def _cmd_balance(graph: GraphOfGroups, args) -> dict:
                     "id": name,
                     "verdict": "Unbalanced",
                     "modulus": _ratio(verdict.modulus),
-                    "cycle": _cycle_json(verdict.cycle),
+                    "cycle": _cycle_json(verdict.cycle, verdict.occurrences),
                 }
             )
     return {"edges": edges}

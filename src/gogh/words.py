@@ -54,9 +54,6 @@ class PathWord:
     head: VertexWord
     tail: tuple[tuple[SignedEdge, VertexWord], ...]
 
-    def steps(self) -> list[SignedEdge]:
-        return [s for s, _ in self.tail]
-
 
 def tokens_of_vertex_word(w: VertexWord) -> list[Token]:
     return [("g", w.vertex, g, e) for g, e in w.letters]

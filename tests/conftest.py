@@ -148,7 +148,8 @@ def multi_letter_cycle(n: int) -> str:
 
 
 class Arc(NamedTuple):
-    """A groupoid arc written out here; equal to the pass's GroupoidArc."""
+    """A groupoid arc written out here from its edge's record: the pass
+    reports an arc as its step (label, sign) alone."""
 
     src: object
     dst: object
@@ -166,14 +167,14 @@ def edge_arc(occurrences: dict, label: str, sign: int) -> Arc:
     return Arc(node_s, node_t, Fraction(n_t, n_s), label, -1)
 
 
-def arc_conjugator(occurrences: dict, arc) -> list:
-    """The tokens of the arc's conjugator g_far^-1 t^sign g_near, from its
-    edge's record: it carries the near (src) root's power n_near to the far
-    (dst) root's power n_far."""
-    source, target = occurrences[arc.label]
-    (near, _, g_near), (far, _, g_far) = (target, source) if arc.sign > 0 else (source, target)
+def arc_conjugator(occurrences: dict, label: str, sign: int) -> list:
+    """The tokens of the conjugator g_far^-1 t^sign g_near of the arc
+    (label, sign), from its edge's record: it carries the near (src) root's
+    power n_near to the far (dst) root's power n_far."""
+    source, target = occurrences[label]
+    (near, _, g_near), (far, _, g_far) = (target, source) if sign > 0 else (source, target)
     inverse = [("g", far.vertex, x, -y) for x, y in reversed(g_far)]
-    return inverse + [("t", arc.label, arc.sign)] + [("g", near.vertex, x, y) for x, y in g_near]
+    return inverse + [("t", label, sign)] + [("g", near.vertex, x, y) for x, y in g_near]
 
 
 def all_arcs(occurrences: dict) -> list[Arc]:
@@ -182,17 +183,20 @@ def all_arcs(occurrences: dict) -> list[Arc]:
 
 
 def check_cycle_contract(verdict) -> None:
-    """The reported unbalanced cycle is a closed chain of its edges' arcs
-    that visits no node twice; it holds the edge it names (its least edge
-    id) and so the witness base, its first node; and its modulus is the
-    product of its arc weights, never +-1."""
-    cycle = verdict.cycle
-    assert cycle
+    """The reported unbalanced cycle is a closed chain of its edges' arcs,
+    each a (label, sign) step with sign the int +1 or -1, that visits no
+    node twice; it holds the edge it names (its least edge id) and so the
+    witness base, its first node; and its modulus is the product of its arc
+    weights, never +-1."""
+    assert verdict.cycle
+    for step in verdict.cycle:
+        assert type(step) is tuple and len(step) == 2, step
+        assert type(step[0]) is str and type(step[1]) is int and step[1] in (1, -1), step
+    cycle = [edge_arc(verdict.occurrences, *step) for step in verdict.cycle]
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
         assert a.dst == b.src, (a, b)
     product = Fraction(1)
     for arc in cycle:
-        assert arc == edge_arc(verdict.occurrences, arc.label, arc.sign), arc
         product *= arc.weight
     nodes = [arc.src for arc in cycle]
     assert len(set(nodes)) == len(nodes), nodes

@@ -91,7 +91,7 @@ def pinch_membership(graph: GraphOfGroups, edge: str, g: VertexWord, sign: int =
 
 
 def has_pinch(graph: GraphOfGroups, w: PathWord) -> bool:
-    steps = w.steps()
+    steps = [step for step, _ in w.tail]
     for i in range(len(steps) - 1):
         if steps[i] == reverse_step(steps[i + 1]):
             if pinch_membership(graph, steps[i][0], w.tail[i][1], steps[i][1]) is not None:

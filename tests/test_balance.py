@@ -18,7 +18,6 @@ from gogh.balance import (
     SIDES,
     Balanced,
     EdgeClass,
-    GroupoidArc,
     GroupoidNode,
     RatioGroupoid,
     Unbalanced,
@@ -71,9 +70,9 @@ def flip_edge(graph, name):
 def test_bs32_groupoid(bs32):
     g = build_groupoid(bs32)
     assert len(g.nodes) == 1
-    # the one arc the pass builds: the loop that is its unbalanced cycle
-    (arc,) = g.arcs
-    assert arc.sign == 1 and arc.weight == Fraction(3, 2)
+    # the one arc the pass reports: the loop that is its unbalanced cycle
+    (step,) = g.arcs
+    assert step == ("e", 1) and edge_arc(g.occurrences, *step).weight == Fraction(3, 2)
 
 
 def test_trefoil_groupoid(trefoil):
@@ -98,16 +97,17 @@ def test_f2_groupoid_collapses_to_one_class(f2_example):
 
 
 def test_every_arc_has_reciprocal_inverse():
-    """Each arc the pass builds is its edge's arc, and the edge's other arc
-    runs back with the reciprocal weight."""
+    """Each step the pass reports is an arc of its edge, and the edge's
+    other arc runs back with the reciprocal weight."""
     rng = random.Random(41)
     seen = 0
     for _ in range(25):
         graph = random_graph(rng)
         g = build_groupoid(graph)
-        for arc in g.arcs:
-            assert arc == edge_arc(g.occurrences, arc.label, arc.sign)
-            back = edge_arc(g.occurrences, arc.label, -arc.sign)
+        for label, sign in g.arcs:
+            assert label in g.occurrences and sign in (1, -1)
+            arc = edge_arc(g.occurrences, label, sign)
+            back = edge_arc(g.occurrences, label, -sign)
             assert (back.src, back.dst, back.weight) == (arc.dst, arc.src, 1 / arc.weight)
             seen += 1
     assert seen >= 20, seen
@@ -128,9 +128,9 @@ def test_pass_emits_edge_arcs_in_order_and_class_attachments():
         position = {e: k for k, e in enumerate(graph.edge_ids())}
         cycles = [cls.verdict.cycle for cls in g.classes if isinstance(cls.verdict, Unbalanced)]
         assert g.arcs == tuple(arc for cycle in cycles for arc in cycle)
-        for first, *back in cycles:
-            assert first.sign == 1
-            assert all(position[arc.label] < position[first.label] for arc in back)
+        for (first, sign), *back in cycles:
+            assert sign == 1
+            assert all(position[label] < position[first] for label, _ in back)
         for cls in g.classes:
             assert list(cls.edges) == sorted(cls.edges)
             assert cls.occurrences is g.occurrences
@@ -402,7 +402,7 @@ def test_pass_matches_the_reference_pass():
                 assert cls.potentials == want["potentials"]
                 continue
             check_cycle_contract(cls.verdict)
-            assert cls.verdict.cycle[0] == want["closing"]
+            assert edge_arc(got.occurrences, *cls.verdict.cycle[0]) == want["closing"]
             assert len(cls.verdict.cycle) == want["length"]
             seen["long cycle"] += want["length"] >= 3
         position = {e: k for k, e in enumerate(graph.edge_ids())}
@@ -423,11 +423,11 @@ def test_pass_matches_the_reference_pass():
 
 
 def _reference_cycles(graph):
-    """Each unbalanced class's cycle, by the search written with node-keyed
-    dicts and (edge, node, sign) tuples: the closing edge's +1 arc, then
-    the fewest arcs back by a breadth-first search over the class's edges
-    before it, each node's arcs read in edge order, +1 before -1.  The
-    closing edges are the reference pass's."""
+    """Each unbalanced class's cycle as (edge, sign) steps, by the search
+    written with node-keyed dicts and (edge, node, sign) tuples: the
+    closing edge's +1 arc, then the fewest arcs back by a breadth-first
+    search over the class's edges before it, each node's arcs read in edge
+    order, +1 before -1.  The closing edges are the reference pass's."""
     _, occurrences, _, classes = _reference_groupoid(graph)
     labels = list(occurrences)
     position = {label: k for k, label in enumerate(labels)}
@@ -455,8 +455,8 @@ def _reference_cycles(graph):
         steps = []
         while t != s:
             t, label, sign = back[t]
-            steps.append(edge_arc(occurrences, label, sign))
-        cycles.append((edge_arc(occurrences, closing, 1), *reversed(steps)))
+            steps.append((label, sign))
+        cycles.append(((closing, 1), *reversed(steps)))
     return cycles
 
 
@@ -519,7 +519,7 @@ def test_cycle_search_matches_the_reference_search():
         assert verdict.cycle == _reference_cycles(graph)[0]
         check_cycle_contract(verdict)
         # the path the search kept, by its first inner vertex
-        chosen[(2 + i % 3, verdict.cycle[1].dst.vertex)] += 1
+        chosen[(2 + i % 3, edge_arc(verdict.occurrences, *verdict.cycle[1]).dst.vertex)] += 1
     # each tie size sees more than one of its paths chosen
     for paths in (2, 3, 4):
         assert len([v for p, v in chosen if p == paths]) > 1, chosen
@@ -555,20 +555,17 @@ def _ratio_cycle(n, unbalanced):
 
 
 def test_pass_builds_only_the_arcs_it_reports(monkeypatch):
-    """The pass builds an arc, and its Fraction weight, only for the cycle it
-    reports, and the groupoid's arcs are those.  One-letter images share
-    their node objects and the empty conjugator."""
+    """The pass reports a cycle as its (edge id, sign) steps and builds one
+    ``Fraction`` for it, its modulus, and none for a balanced graph; the
+    groupoid's arcs are those steps.  One-letter images share their node
+    objects and the empty conjugator."""
     built = Counter()
 
-    def counting(name, make):
-        def counted(*args):
-            built[name] += 1
-            return make(*args)
+    def counting(*args):
+        built["Fraction"] += 1
+        return Fraction(*args)
 
-        return counted
-
-    monkeypatch.setattr(gogh.balance, "Fraction", counting("Fraction", Fraction))
-    monkeypatch.setattr(gogh.balance, "GroupoidArc", counting("GroupoidArc", GroupoidArc))
+    monkeypatch.setattr(gogh.balance, "Fraction", counting)
     g = build_groupoid(_ratio_cycle(400, unbalanced=False))
     assert isinstance(g.verdict, Balanced) and len(g.nodes) == 400
     assert g.arcs == () and not built
@@ -578,22 +575,15 @@ def test_pass_builds_only_the_arcs_it_reports(monkeypatch):
     assert len({id(node) for node, _, _ in one_letter}) == len({node for node, _, _ in one_letter})
     assert {id(conj) for _, _, conj in one_letter} == {id(())}
 
-    built.clear()
     g = build_groupoid(_ratio_cycle(400, unbalanced=True))
     assert isinstance(g.verdict, Unbalanced) and abs(g.verdict.modulus) == 4
     assert len(g.verdict.cycle) == 400 and g.arcs == g.verdict.cycle
+    for step in g.verdict.cycle:
+        assert type(step) is tuple and len(step) == 2, step
+        label, sign = step
+        assert type(label) is str and label in g.occurrences and type(sign) is int and sign in (1, -1)
     check_cycle_contract(g.verdict)
-    # one weight per distinct (top, bottom) exponent ratio, which every arc
-    # of that ratio shares, and the modulus
-    weights: dict[tuple[int, int], set[int]] = {}
-    for arc in g.verdict.cycle:
-        (_, n_s, _), (_, n_t, _) = g.occurrences[arc.label]
-        ratio = (n_s, n_t) if arc.sign > 0 else (n_t, n_s)
-        assert arc.weight == Fraction(*ratio)
-        weights.setdefault(ratio, set()).add(id(arc.weight))
-    assert all(len(ids) == 1 for ids in weights.values()), weights
-    assert 1 < len(weights) < 400
-    assert built == {"Fraction": len(weights) + 1, "GroupoidArc": 400}
+    assert built == {"Fraction": 1}
 
 
 # -- group-level balance ----------------------------------------------------------

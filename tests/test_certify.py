@@ -7,7 +7,7 @@ from math import lcm
 import pytest
 
 import gogh.balance
-from conftest import BS32_TEXT, F2_EXAMPLE_TEXT, all_arcs, arc_conjugator, random_graph
+from conftest import BS32_TEXT, F2_EXAMPLE_TEXT, all_arcs, arc_conjugator, edge_arc, random_graph
 from gogh.balance import Balanced, build_groupoid
 from gogh.certify import (
     BSWitness,
@@ -47,12 +47,12 @@ def test_balanced_graph_has_no_witness(trefoil):
 
 
 def _entry_exponents(cycle, occurrences) -> list:
-    """(entry exponent, exit exponent) of each arc: the near (src) and far
-    (dst) side's root exponents in its edge's record."""
+    """(entry exponent, exit exponent) of each (label, sign) step: the near
+    (src) and far (dst) side's root exponents in its edge's record."""
     out = []
-    for arc in cycle:
-        (_, n_s, _), (_, n_t, _) = occurrences[arc.label]
-        out.append((n_t, n_s) if arc.sign > 0 else (n_s, n_t))
+    for label, sign in cycle:
+        (_, n_s, _), (_, n_t, _) = occurrences[label]
+        out.append((n_t, n_s) if sign > 0 else (n_s, n_t))
     return out
 
 
@@ -68,8 +68,8 @@ def test_every_arc_crossing_conjugates_root_powers():
         kinds.update(kind for _, kind in graph.vertices)
         groupoid = build_groupoid(graph)
         for arc in all_arcs(groupoid.occurrences):
-            ((n, far),) = _entry_exponents([arc], groupoid.occurrences)
-            kappa = arc_conjugator(groupoid.occurrences, arc)
+            ((n, far),) = _entry_exponents([(arc.label, arc.sign)], groupoid.occurrences)
+            kappa = arc_conjugator(groupoid.occurrences, arc.label, arc.sign)
             exit_exp = n * arc.weight
             assert exit_exp == far
             assert exit_exp.denominator == 1
@@ -85,14 +85,14 @@ def test_every_arc_crossing_conjugates_root_powers():
     assert {DihedralInfinite(), Free(2)} <= kinds
 
 
-def _reference_minimal_base_power(cycle, crossings, i):
-    """certify._minimal_base_power in Fractions, with the arcs' weights: the
-    reference."""
+def _reference_minimal_base_power(verdict, crossings, i):
+    """certify._minimal_base_power in Fractions, with the weights of the
+    cycle's arcs, each derived from its step's record: the reference."""
     constraints = []
     prefix = Fraction(i)
-    for arc, (n, _) in zip(cycle, crossings):
+    for step, (n, _) in zip(verdict.cycle, crossings):
         constraints.append((prefix / n).denominator)
-        prefix *= arc.weight
+        prefix *= edge_arc(verdict.occurrences, *step).weight
     return lcm(*constraints)
 
 
@@ -112,7 +112,7 @@ def test_minimal_base_power_matches_the_fraction_reference():
         crossings = _entry_exponents(verdict.cycle, verdict.occurrences)
         for i in (verdict.modulus.denominator, 1, 6, 35, 2**70 + 1):
             got = _minimal_base_power(crossings, i)
-            assert got == _reference_minimal_base_power(verdict.cycle, crossings, i)
+            assert got == _reference_minimal_base_power(verdict, crossings, i)
             seen["m > 1"] += got > 1
         seen["cycles"] += 1
         seen["long cycles"] += len(verdict.cycle) >= 3

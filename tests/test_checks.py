@@ -20,6 +20,7 @@ from conftest import (
     BS32_TEXT,
     F2_EXAMPLE_TEXT,
     arc_conjugator,
+    edge_arc,
     fixture_graphs,
     multi_letter_cycle,
     random_graph,
@@ -264,9 +265,9 @@ def _evidence(text):
 
 
 def _conjugator(cycle, occurrences) -> tuple:
-    """s rebuilt test-side from the records: each arc's conjugator, last
-    arc first."""
-    return tuple(tok for arc in reversed(cycle) for tok in arc_conjugator(occurrences, arc))
+    """s rebuilt test-side from the records: each (label, sign) step's
+    conjugator, last step first."""
+    return tuple(tok for step in reversed(cycle) for tok in arc_conjugator(occurrences, *step))
 
 
 def _with_record(occurrences, label, side, **change) -> dict:
@@ -285,9 +286,20 @@ def _replaced(w, **change) -> BSWitness:
     return BSWitness(**{**fields, **change})
 
 
-def _near(arc) -> int:
-    """The index of an arc's near side in its edge's (source, target) record."""
-    return 1 if arc.sign > 0 else 0
+def _first_sign(cycle, sign) -> tuple:
+    """The cycle with its first step's sign replaced."""
+    return ((cycle[0][0], sign),) + cycle[1:]
+
+
+def _ones_as_true(s) -> tuple:
+    """The tokens s with True for each int 1 they hold."""
+    return tuple(tuple(True if type(x) is int and x == 1 else x for x in tok) for tok in s)
+
+
+def _near(step) -> int:
+    """The index of a (label, sign) step's near side in its edge's
+    (source, target) record."""
+    return 1 if step[1] > 0 else 0
 
 
 def _relation_fits(witness) -> bool:
@@ -374,24 +386,25 @@ def _mutations(graph, w, cycle, occurrences):
     for mutation in _evidence_mutations(graph, w, cycle, occurrences):
         yield mutation[0], graph, *mutation[1:]
     near = _near(cycle[0])
-    yield "an attachment of the graph", _with_attachment(graph, cycle[0].label, near), w, cycle, occurrences
+    yield "an attachment of the graph", _with_attachment(graph, cycle[0][0], near), w, cycle, occurrences
 
 
 def _evidence_mutations(graph, w, cycle, occurrences):
     """The mutations of _mutations that keep the graph, without it."""
     first, last = cycle[0], cycle[-1]
     for position in sorted({0, len(cycle) - 1}):
-        arc = cycle[position]
-        flipped = cycle[:position] + (arc._replace(sign=-arc.sign),) + cycle[position + 1 :]
+        label, sign = cycle[position]
+        flipped = cycle[:position] + ((label, -sign),) + cycle[position + 1 :]
         yield f"arc {position} sign flipped", w, flipped, occurrences
+    yield "arc 0 sign True", w, _first_sign(cycle, True), occurrences
     for delta in (1, -1):
         near = _near(first)
-        n = occurrences[first.label][near][1]
-        changed = _with_record(occurrences, first.label, near, n=n + delta)
+        n = occurrences[first[0]][near][1]
+        changed = _with_record(occurrences, first[0], near, n=n + delta)
         yield f"entry exponent {delta:+d}", w, cycle, changed
         far = 1 - near
-        n = occurrences[last.label][far][1]
-        changed = _with_record(occurrences, last.label, far, n=n + delta)
+        n = occurrences[last[0]][far][1]
+        changed = _with_record(occurrences, last[0], far, n=n + delta)
         yield f"exit exponent {delta:+d}", w, cycle, changed
     s = list(w.s)
     for k in range(len(s)):
@@ -410,8 +423,6 @@ def _evidence_mutations(graph, w, cycle, occurrences):
         other = 2 if w.a.letters[-1][0] == 1 else 1
         a = vw_mul(kind, w.a, VertexWord(w.a.vertex, ((other, 1),)))
         yield "a times another generator", _replaced(w, a=a), cycle, occurrences
-    moved = (first._replace(src=GroupoidNode("elsewhere", first.src.root)),) + cycle[1:]
-    yield "arc 0 src moved", w, moved, occurrences
     yield "i = j = 0", _replaced(w, i=0, j=0), cycle, occurrences
     yield "j = i", _replaced(w, j=w.i), cycle, occurrences
     yield "j = -i", _replaced(w, j=-w.i), cycle, occurrences
@@ -427,16 +438,16 @@ def _evidence_mutations(graph, w, cycle, occurrences):
         yield "arcs 1, 2 swapped", _replaced(w, s=_conjugator(swapped, occurrences)), swapped, occurrences
     # a conjugator outside the centralizer of its root: another generator
     # of a rank-2 vertex, or the reflection of a dihedral one
-    for arc in cycle:
+    for label, _ in cycle:
         for side in (0, 1):
-            node, n, g = occurrences[arc.label][side]
+            node, n, g = occurrences[label][side]
             side_kind = graph.kind(node.vertex)
             if side_kind == Free(1):
                 continue  # its every conjugator centralizes the root
             letter = ("s", 1) if side_kind == DihedralInfinite() else (2 if node.root[0][0] == 1 else 1, 1)
-            bad = _with_record(occurrences, arc.label, side, g=g + (letter,))
+            bad = _with_record(occurrences, label, side, g=g + (letter,))
             mutated = _replaced(w, s=_conjugator(cycle, bad))
-            yield f"edge {arc.label} side {side} conjugator", mutated, cycle, bad
+            yield f"edge {label} side {side} conjugator", mutated, cycle, bad
 
 
 @pytest.mark.parametrize("name", WITNESS_TEXTS)
@@ -454,7 +465,7 @@ def test_the_checker_rejects_each_single_mutation(name):
 
 def test_the_checker_rejects_letters_that_are_no_generators(f2_example):
     """The loop's one node and both its records conjugated by v.3, which a
-    rank-2 vertex does not have, with a, s and the arc rebuilt to match:
+    rank-2 vertex does not have, with a and s rebuilt to match:
     every record still rebuilds its attachment as a free word, but s and a
     are no elements of the fundamental group."""
     graph, w, cycle, occurrences = _evidence(F2_EXAMPLE_TEXT)
@@ -463,10 +474,8 @@ def test_the_checker_rejects_letters_that_are_no_generators(f2_example):
     root = GroupoidNode(node.vertex, inv_letters(outside) + node.root + outside)
     records = tuple((root, n, g + outside) for n, g in ((n_s, g_s), (n_t, g_t)))
     moved = {label: records}
-    (arc,) = cycle
-    arcs = (arc._replace(src=root, dst=root),)
     a = VertexWord(w.a.vertex, inv_letters(outside) + w.a.letters + outside)
-    ok, report = witness_holds(graph, _replaced(w, a=a, s=_conjugator(arcs, moved)), arcs, moved)
+    ok, report = witness_holds(graph, _replaced(w, a=a, s=_conjugator(cycle, moved)), cycle, moved)
     assert not ok and report
 
 
@@ -512,13 +521,25 @@ def test_both_checkers_reject_a_conjugator_of_no_letters(name, shape):
         lambda w, cycle, occ: (w, cycle, {}),
         lambda w, cycle, occ: (w, cycle, {label: None for label in occ}),
         lambda w, cycle, occ: (w, cycle, {label: ((1, 2), (3, 4)) for label in occ}),
-        lambda w, cycle, occ: (w, (cycle[0]._replace(label="no such edge"),) + cycle[1:], occ),
-        lambda w, cycle, occ: (w, (cycle[0]._replace(sign=2),) + cycle[1:], occ),
+        lambda w, cycle, occ: (w, (cycle[0] + (0,),) + cycle[1:], occ),
+        lambda w, cycle, occ: (w, (cycle[0][0],) + cycle[1:], occ),
+        lambda w, cycle, occ: (w, (edge_arc(occ, *cycle[0]),) + cycle[1:], occ),
+        lambda w, cycle, occ: (w, (("no such edge", cycle[0][1]),) + cycle[1:], occ),
+        lambda w, cycle, occ: (w, _first_sign(cycle, 0), occ),
+        lambda w, cycle, occ: (w, _first_sign(cycle, 2), occ),
+        lambda w, cycle, occ: (
+            _replaced(w, s=_conjugator(_first_sign(cycle, True), occ)),
+            _first_sign(cycle, True),
+            occ,
+        ),
+        lambda w, cycle, occ: (_replaced(w, s=_conjugator(_first_sign(cycle, True), occ)), cycle, occ),
+        lambda w, cycle, occ: (_replaced(w, s=_conjugator(_first_sign(cycle, 1.0), occ)), cycle, occ),
+        lambda w, cycle, occ: (_replaced(w, s=_ones_as_true(w.s)), cycle, occ),
         lambda w, cycle, occ: (_replaced(w, i=2.0), cycle, occ),
         lambda w, cycle, occ: (_replaced(w, a=VertexWord(w.a.vertex, (("x", 1),))), cycle, occ),
-        lambda w, cycle, occ: (w, cycle, _with_record(occ, cycle[0].label, 0, n="2")),
-        lambda w, cycle, occ: (w, cycle, _with_record(occ, cycle[0].label, 0, node=None)),
-        lambda w, cycle, occ: (w, cycle, _with_record(occ, cycle[0].label, 0, n=10**12)),
+        lambda w, cycle, occ: (w, cycle, _with_record(occ, cycle[0][0], 0, n="2")),
+        lambda w, cycle, occ: (w, cycle, _with_record(occ, cycle[0][0], 0, node=None)),
+        lambda w, cycle, occ: (w, cycle, _with_record(occ, cycle[0][0], 0, n=10**12)),
     ],
     ids=[
         "no arcs",
@@ -526,8 +547,16 @@ def test_both_checkers_reject_a_conjugator_of_no_letters(name, shape):
         "no records",
         "records that are none",
         "records of no triples",
+        "a step of three items",
+        "a step that is a string",
+        "an arc of five fields",
         "an unknown edge",
+        "sign 0",
         "sign 2",
+        "a step and its s token of sign True",
+        "an s token of sign True",
+        "an s token of sign 1.0",
+        "an s of True for each 1",
         "a float exponent",
         "a letter of no generator",
         "an exponent that is a string",
@@ -535,10 +564,14 @@ def test_both_checkers_reject_a_conjugator_of_no_letters(name, shape):
         "a power too long to write out",
     ],
 )
-@pytest.mark.parametrize("name", ["rank2_cycle", "multi_letter_cycle"])
+@pytest.mark.parametrize("name", ["bs32", "f2_example", "rank2_cycle", "multi_letter_cycle"])
 def test_the_checker_reports_evidence_that_does_not_fit(name, change):
     """Malformed evidence, and a record whose power of a multi-letter root
-    would have 10^12 letters, are reported without raising."""
+    would have 10^12 letters, are reported without raising.  Since
+    True == 1 and 1.0 == 1, a first step of sign True, or an s holding True
+    or 1.0 for an int 1 of the arcs' conjugators (a stable letter's sign,
+    and in f2_example a letter's exponent), compares equal to valid
+    evidence; the checker reads no bool or float as an int."""
     graph, w, cycle, occurrences = _evidence(WITNESS_TEXTS[name])
     ok, report = witness_holds(graph, *change(w, cycle, occurrences))
     assert not ok and report

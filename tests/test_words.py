@@ -54,7 +54,7 @@ def test_tree_letter_insertion(trefoil):
     p = path(trefoil, [("g", "u", 1, 1), ("g", "v", 1, 1)], "u")
     assert p.base == "u"
     assert p.head == VertexWord("u", ((1, 1),))
-    steps = p.steps()
+    steps = [step for step, _ in p.tail]
     assert steps == [("e", 1), ("e", -1)]  # over to v, then closed back
     assert p.tail[0][1] == VertexWord("v", ((1, 1),))
     # the inserted letters are tree letters, so the element is unchanged
