@@ -58,7 +58,7 @@ from math import gcd, prod
 from typing import NamedTuple
 
 from . import freewords as fw
-from .model import GraphOfGroups, VertexWord, record
+from .model import GoghError, GraphOfGroups, VertexWord, record
 
 SIDES = ("source", "target")  # the sides of an edge, in the order of its record
 
@@ -174,6 +174,39 @@ def _least_rotation(keys: list) -> int:
     return k % n
 
 
+class TrivialWord(GoghError):
+    pass
+
+
+def primitive_root(letters: fw.Letters) -> tuple[fw.Letters, fw.Letters, int]:
+    """(primitive root, conjugator, exponent) as letters, with
+    w = conjugator root^exponent conjugator^-1 for the nontrivial freely
+    reduced letters w.
+
+    A one-letter g^k has root g, exponent k and no conjugator; a longer
+    word has the root of its cyclic core, conjugated as cyclic_reduce
+    splits it.
+
+    >>> primitive_root(((2, 1), (1, 6), (2, -1)))
+    (((1, 1),), ((2, 1),), 6)
+    """
+    if not letters:
+        raise TrivialWord("the identity has no primitive root")
+    conj, core = fw.cyclic_reduce(letters)
+    n = len(core)
+    if n == 1:
+        ((g, k),) = core
+        return ((g, 1),), conj, k
+    # the run structure of the cyclic word is rotation-invariant, so any
+    # proper-power period aligns with whole letters
+    for m in range(1, n + 1):
+        if n % m:
+            continue
+        if all(core[i] == core[(i + m) % n] for i in range(n)):
+            return core[:m], conj, n // m
+    raise AssertionError("unreachable")
+
+
 def canonical_root(letters: fw.Letters) -> tuple[fw.Letters, fw.Letters, int]:
     """(canonical root R, conjugator g, signed exponent p) as letters, with
     w = g R^p g^-1 for the nontrivial freely reduced letters w.
@@ -185,9 +218,9 @@ def canonical_root(letters: fw.Letters) -> tuple[fw.Letters, fw.Letters, int]:
     letters.  The two never tie: no nontrivial free word is conjugate to
     its inverse.
     """
-    rd = fw.primitive_root(letters)
+    root, conj, exponent = primitive_root(letters)
     best = None
-    for source, flip in ((rd.root, 1), (fw.inv_letters(rd.root), -1)):
+    for source, flip in ((root, 1), (fw.inv_letters(root), -1)):
         keys = [_letter_key(l) for l in source]
         i = _least_rotation(keys)
         key = keys[i:] + keys[:i]
@@ -195,7 +228,7 @@ def canonical_root(letters: fw.Letters) -> tuple[fw.Letters, fw.Letters, int]:
             best = (key, source[i:] + source[:i], flip, source[:i])
     _, rot, flip, prefix = best
     # source = prefix * rot * prefix^-1, and root = source^flip
-    return rot, fw.mul_letters(rd.conjugator, prefix), rd.exponent * flip
+    return rot, fw.mul_letters(conj, prefix), exponent * flip
 
 
 def _letter_node(vertex: str, g, shared: dict) -> GroupoidNode:

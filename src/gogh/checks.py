@@ -5,25 +5,28 @@ relation by relation on the graph it claims to parametrize, the
 provenance of a derived graph of 2-ended groups is re-verified identity by
 identity in the original vertex groups, and an almost Baumslag-Solitar
 witness is re-verified lemma by lemma along the cycle it was built from.
-All read their evidence by its attributes and decide with the word
-arithmetic of ``dihedral`` and ``freewords`` alone: the parametrization
-checker multiplies the int pairs (eps, k) of normal forms s^eps r^k,
-building no record per product, and the other two rebuild attachments as
-g R^n g^-1 with ``_rebuilds``.  This module imports no module that
-produces a verdict, an edge class or attachment data, nor ``words``, so
-what the checkers reach is ``model``, ``dihedral``, ``freewords`` and
-this file.  Evidence that does not fit is reported, not raised.
+All read their evidence by its attributes and decide with the free word
+arithmetic of ``freewords`` and one dihedral arithmetic of their own: an
+element of D-infinity is the int pair (eps, k) of its normal form
+s^eps r^k, multiplied by ``_mul``, so no record is built per product.  A
+dihedral word's pair is its image under r -> (0, 1) and s -> (1, 0).  The
+parametrization checker evaluates each relation on pairs, and the other
+two rebuild attachments as g R^n g^-1 with ``_rebuilds``.  This module
+imports no module that produces a verdict, an edge class or attachment
+data, nor ``words`` or ``dihedral``, so what the checkers reach is
+``model``, ``freewords`` and this file.  Evidence that does not fit is
+reported, not raised.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 
-from . import dihedral as dih
 from . import freewords as fw
 from .model import (
     DIHEDRAL_R,
     DIHEDRAL_S,
+    DihedralElement,
     DihedralInfinite,
     Free,
     GraphOfGroups,
@@ -36,7 +39,7 @@ def _pair(x):
     """(eps, k) for the normal form s^eps r^k of an element of D-infinity,
     or None for anything else.  eps and k must be ints exactly: a bool
     is not read as 0 or 1."""
-    if isinstance(x, dih.DihedralElement):
+    if isinstance(x, DihedralElement):
         eps, k = x.eps, x.k
         if type(eps) is int and eps in (0, 1) and type(k) is int:
             return eps, k
@@ -50,6 +53,11 @@ def _mul(x: tuple, y: tuple) -> tuple:
 
 def _inv(x: tuple) -> tuple:
     return x if x[0] else (0, -x[1])
+
+
+# the letters' own pairs: a dihedral word's pair under them is its normal form
+_LETTER_PAIRS = {DIHEDRAL_R: (0, 1), DIHEDRAL_S: (1, 0)}
+_UNMAPPED = object()  # the stable image of an edge that phi leaves out
 
 
 def _product(images: dict, letters) -> tuple:
@@ -133,9 +141,9 @@ def verify_parametrization(graph: GraphOfGroups, phi):
             report.append(f"vertex {vertex}: free rank {kind.rank} admits no quasi-isometric map")
     tree = spanning_tree(graph)
     for e in graph.edges:
-        t_img = stable.get(e.name, dih.IDENTITY)
+        t_img = stable.get(e.name, _UNMAPPED)
         t = None  # the stable image's pair, when it conjugates
-        if t_img is not dih.IDENTITY:  # the default needs no check
+        if t_img is not _UNMAPPED:  # an edge left out maps to the identity
             t = _pair(t_img)
             if t is None:
                 report.append(f"edge {e.name}: stable letter image is not an element of D-infinity")
@@ -244,10 +252,11 @@ def _rebuilds(kind, root: tuple, n: int, conj: tuple, att: VertexWord) -> bool:
     one-letter root x^r the word g x^(r n) g^-1, written out, is compared
     letter for letter first: equal letters prove the identity, and with no
     conjugator unequal letters disprove it.  Otherwise a free side is
-    multiplied out as reduced letters and a dihedral side as elements
-    s^eps r^k.  A free root whose cyclic core has two or more letters has
-    |R^n| >= |n| letters, so when |n| exceeds the letters of att and 2|g| the
-    product cannot be att and the power is never built."""
+    multiplied out as reduced letters and a dihedral side as the pairs
+    (eps, k) of normal forms s^eps r^k.  A free root whose cyclic core has
+    two or more letters has |R^n| >= |n| letters, so when |n| exceeds the
+    letters of att and 2|g| the product cannot be att and the power is
+    never built."""
     if type(conj) is not tuple:  # a None or [] would read as no conjugator
         return False
     if len(root) == 1:
@@ -266,9 +275,9 @@ def _rebuilds(kind, root: tuple, n: int, conj: tuple, att: VertexWord) -> bool:
         if len(core) > 1 and abs(n) > len(att.letters) + 2 * len(conj):
             return False
         return fw.mul_letters(conj, fw.pow_letters(root, n), fw.inv_letters(conj)) == att.letters
-    g = dih.word_to_element(VertexWord(att.vertex, conj))
-    power = dih.dpow(dih.word_to_element(VertexWord(att.vertex, root)), n)
-    return dih.dmul(dih.dmul(g, power), dih.dinv(g)) == dih.word_to_element(att)
+    g, (eps, k) = _product(_LETTER_PAIRS, conj), _product(_LETTER_PAIRS, root)
+    power = (0, k * n) if not eps else (1, k) if n % 2 else (0, 0)
+    return _mul(_mul(g, power), _inv(g)) == _product(_LETTER_PAIRS, att.letters)
 
 
 def _root_exponent(kind, root: tuple, word: VertexWord):
@@ -298,11 +307,10 @@ def _root_exponent(kind, root: tuple, word: VertexWord):
             if u[: len(core)] != core:
                 m = -m
         return m if fw.pow_letters(root, m) == fw.reduce_letters(word.letters) else None
-    r = dih.word_to_element(VertexWord(word.vertex, root))
-    x = dih.word_to_element(word)
-    if not r.infinite_order or x.eps or x.k % r.k:
+    (eps, k), (x_eps, x_k) = _product(_LETTER_PAIRS, root), _product(_LETTER_PAIRS, word.letters)
+    if eps or not k or x_eps or x_k % k:
         return None
-    return x.k // r.k
+    return x_k // k
 
 
 def witness_holds(graph: GraphOfGroups, witness, cycle, occurrences):

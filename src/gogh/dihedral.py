@@ -2,31 +2,15 @@
 
 The group is presented as <r, s | s r s = r^-1, s^2>, with r of infinite
 order and s the reflection.  Every element has a unique normal form
-s^eps r^k with eps in {0, 1} and k an integer, encoded as DihedralElement.
+s^eps r^k with eps in {0, 1} and k an integer, encoded as the
+``DihedralElement`` record that ``model`` defines; this module holds its
+arithmetic and the conversions from and to vertex words.  The checkers do
+not import it: they multiply the same normal forms as int pairs.
 """
 
 from __future__ import annotations
 
-from .model import DIHEDRAL_R, DIHEDRAL_S, VertexWord, record
-
-
-@record
-class DihedralElement:
-    eps: int  # 0 or 1
-    k: int
-
-    def __post_init__(self):
-        if self.eps not in (0, 1):
-            raise ValueError(f"reflection exponent {self.eps!r} is not 0 or 1")
-
-    @property
-    def is_identity(self) -> bool:
-        return self.eps == 0 and self.k == 0
-
-    @property
-    def infinite_order(self) -> bool:
-        return self.eps == 0 and self.k != 0
-
+from .model import DIHEDRAL_R, DIHEDRAL_S, DihedralElement, VertexWord
 
 IDENTITY = DihedralElement(0, 0)
 

@@ -4,21 +4,17 @@ Words are tuples of (generator, exponent) letters with merged exponents, so
 a huge power is a single letter.  All functions assume the letters of their
 inputs belong to one free vertex group.  The module holds the free word
 algebra that producers and checkers share: free and cyclic reduction,
-products, powers, inverses and primitive roots.  One linear split of the
-letters into conjugator and cyclic core serves both powers and roots, and
-a root's data (``RootData``) is letter tuples.  The canonical root, which
-names a groupoid node, is a producer's choice and lives in ``balance``.
+products, powers and inverses.  One linear split of the letters into
+conjugator and cyclic core serves powers, the checkers and the pinch test
+of ``words``.  Roots are a producer's choice: the primitive and canonical
+roots, which name a groupoid node, live in ``balance``.
 """
 
 from __future__ import annotations
 
-from .model import GoghError, VertexWord, record
+from .model import VertexWord
 
 Letters = tuple[tuple[int, int], ...]
-
-
-class TrivialWord(GoghError):
-    pass
 
 
 def reduce_letters(seq) -> Letters:
@@ -119,39 +115,3 @@ def cyclic_reduce(letters: Letters) -> tuple[Letters, Letters]:
         i += 1
         j -= 1
     return letters[:i], letters[i : j + 1]
-
-
-@record
-class RootData:
-    """w = conjugator * root^exponent * conjugator^-1 as letters, root primitive."""
-
-    root: Letters
-    conjugator: Letters
-    exponent: int
-
-
-def primitive_root(letters: Letters) -> RootData:
-    """Primitive root of nontrivial freely reduced letters.
-
-    A one-letter g^k has root g, exponent k and no conjugator; a longer
-    word has the root of its cyclic core, conjugated as cyclic_reduce
-    splits it.
-
-    >>> primitive_root(((2, 1), (1, 6), (2, -1)))
-    RootData(root=((1, 1),), conjugator=((2, 1),), exponent=6)
-    """
-    if not letters:
-        raise TrivialWord("the identity has no primitive root")
-    conj, core = cyclic_reduce(letters)
-    n = len(core)
-    if n == 1:
-        ((g, k),) = core
-        return RootData(((g, 1),), conj, k)
-    # the run structure of the cyclic word is rotation-invariant, so any
-    # proper-power period aligns with whole letters
-    for m in range(1, n + 1):
-        if n % m:
-            continue
-        if all(core[i] == core[(i + m) % n] for i in range(n)):
-            return RootData(core[:m], conj, n // m)
-    raise AssertionError("unreachable")

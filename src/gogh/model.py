@@ -132,6 +132,27 @@ DIHEDRAL_S = "s"
 
 
 @record
+class DihedralElement:
+    """The element s^eps r^k of the infinite dihedral group, in normal form;
+    ``dihedral`` holds its arithmetic."""
+
+    eps: int  # 0 or 1
+    k: int
+
+    def __post_init__(self):
+        if self.eps not in (0, 1):
+            raise ValueError(f"reflection exponent {self.eps!r} is not 0 or 1")
+
+    @property
+    def is_identity(self) -> bool:
+        return self.eps == 0 and self.k == 0
+
+    @property
+    def infinite_order(self) -> bool:
+        return self.eps == 0 and self.k != 0
+
+
+@record
 class VertexWord:
     """A word in one vertex group, as (generator, exponent) letters.
 
@@ -231,17 +252,19 @@ def reverse_step(step: SignedEdge) -> SignedEdge:
 
 
 def _check_exponent(exp) -> None:
-    if not isinstance(exp, int):
+    if type(exp) is not int:  # a bool or an int subclass is no exponent
         raise ValidationError("UnknownGenerator", f"exponent {exp!r} is not an integer")
     if exp == 0:
         raise ValidationError("UnknownGenerator", "zero exponent letter")
 
 
 def _check_letters(kind: VertexGroupKind, word: VertexWord) -> None:
+    if type(word.letters) is not tuple:
+        raise ValidationError("UnreducedWord", f"word in {word.vertex} is not a tuple of letters")
     if isinstance(kind, Free):
         prev = None
         for gen, exp in word.letters:
-            if not isinstance(gen, int) or not 1 <= gen <= kind.rank:
+            if type(gen) is not int or not 1 <= gen <= kind.rank:
                 raise ValidationError(
                     "UnknownGenerator",
                     f"generator {gen!r} not valid in free group of rank {kind.rank}",
@@ -275,15 +298,17 @@ def _attachment_infinite_order(kind: VertexGroupKind, word: VertexWord) -> bool:
 
 
 def _check_attachment(kind: VertexGroupKind, word: VertexWord, edge: str, side: str) -> None:
-    """A one-letter attachment that is valid for its vertex (a generator in
-    1..rank of a free group, or the rotation r of a dihedral one, with a
-    nonzero int exponent) has infinite order and is accepted at once; every
-    other word goes through the general checks."""
+    """A one-letter attachment that is valid for its vertex (a tuple of one
+    letter: a generator in 1..rank of a free group, or the rotation r of a
+    dihedral one, with a nonzero int exponent) has infinite order and is
+    accepted at once; every other word goes through the general checks.
+    Generators, exponents and ranks are ints exactly, as the checkers read
+    them: a bool is none."""
     letters = word.letters
-    if len(letters) == 1:
+    if type(letters) is tuple and len(letters) == 1:
         gen, exp = letters[0]
-        if isinstance(exp, int) and exp != 0 and (
-            isinstance(gen, int) and 1 <= gen <= kind.rank
+        if type(exp) is int and exp != 0 and (
+            type(gen) is int and 1 <= gen <= kind.rank
             if isinstance(kind, Free)
             else gen == DIHEDRAL_R
         ):
@@ -313,8 +338,11 @@ def validate(graph: GraphOfGroups) -> GraphIndex:
         raise ValidationError("DuplicateVertex", "vertex table not canonical")
     kinds = dict(graph.vertices)
     for name, kind in graph.vertices:
-        if isinstance(kind, Free) and kind.rank < 1:
-            raise ValidationError("RankZero", f"vertex {name} has rank {kind.rank}")
+        if isinstance(kind, Free):
+            if type(kind.rank) is not int or kind.rank < 1:
+                raise ValidationError("RankZero", f"vertex {name} has rank {kind.rank!r}")
+        elif not isinstance(kind, DihedralInfinite):
+            raise ValidationError("UnknownVertex", f"vertex {name} has no vertex-group kind: {kind!r}")
     edge_names = [e.name for e in graph.edges]
     if any(map(ge, edge_names, edge_names[1:])):
         raise ValidationError("DuplicateEdge", "edge table not canonical")

@@ -158,37 +158,35 @@ def _image_data(kind: VertexGroupKind, att: VertexWord):
     """What membership in the cyclic subgroup <att> needs, read once.
 
     A dihedral attachment gives its rotation exponent, an int (validation
-    admits only r^k).  A free one gives its primitive-root data as a tuple
-    (c^-1, c, root, n) of letters and the exponent, att = c root^n c^-1.
+    admits only r^k).  A free one gives its cyclic split as a tuple
+    (c^-1, c, core) of letters, att = c core c^-1 with core cyclically
+    reduced, as ``freewords.cyclic_reduce`` splits it.
     """
     if isinstance(kind, DihedralInfinite):
         return dih.word_to_element(att).k
-    rd = fw.primitive_root(att.letters)
-    c = rd.conjugator
-    return fw.inv_letters(c), c, rd.root, rd.exponent
+    c, core = fw.cyclic_reduce(att.letters)
+    return fw.inv_letters(c), c, core
 
 
 def _exponent_in_image(data, g) -> int | None:
     """k with g = att^k for the attachment that data (from _image_data)
     describes, else None.  g is a DihedralElement when data is a rotation
     exponent, else the freely reduced letters of a free word, a tuple or a
-    list.  Against a one-letter root, a g of more than 2|c| + 1 letters is
-    rejected before any letter is read.  Otherwise g is compared block by
-    block with root^q when c is empty, and c^-1 g c is compared so when it
-    is not (see _conjugate_power_of)."""
+    list.  g = att^k exactly when c^-1 g c = core^k, so no root of the
+    core is needed.  Against a one-letter core, a g of more than 2|c| + 1
+    letters is rejected before any letter is read.  Otherwise g is compared
+    block by block with core^k when c is empty, and c^-1 g c is compared so
+    when it is not (see _conjugate_power_of)."""
     if isinstance(data, int):
         if g.eps or g.k % data:
             return None
         return g.k // data
     if not g:
         return 0
-    cinv, c, root, n = data
-    if len(root) == 1 and len(g) > 2 * len(c) + 1:
+    cinv, c, core = data
+    if len(core) == 1 and len(g) > 2 * len(c) + 1:
         return None  # c^-1 g c is one letter only if g has at most 2|c| + 1
-    q = _conjugate_power_of(cinv, g, c, root) if c else _power_of(g, root)
-    if q is None or q % n:
-        return None
-    return q // n
+    return _conjugate_power_of(cinv, g, c, core) if c else _power_of(g, core)
 
 
 def _conjugate_power_of(cinv: fw.Letters, g, c: fw.Letters, root: fw.Letters) -> int | None:

@@ -80,8 +80,9 @@ def pinch_membership(graph: GraphOfGroups, edge: str, g: VertexWord, sign: int =
     """The exponent k with g = attachment^k, if g lies in the edge image.
 
     The attachment is the target-side image of the signed edge, and g a
-    word of its vertex in normal form.  Free vertices use primitive-root
-    data (length divisibility plus repetition); dihedral vertices reduce to
+    word of its vertex in normal form.  Free vertices use the cyclic split
+    c core c^-1 of the attachment (c^-1 g c compared with powers of the
+    core: length divisibility plus repetition); dihedral vertices reduce to
     divisibility of rotation exponents.  Britton reduction applies the same
     two steps, ``words._image_data`` and ``words._exponent_in_image``.
     """

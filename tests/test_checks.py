@@ -575,3 +575,52 @@ def test_the_checker_reports_evidence_that_does_not_fit(name, change):
     graph, w, cycle, occurrences = _evidence(WITNESS_TEXTS[name])
     ok, report = witness_holds(graph, *change(w, cycle, occurrences))
     assert not ok and report
+
+
+# -- the checkers' dihedral arithmetic against dihedral's ---------------------------
+
+
+def _dihedral_word(rng, length):
+    """Letters r^a (0 < |a| <= 3) and s, as a checker reads them: not reduced."""
+    return tuple(
+        ("s", 1) if rng.random() < 0.4 else ("r", rng.choice([-3, -2, -1, 1, 2, 3])) for _ in range(length)
+    )
+
+
+def test_dihedral_rebuilds_and_root_exponent_agree_with_dihedral():
+    """``checks`` evaluates dihedral words on int pairs; ``_rebuilds`` and
+    ``_root_exponent`` must decide g R^n g^-1 = att and word = R^m as the
+    elements of ``dihedral`` do, on seeded roots, conjugators and words of
+    r^a and s letters and exponents n in +-1..+-5.  An attachment is a
+    rotation r^k, k != 0, as validation admits: the rebuilt product when it
+    is one, and a seeded one.  The cases include a conjugated record,
+    conjugator s and exponent -k, that rebuilds r^k."""
+    from gogh import dihedral as dih
+    from gogh.checks import _rebuilds, _root_exponent
+
+    def element(letters):
+        return dih.word_to_element(VertexWord("d", letters))
+
+    kind, rng = DihedralInfinite(), random.Random(40)
+    cases = [((("r", 1),), -k, (("s", 1),)) for k in range(1, 6)]
+    cases += [
+        (_dihedral_word(rng, rng.randint(1, 3)), rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]),
+         _dihedral_word(rng, rng.randint(0, 3)))
+        for _ in range(400)
+    ]
+    rebuilt = refuted = 0
+    for root, n, conj in cases:
+        g, r = element(conj), element(root)
+        want = dih.dmul(dih.dmul(g, dih.dpow(r, n)), dih.dinv(g))
+        rotations = [dih.DihedralElement(0, rng.choice([-6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6]))]
+        for att in [want] * want.infinite_order + rotations:
+            holds = _rebuilds(kind, root, n, conj, dih.element_to_word("d", att))
+            assert holds == (att == want), (root, n, conj, att)
+            rebuilt += holds
+            refuted += not holds
+        for word in (dih.element_to_word("d", want), VertexWord("d", conj + root)):
+            x = element(word.letters)
+            exponent = x.k // r.k if r.infinite_order and not x.eps and not x.k % r.k else None
+            assert _root_exponent(kind, root, word) == exponent, (root, word)
+    assert _rebuilds(kind, (("r", 1),), -3, (("s", 1),), VertexWord("d", (("r", 3),)))
+    assert rebuilt >= 150 and refuted >= 200

@@ -5,16 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gogh.balance import canonical_root
+from gogh.balance import TrivialWord, canonical_root, primitive_root
 from gogh.freewords import (
-    RootData,
-    TrivialWord,
     cyclic_reduce,
     free_reduce,
     inv_letters,
     mul_letters,
     pow_letters,
-    primitive_root,
     reduce_letters,
 )
 from gogh.cli import run
@@ -122,27 +119,23 @@ def test_cyclic_reduce_reconstructs(letters):
 def test_power_of_generator():
     """g^k has root g, exponent k and no conjugator: for generators 1..3,
     exponents +-1..+-7 and exponents past 2^64."""
-    rd = primitive_root(((1, 6),))
-    assert rd.root == ((1, 1),)
-    assert rd.exponent == 6
+    assert primitive_root(((1, 6),)) == (((1, 1),), (), 6)
     for g in (1, 2, 3):
         for k in [*range(1, 8), 2**64 + 1, 3**41, 2**100]:
             for exp in (k, -k):
-                assert primitive_root(((g, exp),)) == RootData(((g, 1),), (), exp)
+                assert primitive_root(((g, exp),)) == (((g, 1),), (), exp)
 
 
 def test_two_letter_square():
-    rd = primitive_root(((1, 1), (2, 1), (1, 1), (2, 1)))
-    assert rd.root == ((1, 1), (2, 1))
-    assert rd.exponent == 2
+    root, _, exponent = primitive_root(((1, 1), (2, 1), (1, 1), (2, 1)))
+    assert root == ((1, 1), (2, 1))
+    assert exponent == 2
 
 
 def test_conjugated_square():
     # b a^2 b^-1: conjugator b, inner root a, exponent 2
-    rd = primitive_root(((2, 1), (1, 2), (2, -1)))
-    assert rd.conjugator == ((2, 1),)
-    assert rd.root == ((1, 1),)
-    assert rd.exponent == 2
+    # (root, conjugator, exponent)
+    assert primitive_root(((2, 1), (1, 2), (2, -1))) == (((1, 1),), ((2, 1),), 2)
     # the expanded core has period 1, checked over all divisors
     assert brute_period(((1, 2),)) == 1
 
@@ -157,15 +150,14 @@ def test_root_reconstruction_and_primitivity(letters):
     w = free_reduce(VertexWord("v", letters))
     if w.is_identity:
         return
-    rd = primitive_root(w.letters)
-    assert conj(W(*rd.conjugator), W(*pow_letters(rd.root, rd.exponent))) == w
+    root, conjugator, exponent = primitive_root(w.letters)
+    assert conj(W(*conjugator), W(*pow_letters(root, exponent))) == w
     # the root itself has a trivial period: its primitive root is itself
-    again = primitive_root(rd.root)
-    assert abs(again.exponent) == 1
+    assert abs(primitive_root(root)[2]) == 1
     # cross-check |exponent| against the brute-force period of the core
     _, core = cyclic_reduce(w.letters)
     period = brute_period(core)
-    assert len(expand(core)) // period == abs(rd.exponent)
+    assert len(expand(core)) // period == abs(exponent)
 
 
 def test_root_of_powers_is_stable():
@@ -278,16 +270,16 @@ def quadratic_canonical_root(letters):
     """Every rotation of the primitive root and of its inverse, keyed letter by
     letter by (generator, sign, size), the least kept, the root first on a tie:
     O(L^2), the reference for Booth's least rotation."""
-    rd = primitive_root(letters)
+    root, conjugator, exponent = primitive_root(letters)
     best = None
-    for source, flip in ((rd.root, 1), (inv_letters(rd.root), -1)):
+    for source, flip in ((root, 1), (inv_letters(root), -1)):
         for i in range(len(source)):
             rot = source[i:] + source[:i]
             key = tuple((g, 0 if e > 0 else 1, abs(e)) for g, e in rot)
             if best is None or key < best[0]:
                 best = (key, rot, flip, source[:i])
     _, rot, flip, prefix = best
-    return rot, mul_letters(rd.conjugator, prefix), rd.exponent * flip
+    return rot, mul_letters(conjugator, prefix), exponent * flip
 
 
 def _random_reduced(rng, length, gens=3, exp_max=3):
@@ -344,7 +336,7 @@ def test_canonical_root_matches_the_quadratic_scan():
         if word.is_identity:
             continue
         assert canonical_root(word.letters) == quadratic_canonical_root(word.letters), word
-        root = primitive_root(word.letters).root
+        root = primitive_root(word.letters)[0]
         inverse = inv_letters(root)
         assert all(inverse[i:] + inverse[:i] != root for i in range(len(root)))
         count += 1

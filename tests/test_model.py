@@ -77,6 +77,27 @@ def test_unknown_generator_rejected():
         assert err.value.code == "UnknownGenerator", letter
 
 
+# -- validation admits only what the checkers accept -----------------------------
+
+
+@pytest.mark.parametrize("rank", ["2", 1.5, 2.0, True])
+def test_a_rank_that_is_no_int_is_rejected(rank):
+    """Free("2") used to raise TypeError in validate, and the others to
+    validate."""
+    with pytest.raises(ValidationError) as err:
+        make_graph([("v", Free(rank))], [])
+    assert err.value.code == "RankZero"
+
+
+@pytest.mark.parametrize("kind", ["free", None, Free])
+def test_a_vertex_kind_that_is_no_kind_is_rejected(kind):
+    """The string "free" used to validate, and hhg_verdict then raised
+    AttributeError."""
+    with pytest.raises(ValidationError) as err:
+        make_graph([("v", kind)], [])
+    assert err.value.code == "UnknownVertex"
+
+
 # -- one-letter attachments ---------------------------------------------------------
 
 
@@ -94,10 +115,15 @@ def _general_verdict(kind, word, edge, side):
 
 
 FREE2, DIHEDRAL = Free(2), DihedralInfinite()
+# the checkers read generators and exponents as ints exactly and letters as
+# a tuple: a bool letter or a list of letters that validated made a NotHHG
+# verdict fail its own certificate
 ONE_LETTER_CASES = [
     (FREE2, (1, 1), True),
     (FREE2, (2, -3), True),
-    (FREE2, (True, 1), True),
+    (FREE2, (True, 1), False),
+    (FREE2, (1, True), False),
+    (FREE2, [(1, 3)], False),
     (FREE2, (0, 1), False),
     (FREE2, (3, 1), False),  # rank + 1
     (FREE2, (1, 0), False),
@@ -114,7 +140,9 @@ ONE_LETTER_CASES = [
     (DIHEDRAL, ("r", 1.5), False),
     (DIHEDRAL, ("r", Fraction(3, 2)), False),
     (DIHEDRAL, ("r", "2"), False),
+    (DIHEDRAL, ("r", True), False),
     (FREE2, ((1, 2), (2, 1.5)), False),  # two letters: the general checks on both sides
+    (FREE2, [(1, 2), (2, 1)], False),
 ]
 
 

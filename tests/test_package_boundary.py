@@ -129,7 +129,7 @@ def _closure(module: str) -> set[str]:
 
 def test_checks_imports_no_producer_module():
     closure = _closure("checks")
-    assert closure == {"checks", "model", "dihedral", "freewords"}  # the walk follows imports
+    assert closure == {"checks", "model", "freewords"}  # the walk follows imports
     assert not closure & PRODUCER_MODULES, sorted(closure & PRODUCER_MODULES)
 
 

@@ -1,10 +1,10 @@
 """The records that ``model.record`` builds: value, copies and identity.
 
 A record's ``__eq__`` is code inside the trusted base:
-``witness_holds`` compares ``DihedralElement``s with ``==``.  So
-every compared field of every record kind must count, and a field that
-lies outside the value (``GraphOfGroups.index``, the ``occurrences`` maps)
-must count nowhere.  The producers' results compare by identity.
+``provenance_holds`` compares vertex kinds, ``Free`` and
+``DihedralInfinite`` records, with ``!=``.  So every compared field of
+every record kind must count, and a field that lies outside the value
+(``GraphOfGroups.index``, the ``occurrences`` maps) must count nowhere.  The producers' results compare by identity.
 """
 
 import copy
@@ -19,7 +19,6 @@ from gogh.certify import BSWitness, almost_bs_witness, distortion_certificate
 from gogh.cli import parse
 from gogh.conjgraph import build_conjugacy_graph
 from gogh.dihedral import DihedralElement
-from gogh.freewords import primitive_root
 from gogh.model import DihedralInfinite, EdgeRecord, Free, VertexWord, tree_steps
 from gogh.parametrize import hhg_verdict, parametrize
 from gogh.words import to_path_form
@@ -39,7 +38,6 @@ def _values():
     certificate = distortion_certificate(bs32, witness, 2)
     trefoil = parse(TREFOIL_TEXT)
     path = to_path_form(bs32, [("t", "e", 1), ("g", "v", 1, 2)])
-    root = primitive_root(((1, 2), (2, 1), (1, 2), (2, 1)))
     v5 = _vw("v", (1, 5))
     return [
         (Free(2), {"rank": 3}),
@@ -57,7 +55,6 @@ def _values():
             },
         ),
         (DihedralElement(1, 3), {"eps": 0, "k": 4}),
-        (root, {"root": ((1, 5),), "conjugator": ((1, 5),), "exponent": 7}),
         (path, {"base": "w", "head": v5, "tail": ()}),
         (Balanced(), {}),
         (unbalanced, {"cycle": (), "modulus": Fraction(5, 2)}),

@@ -32,6 +32,7 @@ PRODUCERS = {
     "build_groupoid",
     "attachment_data",
     "canonical_root",
+    "primitive_root",
     "_least_rotation",
     "_letter_key",
     "_class_certificate",
@@ -86,6 +87,6 @@ def test_checkers_name_no_producer():
 def test_reach_is_transitive():
     reached = _reach(oracles.bounded_conjugator_search, _package_functions())
     # through are_equal -> is_trivial -> britton_reduce -> _pinch_entry -> _image_data
-    assert MODULES["freewords"].primitive_root in reached
+    assert MODULES["freewords"].cyclic_reduce in reached
     # and through the oracle's own helpers
     assert oracles._search_states in reached and oracles._letter_moves in reached

@@ -32,12 +32,13 @@ BAD_LETTER_TEXT = 'vertex v free 1\nedge e from=v to=v img_from="v.1^3" img_to="
 
 CLI = {"cli", "model"}
 # the checkers and all they import: the files to read to trust a certificate
-CHECKS = {"checks", "model", "dihedral", "freewords"}
+CHECKS = {"checks", "model", "freewords"}
 # the path words and all they import, loaded only by a command that builds one
 WORDS = {"words", "model", "dihedral", "freewords"}
 BALANCE = CLI | {"balance", "freewords"}
 CONJGRAPH = BALANCE | {"conjgraph"}
-HHG_VERDICT = CONJGRAPH | CHECKS | {"parametrize"}
+# parametrize builds its certificate's elements in dihedral
+HHG_VERDICT = CONJGRAPH | CHECKS | {"parametrize", "dihedral"}
 NOT_HHG_VERDICT = HHG_VERDICT | {"certify"}
 WITNESS = BALANCE | CHECKS | {"certify"}
 DISTORTION = WITNESS | WORDS

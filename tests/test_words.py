@@ -194,22 +194,34 @@ def test_membership_multi_letter_attachment():
     assert pinch_membership(g, "e", VertexWord("v", ((1, 1),))) is None
     inv = VertexWord("v", ((2, -1), (1, -1)))
     assert pinch_membership(g, "e", inv) == -1
+    # an attachment whose cyclic core is the proper power p^2, bare and
+    # conjugated: c p^(2k) c^-1 is its k-th power, and c p^(2k+1) c^-1 lies
+    # outside its image, though p^(2k+1) is a power of the core's root
+    p = ((1, 1), (2, 1))
+    for c in ((), ((3, 2),), ((2, 3),), ((1, -1), (2, 2))):
+        att = " ".join(f"v.{gen}^{exp}" for gen, exp in fw.mul_letters(c, p, p, fw.inv_letters(c)))
+        g = parse(f'vertex v free 3\nedge e from=v to=v img_from="v.1" img_to="{att}"\n')
+        for k in range(-3, 4):
+            for m, want in ((2 * k, k), (2 * k + 1, None)):
+                word = VertexWord("v", fw.mul_letters(c, fw.pow_letters(p, m), fw.inv_letters(c)))
+                assert pinch_membership(g, "e", word) == want, (c, m)
 
 
-def test_one_letter_image_data_is_the_primitive_root_data():
-    """_image_data reads a one-letter free g^k as ((), (), ((g, 1),), k),
-    which must be what the primitive-root route gives: for generators 1..3
-    of a rank-3 vertex, exponents +-1..+-7 and exponents past 2^64."""
+def test_image_data_is_the_cyclic_split():
+    """_image_data reads a free attachment c core c^-1 as (c^-1, c, core),
+    the split of ``freewords.cyclic_reduce``, with no root of the core: a
+    one-letter g^k as ((), (), ((g, k),)), for generators 1..3 of a rank-3
+    vertex, exponents +-1..+-7 and exponents past 2^64, and a conjugated
+    proper power as its conjugator and the power."""
     big = [2**64 + 1, 3**41, 2**100]
     for g in (1, 2, 3):
         for k in [*range(1, 8), *big]:
             for exp in (k, -k):
                 att = VertexWord("v", ((g, exp),))
-                rd = fw.primitive_root(att.letters)
-                c = rd.conjugator
-                want = (fw.inv_letters(c), c, rd.root, rd.exponent)
-                assert _image_data(Free(3), att) == want, att
-                assert want == ((), (), ((g, 1),), exp)
+                assert _image_data(Free(3), att) == ((), (), ((g, exp),)), att
+    square = ((1, 1), (2, 1), (1, 1), (2, 1))
+    att = VertexWord("v", fw.mul_letters(((3, 2),), square, ((3, -2),)))
+    assert _image_data(Free(3), att) == (((3, -2),), ((3, 2),), square)
 
 
 def test_membership_dihedral(dihedral_loop):
